@@ -44,6 +44,7 @@ from ..memsys.request import (
     SERVICE_WRITE,
     SERVICE_WRITE_MISS,
     MemRequest,
+    OpType,
 )
 from ..memsys.stats import StatsCollector
 from ..obs.events import (
@@ -61,6 +62,9 @@ from ..obs.perf.profiler import NULL_PROFILER, PH_BANK_ISSUE, PhaseTimer
 from ..obs.trace import BLAME_MAINT, BLAME_MULTI_ACT, BLAME_RUW, BLAME_TILE
 from ..units import BITS_PER_BYTE
 from .tile import KIND_MAINT, KIND_SENSE, KIND_WRITE, TileGrid
+
+#: Module-level alias: class attribute access on an Enum is slow.
+_OP_WRITE = OpType.WRITE
 
 
 @dataclass(frozen=True)
@@ -162,8 +166,9 @@ class FgNvmBank:
         #: Together with the owning controller's per-bank queue index this
         #: is the row-hit lookup keyed on (flat_bank, row): every request
         #: targeting the same tile coordinates shares one cached
-        #: classification and earliest-start constraint.  Both values
-        #: depend only on bank state, and all bank state mutates inside
+        #: classification and earliest-start constraint.  Plain-int keys
+        #: hold :meth:`write_cap_free_at` answers per cap.  Every value
+        #: depends only on bank state, and all bank state mutates inside
         #: :meth:`issue` — which drops the memo — so entries can never go
         #: stale.
         self._sched_cache: dict = {}
@@ -322,7 +327,9 @@ class FgNvmBank:
         the reference oracle the differential tests compare against.
         """
         dec = req.decoded
-        key = (req.op, dec.row, dec.sag, dec.cd)
+        # Keyed on a bool, not the OpType member: Enum hashing runs in
+        # Python and this is the hottest lookup in the simulator.
+        key = (req.op is _OP_WRITE, dec.row, dec.sag, dec.cd)
         cached = self._sched_cache.get(key)
         if cached is not None:
             return cached
@@ -602,6 +609,29 @@ class FgNvmBank:
         return sum(
             1 for k in self.grid.active_cd_kinds(now) if k == KIND_WRITE
         )
+
+    def write_cap_free_at(self, cap: int) -> int:
+        """First cycle at which fewer than ``cap`` writes hold CDs.
+
+        The now-independent form of the controller's write throttle:
+        ``active_writes(now) >= cap`` exactly when
+        ``now < write_cap_free_at(cap)``.  It is the ``cap``-th latest
+        release among the CDs a write holds (0 when fewer than ``cap``
+        do), a function of bank state alone, so it shares the
+        scheduling memo that :meth:`issue` drops.
+        """
+        cached = self._sched_cache.get(cap)
+        if cached is not None:
+            return cached
+        grid = self.grid
+        releases = sorted(
+            (grid.cd_free_at(cd) for cd in range(self.column_divisions)
+             if grid.cd_kind(cd) == KIND_WRITE),
+            reverse=True,
+        )
+        free_at = releases[cap - 1] if len(releases) >= cap else 0
+        self._sched_cache[cap] = free_at
+        return free_at
 
     # -- event-skipping support ----------------------------------------------
 

@@ -114,14 +114,20 @@ class MemoryController:
         #: after a pass that issued nothing (so queue occupancy — hence
         #: the drain phase and fall-through policy — cannot have
         #: changed), and reset by anything that can create issuable
-        #: work: enqueue, issue, flush.  Never installed when the
-        #: write-per-bank throttle is active, because that constraint
-        #: relaxes with time alone.
+        #: work: enqueue, issue, flush.  A bank held by the write
+        #: throttle counts as blocked until its
+        #: :meth:`~repro.core.fgnvm_bank.FgNvmBank.write_cap_free_at`
+        #: cycle.  Not installed while traced requests are queued under
+        #: a throttle: the blame pass only runs on non-quiet cycles and
+        #: reads the throttle at the cycle it runs on.
         self._quiet_until = 0
-        #: Cached min earliest-start constraint over both queues (the
-        #: O(pending) part of the event horizon), rebuilt lazily.
+        #: Min earliest-start constraint per flat bank over both queues,
+        #: and the min over those (the O(pending) part of the event
+        #: horizon).  Enqueue and issue mark only their own bank dirty;
+        #: the next horizon query rescans just the dirty banks.
+        self._bank_min: "dict[int, int]" = {}
+        self._dirty_banks: "set[int]" = set()
         self._min_constraint: Optional[int] = None
-        self._minc_dirty = True
         #: Sampled requests still queued on this channel, awaiting
         #: blame attribution; empty whenever the tracer is disabled, so
         #: hot paths may guard on truthiness alone.
@@ -216,7 +222,7 @@ class MemoryController:
         if span is not None:
             self._traced[req.req_id] = (req, span)
         self._quiet_until = 0
-        self._minc_dirty = True
+        self._dirty_banks.add(req.decoded.flat_bank)
 
     @property
     def _incremental(self) -> bool:
@@ -308,7 +314,8 @@ class MemoryController:
                 break
             self._issue(candidate, now)
             issued = True
-        if not issued and not starved and self._write_cap is None:
+        if not issued and not starved and not (
+                self._traced and self._write_cap is not None):
             # Nothing issued, so queue occupancy (and with it the drain
             # phase and fall-through policy) is frozen until the next
             # enqueue/issue/flush — each of which resets the memo.  With
@@ -402,13 +409,26 @@ class MemoryController:
         banks = self.banks
         candidates: List[Candidate] = []
         cap = self._write_cap if queue is self.write_queue else None
+        # A throttled bank is blocked like any candidate: until the
+        # cycle its in-flight writes fall below the cap.
+        capped_min: Optional[int] = None
         for flat_bank, reqs in by_bank.items():
             bank = banks[flat_bank]
-            if cap is not None and bank.active_writes(now) >= cap:
-                continue
+            if cap is not None:
+                free_at = bank.write_cap_free_at(cap)
+                if free_at > now:
+                    if capped_min is None or free_at < capped_min:
+                        capped_min = free_at
+                    continue
             for req in reqs:
                 candidates.append((req, bank))
-        return self.scheduler.pick_with_horizon(candidates, now)
+        best, blocked_min = self.scheduler.pick_with_horizon(
+            candidates, now
+        )
+        if capped_min is not None and (
+                blocked_min is None or capped_min < blocked_min):
+            blocked_min = capped_min
+        return best, blocked_min
 
     def _candidates(self, queue: TransactionQueue, now: int
                      ) -> List[Candidate]:
@@ -427,7 +447,7 @@ class MemoryController:
     def _issue(self, candidate: Candidate, now: int) -> None:
         req, bank = candidate
         self._quiet_until = 0
-        self._minc_dirty = True
+        self._dirty_banks.add(req.decoded.flat_bank)
         result = bank.issue(req, now)
         # Stateful policies (RBLA) learn from what actually issued; the
         # live getattr keeps the hook optional and test-swap safe, and
@@ -506,9 +526,8 @@ class MemoryController:
         horizon: Optional[int] = None
         if self._completions:
             horizon = self._completions[0][0]
-        if self._minc_dirty:
+        if self._dirty_banks:
             self._min_constraint = self._recompute_min_constraint()
-            self._minc_dirty = False
         min_c = self._min_constraint
         if min_c is not None:
             when = min_c if min_c > now + 1 else now + 1
@@ -521,16 +540,24 @@ class MemoryController:
         return horizon
 
     def _recompute_min_constraint(self) -> Optional[int]:
-        min_c: Optional[int] = None
-        banks = self.banks
-        for queue in (self.read_queue, self.write_queue):
-            for flat_bank, reqs in queue.by_bank().items():
-                bank = banks[flat_bank]
+        """Rescan the dirty banks, then take the min over every bank."""
+        bank_min = self._bank_min
+        reads = self.read_queue.by_bank()
+        writes = self.write_queue.by_bank()
+        for flat_bank in self._dirty_banks:
+            lookup = self.banks[flat_bank].kind_and_constraint
+            min_c: Optional[int] = None
+            for reqs in (reads.get(flat_bank, ()), writes.get(flat_bank, ())):
                 for req in reqs:
-                    constraint = bank.kind_and_constraint(req)[1]
+                    constraint = lookup(req)[1]
                     if min_c is None or constraint < min_c:
                         min_c = constraint
-        return min_c
+            if min_c is None:
+                bank_min.pop(flat_bank, None)
+            else:
+                bank_min[flat_bank] = min_c
+        self._dirty_banks.clear()
+        return min(bank_min.values()) if bank_min else None
 
     def _next_event_after_reference(self, now: int) -> Optional[int]:
         horizon: Optional[int] = None

@@ -26,7 +26,14 @@ from repro.config.params import BankArchitecture
 from repro.config.validate import validate_config
 from repro.memsys.policies import apply_policy, policy_names
 from repro.memsys.scheduler import SCHEDULER_ENV
+from repro.obs.trace import (
+    RequestTracer,
+    blame_report,
+    render_blame,
+    seed_from_digest,
+)
 from repro.sim.experiment import run_benchmark
+from repro.sim.parallel import config_digest
 from repro.sim.sweeps import parameter_sweep
 
 REQUESTS = 600
@@ -126,3 +133,48 @@ class TestPolicySweepIdentity:
             assert fast_run.summary() == oracle_run.summary()
             assert fast_run.cycles == oracle_run.cycles
             assert fast_run.energy.total_pj == oracle_run.energy.total_pj
+
+
+class TestTracedCappedIdentity:
+    """Traced fast-vs-oracle identity on the write-throttled preset.
+
+    ``fgnvm-8x2`` caps in-flight writes at one per bank.  The fast
+    path memoizes quiet cycles under that cap, except while sampled
+    requests are queued: blame attribution reads the cap on the cycle
+    it runs, so skipping cycles would move ``write_cap`` blame.  Every
+    span must therefore match the oracle's segment for segment, as
+    ``repro run --trace-sample 2`` samples them.
+    """
+
+    REQUESTS = 1500
+
+    def traced(self, policy):
+        config = apply_policy(fgnvm(8, 2), policy)
+        tracer = RequestTracer(
+            sample_every=2, seed=seed_from_digest(config_digest(config))
+        )
+        result = run_benchmark(config, "lbm", self.REQUESTS, tracer=tracer)
+        # Request ids come from a process-global counter; everything
+        # else in a span is per-run deterministic.
+        spans = [
+            (s.op, s.arrival, s.channel, s.bank, s.sag, s.cd, s.issue,
+             s.completion, s.service, s.segments)
+            for s in tracer.finished
+        ]
+        report = render_blame(blame_report(tracer.finished,
+                                           tracer.queue_full))
+        return result, spans, report
+
+    @pytest.mark.parametrize("policy", ["frfcfs-incremental", "palp",
+                                        "rbla"])
+    def test_spans_identical_to_oracle(self, policy, monkeypatch):
+        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
+        fast, fast_spans, fast_report = self.traced(policy)
+        monkeypatch.setenv(SCHEDULER_ENV, "reference")
+        oracle, oracle_spans, oracle_report = self.traced(policy)
+        assert fast.summary() == oracle.summary()
+        assert len(fast_spans) == len(oracle_spans) > 0
+        for fast_span, oracle_span in zip(fast_spans, oracle_spans):
+            assert fast_span == oracle_span
+        assert fast_report == oracle_report
+        assert "write_cap" in fast_report

@@ -6,6 +6,7 @@ from repro.config import baseline_nvm, fgnvm
 from repro.memsys.controller import MemoryController
 from repro.memsys.request import MemRequest, OpType, RequestState
 from repro.memsys.stats import StatsCollector
+from repro.obs.trace import NULL_TRACER, RequestTracer
 
 
 def controller_for(cfg):
@@ -126,18 +127,73 @@ class TestWritePhases:
         assert write.state is RequestState.ISSUED
         assert write.issue_cycle == 1
 
-    def test_write_cap_limits_inflight_writes_per_bank(self, fg_ctrl):
-        fg_ctrl.config.controller.eager_writes = True
-        fg_ctrl.config.controller.max_writes_per_bank = 1
-        # Two writes to the same bank, different tiles.
+    @staticmethod
+    def _two_tile_writes(cap, tracer=NULL_TRACER):
+        """Two writes to bank 0 in disjoint tiles, under ``cap``.
+
+        0x0 is (SAG 0, CD 0) and 0x80200 is (SAG 1, CD 2): nothing but
+        the write throttle keeps them apart once tCCD has passed.  The
+        cap is set before the controller is built, which is when it is
+        read.
+        """
+        cfg = fgnvm(4, 4)
+        cfg.org.rows_per_bank = 256
+        cfg.controller.max_writes_per_bank = cap
+        ctrl = MemoryController(cfg, StatsCollector(), tracer=tracer)
         first = MemRequest(OpType.WRITE, 0x0)
-        second = MemRequest(OpType.WRITE, 0x200)  # other CD, same bank
-        fg_ctrl.enqueue(first, 0)
-        fg_ctrl.enqueue(second, 0)
-        fg_ctrl.tick(0)
-        fg_ctrl.tick(1)
-        assert first.state is RequestState.ISSUED
+        second = MemRequest(OpType.WRITE, 0x80200)
+        ctrl.enqueue(first, 0)
+        ctrl.enqueue(second, 0)
+        return ctrl, first, second
+
+    @staticmethod
+    def _tick_until_issued(ctrl, req, limit=1_000):
+        for cycle in range(limit):
+            ctrl.tick(cycle)
+            if req.state is not RequestState.QUEUED:
+                return
+        raise AssertionError(f"request {req} never issued")
+
+    def test_write_cap_limits_inflight_writes_per_bank(self):
+        ctrl, first, second = self._two_tile_writes(cap=1)
+        assert (first.decoded.sag, first.decoded.cd) != (
+            second.decoded.sag, second.decoded.cd)
+        self._tick_until_issued(ctrl, second)
+        assert first.issue_cycle == 0
+        # The second write waits out the whole first write pulse.
+        assert second.issue_cycle == first.completion_cycle == 76
+
+    def test_uncapped_writes_overlap_in_one_bank(self):
+        ctrl, first, second = self._two_tile_writes(cap=None)
+        self._tick_until_issued(ctrl, second)
+        assert first.issue_cycle == 0
+        # Only the tCCD column gate separates the two writes.
+        assert second.issue_cycle == ctrl.timing.tccd == 4
+        assert second.issue_cycle < first.completion_cycle
+
+    def test_capped_quiet_pass_memoizes_the_cap_release(self):
+        ctrl, first, second = self._two_tile_writes(cap=1)
+        ctrl.tick(0)
+        bank = ctrl.banks[second.decoded.flat_bank]
+        # At cycle 10 the bank itself would accept the second write.
+        assert bank.earliest_start(second, 10) == 10
+        ctrl.tick(10)
         assert second.state is RequestState.QUEUED
+        assert bank.write_cap_free_at(1) == first.completion_cycle
+        assert ctrl._quiet_until == bank.write_cap_free_at(1)
+        ctrl.tick(ctrl._quiet_until)
+        assert second.issue_cycle == first.completion_cycle
+
+    def test_capped_quiet_pass_not_memoized_while_traced(self):
+        ctrl, first, second = self._two_tile_writes(
+            cap=1, tracer=RequestTracer(sample_every=1)
+        )
+        ctrl.tick(0)
+        ctrl.tick(10)
+        assert second.state is RequestState.QUEUED
+        # The blame pass must run on every cycle the cap holds a traced
+        # write back, so no quiet memo may skip those cycles.
+        assert ctrl._quiet_until == 0
 
 
 class TestFlushAndProgress:

@@ -12,7 +12,7 @@ A random, legally-scheduled stream of reads/writes must never violate:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import fgnvm
+from repro.config import fgnvm, with_reliability
 from repro.core.fgnvm_bank import make_fgnvm_bank
 from repro.memsys.address import AddressMapper
 from repro.memsys.request import (
@@ -128,3 +128,65 @@ def test_invariants_hold_across_grids(ops, dims):
         now = start
     # Sense energy is always a whole number of CD slices.
     assert stats.sense_bits % bank.sense_bits == 0
+
+
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.booleans(),          # is_write
+            st.integers(0, 63),     # row
+            st.integers(0, 15),     # col
+            st.integers(0, 60),     # idle cycles before the next request
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    dims=st.sampled_from([(1, 1), (4, 4), (8, 2), (8, 32), (4, 64)]),
+    cap=st.integers(1, 3),
+    faults=st.one_of(
+        st.none(),
+        st.tuples(
+            st.floats(0.0, 0.6),                   # verify failure prob
+            st.sampled_from([None, 2, 5]),         # wear_rotate_every
+            st.sampled_from([None, 4]),            # endurance_writes
+            st.integers(0, 2**16),                 # seed
+        ),
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_write_cap_free_at_matches_active_writes(ops, dims, cap, faults):
+    """``active_writes(now) >= cap`` iff ``now < write_cap_free_at(cap)``.
+
+    Checked at every cycle from each issue until every resource is
+    free again, across grids where a line spans several CDs and with
+    verify retries, wear-leveling migrations and tile retirement
+    reshaping occupancy.  The query is warmed before every issue, so a
+    memo that survived an issue would answer for stale bank state.
+    """
+    sags, cds = dims
+    cfg = fgnvm(sags, cds)
+    cfg.org.rows_per_bank = 64
+    if faults is not None:
+        prob, rotate, endurance, seed = faults
+        cfg = with_reliability(
+            cfg, write_fail_prob=prob, max_write_retries=3,
+            wear_rotate_every=rotate, endurance_writes=endurance,
+            seed=seed,
+        )
+    bank = make_fgnvm_bank(0, cfg.org, cfg.timing.cycles(),
+                           StatsCollector(), reliability=cfg.reliability)
+    mapper = AddressMapper(cfg.org)
+    now = 0
+    for is_write, row, col, idle in ops:
+        op = OpType.WRITE if is_write else OpType.READ
+        req = MemRequest(op, mapper.encode(row=row, col=col))
+        req.decoded = mapper.decode(req.address)
+        bank.write_cap_free_at(cap)
+        start = bank.earliest_start(req, now + idle)
+        bank.issue(req, start)
+        free_at = bank.write_cap_free_at(cap)
+        assert bank._sched_cache[cap] == free_at
+        horizon = max(bank.grid.cd_free_at(cd) for cd in range(cds))
+        for t in range(start, max(horizon, free_at) + 2):
+            assert (bank.active_writes(t) >= cap) == (t < free_at), t
+        now = start
