@@ -907,8 +907,7 @@ def _cmd_chaos(args) -> int:
         f"{rstats.worker_crashes} worker crash(es), "
         f"{rstats.timeouts} timeout(s), "
         f"{rstats.pool_rebuilds} pool rebuild(s), "
-        f"{chaotic.disk.corrupt_blobs if chaotic.disk else 0} "
-        f"blob(s) quarantined"
+        f"{chaotic.stats.corrupt_blobs} blob(s) quarantined"
     )
 
     # A fresh engine resuming from the chaos run's journal + cache must

@@ -171,8 +171,9 @@ class ResilientEngine(ParallelExperimentEngine):
             self.journal = SweepJournal(
                 self.disk.root / JOURNAL_NAME, code_version
             )
-        if self.disk is not None:
-            self.disk.on_corrupt = self._on_corrupt
+        for store in (self.disk, self.traces):
+            if store is not None:
+                store.on_corrupt = self._on_corrupt
         if resume:
             if self.disk is None or self.journal is None:
                 raise ExperimentError(

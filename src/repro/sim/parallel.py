@@ -32,7 +32,6 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -43,6 +42,7 @@ from ..config.params import SystemConfig
 from ..errors import ExperimentError
 from ..obs.manifest import JobRecord, RunManifest
 from ..obs.stream import activate, active_channel, init_worker, streamed_simulate
+from ..store import QUARANTINE_DIR, BlobStore
 from ..workloads.packed import (
     PackedTrace,
     SharedTraceRef,
@@ -258,13 +258,10 @@ class TraceStats:
 
 # -- persistent cache -------------------------------------------------------
 
-#: Framed-blob header: ``magic + sha256-hex + newline + pickle payload``.
-#: The embedded digest makes torn or bit-rotted blobs detectable without
+#: Framed-blob magic of result blobs (see :mod:`repro.store`).  The
+#: embedded digest makes torn or bit-rotted blobs detectable without
 #: trusting the unpickler, and doubles as the journal's result digest.
 BLOB_MAGIC = b"repro-blob-v1\n"
-
-#: Subdirectory corrupt blobs are moved into (never silently deleted).
-QUARANTINE_DIR = "quarantine"
 
 #: Everything unpickling arbitrary bytes can raise — well beyond
 #: UnpicklingError (e.g. ValueError from a garbage LONG opcode).
@@ -280,135 +277,43 @@ def result_digest(result: SimResult) -> "tuple[bytes, str]":
     return payload, hashlib.sha256(payload).hexdigest()
 
 
-class DiskResultCache:
-    """Content-addressed, checksummed pickle store for result blobs.
+class DiskResultCache(BlobStore):
+    """Pickled :class:`SimResult` blobs in a :class:`~repro.store.BlobStore`.
 
-    Layout: ``<root>/<key[:2]>/<key>.pkl`` — two-level fan-out keeps
-    directories small for thousand-entry sweeps.  Robustness contract:
-
-    * writes are atomic and durable (tempfile + flush + fsync + rename),
-      so a kill mid-write can never leave a torn blob under a final
-      name,
-    * every blob embeds a SHA-256 of its payload (:data:`BLOB_MAGIC`
-      framing); reads verify it before unpickling,
-    * corrupt blobs are *quarantined* — moved to
-      ``<root>/quarantine/<key>.pkl.corrupt`` for post-mortem — counted
-      in :attr:`corrupt_blobs`, and treated as misses so the result is
-      recomputed,
-    * legacy unframed blobs (pre-checksum caches) are still readable;
-      they fall back to unpickle-and-hope exactly as before.
+    Layout ``<root>/<key[:2]>/<key>.pkl``, framed with :data:`BLOB_MAGIC`.
+    The store verifies every read and quarantines failures under
+    ``<root>/quarantine/``; a payload that verifies but does not unpickle
+    is quarantined too.  Either way the lookup is a miss and the result
+    is recomputed.
     """
 
+    suffix = ".pkl"
+    magic = BLOB_MAGIC
+
     def __init__(self, root: "str | os.PathLike[str]"):
-        self.root = Path(root)
-        #: Blobs that failed verification and were quarantined (telemetry).
-        self.corrupt_blobs = 0
-        #: put() calls that failed with an OSError (e.g. disk full).
-        self.put_errors = 0
-        #: Optional ``callback(key, reason)`` fired on each quarantine.
-        self.on_corrupt: Optional[Callable[[str, str], None]] = None
-        #: Chaos hook: next put() raises this exception (once), letting
-        #: the fault harness simulate a full disk deterministically.
-        self.inject_put_error: Optional[OSError] = None
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            probe_fd, probe_name = tempfile.mkstemp(
-                dir=self.root, suffix=".probe"
-            )
-            os.close(probe_fd)
-            os.unlink(probe_name)
+            super().__init__(root)
         except OSError as exc:
             raise ExperimentError(
-                f"cache dir {self.root} is not a writable directory "
+                f"cache dir {root} is not a writable directory "
                 f"({exc}); pass a usable path via --cache-dir or "
                 "REPRO_CACHE_DIR"
             ) from exc
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
-
-    @property
-    def quarantine_dir(self) -> Path:
-        return self.root / QUARANTINE_DIR
-
-    def _quarantine(self, key: str, reason: str) -> None:
-        """Move a corrupt blob aside (never delete evidence)."""
-        path = self._path(key)
-        dest_dir = self.quarantine_dir
-        try:
-            dest_dir.mkdir(parents=True, exist_ok=True)
-            dest = dest_dir / f"{path.name}.corrupt"
-            n = 0
-            while dest.exists():
-                n += 1
-                dest = dest_dir / f"{path.name}.{n}.corrupt"
-            os.replace(path, dest)
-        except OSError:
-            # Quarantine is best-effort: fall back to unlink so the
-            # corrupt blob at least cannot satisfy a future get().
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        self.corrupt_blobs += 1
-        if self.on_corrupt is not None:
-            self.on_corrupt(key, reason)
-
-    def _read_payload(self, key: str) -> Optional[bytes]:
-        """Verified pickle payload for a key, or None (miss/quarantined)."""
-        path = self._path(key)
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            return None
-        if not data.startswith(BLOB_MAGIC):
-            return data  # legacy unframed blob: no checksum to verify
-        header_end = len(BLOB_MAGIC) + 64
-        digest = data[len(BLOB_MAGIC):header_end].decode("ascii", "replace")
-        payload = data[header_end + 1:]
-        if (len(data) <= header_end
-                or data[header_end:header_end + 1] != b"\n"
-                or hashlib.sha256(payload).hexdigest() != digest):
-            self._quarantine(key, "checksum mismatch")
-            return None
-        return payload
-
     def get(self, key: str) -> Optional[SimResult]:
-        payload = self._read_payload(key)
+        payload = self.read(key)
         if payload is None:
             return None
         try:
             return pickle.loads(payload)
         except _UNPICKLE_ERRORS:
-            self._quarantine(key, "unpicklable payload")
+            self.quarantine(key, "unpicklable payload")
             return None
 
     def put(self, key: str, result: SimResult) -> str:
         """Atomically persist one result; returns its payload digest."""
-        if self.inject_put_error is not None:
-            exc, self.inject_put_error = self.inject_put_error, None
-            raise exc
         payload, digest = result_digest(result)
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(BLOB_MAGIC)
-                handle.write(digest.encode("ascii"))
-                handle.write(b"\n")
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        self.write(key, payload, digest)
         return digest
 
     def verify(self, key: str, expected_digest: str) -> bool:
@@ -418,30 +323,13 @@ class DiskResultCache:
         still intact without unpickling it; a present-but-corrupt blob
         is quarantined and reported False.
         """
-        payload = self._read_payload(key)
+        payload = self.read(key)
         if payload is None:
             return False
         if hashlib.sha256(payload).hexdigest() != expected_digest:
-            self._quarantine(key, "digest does not match journal")
+            self.quarantine(key, "digest does not match journal")
             return False
         return True
-
-    def keys(self) -> List[str]:
-        return sorted(p.stem for p in self.root.glob("*/*.pkl")
-                      if p.parent.name != QUARANTINE_DIR)
-
-    def __len__(self) -> int:
-        return len(self.keys())
-
-    def purge(self) -> int:
-        """Delete every cached blob (quarantine untouched); returns count."""
-        removed = 0
-        for path in self.root.glob("*/*.pkl"):
-            if path.parent.name == QUARANTINE_DIR:
-                continue
-            path.unlink()
-            removed += 1
-        return removed
 
 
 # -- engine -----------------------------------------------------------------
@@ -563,10 +451,6 @@ class ParallelExperimentEngine:
         self.reliability_totals: Dict[str, int] = {}
         self._wall_s = 0.0
         self._busy_s = 0.0
-        #: Keys already persisted during the current batch (lets a
-        #: supervising subclass checkpoint results the moment they
-        #: complete without double-writing here).
-        self._batch_persisted: "set[str]" = set()
 
     # -- ExperimentCache-compatible surface ---------------------------------
 
@@ -597,7 +481,6 @@ class ParallelExperimentEngine:
         keys = [job_key(job, self.code_version) for job in jobs]
         self.stats.submitted += len(jobs)
         started = time.monotonic()
-        self._batch_persisted = set()
         previous_channel = None
         if self.telemetry is not None:
             # Activate the hub's channel in this process so serial and
@@ -642,8 +525,10 @@ class ParallelExperimentEngine:
         finally:
             self._teardown_traces()
             self._wall_s += time.monotonic() - started
-            if self.disk is not None:
-                self.stats.corrupt_blobs = self.disk.corrupt_blobs
+            self.stats.corrupt_blobs = sum(
+                store.corrupt_blobs for store in (self.disk, self.traces)
+                if store is not None
+            )
             if self.telemetry is not None:
                 self.telemetry.note_trace(self.trace_stats.as_dict())
                 activate(previous_channel)
@@ -690,20 +575,18 @@ class ParallelExperimentEngine:
         return digest
 
     def _persist(self, key: str, result: SimResult) -> Optional[str]:
-        """Write one blob to disk (at most once per batch).
+        """Write one blob to disk.
 
-        A failed write (e.g. disk full) is counted and tolerated — the
-        result lives on in memory and is simply recomputed next run.
+        A failed write (e.g. disk full) is counted by the store and
+        tolerated — the result lives on in memory and is simply
+        recomputed next run.
         """
-        if self.disk is None or key in self._batch_persisted:
+        if self.disk is None:
             return None
         try:
-            digest = self.disk.put(key, result)
+            return self.disk.put(key, result)
         except OSError:
-            self.disk.put_errors += 1
             return None
-        self._batch_persisted.add(key)
-        return digest
 
     def map(self, fn: Callable, items: Iterable) -> List:
         """Generic fan-out of a picklable function over items (uncached).

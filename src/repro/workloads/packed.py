@@ -9,12 +9,12 @@ representation on the hot paths:
   (``gaps`` / ``ops`` / ``addresses``), appendable while a generator or
   reader fills them, indexable without materialising records,
 * a versioned binary **blob format** (:data:`PACKED_MAGIC` + embedded
-  SHA-256, the same framing idiom as the result-cache blobs) so a trace
-  serialises to one contiguous byte string,
+  SHA-256, the :mod:`repro.store` framing shared with the result-cache
+  blobs) so a trace serialises to one contiguous byte string,
 * :func:`PackedTrace.from_buffer` — a **zero-copy** loader that maps the
   columns straight out of any buffer (a ``multiprocessing``
   shared-memory segment, an mmap) via ``memoryview.cast``,
-* :class:`TraceCache` — a content-addressed on-disk store keyed by
+* :class:`TraceCache` — a :class:`~repro.store.BlobStore` codec keyed by
   :func:`trace_key` (profile fields, length, line size, format version),
   so a sweep generates each distinct trace exactly once,
 * a process-global **trace source registry** — the parent engine
@@ -30,13 +30,6 @@ Bit-identity contract: a packed trace and its record form describe the
 identical access stream, the blob round-trips byte-for-byte, and every
 consumer (generator, readers, CPU model, transports) produces results
 indistinguishable from the record pipeline.
-
-An optional numpy fast path accelerates whole-column reductions and
-foreign-endian blob decoding.  It is feature-gated behind
-``REPRO_PACKED_NUMPY=1`` (the package keeps ``dependencies = []``) and
-pinned bit-identical to the pure-python path by the property suite —
-integer column sums and byte swaps are exact, so enabling it can never
-change a result.
 """
 
 from __future__ import annotations
@@ -44,15 +37,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import sys
-import tempfile
 from array import array
-from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..errors import TraceFormatError
 from ..memsys.request import OpType
+from ..store import BlobStore, frame_prefix, unframe
 from .record import TraceRecord
 from .spec_profiles import BenchmarkProfile
 
@@ -61,7 +52,7 @@ from .spec_profiles import BenchmarkProfile
 PACKED_FORMAT_VERSION = 1
 
 #: Framed-blob magic: ``magic + sha256-hex + newline + payload`` — the
-#: same self-verifying framing as the result cache's ``BLOB_MAGIC``.
+#: :mod:`repro.store` framing the result cache's ``BLOB_MAGIC`` uses too.
 PACKED_MAGIC = b"repro-ptrace-v1\n"
 
 #: Operation codes in the ``ops`` column.
@@ -73,21 +64,6 @@ COLUMNS = ("gaps", "ops", "addresses")
 
 _TYPECODE = "q"
 _ITEMSIZE = array(_TYPECODE).itemsize
-
-#: Environment flag gating the optional numpy fast path.
-NUMPY_ENV = "REPRO_PACKED_NUMPY"
-
-
-def _numpy_or_none():
-    """The numpy module when the fast path is enabled and importable."""
-    if os.environ.get(NUMPY_ENV, "").lower() not in ("1", "true", "on"):
-        return None
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
 
 def _op_of(code: int) -> OpType:
     return OpType.READ if code == OP_READ else OpType.WRITE
@@ -168,18 +144,10 @@ class PackedTrace:
 
     def total_instructions(self) -> int:
         """Instructions represented (gaps plus the accesses themselves)."""
-        np = _numpy_or_none()
-        if np is not None and len(self.gaps):
-            return int(np.frombuffer(self.gaps, dtype=np.int64).sum()) \
-                + len(self.gaps)
         return sum(self.gaps) + len(self.gaps)
 
     def read_count(self) -> int:
         """Number of read accesses."""
-        np = _numpy_or_none()
-        if np is not None and len(self.ops):
-            ops = np.frombuffer(self.ops, dtype=np.int64)
-            return int((ops == OP_READ).sum())
         return sum(1 for code in self.ops if code == OP_READ)
 
     # -- binary blob format -------------------------------------------------
@@ -201,8 +169,8 @@ class PackedTrace:
             header, sort_keys=True, separators=(",", ":")
         ).encode("ascii") + b"\n"
 
-    def to_bytes(self) -> bytes:
-        """The framed, self-verifying blob for this trace."""
+    def _payload(self) -> bytes:
+        """Header line plus raw column bytes: what the frame digests."""
         parts = [self._header()]
         for name in COLUMNS:
             column = getattr(self, name)
@@ -210,29 +178,22 @@ class PackedTrace:
                 column.tobytes() if isinstance(column, array)
                 else bytes(column)
             )
-        payload = b"".join(parts)
-        digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-        return PACKED_MAGIC + digest + b"\n" + payload
+        return b"".join(parts)
+
+    def to_bytes(self) -> bytes:
+        """The framed, self-verifying blob for this trace."""
+        payload = self._payload()
+        digest = hashlib.sha256(payload).hexdigest()
+        return frame_prefix(PACKED_MAGIC, digest) + payload
 
     @staticmethod
-    def _parse_frame(data) -> "tuple[dict, int]":
-        """(header, payload offset) of a framed blob; verifies the digest.
+    def _parse_header(data, start: int) -> "tuple[dict, int, int]":
+        """(header, column offset, payload end) of the payload at ``start``.
 
-        Accepts bytes or a memoryview; hashing reads the buffer but
-        copies nothing.
+        The header line bounds the payload; its newline is found first
+        so oversized carriers (page-rounded shm segments) parse exactly.
         """
-        magic_len = len(PACKED_MAGIC)
-        if bytes(data[:magic_len]) != PACKED_MAGIC:
-            raise TraceFormatError("not a packed trace blob (bad magic)")
-        header_end = magic_len + 64
-        if len(data) <= header_end or bytes(
-                data[header_end:header_end + 1]) != b"\n":
-            raise TraceFormatError("truncated packed trace blob")
-        digest = bytes(data[magic_len:header_end]).decode("ascii", "replace")
-        payload_start = header_end + 1
-        # The header line bounds the payload; find its newline first so
-        # oversized carriers (page-rounded shm segments) parse exactly.
-        probe = bytes(data[payload_start:payload_start + 512])
+        probe = bytes(data[start:start + 512])
         line_end = probe.find(b"\n")
         if line_end < 0:
             raise TraceFormatError("packed trace header line missing")
@@ -251,37 +212,42 @@ class PackedTrace:
                 or not isinstance(header.get("length"), int)
                 or header["length"] < 0):
             raise TraceFormatError("malformed packed trace header")
-        payload_len = (line_end + 1) + 3 * header["length"] * _ITEMSIZE
-        payload_end = payload_start + payload_len
+        offset = start + line_end + 1
+        payload_end = offset + 3 * header["length"] * _ITEMSIZE
         if len(data) < payload_end:
             raise TraceFormatError("packed trace blob shorter than header")
-        actual = hashlib.sha256(data[payload_start:payload_end]).hexdigest()
-        if actual != digest:
+        return header, offset, payload_end
+
+    @classmethod
+    def _parse_frame(cls, data) -> "tuple[dict, int]":
+        """(header, column offset) of a framed blob; verifies the digest.
+
+        Accepts bytes or a memoryview; hashing reads the buffer but
+        copies nothing.
+        """
+        digest, start = unframe(data, PACKED_MAGIC, TraceFormatError)
+        header, offset, end = cls._parse_header(data, start)
+        if hashlib.sha256(data[start:end]).hexdigest() != digest:
             raise TraceFormatError("packed trace checksum mismatch")
-        return header, payload_start + line_end + 1
+        return header, offset
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PackedTrace":
         """Decode a framed blob into locally-owned columns (one copy)."""
         header, offset = cls._parse_frame(data)
-        length = header["length"]
-        nbytes = length * _ITEMSIZE
+        return cls._copy_columns(data, header, offset)
+
+    @classmethod
+    def _copy_columns(cls, data, header: dict,
+                      offset: int) -> "PackedTrace":
+        nbytes = header["length"] * _ITEMSIZE
         columns = []
-        swap = header["byteorder"] != sys.byteorder
-        np = _numpy_or_none() if swap else None
         for i in range(3):
             start = offset + i * nbytes
             column = array(_TYPECODE)
-            if swap and np is not None:
-                foreign = ">i8" if header["byteorder"] == "big" else "<i8"
-                swapped = np.frombuffer(
-                    data[start:start + nbytes], dtype=foreign
-                ).astype(np.int64)
-                column.frombytes(swapped.tobytes())
-            else:
-                column.frombytes(bytes(data[start:start + nbytes]))
-                if swap:
-                    column.byteswap()
+            column.frombytes(data[start:start + nbytes])
+            if header["byteorder"] != sys.byteorder:
+                column.byteswap()
             columns.append(column)
         return cls(*columns)
 
@@ -423,42 +389,36 @@ def trace_key(profile: BenchmarkProfile, count: int,
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class TraceCache:
-    """Content-addressed packed-trace blobs under a cache directory.
+class TraceCache(BlobStore):
+    """Packed-trace blobs in a :class:`~repro.store.BlobStore`.
 
-    Layout mirrors the result cache: ``<root>/<key[:2]>/<key>.ptrace``,
-    atomic tempfile+rename writes, self-verifying blobs.  A blob that
-    fails verification is moved into ``<root>/quarantine/`` and treated
-    as a miss, so corruption costs one regeneration, never a wrong
-    trace.
+    Layout ``<root>/<key[:2]>/<key>.ptrace``, framed with
+    :data:`PACKED_MAGIC`.  A blob that fails verification is quarantined
+    under ``<root>/quarantine/`` and treated as a miss, so corruption
+    costs one regeneration, never a wrong trace.
     """
 
-    def __init__(self, root: "str | os.PathLike[str]"):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+    suffix = ".ptrace"
+    magic = PACKED_MAGIC
+
+    def __init__(self, root):
+        super().__init__(root)
         self.hits = 0
         self.misses = 0
-        self.corrupt = 0
-        self.put_errors = 0
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.ptrace"
 
     def get(self, key: str) -> Optional[PackedTrace]:
-        path = self._path(key)
-        try:
-            data = path.read_bytes()
-        except OSError:
+        payload = self.read(key)
+        packed = None
+        if payload is not None:
+            try:
+                header, offset, _end = PackedTrace._parse_header(payload, 0)
+                packed = PackedTrace._copy_columns(payload, header, offset)
+            except TraceFormatError as exc:
+                self.quarantine(key, str(exc))
+        if packed is None:
             self.misses += 1
-            return None
-        try:
-            packed = PackedTrace.from_bytes(data)
-        except TraceFormatError:
-            self._quarantine(path)
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return packed
 
     def put(self, key: str, packed: PackedTrace) -> Optional[int]:
@@ -468,45 +428,10 @@ class TraceCache:
         tolerated: the trace lives on in memory and is regenerated next
         run.
         """
-        path = self._path(key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, suffix=".tmp"
-            )
+            return self.write(key, packed._payload())
         except OSError:
-            self.put_errors += 1
             return None
-        blob = packed.to_bytes()
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except OSError:
-            self.put_errors += 1
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            return None
-        return len(blob)
-
-    def _quarantine(self, path: Path) -> None:
-        dest_dir = self.root / "quarantine"
-        try:
-            dest_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, dest_dir / f"{path.name}.corrupt")
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.ptrace")
-                   if _.parent.name != "quarantine")
 
 
 # -- the process-global trace source registry --------------------------------

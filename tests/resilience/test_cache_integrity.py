@@ -1,6 +1,9 @@
 """End-to-end cache integrity: torn blobs quarantined, results recomputed."""
 
 from repro.config import fgnvm
+from repro.obs import ListSink, make_probe
+from repro.obs.events import EV_QUARANTINE
+from repro.obs.hub import TelemetryHub
 from repro.resilience import (
     DISK_FULL,
     FaultPlan,
@@ -80,3 +83,39 @@ class TestDiskFullSurvival:
         # in-memory and is simply recomputed next run.
         assert len(engine.disk) == 1
         assert engine.rstats.journal_entries == 1
+
+
+class TestTraceBlobQuarantine:
+    def test_corrupt_trace_blob_counted_announced_and_regenerated(
+            self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        ParallelExperimentEngine(workers=1, cache_dir=cache_dir).run_jobs(
+            [job()]
+        )
+        (blob,) = (cache_dir / "traces").glob("*/*.ptrace")
+        data = bytearray(blob.read_bytes())
+        data[-1] ^= 0xFF
+        blob.write_bytes(bytes(data))
+
+        # Another config on the same trace: the result misses, so the
+        # engine reads the corrupt trace blob.
+        other = ExperimentJob(small(fgnvm(8, 2)), "sphinx3", REQUESTS)
+        sink = ListSink()
+        hub = TelemetryHub()
+        engine = ResilientEngine(
+            workers=1, cache_dir=cache_dir, probe=make_probe(sink),
+            telemetry=hub,
+        )
+        got = engine.run_jobs([other])[0].summary()
+        hub.close()
+
+        expected = ParallelExperimentEngine(workers=1).run_jobs([other])
+        assert got == expected[0].summary()
+        assert engine.manifest().engine["corrupt_blobs"] == 1
+        quarantines = [e for e in sink.events if e.kind == EV_QUARANTINE]
+        assert len(quarantines) == 1
+        assert hub.fleet.quarantines == 1
+        quarantined = list(
+            (cache_dir / "traces" / QUARANTINE_DIR).glob("*.corrupt")
+        )
+        assert [q.read_bytes() for q in quarantined] == [bytes(data)]

@@ -142,16 +142,19 @@ class TestDiskResultCache:
         assert not cache.verify(key, "0" * 64)  # quarantines too
         assert cache.get(key) is None
 
-    def test_legacy_unframed_blob_still_readable(self, tmp_path):
-        cache = DiskResultCache(tmp_path)
-        key = "ab" * 32
-        result = execute_job(job())
-        path = cache._path(key)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(pickle.dumps(result))  # pre-framing format
-        loaded = cache.get(key)
-        assert loaded is not None
-        assert loaded.summary() == result.summary()
+    def test_unframed_blob_quarantined_and_recomputed(self, tmp_path):
+        engine = ParallelExperimentEngine(workers=1, cache_dir=tmp_path)
+        expected = engine.run_jobs([job()])[0]
+        path = engine.disk._path(job_key(job()))
+        unframed = pickle.dumps(expected)  # a valid pickle, but no frame
+        path.write_bytes(unframed)
+        fresh = ParallelExperimentEngine(workers=1, cache_dir=tmp_path)
+        assert fresh.run_jobs([job()])[0].summary() == expected.summary()
+        assert fresh.stats.executed == 1  # recomputed, not unpickled
+        assert fresh.stats.corrupt_blobs == 1
+        quarantined = list((tmp_path / QUARANTINE_DIR).glob("*.corrupt"))
+        assert [q.read_bytes() for q in quarantined] == [unframed]
+        assert path.read_bytes().startswith(BLOB_MAGIC)
 
     def test_unwritable_cache_dir_rejected_up_front(self, tmp_path):
         target = tmp_path / "blocked"

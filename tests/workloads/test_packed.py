@@ -180,9 +180,27 @@ class TestTraceCache:
         path = cache._path(key)
         path.write_bytes(path.read_bytes()[:-8] + b"corrupted")
         assert cache.get(key) is None
-        assert cache.corrupt == 1
+        assert cache.corrupt_blobs == 1
         assert not path.exists()
         assert list((tmp_path / "quarantine").glob("*.corrupt"))
+
+    def test_repeat_corruption_keeps_every_quarantined_blob(self, tmp_path):
+        cache = TraceCache(tmp_path / "traces")
+        key = trace_key(get_profile("mcf"), 50)
+        trace = generate_packed_trace(get_profile("mcf"), 50)
+        path = cache._path(key)
+        corrupted = []
+        for flip in (1, 2):
+            cache.put(key, trace)
+            data = bytearray(path.read_bytes())
+            data[-flip] ^= 0xFF
+            path.write_bytes(bytes(data))
+            corrupted.append(bytes(data))
+            assert cache.get(key) is None
+        quarantined = sorted((tmp_path / "traces" / "quarantine").iterdir())
+        assert len(quarantined) == 2
+        assert sorted(q.read_bytes() for q in quarantined) == sorted(corrupted)
+        assert cache.corrupt_blobs == 2
 
 
 class TestTraceSourceRegistry:
