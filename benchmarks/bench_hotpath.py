@@ -12,8 +12,8 @@ controlled queue depths and bank counts:
   min-constraint),
 * ``policy-tick`` — the same tick loop once per registered scheduling
   policy at one mid-size grid point, so a slow ranking key in any
-  policy (the generic min-scan base included) shows up next to the
-  hand-unrolled FRFCFS numbers,
+  policy shows up next to the FRFCFS numbers (every policy shares one
+  min-scan, so only the ranking key differs),
 * ``trace.generate`` / ``trace.decode`` — the packed struct-of-arrays
   trace pipeline against the per-record dataclass stream it replaced:
   column-fill generation vs record-object generation, and streaming

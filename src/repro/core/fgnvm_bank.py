@@ -317,8 +317,9 @@ class FgNvmBank:
     def kind_and_constraint(self, req: MemRequest) -> Tuple[str, int]:
         """Memoized (service kind, earliest-start constraint) for ``req``.
 
-        The fast-path query behind :class:`IncrementalFrfcfs` and the
-        controller's event horizon: ``classify`` and the scheduling
+        The fast-path query behind every fast scheduling policy's
+        single-pass scan (:class:`~repro.memsys.scheduler.MinScanPolicy`)
+        and the controller's event horizon: ``classify`` and the scheduling
         constraint are pure functions of bank state, which only mutates
         inside :meth:`issue` (where the memo is dropped), so repeated
         queue scans between issues collapse to one dict lookup per
@@ -605,7 +606,8 @@ class FgNvmBank:
             ))
 
     def active_writes(self, now: int) -> int:
-        """Writes currently driving cells in this bank (throttle query)."""
+        """Writes currently driving cells in this bank (the write-cap
+        throttle and PALP's overlap term)."""
         return sum(
             1 for k in self.grid.active_cd_kinds(now) if k == KIND_WRITE
         )

@@ -224,17 +224,6 @@ class MemoryController:
         self._quiet_until = 0
         self._dirty_banks.add(req.decoded.flat_bank)
 
-    @property
-    def _incremental(self) -> bool:
-        """Fast paths key off the live scheduler (tests swap it).
-
-        Only the incremental policy carries the scan hooks the fast
-        paths need; any other policy — the reference oracle forced via
-        ``REPRO_SCHEDULER=reference``, FCFS, or a test double — keeps
-        the seed's exhaustive scans end to end.
-        """
-        return getattr(self.scheduler, "incremental", False)
-
     # -- per-cycle operation --------------------------------------------------
 
     def tick(self, now: int) -> List[MemRequest]:
@@ -290,7 +279,9 @@ class MemoryController:
             # interval being attributed, and a request issued below
             # then starts its service segment at exactly ``now``.
             self._blame_pass(now, draining)
-        if not self._incremental:
+        # The live scheduler decides (tests swap it): oracles and other
+        # non-incremental policies keep the seed's exhaustive scans.
+        if not self.scheduler.incremental:
             for _ in range(self.config.controller.issue_width):
                 candidate = self._next_candidate(now, draining)
                 if candidate is None:
@@ -449,13 +440,10 @@ class MemoryController:
         self._quiet_until = 0
         self._dirty_banks.add(req.decoded.flat_bank)
         result = bank.issue(req, now)
-        # Stateful policies (RBLA) learn from what actually issued; the
-        # live getattr keeps the hook optional and test-swap safe, and
-        # both a fast policy and its forced oracle receive the identical
+        # Stateful policies (RBLA) learn from what actually issued; a
+        # fast policy and its forced oracle receive the identical
         # feedback stream.
-        note = getattr(self.scheduler, "note_issued", None)
-        if note is not None:
-            note(req, bank, result.kind)
+        self.scheduler.note_issued(req, bank, result.kind)
         if req.is_read:
             bus_start = self.data_bus.reserve(result.bus_desired_start)
             completion = bus_start + self.timing.tburst
@@ -521,7 +509,7 @@ class MemoryController:
         ``max(min constraint, now + 1)``); the reference policy keeps
         the seed's exhaustive per-request scan.
         """
-        if not self._incremental:
+        if not self.scheduler.incremental:
             return self._next_event_after_reference(now)
         horizon: Optional[int] = None
         if self._completions:

@@ -123,22 +123,12 @@ class PolicySpec:
     #: The ranking assumes reads can proceed under in-flight writes;
     #: pairing with an organisation whose caps forbid that is an error.
     requires_reads_under_write: bool = False
-    #: The policy carries mutable cross-cycle state (the controller
-    #: feeds issued service kinds back via ``note_issued``).
-    stateful: bool = False
 
 
 _REGISTRY: Dict[str, PolicySpec] = {}
 
 #: Env values forcing the *selected* policy's oracle implementation.
 _ORACLE_ALIASES = ("reference", "oracle")
-
-#: Legacy env aliases from the PR 5 era, kept for CI compatibility:
-#: value -> (policy name, use_oracle).
-_LEGACY_ALIASES: Dict[str, Tuple[str, bool]] = {
-    "frfcfs": ("frfcfs-incremental", True),
-    "incremental": ("frfcfs-incremental", False),
-}
 
 
 def policy_names() -> Tuple[str, ...]:
@@ -184,16 +174,18 @@ def check_policy_pairing(spec: PolicySpec,
 def register_policy(spec: PolicySpec, replace: bool = False) -> PolicySpec:
     """Add ``spec`` to the registry (returned for chaining).
 
-    Rejects empty/whitespace names, duplicates (unless ``replace``),
-    and capability-inconsistent specs — a pinned organisation must
-    satisfy the scheduler's own capability requirements.
+    Rejects empty, padded or non-lowercase names (``REPRO_SCHEDULER``
+    is lowercased before lookup, so any other name could never be
+    forced), duplicates (unless ``replace``), and capability-inconsistent
+    specs — a pinned organisation must satisfy the scheduler's own
+    capability requirements.
     """
-    if not spec.name or spec.name != spec.name.strip():
+    if not spec.name or spec.name != spec.name.strip().lower():
         raise ConfigError(
-            f"policy name must be non-empty with no surrounding "
-            f"whitespace, got {spec.name!r}"
+            f"policy name must be non-empty and lowercase with no "
+            f"surrounding whitespace, got {spec.name!r}"
         )
-    if spec.name.lower() in _ORACLE_ALIASES or spec.name in _LEGACY_ALIASES:
+    if spec.name in _ORACLE_ALIASES:
         raise ConfigError(
             f"policy name {spec.name!r} collides with a reserved "
             f"{SCHEDULER_ENV} alias"
@@ -236,9 +228,8 @@ def resolve_scheduler_for(kind: SchedulerKind,
     back to the kind's default), then ``REPRO_SCHEDULER`` may override
     the *implementation* — ``reference``/``oracle`` swap in the selected
     policy's oracle, a registered name swaps in that policy's fast
-    implementation (the bank organisation still comes from the config),
-    and the legacy ``frfcfs``/``incremental`` aliases map onto the
-    FRFCFS pair.  Anything else raises listing the registered names.
+    implementation (the bank organisation still comes from the config).
+    Anything else raises listing the registered names.
     """
     spec = get_policy(policy if policy is not None
                       else default_policy_name(kind))
@@ -247,10 +238,6 @@ def resolve_scheduler_for(kind: SchedulerKind,
         return spec.fast()
     if forced in _ORACLE_ALIASES:
         return spec.oracle()
-    if forced in _LEGACY_ALIASES:
-        name, use_oracle = _LEGACY_ALIASES[forced]
-        legacy = get_policy(name)
-        return legacy.oracle() if use_oracle else legacy.fast()
     if forced in _REGISTRY:
         return _REGISTRY[forced].fast()
     raise SchedulerError(
@@ -363,7 +350,6 @@ def _register_builtins() -> None:
         citation="Meza et al., CAL'12",
         fast=IncrementalRbla,
         oracle=RblaReference,
-        stateful=True,
     ))
 
 

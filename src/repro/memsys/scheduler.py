@@ -1,38 +1,43 @@
 """Memory-access scheduling policies.
 
-Implements the controller policies the paper evaluates:
+Every policy is one *ranking* — a mixin defining
+``scan_key(req, bank, hit, now)``, smaller keys first — composed with
+one of two bases:
 
-* :class:`FcfsScheduler` — oldest issuable request first.
-* :class:`FrfcfsScheduler` — first-ready FCFS [Rixner et al., ISCA'00]:
-  requests that would hit buffered data ("first ready") go first, oldest
-  first within each class.  This is Table 2's scheduler.
-* :class:`IncrementalFrfcfs` — the same ordering computed as a single
-  O(n) min-scan over memoized per-bank (kind, constraint) lookups
-  instead of classifying and sorting the whole queue; the default for
-  FRFCFS configurations, with :class:`FrfcfsScheduler` kept as the
-  reference oracle (``REPRO_SCHEDULER=reference`` forces it back on).
-* The paper's **Multi-Issue** augmentation is not a different ordering —
-  it is the same FRFCFS ranking applied to multiple command slots per
-  cycle, so it is expressed through ``ControllerParams.issue_width``
-  rather than a separate class; :func:`make_scheduler` maps the enum.
+* :class:`MinScanPolicy` — the fast implementation: one O(n) pass
+  (:meth:`~MinScanPolicy.pick_with_horizon`) over the banks' memoized
+  :meth:`~repro.core.fgnvm_bank.FgNvmBank.kind_and_constraint` lookups,
+  keeping the key-minimal issuable candidate and the earliest
+  constraint among blocked ones.  The controller runs this by default.
+* :class:`KeyedReference` — the brute-force oracle: filter the issuable
+  candidates through the uncached ``earliest_start`` / ``is_row_hit``
+  protocol pair and sort them all by the same key.  The property suites
+  and ``REPRO_SCHEDULER=reference`` pin each fast policy against it.
 
-Beyond the paper, the related-work policies of the registry
-(:mod:`repro.memsys.policies`) live here too, each as a (fast
-implementation, brute-force oracle) pair sharing one ranking mixin:
+Sharing the key means the two implementations can only disagree on
+classification (memo vs protocol), which is exactly what the
+differential tests check.  The rankings:
 
-* :class:`IncrementalPalp` / :class:`PalpReference` — PALP-style
-  partition-level read/write overlap [Song, Das, Mutlu et al.]: among
-  equally-aged candidates, reads targeting a bank with an in-flight
-  background write go first, soaking up write latency the bank would
-  otherwise serve alone.
-* :class:`IncrementalRbla` / :class:`RblaReference` — Meza-style
-  row-buffer-locality-aware ranking [Meza et al., CAL'12]: a per-bank
-  saturating locality score (fed back from issued service kinds)
-  breaks ties toward banks with hot row buffers.
-* :class:`IncrementalFcfs` — FCFS as the same single-pass min-scan,
-  with :class:`FcfsScheduler` as its oracle.
+* :class:`FcfsRanking` — oldest issuable request first
+  (:class:`IncrementalFcfs` / :class:`FcfsScheduler`).
+* :class:`FrfcfsRanking` — first-ready FCFS [Rixner et al., ISCA'00]:
+  requests that would hit buffered data go first, oldest first within
+  each class.  This is Table 2's scheduler
+  (:class:`IncrementalFrfcfs` / :class:`FrfcfsScheduler`).  The paper's
+  **Multi-Issue** augmentation is the same ranking applied to several
+  command slots per cycle, expressed through
+  ``ControllerParams.issue_width`` rather than a separate class.
+* :class:`PalpRanking` — PALP-style partition-level read/write overlap
+  [Song, Das, Mutlu et al.]: among equally-ready candidates, reads
+  targeting a bank with an in-flight background write go first
+  (:class:`IncrementalPalp` / :class:`PalpReference`).
+* :class:`RblaState` — Meza-style row-buffer-locality-aware ranking
+  [Meza et al., CAL'12]: a per-bank saturating locality score (fed back
+  from issued service kinds) breaks ties toward banks with hot row
+  buffers (:class:`IncrementalRbla` / :class:`RblaReference`).
 
-A policy ranks *issuable* candidates; the controller determines
+The registry (:mod:`repro.memsys.policies`) names each (fast, oracle)
+pair.  A policy ranks *issuable* candidates; the controller determines
 issuability (bank resources, bus slots) and enforces read/write phase
 policy.  Ranking never changes *which* candidates are issuable
 (``earliest_start <= now`` is policy-independent), which is what keeps
@@ -53,6 +58,8 @@ class BankLike(Protocol):
 
     def is_row_hit(self, req: MemRequest) -> bool: ...
     def earliest_start(self, req: MemRequest, now: int) -> int: ...
+    def kind_and_constraint(self, req: MemRequest) -> Tuple[str, int]: ...
+    def active_writes(self, now: int) -> int: ...
 
 
 #: A schedulable candidate: the request plus its target bank model.
@@ -64,6 +71,9 @@ class SchedulingPolicy:
 
     name = "base"
 
+    #: Controllers key their fast paths off this flag.
+    incremental = False
+
     def rank(self, candidates: Sequence[Candidate], now: int
              ) -> List[Candidate]:
         raise NotImplementedError
@@ -74,69 +84,20 @@ class SchedulingPolicy:
         ranked = self.rank(candidates, now)
         return ranked[0] if ranked else None
 
+    def note_issued(self, req: MemRequest, bank: BankLike,
+                    kind: str) -> None:
+        """Feedback hook: the controller reports every issued command.
 
-class FcfsScheduler(SchedulingPolicy):
-    """Oldest-first among issuable requests.
+        A no-op here; stateful rankings (:class:`RblaState`) override it.
+        """
 
-    (Strict FCFS that refuses to reorder around a blocked head request
-    would deadlock against long PCM writes; like NVMain we use the
-    conventional relaxed form — oldest *issuable* first.)
+
+class MinScanPolicy(SchedulingPolicy):
+    """Fast base: the key-minimal issuable candidate in one pass.
+
+    Combine with a ranking mixin that defines ``scan_key``.
     """
 
-    name = "fcfs"
-
-    def rank(self, candidates: Sequence[Candidate], now: int
-             ) -> List[Candidate]:
-        issuable = [
-            cand for cand in candidates
-            if cand[1].earliest_start(cand[0], now) <= now
-        ]
-        issuable.sort(key=lambda cand: (cand[0].arrival_cycle,
-                                        cand[0].req_id))
-        return issuable
-
-
-class FrfcfsScheduler(SchedulingPolicy):
-    """First-ready (row-hit) requests first, then oldest-first."""
-
-    name = "frfcfs"
-
-    def rank(self, candidates: Sequence[Candidate], now: int
-             ) -> List[Candidate]:
-        issuable = [
-            cand for cand in candidates
-            if cand[1].earliest_start(cand[0], now) <= now
-        ]
-        issuable.sort(
-            key=lambda cand: (
-                not cand[1].is_row_hit(cand[0]),
-                cand[0].arrival_cycle,
-                cand[0].req_id,
-            )
-        )
-        return issuable
-
-
-class IncrementalFrfcfs(FrfcfsScheduler):
-    """FRFCFS as an incremental min-scan over cached bank lookups.
-
-    Picks the same candidate as ``FrfcfsScheduler.rank(...)[0]`` — the
-    minimum of ``(not is_row_hit, arrival_cycle, req_id)`` over issuable
-    candidates — but in one pass with no sort, no key tuples, and no
-    filtered list.  Per-candidate classification goes through the bank's
-    :meth:`~repro.core.fgnvm_bank.FgNvmBank.kind_and_constraint` memo
-    (updated lazily: banks drop it on issue, so enqueue-only cycles pay
-    one dict lookup per distinct (op, row, sag, cd) target); banks
-    without that API — scriptable test doubles — fall back to the
-    protocol's ``is_row_hit``/``earliest_start`` pair.
-
-    ``rank`` is inherited from the reference implementation: only the
-    single-winner ``pick`` is hot.
-    """
-
-    name = "frfcfs-incremental"
-
-    #: Controllers key their fast paths off this flag.
     incremental = True
 
     def pick(self, candidates: Sequence[Candidate], now: int
@@ -152,98 +113,20 @@ class IncrementalFrfcfs(FrfcfsScheduler):
         blocked — which the controller uses to memoize provably quiet
         cycles.
         """
-        best: Optional[Candidate] = None
-        best_hit = False
-        best_arrival = 0
-        best_id = 0
-        blocked_min: Optional[int] = None
-        for cand in candidates:
-            req, bank = cand
-            lookup = getattr(bank, "kind_and_constraint", None)
-            if lookup is not None:
-                kind, constraint = lookup(req)
-                hit = kind == SERVICE_ROW_HIT or kind == SERVICE_WRITE
-            else:
-                constraint = bank.earliest_start(req, now)
-                hit = bank.is_row_hit(req)
-            if constraint > now:
-                if blocked_min is None or constraint < blocked_min:
-                    blocked_min = constraint
-                continue
-            if best is None:
-                take = True
-            elif hit != best_hit:
-                take = hit
-            elif req.arrival_cycle != best_arrival:
-                take = req.arrival_cycle < best_arrival
-            else:
-                take = req.req_id < best_id
-            if take:
-                best = cand
-                best_hit = hit
-                best_arrival = req.arrival_cycle
-                best_id = req.req_id
-        return best, blocked_min
-
-
-def _classify(req: MemRequest, bank: BankLike, now: int
-              ) -> Tuple[bool, int]:
-    """(is_row_hit, earliest-start constraint) via the memoized fast
-    path when the bank provides it, the protocol pair otherwise."""
-    lookup = getattr(bank, "kind_and_constraint", None)
-    if lookup is not None:
-        kind, constraint = lookup(req)
-        return kind == SERVICE_ROW_HIT or kind == SERVICE_WRITE, constraint
-    return bank.is_row_hit(req), bank.earliest_start(req, now)
-
-
-class MinScanPolicy(SchedulingPolicy):
-    """Shared single-pass min-scan base for incremental fast policies.
-
-    Subclasses define :meth:`scan_key`; ``pick_with_horizon`` finds the
-    key-minimal issuable candidate in one pass (no sort, no filtered
-    list) while tracking the earliest constraint among blocked
-    candidates for the controller's quiet-cycle memo.
-    :class:`IncrementalFrfcfs` predates this base and keeps its
-    hand-unrolled comparison (it is the hot default); every other fast
-    policy pays one small key tuple per issuable candidate.
-    """
-
-    #: Controllers key their fast paths off this flag.
-    incremental = True
-
-    def scan_key(self, req: MemRequest, bank: BankLike, hit: bool,
-                 now: int) -> tuple:
-        raise NotImplementedError
-
-    def rank(self, candidates: Sequence[Candidate], now: int
-             ) -> List[Candidate]:
-        issuable = [
-            cand for cand in candidates
-            if cand[1].earliest_start(cand[0], now) <= now
-        ]
-        issuable.sort(key=lambda cand: self.scan_key(
-            cand[0], cand[1], cand[1].is_row_hit(cand[0]), now
-        ))
-        return issuable
-
-    def pick(self, candidates: Sequence[Candidate], now: int
-             ) -> Optional[Candidate]:
-        return self.pick_with_horizon(candidates, now)[0]
-
-    def pick_with_horizon(self, candidates: Sequence[Candidate], now: int
-                          ) -> "Tuple[Optional[Candidate], Optional[int]]":
+        scan_key = self.scan_key
         best: Optional[Candidate] = None
         best_key: Optional[tuple] = None
         blocked_min: Optional[int] = None
         for cand in candidates:
             req, bank = cand
-            hit, constraint = _classify(req, bank, now)
+            kind, constraint = bank.kind_and_constraint(req)
             if constraint > now:
                 if blocked_min is None or constraint < blocked_min:
                     blocked_min = constraint
                 continue
-            key = self.scan_key(req, bank, hit, now)
+            key = scan_key(req, bank,
+                           kind == SERVICE_ROW_HIT or kind == SERVICE_WRITE,
+                           now)
             if best_key is None or key < best_key:
                 best = cand
                 best_key = key
@@ -253,15 +136,12 @@ class MinScanPolicy(SchedulingPolicy):
 class KeyedReference(SchedulingPolicy):
     """Brute-force oracle base: filter issuable, sort everything.
 
+    Combine with a ranking mixin that defines ``scan_key``.
     Classification deliberately goes through the protocol pair
     (``is_row_hit`` / ``earliest_start``), not the banks' memo, so the
     oracle is an independent second opinion on the fast policy's
     memoized scan.
     """
-
-    def scan_key(self, req: MemRequest, bank: BankLike, hit: bool,
-                 now: int) -> tuple:
-        raise NotImplementedError
 
     def rank(self, candidates: Sequence[Candidate], now: int
              ) -> List[Candidate]:
@@ -276,23 +156,49 @@ class KeyedReference(SchedulingPolicy):
 
 
 class FcfsRanking:
-    """Arrival order, req_id tie-break — the FCFS key."""
+    """Arrival order, req_id tie-break — the FCFS key.
+
+    (Strict FCFS that refuses to reorder around a blocked head request
+    would deadlock against long PCM writes; like NVMain we use the
+    conventional relaxed form — oldest *issuable* first.)
+    """
 
     def scan_key(self, req: MemRequest, bank: BankLike, hit: bool,
                  now: int) -> tuple:
         return (req.arrival_cycle, req.req_id)
 
 
-class IncrementalFcfs(FcfsRanking, MinScanPolicy, FcfsScheduler):
-    """FCFS as a single min-scan; :class:`FcfsScheduler` is its oracle."""
+class FrfcfsRanking:
+    """First-ready (row-hit) requests first, then oldest-first."""
+
+    def scan_key(self, req: MemRequest, bank: BankLike, hit: bool,
+                 now: int) -> tuple:
+        return (not hit, req.arrival_cycle, req.req_id)
+
+
+class FcfsScheduler(FcfsRanking, KeyedReference):
+    """Sort-based FCFS oracle."""
+
+    name = "fcfs"
+
+
+class IncrementalFcfs(FcfsRanking, MinScanPolicy):
+    """Single-pass FCFS; oracle: :class:`FcfsScheduler`."""
 
     name = "fcfs-incremental"
 
 
-def _active_writes(bank: BankLike, now: int) -> int:
-    """Writes in flight in ``bank`` (0 for models without the query)."""
-    probe = getattr(bank, "active_writes", None)
-    return probe(now) if probe is not None else 0
+class FrfcfsScheduler(FrfcfsRanking, KeyedReference):
+    """Sort-based FRFCFS oracle."""
+
+    name = "frfcfs"
+
+
+class IncrementalFrfcfs(FrfcfsRanking, MinScanPolicy):
+    """Single-pass FRFCFS, the repo-wide default; oracle:
+    :class:`FrfcfsScheduler`."""
+
+    name = "frfcfs-incremental"
 
 
 class PalpRanking:
@@ -302,14 +208,16 @@ class PalpRanking:
     Das, Mutlu et al.]: a read that can proceed in a different partition
     (SAG/CD tile) of a bank already serving a background write turns
     otherwise-serialised write latency into overlapped work, so among
-    equally-ready candidates those reads issue first.  Banks without an
-    ``active_writes`` query (baseline-style models, test doubles) never
-    report overlap and the ranking degenerates to plain FRFCFS.
+    equally-ready candidates those reads issue first.  Every bank model
+    answers ``active_writes`` — baseline banks included, since
+    ``BaselineNvmBank`` subclasses ``FgNvmBank`` — and the registry's
+    capability check keeps PALP off organisations that forbid reads
+    under writes.
     """
 
     def scan_key(self, req: MemRequest, bank: BankLike, hit: bool,
                  now: int) -> tuple:
-        overlap = req.is_read and _active_writes(bank, now) > 0
+        overlap = req.is_read and bank.active_writes(now) > 0
         return (not hit, not overlap, req.arrival_cycle, req.req_id)
 
 
@@ -380,9 +288,8 @@ class IncrementalRbla(RblaState, MinScanPolicy):
 
 #: Environment override for the scheduler implementation (differential
 #: CI runs): ``reference`` / ``oracle`` force the selected policy's
-#: brute-force oracle, a registered policy name forces that policy's
-#: fast implementation, and the legacy aliases ``frfcfs`` /
-#: ``incremental`` map onto the FRFCFS pair.  Resolution lives in
+#: brute-force oracle, and a registered policy name forces that
+#: policy's fast implementation.  Resolution lives in
 #: :func:`repro.memsys.policies.resolve_scheduler`.
 SCHEDULER_ENV = "REPRO_SCHEDULER"
 

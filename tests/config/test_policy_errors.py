@@ -4,7 +4,8 @@ The original ``make_scheduler`` checked ``REPRO_SCHEDULER`` only on the
 FRFCFS branch — the FCFS branch returned before the env check, so a
 typo'd override was silently ignored.  Every kind now routes through
 the registry, which validates the env var and reports the registered
-names.
+names.  The registry also refuses names the lowercased env value could
+never reach.
 """
 
 import pytest
@@ -13,10 +14,13 @@ from repro.config import baseline_nvm, fgnvm
 from repro.config.params import SchedulerKind
 from repro.config.validate import validate_config, validation_errors
 from repro.errors import ConfigError, SchedulerError
-from repro.memsys.policies import policy_names
+from repro.memsys.policies import (
+    PolicySpec,
+    policy_names,
+    register_policy,
+)
 from repro.memsys.scheduler import (
     SCHEDULER_ENV,
-    FcfsScheduler,
     FrfcfsScheduler,
     IncrementalFrfcfs,
     make_scheduler,
@@ -50,15 +54,16 @@ class TestEnvOverrideErrors:
         sched = make_scheduler(SchedulerKind.FRFCFS)
         assert type(sched) is FrfcfsScheduler
 
-    def test_legacy_frfcfs_alias_still_forces_oracle(self, monkeypatch):
+    def test_legacy_frfcfs_alias_raises(self, monkeypatch):
         monkeypatch.setenv(SCHEDULER_ENV, "frfcfs")
-        sched = make_scheduler(SchedulerKind.FRFCFS)
-        assert type(sched) is FrfcfsScheduler
+        with pytest.raises(SchedulerError) as err:
+            make_scheduler(SchedulerKind.FRFCFS)
+        assert "frfcfs-incremental" in str(err.value)
 
     def test_legacy_incremental_alias(self, monkeypatch):
         monkeypatch.setenv(SCHEDULER_ENV, "incremental")
-        sched = make_scheduler(SchedulerKind.FRFCFS)
-        assert isinstance(sched, IncrementalFrfcfs)
+        with pytest.raises(SchedulerError):
+            make_scheduler(SchedulerKind.FRFCFS)
 
     def test_env_can_force_named_policy(self, monkeypatch):
         monkeypatch.setenv(SCHEDULER_ENV, "palp")
@@ -67,8 +72,24 @@ class TestEnvOverrideErrors:
 
     def test_fcfs_kind_unaffected_without_env(self, monkeypatch):
         monkeypatch.delenv(SCHEDULER_ENV, raising=False)
-        assert isinstance(make_scheduler(SchedulerKind.FCFS),
-                          FcfsScheduler)
+        assert make_scheduler(SchedulerKind.FCFS).name == "fcfs-incremental"
+
+
+class TestPluginPolicyNames:
+    def test_mixed_case_name_rejected(self):
+        """``REPRO_SCHEDULER`` is lowercased before lookup, so a
+        mixed-case registration could never be forced."""
+        spec = PolicySpec(
+            name="MyPolicy",
+            description="plug-in test policy",
+            citation="n/a",
+            fast=IncrementalFrfcfs,
+            oracle=FrfcfsScheduler,
+        )
+        with pytest.raises(ConfigError) as err:
+            register_policy(spec)
+        assert "lowercase" in str(err.value)
+        assert "MyPolicy" not in policy_names()
 
 
 class TestConfigPolicyErrors:

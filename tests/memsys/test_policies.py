@@ -2,8 +2,9 @@
 
 Covers registry lookup and pairing checks, ``apply_policy``'s SALP
 re-architecting, the SALP bank factory branch, PALP's overlap-aware
-ranking against a scriptable bank, and the controller's ``note_issued``
-feedback hook for stateful policies.
+ranking against a scriptable bank, the shape every registered policy
+shares (one ranking key under a fast and an oracle base), and the
+controller's ``note_issued`` feedback hook for stateful policies.
 """
 
 import pytest
@@ -21,12 +22,19 @@ from repro.memsys.policies import (
     get_policy,
     policy_names,
 )
-from repro.memsys.request import MemRequest, OpType
+from repro.memsys.request import (
+    SERVICE_ROW_HIT,
+    SERVICE_ROW_MISS,
+    SERVICE_WRITE,
+    MemRequest,
+    OpType,
+)
 from repro.memsys.scheduler import (
-    FrfcfsScheduler,
     IncrementalFrfcfs,
     IncrementalPalp,
     IncrementalRbla,
+    KeyedReference,
+    MinScanPolicy,
     PalpReference,
     make_scheduler,
 )
@@ -48,6 +56,16 @@ class TestRegistryLookup:
             assert spec.description
             assert spec.citation
             assert callable(spec.fast) and callable(spec.oracle)
+
+    @pytest.mark.parametrize("name", policy_names())
+    def test_fast_and_oracle_share_one_ranking_key(self, name):
+        """Each policy is one ``scan_key`` under the two shared bases,
+        so fast and oracle can only differ in how banks classify."""
+        spec = get_policy(name)
+        fast, oracle = spec.fast(), spec.oracle()
+        assert type(fast).scan_key is type(oracle).scan_key
+        assert isinstance(fast, MinScanPolicy)
+        assert isinstance(oracle, KeyedReference)
 
     def test_unknown_name_lists_roster(self):
         with pytest.raises(SchedulerError) as err:
@@ -143,6 +161,13 @@ class ScriptableBank:
     def earliest_start(self, req, now):
         return self.ready.get(req.req_id, now)
 
+    def kind_and_constraint(self, req):
+        if self.is_row_hit(req):
+            kind = SERVICE_WRITE if req.is_write else SERVICE_ROW_HIT
+        else:
+            kind = SERVICE_ROW_MISS
+        return kind, self.ready.get(req.req_id, 0)
+
     def active_writes(self, now):
         return self.writes_in_flight
 
@@ -188,21 +213,6 @@ class TestPalpRanking:
             [(newer_write, busy), (older_write, busy)], now=5
         )
         assert picked[0] is older_write
-
-    def test_banks_without_active_writes_attr(self):
-        """Baseline banks lack ``active_writes``; PALP degrades to
-        FRFCFS order instead of crashing."""
-        bank = ScriptableBank()
-        del bank.__class__.active_writes
-        try:
-            old, new = request(0), request(2)
-            picked = IncrementalPalp().pick([(new, bank), (old, bank)],
-                                            now=5)
-            assert picked[0] is old
-        finally:
-            ScriptableBank.active_writes = (
-                lambda self, now: self.writes_in_flight
-            )
 
 
 class TestControllerIntegration:

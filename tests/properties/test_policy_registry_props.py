@@ -77,7 +77,7 @@ class TestRegistrationRoundTrip:
             unregister_policy(name)
 
     @pytest.mark.parametrize("bad", ["", "  ", " padded ", "reference",
-                                     "oracle", "frfcfs", "incremental"])
+                                     "oracle"])
     def test_reserved_and_malformed_names_rejected(self, bad):
         with pytest.raises(ConfigError):
             register_policy(fresh_spec(bad))

@@ -8,8 +8,8 @@ implementation against its brute-force reference oracle
 
 * on randomized scripted candidate sets (arrival ties broken by req_id,
   row-hit flips, blocked candidates mixed in, banks with in-flight
-  writes for the PALP overlap signal), through both the
-  ``kind_and_constraint`` fast path and the protocol fallback;
+  writes for the PALP overlap signal), including the blocked-candidate
+  horizon the controller memoizes quiet cycles on;
 * on a live :class:`~repro.core.fgnvm_bank.FgNvmBank`, where the memo
   churns across real issues and stateful policies (RBLA) receive the
   ``note_issued`` feedback stream; and
@@ -17,9 +17,6 @@ implementation against its brute-force reference oracle
   produces cycle-identical run summaries whether the controller runs
   the fast implementation (the default) or
   ``REPRO_SCHEDULER=reference`` forces the oracle.
-
-The FRFCFS-specific classes predate the registry and stay as extra
-belt-and-braces coverage of the repo-wide default pair.
 """
 
 import pytest
@@ -38,7 +35,6 @@ from repro.memsys.request import (
     MemRequest,
     OpType,
 )
-from repro.memsys.scheduler import FrfcfsScheduler, IncrementalFrfcfs
 from repro.memsys.stats import StatsCollector
 from repro.sim.experiment import run_benchmark
 
@@ -49,11 +45,13 @@ POLICY_NAMES = policy_names()
 
 
 class ScriptedBank:
-    """Protocol-only test double: no ``kind_and_constraint`` attribute.
+    """Test double with scripted per-request (hit, ready) behaviour.
 
-    Exercises the scheduler's fallback onto ``is_row_hit`` /
-    ``earliest_start`` — the path scriptable doubles and third-party
-    bank models take.
+    ``kind_and_constraint`` maps the scripted pair onto the bank
+    contract: the constraint is now-independent and row-hit status
+    follows from the service kind exactly as in
+    ``FgNvmBank.kind_and_constraint``, while the protocol pair answers
+    the oracle from the same script.
     """
 
     def __init__(self):
@@ -66,84 +64,12 @@ class ScriptedBank:
     def earliest_start(self, req, now):
         return max(now, self.ready[req.req_id])
 
-
-class CachedScriptedBank(ScriptedBank):
-    """Double exposing the memoized fast-path API banks provide.
-
-    Maps the scripted (hit, ready) pair onto the (kind, constraint)
-    contract: constraint is now-independent, row-hit status follows from
-    the service kind exactly as in ``FgNvmBank.kind_and_constraint``.
-    """
-
     def kind_and_constraint(self, req):
         if self.hits[req.req_id]:
             kind = SERVICE_WRITE if req.is_write else SERVICE_ROW_HIT
         else:
             kind = SERVICE_ROW_MISS if req.req_id % 2 else SERVICE_UNDERFETCH
         return kind, self.ready[req.req_id]
-
-
-def scripted_candidates(spec, bank_cls):
-    """Build (req, bank) candidates from drawn (arrival, hit, delay)."""
-    bank = bank_cls()
-    candidates = []
-    for arrival, hit, delay in spec:
-        req = MemRequest(OpType.WRITE if hit and arrival % 2 else OpType.READ,
-                         address=0)
-        req.mark_queued(arrival)
-        bank.hits[req.req_id] = hit
-        # delay <= 0 keeps the candidate issuable at NOW; > 0 blocks it.
-        bank.ready[req.req_id] = NOW + delay
-        candidates.append((req, bank))
-    return candidates
-
-
-#: (arrival_cycle, is_row_hit, readiness delay relative to NOW).  The
-#: tiny arrival range forces ties (broken by req_id); delays straddle
-#: zero so blocked candidates appear alongside issuable ones.
-CANDIDATE_SPEC = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=3),
-        st.booleans(),
-        st.integers(min_value=-4, max_value=4),
-    ),
-    min_size=0,
-    max_size=12,
-)
-
-
-class TestScriptedEquivalence:
-    @given(spec=CANDIDATE_SPEC)
-    @settings(max_examples=200, deadline=None)
-    def test_pick_matches_reference_fallback_path(self, spec):
-        candidates = scripted_candidates(spec, ScriptedBank)
-        reference = FrfcfsScheduler().rank(candidates, NOW)
-        picked = IncrementalFrfcfs().pick(candidates, NOW)
-        if not reference:
-            assert picked is None
-        else:
-            assert picked is reference[0]
-
-    @given(spec=CANDIDATE_SPEC)
-    @settings(max_examples=200, deadline=None)
-    def test_pick_matches_reference_cached_path(self, spec):
-        candidates = scripted_candidates(spec, CachedScriptedBank)
-        reference = FrfcfsScheduler().rank(candidates, NOW)
-        picked = IncrementalFrfcfs().pick(candidates, NOW)
-        if not reference:
-            assert picked is None
-        else:
-            assert picked is reference[0]
-
-    @given(spec=CANDIDATE_SPEC)
-    @settings(max_examples=100, deadline=None)
-    def test_blocked_horizon_is_min_blocked_constraint(self, spec):
-        candidates = scripted_candidates(spec, CachedScriptedBank)
-        _, horizon = IncrementalFrfcfs().pick_with_horizon(candidates, NOW)
-        blocked = [bank.earliest_start(req, NOW)
-                   for req, bank in candidates
-                   if bank.earliest_start(req, NOW) > NOW]
-        assert horizon == (min(blocked) if blocked else None)
 
 
 def fresh_bank():
@@ -166,44 +92,8 @@ LIVE_SPEC = st.lists(
 )
 
 
-class TestLiveBankEquivalence:
-    """Replay random workloads, comparing picks as the memo churns."""
-
-    @given(spec=LIVE_SPEC)
-    @settings(max_examples=100, deadline=None)
-    def test_pick_matches_reference_across_issues(self, spec):
-        bank, mapper = fresh_bank()
-        pending = []
-        for index, (is_write, row, col) in enumerate(spec):
-            address = mapper.encode(row=row, col=col)
-            req = MemRequest(OpType.WRITE if is_write else OpType.READ,
-                             address, decoded=mapper.decode(address))
-            req.mark_queued(index // 2)  # paired arrivals force ties
-            pending.append(req)
-
-        incremental = IncrementalFrfcfs()
-        reference = FrfcfsScheduler()
-        now = 0
-        guard = 0
-        while pending:
-            guard += 1
-            assert guard < 10_000, "live replay failed to drain"
-            candidates = [(req, bank) for req in pending]
-            ranked = reference.rank(candidates, now)
-            picked = incremental.pick(candidates, now)
-            if not ranked:
-                assert picked is None
-                now += 1
-                continue
-            assert picked is ranked[0]
-            req = picked[0]
-            bank.issue(req, now)  # mutates state, drops the memo
-            pending.remove(req)
-            now += 1
-
-
-class WritingScriptedBank(CachedScriptedBank):
-    """Cached-path double that also reports scripted in-flight writes.
+class WritingScriptedBank(ScriptedBank):
+    """Scripted double that also reports scripted in-flight writes.
 
     Exercises the PALP overlap term; policies that ignore
     ``active_writes`` must rank identically across both bank flavours.
@@ -232,10 +122,11 @@ def matrix_candidates(spec):
     return candidates
 
 
-#: (arrival, is_row_hit, readiness delay, bank index, is_write) — the
-#: CANDIDATE_SPEC shape plus a bank axis (bank 1 has a write in flight)
-#: and an explicit op axis, so PALP's overlap term and RBLA's per-bank
-#: scores get distinct banks to tell apart.
+#: (arrival, is_row_hit, readiness delay relative to NOW, bank index,
+#: is_write).  The tiny arrival range forces ties (broken by req_id);
+#: delays straddle zero so blocked candidates appear alongside issuable
+#: ones.  Bank 1 has a write in flight, so PALP's overlap term and
+#: RBLA's per-bank scores get distinct banks to tell apart.
 MATRIX_SPEC = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=3),
@@ -318,9 +209,7 @@ class TestPolicyMatrixLiveReplay:
             req = picked[0]
             result = bank.issue(req, now)
             for sched in (fast, oracle):
-                note = getattr(sched, "note_issued", None)
-                if note is not None:
-                    note(req, bank, result.kind)
+                sched.note_issued(req, bank, result.kind)
             pending.remove(req)
             now += 1
 
