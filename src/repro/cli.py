@@ -36,7 +36,7 @@ import json
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import analysis
 from .errors import ExperimentError, ReproError
@@ -74,9 +74,11 @@ from .obs.trace import (
 from .obs.perf import (
     COMPARE_METRICS,
     DEFAULT_REL_TOL,
+    PH_TRACE_DECODE,
     PerfEntry,
     PerfLedger,
     PhaseTimer,
+    attached,
     compare_ledgers,
     phase_table,
     read_ledger,
@@ -102,6 +104,7 @@ from .resilience import (
 from .sim import (
     ExperimentJob,
     ParallelExperimentEngine,
+    SimResult,
     compare_architectures,
     dict_table,
     epoch_table,
@@ -1019,6 +1022,17 @@ def _cmd_watch(args) -> int:
         return 0
 
 
+def _profiled_run(config: SystemConfig, benchmark: str,
+                  requests: int) -> Tuple[SimResult, PhaseTimer]:
+    """One simulation with every phase timed into a fresh timer."""
+    timer = PhaseTimer()
+    with timer.phase(PH_TRACE_DECODE):
+        trace = generate_trace(get_profile(benchmark), requests)
+    with attached(timer):
+        result = run_trace(config, trace)
+    return result, timer
+
+
 def _cmd_profile(args) -> int:
     """Attribute the simulator's own wall time to named phases."""
     if args.requests < 1:
@@ -1026,7 +1040,6 @@ def _cmd_profile(args) -> int:
             f"--requests must be >= 1, got {args.requests}"
         )
     config = build_config(args.config)
-    profiler = PhaseTimer()
     pstats_profile = None
     if args.emit_pstats:
         import cProfile
@@ -1034,9 +1047,7 @@ def _cmd_profile(args) -> int:
         pstats_profile = cProfile.Profile()
         pstats_profile.enable()
     started = time.perf_counter()
-    result = run_benchmark(
-        config, args.benchmark, args.requests, profiler=profiler
-    )
+    result, timer = _profiled_run(config, args.benchmark, args.requests)
     wall_s = time.perf_counter() - started
     if pstats_profile is not None:
         pstats_profile.disable()
@@ -1049,7 +1060,7 @@ def _cmd_profile(args) -> int:
     # block is identical to what `repro run` prints for the same job.
     print(dict_table(result.summary()))
     print()
-    print(phase_table(profiler))
+    print(phase_table(timer))
     print()
     print(
         f"throughput: {result.cycles / wall_s:,.0f} simulated cycles/s, "
@@ -1095,11 +1106,8 @@ def _perf_record(args) -> int:
             if args.phases:
                 # A separate profiled run, so the timing samples above
                 # are not perturbed by the profiler's own clock reads.
-                profiler = PhaseTimer()
-                run_benchmark(
-                    config, benchmark, args.requests, profiler=profiler
-                )
-                entry.phases = profiler.as_dict()
+                _, timer = _profiled_run(config, benchmark, args.requests)
+                entry.phases = timer.as_dict()
             ledger.add_entry(entry)
             print(
                 f"  {entry.name}: {entry.cycles_per_s:,.0f} cycles/s, "

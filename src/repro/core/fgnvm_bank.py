@@ -58,7 +58,6 @@ from ..obs.events import (
     Event,
     Probe,
 )
-from ..obs.perf.profiler import NULL_PROFILER, PH_BANK_ISSUE, PhaseTimer
 from ..obs.trace import BLAME_MAINT, BLAME_MULTI_ACT, BLAME_RUW, BLAME_TILE
 from ..units import BITS_PER_BYTE
 from .tile import KIND_MAINT, KIND_SENSE, KIND_WRITE, TileGrid
@@ -106,7 +105,6 @@ class FgNvmBank:
         close_page: bool = False,
         probe: Probe = NULL_PROBE,
         channel: int = 0,
-        profiler: PhaseTimer = NULL_PROFILER,
         reliability: "object | None" = None,
     ):
         self.bank_id = bank_id
@@ -148,9 +146,6 @@ class FgNvmBank:
         #: the simulation is instrumented.
         self.probe = probe
         self.channel = channel
-        #: Wall-time phase profiler (no-op unless enabled); like
-        #: ``probe``, the owning controller overwrites it.
-        self.profiler = profiler
         #: Close-page policy: drop the wordline and invalidate the
         #: touched buffer slices after every access.
         self.close_page = close_page
@@ -348,14 +343,7 @@ class FgNvmBank:
         issuable at ``now`` — the controller must respect
         :meth:`earliest_start`.
         """
-        if self.profiler.enabled:
-            self.profiler.enter(PH_BANK_ISSUE)
-            try:
-                result = self._issue(req, now)
-            finally:
-                self.profiler.exit(PH_BANK_ISSUE)
-        else:
-            result = self._issue(req, now)
+        result = self._issue(req, now)
         if self.close_page:
             sag, cds = self._coords(req.decoded)
             self.open_row[sag] = None

@@ -25,7 +25,6 @@ from ..memsys.controller import MemoryController  # noqa: F401 (doc type)
 from ..memsys.request import MemRequest, OpType
 from ..memsys.stats import StatsCollector
 from ..obs.events import EV_CPU_STALL, NULL_PROBE, Event, Probe
-from ..obs.perf.profiler import NULL_PROFILER, PhaseTimer
 from ..workloads.packed import OP_READ, PackedTrace, RecordView
 from ..workloads.record import TraceRecord
 from .rob import ReorderBuffer
@@ -43,7 +42,6 @@ class TraceCpu:
         tck_ns: float,
         owner: int = 0,
         probe: Probe = NULL_PROBE,
-        profiler: PhaseTimer = NULL_PROFILER,
     ):
         self.params = params
         self.controller = controller
@@ -51,10 +49,6 @@ class TraceCpu:
         self.owner = owner
         self.stats = stats
         self.probe = probe
-        #: Wall-time phase profiler; the simulator times :meth:`tick`
-        #: from outside, so the CPU only carries the reference for
-        #: nested call sites (controller admission).
-        self.profiler = profiler
         self.rob = ReorderBuffer(params.rob_entries)
         # Packed traces replay by column index — no TraceRecord exists
         # on the replay path; anything else replays through an iterator.

@@ -50,6 +50,16 @@ class ExperimentError(ReproError):
     """
 
 
+class UnknownBenchmarkError(ExperimentError, KeyError):
+    """A benchmark name no workload profile defines.
+
+    Also a :class:`KeyError`, since it is raised by a name lookup, but
+    printed like any other error: without ``KeyError``'s quotes.
+    """
+
+    __str__ = Exception.__str__
+
+
 class TransientJobError(ReproError):
     """A job failed for a reason that retrying can plausibly fix.
 

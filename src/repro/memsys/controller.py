@@ -33,12 +33,6 @@ from ..obs.events import (
     Event,
     Probe,
 )
-from ..obs.perf.profiler import (
-    NULL_PROFILER,
-    PH_CTRL_SCHED,
-    PH_QUEUE_ADMIT,
-    PhaseTimer,
-)
 from ..obs.trace import (
     BLAME_DRAIN,
     BLAME_SCHED,
@@ -67,13 +61,11 @@ class MemoryController:
     def __init__(self, config: SystemConfig, stats: StatsCollector,
                  mapper: "AddressMapper | None" = None,
                  channel: int = 0, probe: Probe = NULL_PROBE,
-                 profiler: PhaseTimer = NULL_PROFILER,
                  tracer: RequestTracer = NULL_TRACER):
         self.config = config
         self.stats = stats
         self.channel = channel
         self.probe = probe
-        self.profiler = profiler
         self.tracer = tracer
         self.timing = config.timing.cycles()
         self.mapper = mapper if mapper is not None else AddressMapper(
@@ -83,7 +75,6 @@ class MemoryController:
                                  reliability=config.reliability)
         for bank in self.banks:
             bank.probe = probe
-            bank.profiler = profiler
             bank.channel = channel
         if config.controller.close_page:
             for bank in self.banks:
@@ -142,12 +133,6 @@ class MemoryController:
         and published on the event bus.  Pure capacity polls (event
         skipping, schedulers) must use :meth:`has_space` instead.
         """
-        if self.profiler.enabled:
-            with self.profiler.phase(PH_QUEUE_ADMIT):
-                return self._can_accept(op, address, now)
-        return self._can_accept(op, address, now)
-
-    def _can_accept(self, op: OpType, address: int, now: int) -> bool:
         if self.has_space(op):
             return True
         if op is OpType.READ:
@@ -177,13 +162,6 @@ class MemoryController:
         Reads that hit a queued write are serviced by forwarding: they
         complete after a buffered-hit latency without touching a bank.
         """
-        if self.profiler.enabled:
-            with self.profiler.phase(PH_QUEUE_ADMIT):
-                self._enqueue(req, now)
-            return
-        self._enqueue(req, now)
-
-    def _enqueue(self, req: MemRequest, now: int) -> None:
         if req.decoded is None:
             req.decoded = self.mapper.decode(req.address)
         span = (
@@ -229,12 +207,7 @@ class MemoryController:
     def tick(self, now: int) -> List[MemRequest]:
         """Advance one cycle: complete transfers, then issue commands."""
         completed = self._pop_completions(now)
-        if self.profiler.enabled:
-            self.profiler.enter(PH_CTRL_SCHED)
-            self._issue_phase(now)
-            self.profiler.exit(PH_CTRL_SCHED)
-        else:
-            self._issue_phase(now)
+        self._issue_phase(now)
         return completed
 
     def _pop_completions(self, now: int) -> List[MemRequest]:

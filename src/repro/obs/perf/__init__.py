@@ -36,7 +36,6 @@ from .ledger import (
     read_ledger,
 )
 from .profiler import (
-    NULL_PROFILER,
     PH_BANK_ISSUE,
     PH_CLOCK,
     PH_CPU_TICK,
@@ -49,7 +48,7 @@ from .profiler import (
     PHASE_NAMES,
     PhaseStat,
     PhaseTimer,
-    make_profiler,
+    attached,
     phase_table,
 )
 
@@ -74,7 +73,6 @@ __all__ = [
     "host_info",
     "peak_rss_kb",
     "read_ledger",
-    "NULL_PROFILER",
     "PH_BANK_ISSUE",
     "PH_CLOCK",
     "PH_CPU_TICK",
@@ -87,6 +85,6 @@ __all__ = [
     "PHASE_NAMES",
     "PhaseStat",
     "PhaseTimer",
-    "make_profiler",
+    "attached",
     "phase_table",
 ]

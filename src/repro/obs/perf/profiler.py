@@ -4,19 +4,16 @@ The observability layer so far watches the simulated machine; this
 module watches the simulator as software.  A :class:`PhaseTimer`
 attributes wall-clock time and invocation counts to named phases —
 CPU tick, controller scheduling, bank issue, queue admission, stats
-collection, trace decode — through lightweight ``enter``/``exit`` hooks
-threaded along the same path as the event-bus probe
-(:class:`~repro.obs.events.Probe`).
+collection, trace decode.
 
-The hot-path contract matches the probe's: the shared
-:data:`NULL_PROFILER` has ``enabled = False`` and every instrumented
-call site guards with ``if profiler.enabled:`` before touching the
-clock, so an unprofiled simulation pays one attribute load and one
-branch per potential phase transition and is pinned bit-identical to
-the seed behaviour (``tests/obs/test_overhead.py``).  Profiling is pure
-observation either way — the timer never feeds back into simulated
-state — so even an *enabled* profiler cannot change results, only slow
-them down.
+No simulator component knows about the timer.  :data:`BOUNDARIES` maps
+each phase to the methods it times, and :func:`attached` swaps those
+class attributes for ``try``/``finally`` enter/exit wrappers for the
+duration of a ``with`` block, restoring the originals on exit — even
+when the run raises.  The unprofiled path therefore carries no
+profiling code at all, and profiling is pure observation: the timer
+never feeds back into simulated state, so a profiled run can only be
+slower, never different.
 
 Phases nest: time spent in ``bank.issue`` inside ``controller.schedule``
 is cumulative for the scheduler but not self time, exactly like
@@ -28,28 +25,49 @@ interop.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Tuple
 
 #: Canonical phase names (the taxonomy documented in
-#: ``docs/performance.md``).  Instrumented components use these
-#: constants; ad-hoc phases are allowed but won't appear in docs.
-PH_RUN = "sim.run"                      #: whole Simulator.run() call
-PH_CPU_TICK = "cpu.tick"                #: TraceCpu fetch/retire step
-PH_CTRL_TICK = "controller.tick"        #: MemoryController.tick (completions + issue)
-PH_CTRL_SCHED = "controller.schedule"   #: scheduler candidate picking + issue loop
-PH_BANK_ISSUE = "bank.issue"            #: bank timing/state model per command
-PH_QUEUE_ADMIT = "queue.admission"      #: controller admission (can_accept/enqueue)
-PH_STATS = "stats.collect"              #: epoch sampling + end-of-run aggregation
-PH_TRACE_DECODE = "trace.decode"        #: trace generation / file decode
-PH_CLOCK = "sim.clock_advance"          #: event-skipping next-cycle search
+#: ``docs/performance.md``).
+PH_RUN = "sim.run"
+PH_CPU_TICK = "cpu.tick"
+PH_CTRL_TICK = "controller.tick"
+PH_CTRL_SCHED = "controller.schedule"
+PH_BANK_ISSUE = "bank.issue"
+PH_QUEUE_ADMIT = "queue.admission"
+PH_STATS = "stats.collect"
+PH_TRACE_DECODE = "trace.decode"
+PH_CLOCK = "sim.clock_advance"
 
-PHASE_NAMES = (
-    PH_RUN, PH_CPU_TICK, PH_CTRL_TICK, PH_CTRL_SCHED, PH_BANK_ISSUE,
-    PH_QUEUE_ADMIT, PH_STATS, PH_TRACE_DECODE, PH_CLOCK,
-)
+#: Phase -> the methods it times, as ``module:Class.method`` paths.
+#: Resolved when :func:`attached` installs the wrappers, so this module
+#: imports no simulator code.
+BOUNDARIES: Dict[str, Tuple[str, ...]] = {
+    PH_RUN: ("repro.sim.simulator:Simulator.run",),
+    PH_CLOCK: ("repro.sim.simulator:Simulator._next_cycle",),
+    PH_CTRL_TICK: ("repro.sim.system:MemorySystem.tick",),
+    PH_CPU_TICK: ("repro.cpu.trace_cpu:TraceCpu.tick",),
+    PH_CTRL_SCHED: ("repro.memsys.controller:MemoryController._issue_phase",),
+    PH_QUEUE_ADMIT: (
+        "repro.memsys.controller:MemoryController.can_accept",
+        "repro.memsys.controller:MemoryController.enqueue",
+    ),
+    PH_BANK_ISSUE: ("repro.core.fgnvm_bank:FgNvmBank._issue",),
+    PH_STATS: (
+        "repro.sim.epochs:EpochRecorder.observe",
+        "repro.sim.epochs:EpochRecorder.observe_gap",
+        "repro.sim.simulator:Simulator._result",
+    ),
+}
+
+#: Every phase a profiled run can report: the wrapped boundaries plus
+#: ``trace.decode``, which callers time with :meth:`PhaseTimer.phase`.
+PHASE_NAMES = (*BOUNDARIES, PH_TRACE_DECODE)
 
 
 @dataclass
@@ -81,26 +99,20 @@ class PhaseTimer:
     satisfies both by construction.
     """
 
-    __slots__ = ("enabled", "stats", "_stack", "_clock")
+    __slots__ = ("stats", "_stack", "_clock")
 
-    def __init__(self, enabled: bool = True,
-                 clock: Callable[[], float] = time.perf_counter):
-        self.enabled = enabled
+    def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self.stats: Dict[str, PhaseStat] = {}
         #: Stack frames: [phase, start, child_seconds].
         self._stack: List[list] = []
         self._clock = clock
 
-    # -- hot-path hooks -----------------------------------------------------
+    # -- enter/exit ---------------------------------------------------------
 
     def enter(self, phase: str) -> None:
-        if not self.enabled:
-            return
         self._stack.append([phase, self._clock(), 0.0])
 
     def exit(self, phase: str) -> None:
-        if not self.enabled:
-            return
         if not self._stack:
             raise ValueError(f"phase exit with no phase open: {phase!r}")
         frame = self._stack.pop()
@@ -121,7 +133,7 @@ class PhaseTimer:
 
     @contextmanager
     def phase(self, name: str):
-        """``with profiler.phase("trace.decode"):`` — cold-path sugar."""
+        """``with timer.phase("trace.decode"):`` — time one block."""
         self.enter(name)
         try:
             yield self
@@ -136,14 +148,6 @@ class PhaseTimer:
         if PH_RUN in self.stats:
             return self.stats[PH_RUN].cum_s
         return sum(s.self_s for s in self.stats.values())
-
-    def merge(self, other: "PhaseTimer") -> None:
-        """Fold another timer's totals into this one (multi-run ledgers)."""
-        for phase, stat in other.stats.items():
-            mine = self.stats.setdefault(phase, PhaseStat())
-            mine.calls += stat.calls
-            mine.cum_s += stat.cum_s
-            mine.self_s += stat.self_s
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """Phase breakdown in ledger/JSON form, sorted by self time."""
@@ -180,11 +184,41 @@ def phase_table(timer: PhaseTimer) -> str:
     return "\n".join(lines)
 
 
-#: The shared disabled profiler every component defaults to (mirrors
-#: :data:`repro.obs.events.NULL_PROBE`).
-NULL_PROFILER = PhaseTimer(enabled=False)
+def _timed(fn: Callable, timer: PhaseTimer, phase: str) -> Callable:
+    """``fn`` entering ``phase`` on ``timer`` for the span of each call."""
+    enter, exit_ = timer.enter, timer.exit
+
+    @functools.wraps(fn)
+    def timed(*args, **kwargs):
+        enter(phase)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            exit_(phase)
+
+    return timed
 
 
-def make_profiler(enabled: bool = True) -> PhaseTimer:
-    """A fresh enabled timer, or the shared no-op when disabled."""
-    return PhaseTimer() if enabled else NULL_PROFILER
+@contextmanager
+def attached(timer: PhaseTimer) -> Iterator[PhaseTimer]:
+    """Time every :data:`BOUNDARIES` method into ``timer`` inside the block.
+
+    ``with attached(timer): simulate(config, trace)`` profiles one run.
+    The wrappers live on the classes, so every instance — including
+    ones built inside the block — is timed; leaving the block, normally
+    or by an exception, puts the original functions back.
+    """
+    swapped: List[Tuple[type, str, Callable]] = []
+    try:
+        for phase, paths in BOUNDARIES.items():
+            for path in paths:
+                module, qualname = path.split(":")
+                class_name, name = qualname.split(".")
+                owner = getattr(importlib.import_module(module), class_name)
+                original = vars(owner)[name]
+                swapped.append((owner, name, original))
+                setattr(owner, name, _timed(original, timer, phase))
+        yield timer
+    finally:
+        for owner, name, original in reversed(swapped):
+            setattr(owner, name, original)

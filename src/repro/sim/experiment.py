@@ -19,7 +19,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config.params import SystemConfig
 from ..obs.events import Probe
-from ..obs.perf.profiler import PH_TRACE_DECODE, PhaseTimer
 from ..obs.trace import RequestTracer
 from ..workloads.record import TraceRecord
 from ..workloads.spec_profiles import get_profile
@@ -34,11 +33,9 @@ DEFAULT_REQUESTS = 20_000
 
 def run_trace(config: SystemConfig, trace: Iterable[TraceRecord],
               probe: "Probe | None" = None,
-              profiler: "PhaseTimer | None" = None,
               tracer: "RequestTracer | None" = None) -> SimResult:
     """Simulate an explicit trace on one configuration."""
-    return simulate(config, trace, probe=probe, profiler=profiler,
-                    tracer=tracer)
+    return simulate(config, trace, probe=probe, tracer=tracer)
 
 
 def run_benchmark(
@@ -47,7 +44,6 @@ def run_benchmark(
     requests: int = DEFAULT_REQUESTS,
     seed: Optional[int] = None,
     probe: "Probe | None" = None,
-    profiler: "PhaseTimer | None" = None,
     tracer: "RequestTracer | None" = None,
 ) -> SimResult:
     """Simulate one named benchmark profile on one configuration.
@@ -59,13 +55,8 @@ def run_benchmark(
     profile = get_profile(benchmark)
     if seed is not None:
         profile = dataclasses.replace(profile, seed=seed)
-    if profiler is not None and profiler.enabled:
-        with profiler.phase(PH_TRACE_DECODE):
-            trace = generate_trace(profile, requests)
-    else:
-        trace = generate_trace(profile, requests)
-    return simulate(config, trace, probe=probe, profiler=profiler,
-                    tracer=tracer)
+    trace = generate_trace(profile, requests)
+    return simulate(config, trace, probe=probe, tracer=tracer)
 
 
 def prefetch_jobs(runner, jobs: "Sequence[tuple]",

@@ -34,15 +34,6 @@ from ..errors import SimulationError
 from ..memsys.stats import StatsCollector
 from ..obs.events import EV_RUN_END, NULL_PROBE, Event, Probe
 from ..obs.trace import NULL_TRACER, RequestTracer
-from ..obs.perf.profiler import (
-    NULL_PROFILER,
-    PH_CLOCK,
-    PH_CPU_TICK,
-    PH_CTRL_TICK,
-    PH_RUN,
-    PH_STATS,
-    PhaseTimer,
-)
 from ..workloads.record import TraceRecord
 from .epochs import EpochRecorder, EpochSample
 from .system import MemorySystem
@@ -80,17 +71,14 @@ class Simulator:
 
     def __init__(self, config: SystemConfig, trace: Iterable[TraceRecord],
                  probe: "Probe | None" = None,
-                 profiler: "PhaseTimer | None" = None,
                  tracer: "RequestTracer | None" = None,
                  epoch_hook=None):
         validate_config(config)
         self.config = config
         self.stats = StatsCollector()
         self.probe = probe if probe is not None else NULL_PROBE
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.controller = MemorySystem(config, self.stats, probe=self.probe,
-                                       profiler=self.profiler,
                                        tracer=self.tracer)
         self.cpu = TraceCpu(
             config.cpu,
@@ -99,7 +87,6 @@ class Simulator:
             self.stats,
             config.timing.tck_ns,
             probe=self.probe,
-            profiler=self.profiler,
         )
         self.now = 0
         self._flush_started = False
@@ -129,10 +116,6 @@ class Simulator:
         last_commands = controller.commands_issued()
         last_pending = controller.pending
         last_progress_cycle = 0
-        prof = self.profiler
-        profiling = prof.enabled
-        if profiling:
-            prof.enter(PH_RUN)
 
         while True:
             if epochs is not None and epochs.next_boundary < self.now:
@@ -140,39 +123,19 @@ class Simulator:
                 # them *before* this cycle's tick, with the counters the
                 # unskipped loop would have had at each boundary (dead
                 # cycles change none of the sampled counters).
-                if profiling:
-                    prof.enter(PH_STATS)
-                    epochs.observe_gap(self.now, controller.pending)
-                    prof.exit(PH_STATS)
-                else:
-                    epochs.observe_gap(self.now, controller.pending)
-            if profiling:
-                prof.enter(PH_CTRL_TICK)
-                completed = controller.tick(self.now)
-                prof.exit(PH_CTRL_TICK)
-            else:
-                completed = controller.tick(self.now)
+                epochs.observe_gap(self.now, controller.pending)
+            completed = controller.tick(self.now)
             finished_reads = 0
             for req in completed:
                 if req.is_read:
                     finished_reads += 1
             if finished_reads:
                 cpu.on_read_completed(finished_reads)
-            if profiling:
-                prof.enter(PH_CPU_TICK)
-                cpu.tick(self.now)
-                prof.exit(PH_CPU_TICK)
-            else:
-                cpu.tick(self.now)
+            cpu.tick(self.now)
             if epochs is not None and self.now >= epochs.next_boundary:
                 # A boundary landing on a simulated cycle samples after
                 # that cycle's tick, exactly like the unskipped loop.
-                if profiling:
-                    prof.enter(PH_STATS)
-                    epochs.observe(self.now, controller.pending)
-                    prof.exit(PH_STATS)
-                else:
-                    epochs.observe(self.now, controller.pending)
+                epochs.observe(self.now, controller.pending)
             if (self._warmup_left
                     and stats.requests >= self._warmup_left):
                 # Warm-up complete: statistics restart here.
@@ -204,12 +167,7 @@ class Simulator:
                     f"pending={controller.pending}"
                 )
 
-            if profiling:
-                prof.enter(PH_CLOCK)
-                self.now = self._next_cycle()
-                prof.exit(PH_CLOCK)
-            else:
-                self.now = self._next_cycle()
+            self.now = self._next_cycle()
             if self.now > sim.max_cycles:
                 raise SimulationError(
                     f"exceeded max_cycles={sim.max_cycles} "
@@ -220,12 +178,14 @@ class Simulator:
         if self.probe.enabled:
             self.probe.emit(Event(EV_RUN_END, self.stats.cycles,
                                   value=self.stats.instructions))
+        return self._result()
+
+    def _result(self) -> SimResult:
+        """End-of-run aggregation: energy, IPC and the result record."""
         cpu_ratio = self.config.cpu.cpu_cycles_per_mem_cycle(
             self.config.timing.tck_ns
         )
-        if profiling:
-            prof.enter(PH_STATS)
-        result = SimResult(
+        return SimResult(
             config=self.config,
             stats=self.stats,
             energy=measure_energy(self.config, self.stats),
@@ -235,10 +195,6 @@ class Simulator:
             instructions=self.stats.instructions,
             epochs=self._epochs.samples if self._epochs else None,
         )
-        if profiling:
-            prof.exit(PH_STATS)
-            prof.exit(PH_RUN)
-        return result
 
     # -- clock advance ------------------------------------------------------
 
@@ -266,11 +222,9 @@ class Simulator:
 
 def simulate(config: SystemConfig, trace: Iterable[TraceRecord],
              probe: "Probe | None" = None,
-             profiler: "PhaseTimer | None" = None,
              tracer: "RequestTracer | None" = None,
              epoch_hook=None) -> SimResult:
     """Build and run a simulator in one call (the common entry point)."""
     return Simulator(
-        config, trace, probe=probe, profiler=profiler, tracer=tracer,
-        epoch_hook=epoch_hook,
+        config, trace, probe=probe, tracer=tracer, epoch_hook=epoch_hook,
     ).run()

@@ -18,7 +18,6 @@ from ..memsys.controller import MemoryController
 from ..memsys.request import MemRequest, OpType
 from ..memsys.stats import StatsCollector
 from ..obs.events import NULL_PROBE, Probe
-from ..obs.perf.profiler import NULL_PROFILER, PhaseTimer
 from ..obs.trace import NULL_TRACER, RequestTracer
 
 
@@ -27,18 +26,15 @@ class MemorySystem:
 
     def __init__(self, config: SystemConfig, stats: StatsCollector,
                  probe: Probe = NULL_PROBE,
-                 profiler: PhaseTimer = NULL_PROFILER,
                  tracer: RequestTracer = NULL_TRACER):
         self.config = config
         self.stats = stats
         self.probe = probe
-        self.profiler = profiler
         self.tracer = tracer
         self.mapper = AddressMapper(config.org)
         self.controllers: List[MemoryController] = [
             MemoryController(config, stats, mapper=self.mapper,
-                             channel=index, probe=probe,
-                             profiler=profiler, tracer=tracer)
+                             channel=index, probe=probe, tracer=tracer)
             for index in range(config.org.channels)
         ]
         #: Single-channel fast path: the paper's Table-2 machine has one

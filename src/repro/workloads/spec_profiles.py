@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from ..errors import UnknownBenchmarkError
+
 
 @dataclass(frozen=True)
 class BenchmarkProfile:
@@ -124,9 +126,12 @@ def benchmark_names() -> List[str]:
 
 
 def get_profile(name: str) -> BenchmarkProfile:
-    """Look up a profile; raises KeyError with the known names listed."""
+    """Look up a profile; unknown names raise :class:`UnknownBenchmarkError`
+    listing the known ones."""
     try:
         return PROFILES[name]
     except KeyError:
         known = ", ".join(PROFILES)
-        raise KeyError(f"unknown benchmark {name!r}; known: {known}") from None
+        raise UnknownBenchmarkError(
+            f"unknown benchmark {name!r}; known: {known}"
+        ) from None

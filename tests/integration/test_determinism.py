@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis.figure4 import run_figure4
 from repro.config import fgnvm
-from repro.obs.perf import make_profiler
+from repro.obs.perf import PhaseTimer, attached
 from repro.sim.experiment import run_benchmark
 from repro.sim.parallel import ExperimentJob, ParallelExperimentEngine
 
@@ -73,14 +73,13 @@ class TestExecutionStrategyEquivalence:
         """Wall-time attribution is outside the simulated machine:
         enabling the phase profiler must not perturb any result."""
         plain = run_benchmark(small(fgnvm(4, 4)), "mcf", REQUESTS)
-        profiler = make_profiler()
-        profiled = run_benchmark(
-            small(fgnvm(4, 4)), "mcf", REQUESTS, profiler=profiler
-        )
+        timer = PhaseTimer()
+        with attached(timer):
+            profiled = run_benchmark(small(fgnvm(4, 4)), "mcf", REQUESTS)
         assert profiled.summary() == plain.summary()
         assert profiled.cycles == plain.cycles
         assert profiled.energy.total_pj == plain.energy.total_pj
-        assert profiler.total_s > 0
+        assert timer.total_s > 0
 
 
 class TestFigureRegeneration:

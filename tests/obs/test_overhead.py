@@ -14,19 +14,18 @@ import pytest
 from repro.config import baseline_nvm, fgnvm
 from repro.obs import ListSink, MetricRegistry, make_probe
 from repro.obs.events import NULL_PROBE
-from repro.obs.perf import NULL_PROFILER, PhaseTimer
+from repro.obs.perf import PhaseTimer, attached
 from repro.obs.trace import NULL_TRACER, RequestTracer
 from repro.sim.simulator import simulate
 from repro.workloads import generate_trace, get_profile
 
 
 def run(config_builder, probe=None, benchmark="mcf", requests=700,
-        profiler=None, tracer=None):
+        tracer=None):
     cfg = config_builder()
     cfg.org.rows_per_bank = 256
     trace = generate_trace(get_profile(benchmark), requests)
-    return simulate(cfg, trace, probe=probe, profiler=profiler,
-                    tracer=tracer)
+    return simulate(cfg, trace, probe=probe, tracer=tracer)
 
 
 @pytest.mark.parametrize("builder", [
@@ -45,17 +44,13 @@ class TestNoBehaviourChange:
         assert plain.cycles == probed.cycles
         assert plain.ipc == probed.ipc
 
-    def test_no_profiler_equals_null_profiler(self, builder):
-        plain = run(builder, profiler=None)
-        nulled = run(builder, profiler=NULL_PROFILER)
-        assert plain.summary() == nulled.summary()
-
     def test_enabled_profiler_is_bit_identical(self, builder):
         """Profiling is pure observation: an *enabled* timer may slow
         the simulator down but can never change simulated results."""
-        plain = run(builder, profiler=None)
+        plain = run(builder)
         timer = PhaseTimer()
-        profiled = run(builder, profiler=timer)
+        with attached(timer):
+            profiled = run(builder)
         assert plain.summary() == profiled.summary()
         assert plain.cycles == profiled.cycles
         # ... and the timer actually saw the run.
@@ -102,16 +97,6 @@ class TestNoAllocationWhenDisabled:
         probe.enabled = False
         result = run(lambda: fgnvm(4, 4), probe=probe, requests=200)
         assert result.cycles > 0
-
-    def test_disabled_profiler_never_touches_the_clock(self):
-        class ExplodingClock:
-            def __call__(self):
-                raise AssertionError("clock read while disabled")
-
-        timer = PhaseTimer(enabled=False, clock=ExplodingClock())
-        result = run(lambda: fgnvm(4, 4), profiler=timer, requests=200)
-        assert result.cycles > 0
-        assert timer.stats == {}
 
     def test_null_tracer_is_shared_singleton(self):
         from repro.memsys.controller import MemoryController

@@ -1,19 +1,20 @@
-"""Phase profiler: attribution, nesting, and the disabled fast path."""
+"""Phase profiler: attribution, nesting, and the boundary wrappers."""
+
+import inspect
+import pkgutil
 
 import pytest
 
-from repro.obs.perf import (
-    NULL_PROFILER,
-    PhaseTimer,
-    make_profiler,
-    phase_table,
-)
+from repro.errors import SimulationError
+from repro.obs.perf import PhaseTimer, attached, phase_table
 from repro.obs.perf.profiler import (
+    BOUNDARIES,
     PH_BANK_ISSUE,
     PH_CPU_TICK,
     PH_CTRL_SCHED,
     PH_CTRL_TICK,
     PH_RUN,
+    PH_TRACE_DECODE,
     PHASE_NAMES,
 )
 
@@ -80,34 +81,6 @@ class TestAccounting:
         assert timer.stats[PH_CPU_TICK].calls == 1
         assert timer.stats[PH_CPU_TICK].cum_s == pytest.approx(3.0)
 
-    def test_merge_adds_counts_and_times(self):
-        a = PhaseTimer(clock=fake_clock([0.0, 1.0]))
-        a.enter(PH_CPU_TICK)
-        a.exit(PH_CPU_TICK)
-        b = PhaseTimer(clock=fake_clock([0.0, 2.0]))
-        b.enter(PH_CPU_TICK)
-        b.exit(PH_CPU_TICK)
-        a.merge(b)
-        assert a.stats[PH_CPU_TICK].calls == 2
-        assert a.stats[PH_CPU_TICK].cum_s == pytest.approx(3.0)
-
-
-class TestDisabledPath:
-    def test_null_profiler_is_disabled_singleton(self):
-        assert NULL_PROFILER.enabled is False
-        assert make_profiler().enabled is True
-
-    def test_disabled_components_share_null_profiler(self):
-        from repro.config import baseline_nvm
-        from repro.memsys.controller import MemoryController
-        from repro.memsys.stats import StatsCollector
-
-        cfg = baseline_nvm()
-        cfg.org.rows_per_bank = 256
-        ctrl = MemoryController(cfg, StatsCollector())
-        assert ctrl.profiler is NULL_PROFILER
-        assert all(b.profiler is NULL_PROFILER for b in ctrl.banks)
-
 
 class TestRendering:
     def test_as_dict_sorted_by_self_time(self):
@@ -134,3 +107,87 @@ class TestRendering:
 
     def test_phase_name_constants_are_unique(self):
         assert len(PHASE_NAMES) == len(set(PHASE_NAMES))
+
+
+def boundary_functions():
+    """(owner class, attribute name, function) for every boundary."""
+    found = []
+    for paths in BOUNDARIES.values():
+        for path in paths:
+            owner_path, name = path.rsplit(".", 1)
+            owner = pkgutil.resolve_name(owner_path)
+            found.append((owner, name, vars(owner)[name]))
+    return found
+
+
+def small_fgnvm():
+    from repro.config import fgnvm
+
+    cfg = fgnvm(8, 2)
+    cfg.org.rows_per_bank = 256
+    return cfg
+
+
+class TestAttached:
+    def test_every_boundary_is_timed_and_restored(self):
+        from repro.sim.experiment import run_benchmark
+
+        originals = boundary_functions()
+        cfg = small_fgnvm()
+        cfg.sim.epoch_cycles = 200
+        timer = PhaseTimer()
+        with attached(timer):
+            run_benchmark(cfg, "mcf", 200)
+        assert set(timer.stats) == set(BOUNDARIES)
+        assert timer.stats[PH_RUN].calls == 1
+        assert timer._stack == []
+        for owner, name, original in originals:
+            assert vars(owner)[name] is original
+
+    def test_raising_run_leaves_timer_and_classes_clean(self):
+        from repro.sim.experiment import run_benchmark
+
+        originals = boundary_functions()
+        cfg = small_fgnvm()
+        cfg.sim.max_cycles = 50
+        timer = PhaseTimer()
+        with pytest.raises(SimulationError, match="max_cycles"):
+            with attached(timer):
+                run_benchmark(cfg, "mcf", 200)
+        assert timer._stack == []
+        assert timer.stats[PH_RUN].calls == 1
+        for owner, name, original in originals:
+            assert vars(owner)[name] is original
+        # The timer is still usable: a new phase is top-level.
+        with timer.phase(PH_TRACE_DECODE):
+            pass
+        assert timer.stats[PH_TRACE_DECODE].self_s == pytest.approx(
+            timer.stats[PH_TRACE_DECODE].cum_s
+        )
+
+
+class TestNoInSourceHooks:
+    def test_no_simulator_component_takes_or_holds_a_profiler(self):
+        from repro.core.fgnvm_bank import FgNvmBank
+        from repro.cpu.trace_cpu import TraceCpu
+        from repro.memsys.controller import MemoryController
+        from repro.sim.experiment import run_benchmark, run_trace
+        from repro.sim.simulator import Simulator, simulate
+        from repro.sim.system import MemorySystem
+        from repro.workloads import generate_trace, get_profile
+
+        for fn in (Simulator, simulate, MemorySystem, MemoryController,
+                   FgNvmBank, TraceCpu, run_trace, run_benchmark):
+            assert "profiler" not in inspect.signature(fn).parameters, fn
+        sim = Simulator(small_fgnvm(),
+                        generate_trace(get_profile("mcf"), 50))
+        parts = [sim, sim.controller, sim.cpu]
+        for controller in sim.controller.controllers:
+            parts.append(controller)
+            parts.extend(controller.banks)
+        for part in parts:
+            assert not hasattr(part, "profiler"), part
+
+    def test_phase_names_are_the_boundaries_plus_trace_decode(self):
+        assert set(PHASE_NAMES) == set(BOUNDARIES) | {PH_TRACE_DECODE}
+        assert len(PHASE_NAMES) == len(BOUNDARIES) + 1

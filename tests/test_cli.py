@@ -571,6 +571,22 @@ class TestProfile:
             main(["profile", "--requests", "0"])
 
 
+class TestUnknownBenchmark:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--benchmark", "nosuch"],
+        ["profile", "--benchmark", "nosuch"],
+        ["perf", "record", "--benchmarks", "nosuch", "--repeats", "1"],
+    ])
+    def test_unknown_benchmark_is_a_clean_error(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--requests", "50"]
+                 + (["--out", str(tmp_path / "l.json")]
+                    if argv[0] == "perf" else []))
+        message = excinfo.value.code
+        assert message.startswith("error: unknown benchmark 'nosuch'; known: ")
+        assert "mcf" in message
+
+
 class TestPerf:
     RECORD = [
         "perf", "record", "--configs", "fgnvm-8x2", "--benchmarks",
