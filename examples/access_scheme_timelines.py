@@ -12,7 +12,8 @@ Run:  python examples/access_scheme_timelines.py
 
 from repro import config
 from repro.analysis.figure3 import render_figure3, run_figure3
-from repro.sim.simulator import Simulator
+from repro.obs import ListSink, make_probe, tile_events
+from repro.sim.simulator import simulate
 from repro.sim.timeline import overlap_summary, render_timeline
 from repro.workloads import generate_trace, get_profile
 
@@ -24,11 +25,10 @@ def textbook_panels() -> None:
 def real_workload_burst() -> None:
     cfg = config.fgnvm(4, 4)
     trace = generate_trace(get_profile("milc"), 600)
-    simulator = Simulator(cfg, trace)
-    # Switch on occupancy logging for bank 0 before running.
-    log = []
-    simulator.controller.controllers[0].banks[0].event_log = log
-    simulator.run()
+    sink = ListSink()
+    simulate(cfg, trace, probe=make_probe(sink))
+    # Bank 0's tile occupancy, rebuilt from the structured event stream.
+    log = tile_events(e for e in sink.events if e.bank == 0)
 
     window = [e for e in log if e[0] < 4000]
     print(f"\nmilc on {cfg.name} — bank 0, first 4000 cycles "

@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..obs.events import make_probe
 from ..obs.trace import (
     BLAME_CAUSES,
     BLAME_MULTI_ACT,
@@ -130,7 +131,8 @@ def run_figure_blame(
                 seed=seed_from_digest(config_digest(config)),
             )
             started = time.perf_counter()
-            run = run_benchmark(config, bench, requests, tracer=tracer)
+            run = run_benchmark(config, bench, requests,
+                                probe=make_probe(tracer=tracer))
             result.jobs[(bench, series)] = (
                 time.perf_counter() - started, run.cycles,
                 run.instructions,

@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import analysis
 from .errors import ExperimentError, ReproError
 from .obs import (
+    NULL_PROBE,
     ListSink,
     MetricRegistry,
     export_events,
@@ -456,14 +457,37 @@ def _seeded_kill_plan(config: SystemConfig, seed: int,
     )
 
 
-def _instrumentation(args):
-    """(probe, sink, registry) when ``--emit-*`` asked for events."""
-    if not (getattr(args, "emit_trace", None)
-            or getattr(args, "emit_metrics", None)):
-        return None, None, None
-    sink = ListSink()
-    registry = MetricRegistry()
-    return make_probe(sink, registry), sink, registry
+def _check_destinations(args) -> None:
+    """Fail before simulating when an output flag's directory is unusable."""
+    for flag in ("emit_trace", "emit_metrics", "trace_out"):
+        path = getattr(args, flag)
+        if not path:
+            continue
+        out_dir = os.path.dirname(os.path.abspath(path))
+        option = "--" + flag.replace("_", "-")
+        if not os.path.isdir(out_dir):
+            raise ExperimentError(
+                f"{option} directory does not exist: {out_dir}"
+            )
+        if not os.access(out_dir, os.W_OK):
+            raise ExperimentError(
+                f"{option} directory is not writable: {out_dir}"
+            )
+
+
+def _instrumentation(args, config: SystemConfig):
+    """(probe, sink, registry) for the ``--emit-*``/``--trace-*`` flags.
+
+    ``probe`` is :data:`NULL_PROBE` when no flag asks for
+    instrumentation; ``sink`` and ``registry`` are None unless an
+    ``--emit-*`` flag is given.
+    """
+    _check_destinations(args)
+    sink = registry = None
+    if args.emit_trace or args.emit_metrics:
+        sink, registry = ListSink(), MetricRegistry()
+    probe = make_probe(sink, registry, tracer=_make_tracer(args, config))
+    return probe, sink, registry
 
 
 def _emit_artifacts(args, sink, registry) -> None:
@@ -481,13 +505,10 @@ def _make_tracer(args, config: SystemConfig) -> "RequestTracer | None":
     """Build the request tracer ``--trace-sample``/``--trace-out`` ask for.
 
     Flag validation follows the engine flags' style: bad values raise
-    :class:`ExperimentError` with the offending value spelled out, and
-    an unwritable ``--trace-out`` destination fails before the
-    simulation spends any time.
+    :class:`ExperimentError` with the offending value spelled out.
     """
-    sample = getattr(args, "trace_sample", None)
-    trace_out = getattr(args, "trace_out", None)
-    if sample is None and not trace_out:
+    sample = args.trace_sample
+    if sample is None and not args.trace_out:
         return None
     if sample is None:
         sample = 1  # --trace-out alone traces every request
@@ -496,16 +517,6 @@ def _make_tracer(args, config: SystemConfig) -> "RequestTracer | None":
             f"--trace-sample must be >= 1 (trace every Nth request, "
             f"1 = all); got {sample}"
         )
-    if trace_out:
-        out_dir = os.path.dirname(os.path.abspath(trace_out))
-        if not os.path.isdir(out_dir):
-            raise ExperimentError(
-                f"--trace-out directory does not exist: {out_dir}"
-            )
-        if not os.access(out_dir, os.W_OK):
-            raise ExperimentError(
-                f"--trace-out directory is not writable: {out_dir}"
-            )
     from .sim.parallel import config_digest
 
     return RequestTracer(
@@ -517,16 +528,15 @@ def _emit_tracer_artifacts(args, tracer: RequestTracer) -> None:
     """Print the blame decomposition; export spans when asked."""
     print()
     print(render_blame(blame_report(tracer.finished, tracer.queue_full)))
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
+    if args.trace_out:
         events = [
             event
             for span in tracer.finished
             for event in span_to_events(span)
         ]
-        count = export_events(events, trace_out)
+        count = export_events(events, args.trace_out)
         print(
-            f"wrote {count} span/blame events to {trace_out}",
+            f"wrote {count} span/blame events to {args.trace_out}",
             file=sys.stderr,
         )
 
@@ -538,14 +548,11 @@ def _cmd_run(args) -> int:
         ),
         args,
     )
-    probe, sink, registry = _instrumentation(args)
-    tracer = _make_tracer(args, config)
+    probe, sink, registry = _instrumentation(args, config)
     if args.trace:
-        result = run_trace(
-            config, read_trace(args.trace), probe=probe, tracer=tracer
-        )
+        result = run_trace(config, read_trace(args.trace), probe=probe)
         workload = args.trace
-    elif probe is not None or tracer is not None:
+    elif probe is not NULL_PROBE:
         # Instrumented runs execute in-process: the event stream (and
         # the tracer's spans) are the product, so the result cache/pool
         # must not satisfy the job.
@@ -553,7 +560,6 @@ def _cmd_run(args) -> int:
             registry.begin_run(args.benchmark)
         result = run_benchmark(
             config, args.benchmark, args.requests, probe=probe,
-            tracer=tracer,
         )
         workload = args.benchmark
     else:
@@ -561,7 +567,7 @@ def _cmd_run(args) -> int:
         result = engine.run(config, args.benchmark, args.requests)
         _report_engine(args, engine)
         workload = args.benchmark
-    if probe is not None:
+    if sink is not None:
         _emit_artifacts(args, sink, registry)
     print(f"{config.name} on {workload}:")
     print(dict_table(result.summary()))
@@ -569,8 +575,8 @@ def _cmd_run(args) -> int:
         cpu_ratio = config.cpu.cpu_cycles_per_mem_cycle(config.timing.tck_ns)
         print()
         print(epoch_table(result.epochs, config.sim.epoch_cycles, cpu_ratio))
-    if tracer is not None:
-        _emit_tracer_artifacts(args, tracer)
+    if probe.tracer is not None:
+        _emit_tracer_artifacts(args, probe.tracer)
     return 0
 
 

@@ -101,10 +101,7 @@ class FgNvmBank:
         cd_span: int = 1,
         sense_on_write_activate: bool = False,
         per_sag_buffers: bool = False,
-        event_log: "list | None" = None,
         close_page: bool = False,
-        probe: Probe = NULL_PROBE,
-        channel: int = 0,
         reliability: "object | None" = None,
     ):
         self.bank_id = bank_id
@@ -137,23 +134,18 @@ class FgNvmBank:
         self._sag_buffer: List[List[Optional[int]]] = [
             [None] * column_divisions for _ in range(subarray_groups)
         ]
-        #: Optional occupancy trace: (start, end, sag, cd, service kind)
-        #: tuples appended per issued operation.  None disables logging
-        #: (the default; the timeline tools switch it on).
-        self.event_log = event_log
-        #: Structured event bus (no-op unless a sink is attached); the
-        #: owning controller overwrites ``probe`` and ``channel`` when
-        #: the simulation is instrumented.
-        self.probe = probe
-        self.channel = channel
+        #: Structured event bus (no-op unless a sink is attached) and the
+        #: channel its events name; the owning controller sets both.
+        self.probe: Probe = NULL_PROBE
+        self.channel = 0
         #: Close-page policy: drop the wordline and invalidate the
         #: touched buffer slices after every access.
         self.close_page = close_page
         #: Device fault model (:class:`repro.memsys.reliability
         #: .BankReliability`) or None when disabled.  Guarded with
         #: ``if self.reliability is not None`` on the hot path — the
-        #: NULL-object pattern the probe/tracer use — so reliability-off
-        #: runs execute the identical instruction stream.
+        #: one-branch guard the probe and its tracer use — so
+        #: reliability-off runs execute the identical instruction stream.
         self.reliability = reliability
         #: Last cycle a column command was accepted (tCCD spacing).
         self._last_column = -(10**9)
@@ -506,15 +498,12 @@ class FgNvmBank:
     def _note(self, req: MemRequest, kind: str, start: int, end: int,
               sag: int, cds: Tuple[int, ...], overlapping_reads: int,
               overlapping_writes: int) -> None:
-        """Record one committed operation: legacy log + event bus.
+        """Publish one committed operation on the event bus.
 
         One ``issue`` event per touched CD; ``value`` carries the CD
         offset within the access so consumers can count multi-CD
         accesses once (offset 0 is the base tile).
         """
-        if self.event_log is not None:
-            for cd in cds:
-                self.event_log.append((start, end, sag, cd, kind))
         if self.probe.enabled:
             for offset, cd in enumerate(cds):
                 self.probe.emit(Event(

@@ -37,9 +37,7 @@ from ..obs.trace import (
     BLAME_DRAIN,
     BLAME_SCHED,
     BLAME_WRITE_CAP,
-    NULL_TRACER,
     RequestSpan,
-    RequestTracer,
     emit_span,
 )
 from .address import AddressMapper
@@ -60,13 +58,13 @@ class MemoryController:
 
     def __init__(self, config: SystemConfig, stats: StatsCollector,
                  mapper: "AddressMapper | None" = None,
-                 channel: int = 0, probe: Probe = NULL_PROBE,
-                 tracer: RequestTracer = NULL_TRACER):
+                 channel: int = 0, probe: Probe = NULL_PROBE):
         self.config = config
         self.stats = stats
         self.channel = channel
         self.probe = probe
-        self.tracer = tracer
+        #: The probe's request tracer, read once (None: not tracing).
+        self.tracer = probe.tracer
         self.timing = config.timing.cycles()
         self.mapper = mapper if mapper is not None else AddressMapper(
             config.org
@@ -120,7 +118,7 @@ class MemoryController:
         self._dirty_banks: "set[int]" = set()
         self._min_constraint: Optional[int] = None
         #: Sampled requests still queued on this channel, awaiting
-        #: blame attribution; empty whenever the tracer is disabled, so
+        #: blame attribution; empty whenever nothing is traced, so
         #: hot paths may guard on truthiness alone.
         self._traced: "dict[int, Tuple[MemRequest, RequestSpan]]" = {}
 
@@ -146,7 +144,7 @@ class MemoryController:
                 EV_QUEUE_STALL, now, op=op.value, channel=self.channel,
                 value=depth,
             ))
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.on_queue_full(op.value)
         return False
 
@@ -164,9 +162,8 @@ class MemoryController:
         """
         if req.decoded is None:
             req.decoded = self.mapper.decode(req.address)
-        span = (
-            self.tracer.on_admit(req, now) if self.tracer.enabled else None
-        )
+        tracer = self.tracer
+        span = tracer.on_admit(req, now) if tracer is not None else None
         if self.probe.enabled:
             self.probe.emit(Event(
                 EV_ENQUEUE, now, req_id=req.req_id, op=req.op.value,
@@ -192,7 +189,7 @@ class MemoryController:
                     self._completions, (done, req.req_id, req)
                 )
                 if span is not None:
-                    self.tracer.on_forward(span, now, done)
+                    tracer.on_forward(span, now, done)
                 return
             self.read_queue.push(req, now)
         else:
@@ -224,7 +221,7 @@ class MemoryController:
                     service=req.service_kind, channel=self.channel,
                     value=req.latency,
                 ))
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 span = self.tracer.finish(req)
                 if span is not None and self.probe.enabled:
                     emit_span(self.probe, span)

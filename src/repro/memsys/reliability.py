@@ -415,7 +415,7 @@ def make_bank_reliability(params, bank_id: int, subarray_groups: int,
 
     None (not a disabled object) is deliberate: banks guard the hot
     path with ``if self.reliability is not None`` exactly like the
-    probe/tracer NULL-object pattern, so reliability-off runs execute
+    probe's ``tracer is not None`` guard, so reliability-off runs execute
     the identical instruction stream as before this module existed.
     """
     if params is None or not params.enabled:

@@ -19,7 +19,13 @@ run is bit-identical to an unprobed one.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Protocol,
+    Sequence, Tuple,
+)
+
+if TYPE_CHECKING:
+    from .trace import RequestTracer
 
 #: Event kinds published by the instrumented components.
 EV_ENQUEUE = "enqueue"          #: request admitted to a controller queue
@@ -140,37 +146,47 @@ class EventSink(Protocol):
 
 
 class Probe:
-    """The publisher half of the event bus.
+    """The one instrumentation object the simulator stack takes.
 
-    A probe either has a sink (``enabled`` is True) or is a no-op.  Hot
-    paths must guard with ``if probe.enabled:`` *before* constructing an
-    :class:`Event`, so a disabled probe costs one attribute load and one
-    branch per call site.
+    A probe carries up to three hooks: an event ``sink`` (``enabled``
+    is True exactly when one is attached), a request ``tracer``
+    (:class:`repro.obs.trace.RequestTracer` or None) and an ``on_epoch``
+    tap (``sample -> None`` or None) for live epoch samples.  Hot paths
+    must guard with ``if probe.enabled:`` *before* constructing an
+    :class:`Event`, so a sinkless probe costs one attribute load and
+    one branch per call site.
     """
 
-    __slots__ = ("sink", "enabled")
+    __slots__ = ("sink", "enabled", "tracer", "on_epoch")
 
-    def __init__(self, sink: Optional[EventSink] = None):
+    def __init__(self, sink: Optional[EventSink] = None,
+                 tracer: "RequestTracer | None" = None,
+                 on_epoch: Optional[Callable[[object], None]] = None):
         self.sink = sink
         self.enabled = sink is not None
+        self.tracer = tracer
+        self.on_epoch = on_epoch
 
     def emit(self, event: Event) -> None:
         if self.enabled:
             self.sink.on_event(event)
 
 
-#: The shared disabled probe every component defaults to.
+#: The shared hookless probe every component defaults to.
 NULL_PROBE = Probe(None)
 
 
-def make_probe(*sinks: EventSink) -> Probe:
-    """A probe feeding zero, one or several sinks."""
+def make_probe(*sinks: EventSink, tracer: "RequestTracer | None" = None,
+               on_epoch: Optional[Callable[[object], None]] = None
+               ) -> Probe:
+    """A probe feeding zero, one or several sinks, plus the optional
+    request tracer and epoch tap (:data:`NULL_PROBE` when all are absent)."""
     live = [s for s in sinks if s is not None]
-    if not live:
+    if not live and tracer is None and on_epoch is None:
         return NULL_PROBE
-    if len(live) == 1:
-        return Probe(live[0])
-    return Probe(TeeSink(live))
+    if len(live) > 1:
+        live = [TeeSink(live)]
+    return Probe(live[0] if live else None, tracer=tracer, on_epoch=on_epoch)
 
 
 class ListSink:
@@ -203,12 +219,11 @@ class TeeSink:
 class TimelineSink:
     """Build :data:`repro.sim.timeline.TimelineEvent` tuples from issues.
 
-    The legacy ASCII renderers (:func:`repro.sim.timeline.render_timeline`
+    The ASCII renderers (:func:`repro.sim.timeline.render_timeline`
     and :func:`~repro.sim.timeline.overlap_summary`) consume
-    ``(start, end, sag, cd, kind)`` tuples; this sink reconstructs that
-    exact shape from the ``issue`` events of the structured stream, so
-    the renderers are thin consumers of the event bus rather than a
-    parallel logging mechanism.
+    ``(start, end, sag, cd, kind)`` tuples; this sink builds that shape
+    from the ``issue`` events of the structured stream, so the
+    renderers are thin consumers of the event bus.
     """
 
     def __init__(self):

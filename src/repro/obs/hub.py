@@ -419,14 +419,14 @@ class TelemetryHub:
     def adopt_probe(self, probe):
         """Tee an engine probe through the hub; returns the new probe.
 
-        The original sink (if any) still sees every event; the hub
-        additionally folds harness kinds into the fleet counters.
-        Drift events the hub itself raises go to the *original* probe.
+        The original sink (if any) still sees every event, and its
+        tracer and epoch tap ride along; the hub additionally folds
+        harness kinds into the fleet counters.  Drift events the hub
+        itself raises go to the *original* probe.
         """
-        self.probe = probe if probe is not None else NULL_PROBE
-        if probe is not None and probe.enabled:
-            return make_probe(probe.sink, self)
-        return make_probe(self)
+        self.probe = probe = probe if probe is not None else NULL_PROBE
+        return make_probe(probe.sink, self, tracer=probe.tracer,
+                          on_epoch=probe.on_epoch)
 
     def on_event(self, event: Event) -> None:
         """EventSink: count harness events into the fleet view."""

@@ -93,8 +93,14 @@ def summarize_events(events: List[Event]) -> Dict[str, object]:
     for event in events:
         registry.on_event(event)
     run = registry.current
-    tiles = tile_events(events)
-    overlaps = overlap_summary(tiles)
+    # Multi-Activation and read-under-write are within-bank effects:
+    # count them per (channel, bank) so two banks' operations never
+    # pass for tile-level parallelism; busy cycles stay the union.
+    banks: Dict[tuple, List[Event]] = {}
+    for event in events:
+        banks.setdefault((event.channel, event.bank), []).append(event)
+    per_bank = [overlap_summary(tile_events(group))
+                for group in banks.values()]
     span = run.span_cycles
     kinds = Counter(e.kind for e in events)
     per_tile = {
@@ -113,9 +119,9 @@ def summarize_events(events: List[Event]) -> Dict[str, object]:
         "first_cycle": max(0, run.first_cycle),
         "last_cycle": run.last_cycle,
         "tiles": per_tile,
-        "busy_cycles": overlaps["busy"],
-        "multi_activation_cycles": overlaps["multi_activation"],
-        "read_under_write_cycles": overlaps["read_under_write"],
+        "busy_cycles": overlap_summary(tile_events(events))["busy"],
+        "multi_activation_cycles": sum(b["multi_activation"] for b in per_bank),
+        "read_under_write_cycles": sum(b["read_under_write"] for b in per_bank),
         "read_queue_full_events": run.read_queue_full_events,
         "write_queue_full_events": run.write_queue_full_events,
         "drains_started": run.drains_started,

@@ -12,8 +12,7 @@ counters visible *while* a sweep is in flight:
 * :class:`TelemetryChannel` — a bounded, *drop-counting* frame
   transport.  Publishing never blocks: a full queue increments
   ``dropped`` and the frame is lost, so telemetry can never stall a
-  worker (the same never-perturb contract as ``NULL_PROBE`` /
-  ``NULL_TRACER``),
+  worker (the same never-perturb contract as ``NULL_PROBE``),
 * worker plumbing — :func:`init_worker` is the pool initializer that
   binds a shared ``multiprocessing`` queue inside each worker;
   :func:`streamed_simulate` is the streaming job execution path
@@ -41,6 +40,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ReproError
+from .events import make_probe
 
 #: Frame schema identifier; bumped on any incompatible payload change.
 FRAME_SCHEMA = "repro-telemetry-frame-v1"
@@ -298,7 +298,7 @@ def epoch_frame_hook(channel: TelemetryChannel, label: str,
 def streamed_simulate(channel: TelemetryChannel, job, trace):
     """Run one job while streaming its lifecycle and epoch samples.
 
-    The simulated results are untouched — the epoch hook only *reads*
+    The simulated results are untouched — the epoch tap only *reads*
     counters the recorder snapshots anyway, and frame publishing never
     blocks.  Returns the same :class:`~repro.sim.simulator.SimResult`
     the plain path would.
@@ -318,12 +318,12 @@ def streamed_simulate(channel: TelemetryChannel, job, trace):
         "seed": job.seed,
         "epoch_cycles": epoch_cycles,
     })
-    hook = (
+    tap = (
         epoch_frame_hook(channel, label, epoch_cycles, cpu_ratio)
         if epoch_cycles else None
     )
     started = time.monotonic()
-    result = simulate(config, trace, epoch_hook=hook)
+    result = simulate(config, trace, probe=make_probe(on_epoch=tap))
     stats = result.stats
     channel.publish(FR_JOB_END, label, {
         "wall_s": round(time.monotonic() - started, 6),

@@ -46,10 +46,10 @@ policy-level cause.  Segments are contiguous and non-overlapping *by
 construction*, so per-request blame sums exactly to measured latency
 (property-tested in ``tests/properties/test_blame_props.py``).
 
-The overhead contract mirrors Probe/NULL_PROBE: the shared
-:data:`NULL_TRACER` has ``enabled = False``, every hot-path hook is
-guarded by one branch, and a tracer-disabled run is pinned
-bit-identical to an untraced one (``tests/obs/test_overhead.py``).
+A tracer rides on the run's probe (``make_probe(..., tracer=t)``);
+``probe.tracer is None`` means "not tracing", every hot-path hook is
+guarded by one branch, and a traced run is pinned bit-identical to an
+untraced one (``tests/obs/test_overhead.py``).
 Sampling is deterministic: request ``k`` (in per-run admission order)
 is traced iff ``k % sample_every == seed % sample_every``, with the
 default seed derived from the config digest so identical configurations
@@ -173,26 +173,24 @@ class RequestTracer:
     """Deterministically sampled per-request lifecycle tracer.
 
     The controller calls the ``on_*`` hooks (each guarded by
-    ``if tracer.enabled:`` on the hot path); the tracer owns sampling,
+    ``if tracer is not None:`` on the hot path); the tracer owns sampling,
     the span store, and pre-admission backpressure counters.  One
     tracer may span several channels — admission order is global and
     deterministic under the single-threaded simulation loop.
     """
 
     __slots__ = (
-        "sample_every", "seed", "enabled", "_phase", "_admitted",
+        "sample_every", "seed", "_phase", "_admitted",
         "active", "finished", "queue_full",
     )
 
-    def __init__(self, sample_every: int = 1, seed: int = 0,
-                 enabled: bool = True):
+    def __init__(self, sample_every: int = 1, seed: int = 0):
         if sample_every < 1:
             raise ValueError(
                 f"sample_every must be >= 1, got {sample_every}"
             )
         self.sample_every = sample_every
         self.seed = seed
-        self.enabled = enabled
         self._phase = seed % sample_every
         self._admitted = 0
         #: Sampled spans still in flight, keyed by request id.
@@ -202,7 +200,7 @@ class RequestTracer:
         #: Pre-admission queue-full refusals per op token ("R"/"W").
         self.queue_full: Dict[str, int] = {"R": 0, "W": 0}
 
-    # -- lifecycle hooks (call sites guard on ``tracer.enabled``) ----------
+    # -- lifecycle hooks (call sites guard on ``tracer is not None``) -------
 
     def on_queue_full(self, op_token: str) -> None:
         self.queue_full[op_token] = self.queue_full.get(op_token, 0) + 1
@@ -271,10 +269,6 @@ class RequestTracer:
         if span is not None:
             self.finished.append(span)
         return span
-
-
-#: The shared disabled tracer every component defaults to.
-NULL_TRACER = RequestTracer(enabled=False)
 
 
 # -- span <-> event stream ---------------------------------------------------

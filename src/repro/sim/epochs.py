@@ -13,7 +13,7 @@ averages hide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from ..memsys.stats import StatsCollector
 from .reporting import ascii_table
@@ -45,7 +45,8 @@ class EpochSample:
 class EpochRecorder:
     """Snapshots a :class:`StatsCollector` at fixed cycle boundaries."""
 
-    def __init__(self, stats: StatsCollector, epoch_cycles: int):
+    def __init__(self, stats: StatsCollector, epoch_cycles: int,
+                 on_sample: "Callable[[EpochSample], None] | None" = None):
         if epoch_cycles < 1:
             raise ValueError("epoch_cycles must be >= 1")
         self.stats = stats
@@ -55,11 +56,12 @@ class EpochRecorder:
         #: Next unmaterialised boundary; the simulator guards its calls
         #: on this so disabled-boundary cycles never compute ``pending``.
         self.next_boundary = epoch_cycles
-        #: Optional ``hook(sample)`` called as each sample materialises —
-        #: the live-telemetry tap.  The hook only *reads* the sample the
-        #: recorder stores anyway, so the series is identical with or
-        #: without one attached (pinned by tests/obs equivalence suites).
-        self.on_sample = None
+        #: Optional ``tap(sample)`` called as each sample materialises —
+        #: the live-telemetry tap (a probe's ``on_epoch``).  The tap only
+        #: *reads* the sample the recorder stores anyway, so the series
+        #: is identical with or without one attached (pinned by
+        #: tests/obs equivalence suites).
+        self.on_sample = on_sample
 
     def observe(self, now: int, pending: int) -> None:
         """Record any epoch boundaries passed by cycle ``now``.

@@ -19,7 +19,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config.params import SystemConfig
 from ..obs.events import Probe
-from ..obs.trace import RequestTracer
 from ..workloads.record import TraceRecord
 from ..workloads.spec_profiles import get_profile
 from ..workloads.tracegen import generate_trace
@@ -32,10 +31,9 @@ DEFAULT_REQUESTS = 20_000
 
 
 def run_trace(config: SystemConfig, trace: Iterable[TraceRecord],
-              probe: "Probe | None" = None,
-              tracer: "RequestTracer | None" = None) -> SimResult:
+              probe: "Probe | None" = None) -> SimResult:
     """Simulate an explicit trace on one configuration."""
-    return simulate(config, trace, probe=probe, tracer=tracer)
+    return simulate(config, trace, probe=probe)
 
 
 def run_benchmark(
@@ -44,7 +42,6 @@ def run_benchmark(
     requests: int = DEFAULT_REQUESTS,
     seed: Optional[int] = None,
     probe: "Probe | None" = None,
-    tracer: "RequestTracer | None" = None,
 ) -> SimResult:
     """Simulate one named benchmark profile on one configuration.
 
@@ -56,7 +53,7 @@ def run_benchmark(
     if seed is not None:
         profile = dataclasses.replace(profile, seed=seed)
     trace = generate_trace(profile, requests)
-    return simulate(config, trace, probe=probe, tracer=tracer)
+    return simulate(config, trace, probe=probe)
 
 
 def prefetch_jobs(runner, jobs: "Sequence[tuple]",

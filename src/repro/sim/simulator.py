@@ -33,7 +33,6 @@ from ..cpu.trace_cpu import TraceCpu
 from ..errors import SimulationError
 from ..memsys.stats import StatsCollector
 from ..obs.events import EV_RUN_END, NULL_PROBE, Event, Probe
-from ..obs.trace import NULL_TRACER, RequestTracer
 from ..workloads.record import TraceRecord
 from .epochs import EpochRecorder, EpochSample
 from .system import MemorySystem
@@ -70,16 +69,12 @@ class Simulator:
     """One CPU + one memory system, run to completion."""
 
     def __init__(self, config: SystemConfig, trace: Iterable[TraceRecord],
-                 probe: "Probe | None" = None,
-                 tracer: "RequestTracer | None" = None,
-                 epoch_hook=None):
+                 probe: "Probe | None" = None):
         validate_config(config)
         self.config = config
         self.stats = StatsCollector()
         self.probe = probe if probe is not None else NULL_PROBE
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.controller = MemorySystem(config, self.stats, probe=self.probe,
-                                       tracer=self.tracer)
+        self.controller = MemorySystem(config, self.stats, probe=self.probe)
         self.cpu = TraceCpu(
             config.cpu,
             trace,
@@ -93,16 +88,11 @@ class Simulator:
         self._warmup_left = config.sim.warmup_requests
         self._warmup_cycle = 0
         self._epochs = (
-            EpochRecorder(self.stats, config.sim.epoch_cycles)
+            EpochRecorder(self.stats, config.sim.epoch_cycles,
+                          on_sample=self.probe.on_epoch)
             if config.sim.epoch_cycles
             else None
         )
-        # Live-telemetry tap: called per materialised epoch sample.  A
-        # hook only observes samples the recorder stores regardless, so
-        # the run is bit-identical with or without one (no-op when epoch
-        # sampling is off).
-        if self._epochs is not None and epoch_hook is not None:
-            self._epochs.on_sample = epoch_hook
 
     def run(self) -> SimResult:
         """Run to completion and return the results."""
@@ -221,10 +211,6 @@ class Simulator:
 
 
 def simulate(config: SystemConfig, trace: Iterable[TraceRecord],
-             probe: "Probe | None" = None,
-             tracer: "RequestTracer | None" = None,
-             epoch_hook=None) -> SimResult:
+             probe: "Probe | None" = None) -> SimResult:
     """Build and run a simulator in one call (the common entry point)."""
-    return Simulator(
-        config, trace, probe=probe, tracer=tracer, epoch_hook=epoch_hook,
-    ).run()
+    return Simulator(config, trace, probe=probe).run()

@@ -18,23 +18,19 @@ from ..memsys.controller import MemoryController
 from ..memsys.request import MemRequest, OpType
 from ..memsys.stats import StatsCollector
 from ..obs.events import NULL_PROBE, Probe
-from ..obs.trace import NULL_TRACER, RequestTracer
 
 
 class MemorySystem:
     """CPU-facing facade over the per-channel controllers."""
 
     def __init__(self, config: SystemConfig, stats: StatsCollector,
-                 probe: Probe = NULL_PROBE,
-                 tracer: RequestTracer = NULL_TRACER):
+                 probe: Probe = NULL_PROBE):
         self.config = config
         self.stats = stats
-        self.probe = probe
-        self.tracer = tracer
         self.mapper = AddressMapper(config.org)
         self.controllers: List[MemoryController] = [
             MemoryController(config, stats, mapper=self.mapper,
-                             channel=index, probe=probe, tracer=tracer)
+                             channel=index, probe=probe)
             for index in range(config.org.channels)
         ]
         #: Single-channel fast path: the paper's Table-2 machine has one

@@ -1,11 +1,13 @@
 """Tile-occupancy timelines: render what the bank actually did.
 
-The FgNVM bank optionally records every operation as a
-``(start, end, sag, cd, kind)`` tuple.  :func:`render_timeline` turns
-that log into an ASCII Gantt chart with one lane per (SAG, CD) tile, so
-the paper's Figure-3 access schemes — Partial-Activation,
-Multi-Activation, Backgrounded Writes — are visible as overlapping
-occupancy bars instead of a schematic.
+A bank's operations, as ``(start, end, sag, cd, kind)`` tuples, come
+from the structured event stream: attach a
+:class:`~repro.obs.events.TimelineSink` to the bank's probe, or filter
+a recorded stream with :func:`~repro.obs.events.tile_events`.
+:func:`render_timeline` turns those tuples into an ASCII Gantt chart
+with one lane per (SAG, CD) tile, so the paper's Figure-3 access
+schemes — Partial-Activation, Multi-Activation, Backgrounded Writes —
+are visible as overlapping occupancy bars instead of a schematic.
 
 Lane glyphs: ``M`` row-miss sense, ``U`` underfetch (re-sense), ``h``
 buffered hit, ``W`` write pulse, ``.`` idle.
@@ -23,7 +25,7 @@ from ..memsys.request import (
     SERVICE_WRITE_MISS,
 )
 
-#: One logged bank operation.
+#: One bank operation on a (SAG, CD) tile.
 TimelineEvent = Tuple[int, int, int, int, str]
 
 GLYPHS = {

@@ -26,6 +26,7 @@ from repro.config.params import BankArchitecture
 from repro.config.validate import validate_config
 from repro.memsys.policies import apply_policy, policy_names
 from repro.memsys.scheduler import SCHEDULER_ENV
+from repro.obs import make_probe
 from repro.obs.trace import (
     RequestTracer,
     blame_report,
@@ -153,7 +154,8 @@ class TestTracedCappedIdentity:
         tracer = RequestTracer(
             sample_every=2, seed=seed_from_digest(config_digest(config))
         )
-        result = run_benchmark(config, "lbm", self.REQUESTS, tracer=tracer)
+        result = run_benchmark(config, "lbm", self.REQUESTS,
+                               probe=make_probe(tracer=tracer))
         # Request ids come from a process-global counter; everything
         # else in a span is per-run deterministic.
         spans = [

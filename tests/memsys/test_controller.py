@@ -6,7 +6,8 @@ from repro.config import baseline_nvm, fgnvm
 from repro.memsys.controller import MemoryController
 from repro.memsys.request import MemRequest, OpType, RequestState
 from repro.memsys.stats import StatsCollector
-from repro.obs.trace import NULL_TRACER, RequestTracer
+from repro.obs import make_probe
+from repro.obs.trace import RequestTracer
 
 
 def controller_for(cfg):
@@ -128,7 +129,7 @@ class TestWritePhases:
         assert write.issue_cycle == 1
 
     @staticmethod
-    def _two_tile_writes(cap, tracer=NULL_TRACER):
+    def _two_tile_writes(cap, tracer=None):
         """Two writes to bank 0 in disjoint tiles, under ``cap``.
 
         0x0 is (SAG 0, CD 0) and 0x80200 is (SAG 1, CD 2): nothing but
@@ -139,7 +140,9 @@ class TestWritePhases:
         cfg = fgnvm(4, 4)
         cfg.org.rows_per_bank = 256
         cfg.controller.max_writes_per_bank = cap
-        ctrl = MemoryController(cfg, StatsCollector(), tracer=tracer)
+        ctrl = MemoryController(
+            cfg, StatsCollector(), probe=make_probe(tracer=tracer)
+        )
         first = MemRequest(OpType.WRITE, 0x0)
         second = MemRequest(OpType.WRITE, 0x80200)
         ctrl.enqueue(first, 0)

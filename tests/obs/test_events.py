@@ -77,6 +77,69 @@ class TestProbe:
         assert len(first) == 1 and len(second) == 1
 
 
+    def test_make_probe_carries_tracer_and_epoch_tap(self):
+        from repro.obs.trace import RequestTracer
+
+        tracer = RequestTracer()
+        probe = make_probe(tracer=tracer, on_epoch=print)
+        assert probe is not NULL_PROBE
+        assert not probe.enabled  # enabled means "an event sink is attached"
+        assert probe.tracer is tracer
+        assert probe.on_epoch is print
+        assert NULL_PROBE.tracer is None and NULL_PROBE.on_epoch is None
+
+
+class TestOneInstrumentationSeam:
+    """The probe is the only instrumentation object the simulator
+    stack takes: no component has its own tracer, epoch-hook or
+    occupancy-log parameter."""
+
+    def test_no_component_takes_a_separate_hook(self):
+        import inspect
+
+        import repro.obs
+        from repro.core.fgnvm_bank import FgNvmBank
+        from repro.memsys.controller import MemoryController
+        from repro.sim.experiment import run_benchmark, run_trace
+        from repro.sim.simulator import Simulator, simulate
+        from repro.sim.system import MemorySystem
+
+        for fn in (Simulator, simulate, run_trace, run_benchmark,
+                   MemorySystem, MemoryController):
+            params = inspect.signature(fn).parameters
+            assert "tracer" not in params, fn
+            assert "epoch_hook" not in params, fn
+        params = inspect.signature(FgNvmBank.__init__).parameters
+        for name in ("event_log", "probe", "channel"):
+            assert name not in params, name
+        assert not hasattr(repro.obs, "NULL_TRACER")
+
+    def test_simulator_hands_one_probe_to_every_component(self):
+        from repro.config import fgnvm
+        from repro.obs.trace import RequestTracer
+        from repro.sim.simulator import Simulator
+        from repro.workloads import generate_trace, get_profile
+
+        cfg = fgnvm(4, 2)
+        cfg.org.rows_per_bank = 256
+        cfg.org.channels = 2
+        cfg.sim.epoch_cycles = 500
+        tracer, samples = RequestTracer(), []
+        probe = make_probe(ListSink(), tracer=tracer,
+                           on_epoch=samples.append)
+        sim = Simulator(cfg, generate_trace(get_profile("mcf"), 200),
+                        probe=probe)
+        assert sim.probe is probe and sim.cpu.probe is probe
+        assert len(sim.controller.controllers) == 2
+        for controller in sim.controller.controllers:
+            assert controller.probe is probe
+            assert controller.tracer is tracer
+            assert all(bank.probe is probe for bank in controller.banks)
+        result = sim.run()
+        assert samples == result.epochs and samples
+        assert tracer.finished
+
+
 class TestTimelineSink:
     def test_converts_tile_issues_to_tuples(self):
         sink = TimelineSink()

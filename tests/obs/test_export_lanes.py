@@ -114,7 +114,7 @@ class TestRequestLanesStaySeparate:
         sink = ListSink()
         tracer = RequestTracer(sample_every=3, seed=1)
         trace = generate_trace(get_profile("mcf"), requests)
-        simulate(cfg, trace, probe=make_probe(sink), tracer=tracer)
+        simulate(cfg, trace, probe=make_probe(sink, tracer=tracer))
         return chrome_trace(sink.events)
 
     @pytest.mark.parametrize("builder", [
@@ -152,7 +152,7 @@ class TestRequestLanesStaySeparate:
 
         def tile_lanes(tracer):
             sink = ListSink()
-            simulate(cfg, trace, probe=make_probe(sink), tracer=tracer)
+            simulate(cfg, trace, probe=make_probe(sink, tracer=tracer))
             payload = chrome_trace(sink.events)
             names = process_names(payload)
             return {

@@ -5,6 +5,7 @@ import pytest
 from repro.config import fgnvm
 from repro.errors import ReproError
 from repro.obs import ListSink, make_probe
+from repro.obs.events import EV_ISSUE, Event
 from repro.obs.export import write_chrome_trace, write_events_jsonl
 from repro.obs.inspect import (
     inspect_trace,
@@ -70,6 +71,31 @@ class TestSummarize:
             assert 0.0 <= tile["occupancy"] <= 1.0
             assert tile["busy_cycles"] >= 0
             assert tile["operations"] == sum(tile["issues"].values())
+
+    @staticmethod
+    def misses(*placements):
+        """Overlapping row-miss senses at (bank, sag, cd) placements."""
+        return [
+            Event(EV_ISSUE, 10, end=40, req_id=index, op="R",
+                  service="row_miss", channel=0, bank=bank, sag=sag, cd=cd)
+            for index, (bank, sag, cd) in enumerate(placements)
+        ]
+
+    def test_senses_in_different_banks_are_not_multi_activation(self):
+        summary = summarize_events(self.misses((0, 0, 0), (1, 1, 1)))
+        assert summary["multi_activation_cycles"] == 0
+        assert summary["busy_cycles"] == 30
+
+    def test_senses_in_one_bank_are_multi_activation(self):
+        summary = summarize_events(self.misses((0, 0, 0), (0, 1, 1)))
+        assert summary["multi_activation_cycles"] == 30
+
+    def test_write_in_another_bank_is_not_read_under_write(self):
+        events = self.misses((0, 0, 0)) + [
+            Event(EV_ISSUE, 10, end=40, req_id=9, op="W", service="write",
+                  channel=0, bank=1, sag=1, cd=1),
+        ]
+        assert summarize_events(events)["read_under_write_cycles"] == 0
 
 
 class TestRender:

@@ -15,17 +15,16 @@ from repro.config import baseline_nvm, fgnvm
 from repro.obs import ListSink, MetricRegistry, make_probe
 from repro.obs.events import NULL_PROBE
 from repro.obs.perf import PhaseTimer, attached
-from repro.obs.trace import NULL_TRACER, RequestTracer
+from repro.obs.trace import RequestTracer
 from repro.sim.simulator import simulate
 from repro.workloads import generate_trace, get_profile
 
 
-def run(config_builder, probe=None, benchmark="mcf", requests=700,
-        tracer=None):
+def run(config_builder, probe=None, benchmark="mcf", requests=700):
     cfg = config_builder()
     cfg.org.rows_per_bank = 256
     trace = generate_trace(get_profile(benchmark), requests)
-    return simulate(cfg, trace, probe=probe, tracer=tracer)
+    return simulate(cfg, trace, probe=probe)
 
 
 @pytest.mark.parametrize("builder", [
@@ -57,17 +56,12 @@ class TestNoBehaviourChange:
         assert timer.total_s > 0
         assert "controller.tick" in timer.stats
 
-    def test_no_tracer_equals_null_tracer(self, builder):
-        plain = run(builder, tracer=None)
-        nulled = run(builder, tracer=NULL_TRACER)
-        assert plain.summary() == nulled.summary()
-
     def test_enabled_tracer_is_bit_identical(self, builder):
         """Tracing is pure observation: sampling every request may cost
         wall time but can never change what the machine does."""
-        plain = run(builder, tracer=None)
+        plain = run(builder)
         tracer = RequestTracer(sample_every=1, seed=0)
-        traced = run(builder, tracer=tracer)
+        traced = run(builder, probe=make_probe(tracer=tracer))
         assert plain.summary() == traced.summary()
         assert plain.cycles == traced.cycles
         assert plain.ipc == traced.ipc
@@ -86,6 +80,7 @@ class TestNoAllocationWhenDisabled:
         cfg.org.rows_per_bank = 256
         ctrl = MemoryController(cfg, StatsCollector())
         assert ctrl.probe is NULL_PROBE
+        assert ctrl.tracer is None
         assert all(bank.probe is NULL_PROBE for bank in ctrl.banks)
 
     def test_disabled_probe_never_calls_sink(self):
@@ -97,23 +92,6 @@ class TestNoAllocationWhenDisabled:
         probe.enabled = False
         result = run(lambda: fgnvm(4, 4), probe=probe, requests=200)
         assert result.cycles > 0
-
-    def test_null_tracer_is_shared_singleton(self):
-        from repro.memsys.controller import MemoryController
-        from repro.memsys.stats import StatsCollector
-
-        cfg = baseline_nvm()
-        cfg.org.rows_per_bank = 256
-        ctrl = MemoryController(cfg, StatsCollector())
-        assert ctrl.tracer is NULL_TRACER
-
-    def test_disabled_tracer_records_nothing(self):
-        """The disabled tracer's span store stays empty — the hot-path
-        ``if self._traced:`` guards therefore never enter blame code."""
-        result = run(lambda: fgnvm(4, 4), tracer=NULL_TRACER, requests=200)
-        assert result.cycles > 0
-        assert NULL_TRACER.finished == []
-        assert NULL_TRACER.active == {}
 
 
 class TestStreamingNoBehaviourChange:
@@ -213,7 +191,8 @@ class TestOverheadBudget:
         def total_calls(tracer):
             profile = cProfile.Profile()
             profile.enable()
-            result = run(lambda: fgnvm(8, 2), requests=2000, tracer=tracer)
+            result = run(lambda: fgnvm(8, 2), requests=2000,
+                         probe=make_probe(tracer=tracer))
             profile.disable()
             assert result.cycles > 0
             return pstats.Stats(profile).total_calls

@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import fgnvm
 from repro.errors import ReproError
+from repro.obs import make_probe
 from repro.obs.stream import (
     DEFAULT_CAPACITY,
     FR_DRIFT,
@@ -252,7 +253,8 @@ class TestStreamedGapEquivalence:
     def test_streamed_series_matches_unskipped_loop(self, epoch_cycles):
         samples = []
         cfg = small(fgnvm(4, 4), epoch_cycles)
-        sim = Simulator(cfg, trace(), epoch_hook=samples.append)
+        sim = Simulator(cfg, trace(),
+                        probe=make_probe(on_epoch=samples.append))
         skipped = sim.run()
         cfg2 = small(fgnvm(4, 4), epoch_cycles)
         unskipped = UnskippedSimulator(cfg2, trace()).run()
@@ -263,7 +265,9 @@ class TestStreamedGapEquivalence:
     def test_hook_sees_every_sample_in_order(self):
         samples = []
         cfg = small(fgnvm(4, 4))
-        result = Simulator(cfg, trace(), epoch_hook=samples.append).run()
+        result = Simulator(
+            cfg, trace(), probe=make_probe(on_epoch=samples.append)
+        ).run()
         assert samples == result.epochs
         assert [s.epoch for s in samples] == list(range(len(samples)))
 

@@ -9,12 +9,12 @@ span/event round-trips, and the report math.
 import pytest
 
 from repro.config import fgnvm
+from repro.obs import make_probe
 from repro.obs.trace import (
     BLAME_CAUSES,
     BLAME_SCHED,
     BLAME_SERVICE,
     BLAME_TILE,
-    NULL_TRACER,
     RequestSpan,
     RequestTracer,
     blame_report,
@@ -90,10 +90,6 @@ class TestSampling:
         assert sampled_indices(0) == sampled_indices(1000)
         assert sampled_indices(0) == [1, 4, 7, 10]  # 7 % 3 == 1
 
-    def test_null_tracer_is_disabled(self):
-        assert NULL_TRACER.enabled is False
-        assert NULL_TRACER.finished == []
-
 
 class TestEventRoundTrip:
     def test_span_to_events_and_back(self):
@@ -168,7 +164,7 @@ class TestLiveTracing:
         cfg = fgnvm(8, 2)
         cfg.org.rows_per_bank = 256
         tracer = RequestTracer(sample_every=5, seed=3)
-        run_benchmark(cfg, "mcf", 400, tracer=tracer)
+        run_benchmark(cfg, "mcf", 400, probe=make_probe(tracer=tracer))
         assert tracer.finished
         assert not tracer.active  # every sampled request completed
         for span in tracer.finished:

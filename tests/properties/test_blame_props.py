@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.config import fgnvm
 from repro.memsys.policies import apply_policy, policy_names
+from repro.obs import make_probe
 from repro.obs.trace import BLAME_CAUSES, BLAME_SERVICE, RequestTracer
 from repro.sim.experiment import run_benchmark
 
@@ -26,7 +27,8 @@ def traced_run(policy, benchmark, requests, sample_every, seed):
     config = apply_policy(fgnvm(4, 2), policy)
     config.org.rows_per_bank = 256
     tracer = RequestTracer(sample_every=sample_every, seed=seed)
-    result = run_benchmark(config, benchmark, requests, tracer=tracer)
+    result = run_benchmark(config, benchmark, requests,
+                           probe=make_probe(tracer=tracer))
     return tracer, result
 
 

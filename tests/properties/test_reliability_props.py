@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.config import fgnvm, with_reliability
 from repro.memsys.policies import apply_policy, policy_names
+from repro.obs import make_probe
 from repro.obs.trace import (
     BLAME_CAUSES,
     BLAME_SERVICE,
@@ -97,7 +98,8 @@ class TestBlameStaysGapFree:
         config = reliability_config(prob, seed, rotate=16, endurance=None,
                                     policy=policy)
         tracer = RequestTracer(sample_every=1, seed=seed)
-        run_benchmark(config, "mcf", requests, tracer=tracer)
+        run_benchmark(config, "mcf", requests,
+                      probe=make_probe(tracer=tracer))
         assert not tracer.active
         assert tracer.finished
         for span in tracer.finished:
@@ -118,7 +120,8 @@ class TestBlameStaysGapFree:
         the vocabulary is load-bearing, not decorative."""
         config = reliability_config(0.9, seed=3)
         tracer = RequestTracer(sample_every=1, seed=0)
-        result = run_benchmark(config, "mcf", 600, tracer=tracer)
+        result = run_benchmark(config, "mcf", 600,
+                               probe=make_probe(tracer=tracer))
         assert result.stats.write_retries > 0
         causes = {
             cause
@@ -132,7 +135,8 @@ class TestBlameStaysGapFree:
         and the run must still complete with blame intact."""
         config = reliability_config(0.0, seed=0, rotate=8)
         tracer = RequestTracer(sample_every=1, seed=0)
-        result = run_benchmark(config, "mcf", 600, tracer=tracer)
+        result = run_benchmark(config, "mcf", 600,
+                               probe=make_probe(tracer=tracer))
         assert result.stats.maintenance_ops > 0
         assert result.stats.maintenance_cycles > 0
         for span in tracer.finished:

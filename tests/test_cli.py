@@ -389,6 +389,26 @@ class TestInstrumentation:
         assert "multi_activation_cycles" in payload
         assert payload["totals"]["reads"] > 0
 
+    @pytest.mark.parametrize(
+        "flag", ["--emit-trace", "--emit-metrics", "--trace-out"],
+    )
+    def test_missing_destination_fails_before_simulating(
+            self, flag, tmp_path, monkeypatch, capsys):
+        import repro.cli
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking destinations")
+
+        monkeypatch.setattr(repro.cli, "run_benchmark", no_simulation)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", "--config", "fgnvm-8x2", "--requests", "300",
+                flag, str(tmp_path / "absent" / "out.json"),
+            ])
+        assert str(exc.value) == (
+            f"error: {flag} directory does not exist: {tmp_path / 'absent'}"
+        )
+
 
 class TestTracing:
     RUN = [
