@@ -90,8 +90,6 @@ class TraceCpu:
         self.instructions_retired = 0
         self.loads_issued = 0
         self.stores_issued = 0
-        self.fetch_stall_cycles = 0
-        self.retire_stall_cycles = 0
         self._advance_record()
 
     # -- trace cursor -----------------------------------------------------
@@ -143,14 +141,13 @@ class TraceCpu:
         retired = self.rob.retire(budget)
         self.instructions_retired += retired
         self.stats.instructions += retired
-        if retired == 0 and self.rob.head_blocked():
-            self.retire_stall_cycles += 1
-            if self.probe.enabled:
+        if self.probe.enabled:
+            # Once per visited cycle: counts depend on event skipping.
+            if retired == 0 and self.rob.head_blocked():
                 self.probe.emit(Event(EV_CPU_STALL, now, service="retire",
                                       value=self.owner))
-        if fetched == 0 and not self._trace_done and self.rob.free_slots == 0:
-            self.fetch_stall_cycles += 1
-            if self.probe.enabled:
+            if (fetched == 0 and not self._trace_done
+                    and self.rob.free_slots == 0):
                 self.probe.emit(Event(EV_CPU_STALL, now, service="fetch",
                                       value=self.owner))
 

@@ -53,6 +53,16 @@ from .stats import StatsCollector
 _FAR_FUTURE = 1 << 62
 
 
+def _min_constraint(lookup, reqs) -> Optional[int]:
+    """Min bank constraint over ``reqs`` (None when there are none)."""
+    min_c: Optional[int] = None
+    for req in reqs:
+        constraint = lookup(req)[1]
+        if min_c is None or constraint < min_c:
+            min_c = constraint
+    return min_c
+
+
 class MemoryController:
     """Cycle-level controller for one channel."""
 
@@ -112,10 +122,14 @@ class MemoryController:
         self._quiet_until = 0
         #: Min earliest-start constraint per flat bank over both queues,
         #: and the min over those (the O(pending) part of the event
-        #: horizon).  Enqueue and issue mark only their own bank dirty;
-        #: the next horizon query rescans just the dirty banks.
+        #: horizon): ``_bank_raw`` from the bank constraints alone,
+        #: ``_bank_min`` with every write also held to its bank's
+        #: write-cap release.  Enqueue and issue mark only their own
+        #: bank dirty; the next horizon query rescans just those.
+        self._bank_raw: "dict[int, int]" = {}
         self._bank_min: "dict[int, int]" = {}
         self._dirty_banks: "set[int]" = set()
+        self._min_raw: Optional[int] = None
         self._min_constraint: Optional[int] = None
         #: Sampled requests still queued on this channel, awaiting
         #: blame attribution; empty whenever nothing is traced, so
@@ -476,46 +490,84 @@ class MemoryController:
         over the banks' now-independent earliest-start constraints
         (``earliest_start(req, now) == max(now, constraint)``, so
         ``min over requests of max(constraint, now + 1)`` equals
-        ``max(min constraint, now + 1)``); the reference policy keeps
-        the seed's exhaustive per-request scan.
+        ``max(min constraint, now + 1)``), with writes held to their
+        bank's write-cap release and the whole term held to the
+        quiet-cycle memo — the same facts the issue pass acts on.  The
+        reference policy keeps the seed's exhaustive per-request scan
+        over the raw constraints, so it visits a superset of cycles.
+
+        A drain-phase flip is an event too: the next pass publishes
+        ``EV_DRAIN``, so it runs on the very next cycle.
         """
+        if (self.write_queue.draining or self._flush_mode) \
+                != self._was_draining:
+            return now + 1
         if not self.scheduler.incremental:
             return self._next_event_after_reference(now)
         horizon: Optional[int] = None
         if self._completions:
             horizon = self._completions[0][0]
-        if self._dirty_banks:
-            self._min_constraint = self._recompute_min_constraint()
-        min_c = self._min_constraint
-        if min_c is not None:
-            when = min_c if min_c > now + 1 else now + 1
-            if horizon is None or when < horizon:
-                horizon = when
+        floor = now + 1
+        if self._quiet_until > floor:
+            floor = self._quiet_until
+        if horizon is None or horizon > floor:
+            # The queue term is at least ``floor``, so it can only come
+            # first (and is only worth a rescan) past this point.
+            if self._dirty_banks:
+                self._recompute_min_constraint()
+            # Traced requests queued under a cap are blamed on the cycle
+            # the blame pass runs, so those runs keep visiting raw-ready
+            # cycles (exactly when the quiet memo is not installed).
+            if self._traced and self._write_cap is not None:
+                min_c = self._min_raw
+            else:
+                min_c = self._min_constraint
+            if min_c is not None:
+                when = min_c if min_c > floor else floor
+                if horizon is None or when < horizon:
+                    horizon = when
         if horizon is not None and horizon <= now:
             raise SimulationError(
                 f"controller event horizon {horizon} not after now={now}"
             )
         return horizon
 
-    def _recompute_min_constraint(self) -> Optional[int]:
-        """Rescan the dirty banks, then take the min over every bank."""
+    def _recompute_min_constraint(self) -> None:
+        """Rescan the dirty banks, then take both mins over every bank.
+
+        A write cannot issue before its bank's
+        :meth:`~repro.core.fgnvm_bank.FgNvmBank.write_cap_free_at`, a
+        memoised bank-state value, and ``min_i max(c_i, k)`` is
+        ``max(min_i c_i, k)``: the held minimum costs no extra scan.
+        """
+        bank_raw = self._bank_raw
         bank_min = self._bank_min
         reads = self.read_queue.by_bank()
         writes = self.write_queue.by_bank()
+        cap = self._write_cap
         for flat_bank in self._dirty_banks:
-            lookup = self.banks[flat_bank].kind_and_constraint
-            min_c: Optional[int] = None
-            for reqs in (reads.get(flat_bank, ()), writes.get(flat_bank, ())):
-                for req in reqs:
-                    constraint = lookup(req)[1]
-                    if min_c is None or constraint < min_c:
-                        min_c = constraint
-            if min_c is None:
+            bank = self.banks[flat_bank]
+            lookup = bank.kind_and_constraint
+            raw = held = _min_constraint(lookup, writes.get(flat_bank, ()))
+            if held is not None and cap is not None:
+                free_at = bank.write_cap_free_at(cap)
+                if free_at > held:
+                    held = free_at
+            read_min = _min_constraint(lookup, reads.get(flat_bank, ()))
+            if read_min is not None:
+                if raw is None or read_min < raw:
+                    raw = read_min
+                if held is None or read_min < held:
+                    held = read_min
+            if raw is None:
+                bank_raw.pop(flat_bank, None)
                 bank_min.pop(flat_bank, None)
             else:
-                bank_min[flat_bank] = min_c
+                bank_raw[flat_bank] = raw
+                bank_min[flat_bank] = held
         self._dirty_banks.clear()
-        return min(bank_min.values()) if bank_min else None
+        self._min_raw = min(bank_raw.values()) if bank_raw else None
+        self._min_constraint = min(bank_min.values()) if bank_min else None
 
     def _next_event_after_reference(self, now: int) -> Optional[int]:
         horizon: Optional[int] = None

@@ -198,6 +198,38 @@ class TestWritePhases:
         # write back, so no quiet memo may skip those cycles.
         assert ctrl._quiet_until == 0
 
+    def test_horizon_skips_to_the_cap_release(self):
+        ctrl, first, second = self._two_tile_writes(cap=1)
+        ctrl.tick(0)
+        bank = ctrl.banks[second.decoded.flat_bank]
+        assert bank.earliest_start(second, 10) == 10
+        # Ready at the bank, held by the cap: no event before its release.
+        assert ctrl.next_event_after(10) == bank.write_cap_free_at(1)
+
+    def test_horizon_keeps_raw_cycles_while_traced(self):
+        ctrl, first, second = self._two_tile_writes(
+            cap=1, tracer=RequestTracer(sample_every=1)
+        )
+        ctrl.tick(0)
+        # Each held cycle must be visited for the blame pass to read the
+        # cap on it.
+        assert ctrl.next_event_after(10) == 11
+
+    def test_horizon_skips_writes_parked_behind_reads(self, ctrl):
+        # Non-eager phase policy: while reads are queued, a write that
+        # the bank would accept still waits.
+        assert not ctrl.config.controller.eager_writes
+        first = MemRequest(OpType.READ, 0x0)        # bank 0, row 0
+        conflict = MemRequest(OpType.READ, 0x2000)  # bank 0, row 1
+        write = MemRequest(OpType.WRITE, 0x400)     # bank 1
+        for req in (first, conflict, write):
+            ctrl.enqueue(req, 0)
+        ctrl.tick(0)
+        ctrl.tick(1)
+        assert conflict.state is write.state is RequestState.QUEUED
+        assert 2 < ctrl._quiet_until < first.completion_cycle
+        assert ctrl.next_event_after(1) == ctrl._quiet_until
+
 
 class TestFlushAndProgress:
     def test_flush_drains_everything(self, ctrl):
@@ -220,6 +252,16 @@ class TestFlushAndProgress:
         ctrl.tick(0)
         horizon = ctrl.next_event_after(0)
         assert horizon == req.completion_cycle
+
+    def test_next_event_after_visits_the_cycle_after_a_drain_flip(self,
+                                                                 ctrl):
+        ctrl.enqueue(MemRequest(OpType.WRITE, 0x0), 0)
+        ctrl.enqueue(MemRequest(OpType.WRITE, 0x2000), 0)  # same bank
+        ctrl.tick(0)
+        assert ctrl.next_event_after(0) > 1
+        ctrl.begin_flush()
+        # The next pass publishes the drain event on time.
+        assert ctrl.next_event_after(0) == 1
 
     def test_pending_counts_queues_and_inflight(self, ctrl):
         ctrl.enqueue(MemRequest(OpType.READ, 0x40), 0)

@@ -1,11 +1,21 @@
 """Simulation main loop: end-to-end runs, skipping, guards."""
 
-import pytest
+import dataclasses
 
-from repro.config import baseline_nvm, fgnvm
-from repro.errors import SimulationError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cli import CONFIG_BUILDERS
+from repro.config import baseline_nvm, fgnvm, with_reliability
+from repro.errors import ConfigError, SimulationError
+from repro.memsys.policies import apply_policy, policy_names
 from repro.memsys.request import OpType
+from repro.obs import make_probe
+from repro.obs.events import EV_CPU_STALL, ListSink
+from repro.obs.trace import RequestTracer
 from repro.sim.simulator import Simulator, simulate
+from repro.workloads import generate_trace, get_profile
 from repro.workloads.record import TraceRecord
 from repro.workloads.synthetic import multi_stream_kernel, stream_kernel
 
@@ -52,23 +62,89 @@ class TestDeterminism:
         assert first.stats.as_dict() == second.stats.as_dict()
 
 
+def _skip_cases():
+    """Every (preset, policy, reliability) the config validator accepts."""
+    cases = []
+    for preset, build in CONFIG_BUILDERS.items():
+        for policy in policy_names():
+            try:
+                apply_policy(build(), policy)
+            except ConfigError:
+                continue  # e.g. baseline+palp: no reads under writes
+            cases.extend((preset, policy, rel) for rel in (False, True))
+    return cases
+
+
+SKIP_CASES = _skip_cases()
+
+
+def _case_config(preset, policy, reliability, epoch_cycles):
+    config = apply_policy(small(CONFIG_BUILDERS[preset]()), policy)
+    if reliability:
+        config = with_reliability(config, write_fail_prob=0.2,
+                                  endurance_writes=60, wear_rotate_every=16,
+                                  seed=5)
+    config.sim.epoch_cycles = epoch_cycles
+    return config
+
+
+def _run(config, trace, dense, traced):
+    probe = (make_probe(ListSink(), tracer=RequestTracer(sample_every=2))
+             if traced else None)
+    sim = Simulator(config, trace, probe=probe)
+    if dense:
+        sim._next_cycle = lambda: sim.now + 1  # visit every cycle
+    return sim.run(), probe
+
+
+def _stream(probe):
+    """The event stream minus per-visited-cycle ``cpu_stall`` events,
+    with request ids rebased (they come from a process-global counter)."""
+    events = [e for e in probe.sink.events if e.kind != EV_CPU_STALL]
+    base = min((e.req_id for e in events if e.req_id >= 0), default=0)
+    return [dataclasses.replace(e, req_id=e.req_id - base)
+            if e.req_id >= 0 else e for e in events]
+
+
+def _spans(probe):
+    return [(s.op, s.arrival, s.bank, s.sag, s.cd, s.issue, s.completion,
+             s.service, s.segments) for s in probe.tracer.finished]
+
+
+def assert_skipping_matches_dense(case, trace, epoch_cycles, traced):
+    skipped, skipped_probe = _run(_case_config(*case, epoch_cycles), trace,
+                                  dense=False, traced=traced)
+    dense, dense_probe = _run(_case_config(*case, epoch_cycles), trace,
+                              dense=True, traced=traced)
+    assert skipped.cycles == dense.cycles
+    assert skipped.stats.as_dict() == dense.stats.as_dict()
+    assert skipped.epochs == dense.epochs
+    if traced:
+        assert _spans(skipped_probe) == _spans(dense_probe)
+        assert _stream(skipped_probe) == _stream(dense_probe)
+
+
 class TestEventSkipping:
-    def test_skipping_matches_dense_ticking(self):
-        """The event-skip fast path must not change simulated behaviour."""
-        trace = multi_stream_kernel(150, streams=3, write_fraction=0.25)
-        cfg = small(fgnvm(4, 4))
-        skipped = simulate(cfg, trace)
+    """The event-skip fast path must not change simulated behaviour:
+    every run equals the same run ticked densely (``now + 1``)."""
 
-        dense = Simulator(small(fgnvm(4, 4)), trace)
-        dense._next_cycle = lambda: dense.now + 1  # force dense ticking
-        dense_result = dense.run()
+    @given(case=st.sampled_from(SKIP_CASES),
+           benchmark=st.sampled_from(["mcf", "lbm", "libquantum"]),
+           seed=st.integers(0, 2**16), requests=st.integers(20, 300),
+           epoch_cycles=st.integers(50, 1000), traced=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_skipping_matches_dense_ticking(self, case, benchmark, seed,
+                                            requests, epoch_cycles, traced):
+        profile = dataclasses.replace(get_profile(benchmark), seed=seed)
+        trace = generate_trace(profile, requests)
+        assert_skipping_matches_dense(case, trace, epoch_cycles, traced)
 
-        assert skipped.cycles == dense_result.cycles
-        assert skipped.stats.reads == dense_result.stats.reads
-        assert (
-            skipped.stats.read_latency_sum
-            == dense_result.stats.read_latency_sum
-        )
+    @pytest.mark.parametrize("case", SKIP_CASES,
+                             ids=["-".join(map(str, c)) for c in SKIP_CASES])
+    def test_every_case_matches_dense_ticking(self, case):
+        trace = generate_trace(get_profile("lbm"), 150)
+        assert_skipping_matches_dense(case, trace, 250, traced=False)
+        assert_skipping_matches_dense(case, trace, 250, traced=True)
 
     def test_long_gaps_do_not_blow_up_runtime(self):
         # Huge compute gap between two accesses: must finish quickly.
