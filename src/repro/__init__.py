@@ -29,59 +29,29 @@ Package map:
 * :mod:`repro.resilience` — fault-tolerant engine: supervision,
   checkpoint/resume, deterministic chaos injection,
 * :mod:`repro.analysis` — regenerators for every paper table and figure.
+
+Every package imports its submodules on first use (:mod:`repro._lazy`),
+so ``import repro`` loads almost nothing and a command pays only for
+what it touches.
 """
 
-from . import (
-    analysis,
-    config,
-    core,
-    cpu,
-    memsys,
-    obs,
-    resilience,
-    sim,
-    units,
-    workloads,
-)
-from .errors import (
-    AddressError,
-    ConfigError,
-    FatalJobError,
-    JobTimeoutError,
-    ProtocolError,
-    QueueFullError,
-    ReproError,
-    SchedulerError,
-    SimulationError,
-    TraceFormatError,
-    TransientJobError,
-    WorkerCrashError,
-)
+from ._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "analysis",
-    "config",
-    "core",
-    "cpu",
-    "memsys",
-    "obs",
-    "resilience",
-    "sim",
-    "units",
-    "workloads",
-    "AddressError",
-    "ConfigError",
-    "FatalJobError",
-    "JobTimeoutError",
-    "ProtocolError",
-    "QueueFullError",
-    "ReproError",
-    "SchedulerError",
-    "SimulationError",
-    "TraceFormatError",
-    "TransientJobError",
-    "WorkerCrashError",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "errors": (
+            "AddressError", "ConfigError", "FatalJobError",
+            "JobTimeoutError", "ProtocolError", "QueueFullError",
+            "ReproError", "SchedulerError", "SimulationError",
+            "TraceFormatError", "TransientJobError", "WorkerCrashError",
+        ),
+    },
+    submodules=(
+        "analysis", "config", "core", "cpu", "memsys", "obs",
+        "resilience", "sim", "units", "workloads",
+    ),
+)
+__all__.append("__version__")

@@ -112,29 +112,12 @@ def backgrounded_write() -> Scenario:
     return Scenario("c: Backgrounded Write", bench.events, bench.stats)
 
 
-#: Panel builders in figure order, keyed by the panel letter.
-PANELS = {
-    "a": partial_activation,
-    "b": multi_activation,
-    "c": backgrounded_write,
-}
+def run_figure3() -> List[Scenario]:
+    """All three panels, in figure order.
 
-
-def build_panel(key: str) -> Scenario:
-    """One panel by letter (module-level so it pickles into pool workers)."""
-    return PANELS[key]()
-
-
-def run_figure3(engine=None) -> List[Scenario]:
-    """All three panels.
-
-    The panels are independent bank-level scenarios; when an ``engine``
-    (:class:`repro.sim.parallel.ParallelExperimentEngine`) is supplied
-    they build concurrently through its generic ``map`` fan-out.
+    Each panel is a few bank commands, so they build in-process.
     """
-    if engine is not None:
-        return engine.map(build_panel, list(PANELS))
-    return [build_panel(key) for key in PANELS]
+    return [partial_activation(), multi_activation(), backgrounded_write()]
 
 
 def render_figure3(scenarios: List[Scenario]) -> str:

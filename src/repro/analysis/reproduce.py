@@ -86,7 +86,7 @@ def reproduce_all(
     manifest.files.append("table1.csv")
     manifest.problems["table1"] = check_table1(table1)
 
-    scenarios = run_figure3(engine=engine)
+    scenarios = run_figure3()
     save("figure3.txt", render_figure3(scenarios))
     manifest.problems["figure3"] = check_figure3(scenarios)
 

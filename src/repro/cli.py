@@ -38,52 +38,6 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from . import analysis
-from .errors import ExperimentError, ReproError
-from .obs import (
-    NULL_PROBE,
-    ListSink,
-    MetricRegistry,
-    export_events,
-    inspect_trace,
-    make_probe,
-)
-from .obs.drift import DriftDetector, read_envelopes
-from .obs.hub import (
-    SPOOL_NAME,
-    MetricsServer,
-    TelemetryHub,
-    otlp_json,
-    prometheus_text,
-    render_dashboard,
-)
-from .obs.inspect import (
-    load_events,
-    render_engine_report,
-    summarize_events,
-    summarize_manifest,
-)
-from .obs.stream import FRAME_SCHEMA, read_spool
-from .obs.manifest import JobRecord, RunManifest, read_manifest
-from .obs.trace import (
-    RequestTracer,
-    blame_report,
-    render_blame,
-    seed_from_digest,
-    span_to_events,
-)
-from .obs.perf import (
-    COMPARE_METRICS,
-    DEFAULT_REL_TOL,
-    PH_TRACE_DECODE,
-    PerfEntry,
-    PerfLedger,
-    PhaseTimer,
-    attached,
-    compare_ledgers,
-    phase_table,
-    read_ledger,
-)
 from .config import (
     SystemConfig,
     baseline_nvm,
@@ -94,37 +48,14 @@ from .config import (
     salp,
     with_reliability,
 )
-from .memsys.policies import apply_policy, policy_names
-from .memsys.reliability import DeviceFaultPlan
-from .resilience import (
-    FaultPlan,
-    ResilientEngine,
-    RetryPolicy,
-    resilient_engine,
-)
-from .sim import (
-    ExperimentJob,
-    ParallelExperimentEngine,
-    SimResult,
-    compare_architectures,
-    dict_table,
-    epoch_table,
-    hub_progress_printer,
-    parameter_sweep,
-    progress_printer,
-    render_sweep,
-    run_benchmark,
-    run_trace,
-    series_table,
-)
-from .workloads import (
-    benchmark_names,
-    generate_trace,
-    get_profile,
-    read_trace,
-    write_nvmain_trace,
-    write_trace,
-)
+from .errors import ExperimentError, ReproError
+from .obs.perf.compare import COMPARE_METRICS, DEFAULT_REL_TOL
+
+# Bound here, not imported inside ``_cmd_run``: ``run --trace`` calls it
+# through this module global, so wrapping ``repro.cli.read_trace`` sees
+# every trace read.  Each command imports the rest of what it uses, so a
+# command loads only its own dependencies.
+from .workloads.trace_io import read_trace
 
 #: Named configurations the CLI can instantiate.
 CONFIG_BUILDERS: Dict[str, Callable[[], SystemConfig]] = {
@@ -146,6 +77,19 @@ def build_config(name: str) -> SystemConfig:
     except KeyError:
         known = ", ".join(CONFIG_BUILDERS)
         raise SystemExit(f"unknown config {name!r}; known: {known}")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of every ``--requests``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -218,6 +162,8 @@ def _spool_path(args) -> Optional[str]:
         return None
     if telemetry != "auto":
         return telemetry
+    from .obs.hub import SPOOL_NAME
+
     cache_dir = getattr(args, "cache_dir", None) or os.environ.get(
         "REPRO_CACHE_DIR"
     )
@@ -235,6 +181,9 @@ def _make_hub(args) -> Optional[TelemetryHub]:
             )
     if getattr(args, "telemetry", None) is None:
         return None
+    from .obs.drift import DriftDetector, read_envelopes
+    from .obs.hub import TelemetryHub
+
     drift = None
     if args.drift_envelope is not None:
         drift = DriftDetector(envelopes=read_envelopes(args.drift_envelope))
@@ -248,6 +197,10 @@ def _make_engine(args):
     behaves exactly like the plain pool, and a crashed worker or a
     corrupt cache blob no longer costs the whole run.
     """
+    from .resilience.engine import resilient_engine
+    from .resilience.retry import RetryPolicy
+    from .sim.reporting import hub_progress_printer, progress_printer
+
     if args.workers < 0:
         raise ExperimentError(
             f"--workers must be >= 0 (0 = one process per CPU core, "
@@ -283,6 +236,8 @@ def _make_engine(args):
         telemetry=hub,
     )
     if hub is not None and getattr(args, "prom_port", None) is not None:
+        from .obs.hub import MetricsServer
+
         engine._metrics_server = MetricsServer(hub, port=args.prom_port)
         print(f"serving metrics at {engine._metrics_server.url}/metrics "
               f"(and /otlp)", file=sys.stderr)
@@ -292,6 +247,8 @@ def _make_engine(args):
 def _report_engine(args, engine) -> None:
     hub = getattr(engine, "telemetry", None)
     if hub is not None:
+        from .obs.hub import otlp_json, prometheus_text
+
         hub.close()
         server = getattr(engine, "_metrics_server", None)
         if server is not None:
@@ -340,6 +297,9 @@ def _report_engine(args, engine) -> None:
 
 
 def _cmd_list(args) -> int:
+    from .memsys.policies import policy_names
+    from .workloads.spec_profiles import benchmark_names, get_profile
+
     print("configurations:")
     for name in CONFIG_BUILDERS:
         print(f"  {name}")
@@ -366,6 +326,8 @@ def _with_policy(config: SystemConfig, args) -> SystemConfig:
     policy = getattr(args, "policy", None)
     if not policy:
         return config
+    from .memsys.policies import apply_policy
+
     return apply_policy(config, policy)
 
 
@@ -445,6 +407,8 @@ def _with_reliability(config: SystemConfig, args) -> SystemConfig:
 def _seeded_kill_plan(config: SystemConfig, seed: int,
                       kills: int) -> DeviceFaultPlan:
     """A kill plan sized to the config's own bank geometry."""
+    from .memsys.reliability import DeviceFaultPlan
+
     org = config.org
     return DeviceFaultPlan.seeded(
         seed=seed,
@@ -482,6 +446,9 @@ def _instrumentation(args, config: SystemConfig):
     instrumentation; ``sink`` and ``registry`` are None unless an
     ``--emit-*`` flag is given.
     """
+    from .obs.events import ListSink, make_probe
+    from .obs.registry import MetricRegistry
+
     _check_destinations(args)
     sink = registry = None
     if args.emit_trace or args.emit_metrics:
@@ -491,6 +458,8 @@ def _instrumentation(args, config: SystemConfig):
 
 
 def _emit_artifacts(args, sink, registry) -> None:
+    from .obs.export import export_events
+
     if args.emit_trace:
         count = export_events(sink.events, args.emit_trace)
         print(f"wrote {count} events to {args.emit_trace}", file=sys.stderr)
@@ -517,6 +486,7 @@ def _make_tracer(args, config: SystemConfig) -> "RequestTracer | None":
             f"--trace-sample must be >= 1 (trace every Nth request, "
             f"1 = all); got {sample}"
         )
+    from .obs.trace import RequestTracer, seed_from_digest
     from .sim.parallel import config_digest
 
     return RequestTracer(
@@ -526,6 +496,9 @@ def _make_tracer(args, config: SystemConfig) -> "RequestTracer | None":
 
 def _emit_tracer_artifacts(args, tracer: RequestTracer) -> None:
     """Print the blame decomposition; export spans when asked."""
+    from .obs.export import export_events
+    from .obs.trace import blame_report, render_blame, span_to_events
+
     print()
     print(render_blame(blame_report(tracer.finished, tracer.queue_full)))
     if args.trace_out:
@@ -542,6 +515,11 @@ def _emit_tracer_artifacts(args, tracer: RequestTracer) -> None:
 
 
 def _cmd_run(args) -> int:
+    from .obs.events import NULL_PROBE
+    from .sim.epochs import epoch_table
+    from .sim.experiment import run_benchmark, run_trace
+    from .sim.reporting import dict_table
+
     config = _with_reliability(
         _with_epoch_cycles(
             _with_policy(build_config(args.config), args), args
@@ -581,6 +559,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .sim.experiment import compare_architectures
+    from .sim.reporting import series_table
+
     engine = _make_engine(args)
     configs = {
         name: _with_epoch_cycles(
@@ -608,6 +589,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .sim.sweeps import parameter_sweep, render_sweep
+
     engine = _make_engine(args)
     sweep = parameter_sweep(
         _with_policy(build_config(args.config), args),
@@ -633,66 +616,76 @@ def _parse_value(token: str):
     return token
 
 
-def _cmd_figure4(args) -> int:
-    engine = _make_engine(args)
-    result = analysis.run_figure4(
-        args.benchmarks or None, args.requests, engine=engine
-    )
-    _report_engine(args, engine)
-    print(analysis.render_figure4(result))
-    problems = analysis.check_figure4_shape(result)
+def _report_problems(problems: List[str], label: str) -> int:
+    """Print each problem to stderr; the command's exit code."""
     for problem in problems:
-        print(f"SHAPE VIOLATION: {problem}", file=sys.stderr)
+        print(f"{label}: {problem}", file=sys.stderr)
     return 1 if problems else 0
+
+
+def _grid_figure(args, run, render, check) -> int:
+    """A figure over the benchmark grid, simulated through the engine."""
+    engine = _make_engine(args)
+    result = run(args.benchmarks or None, args.requests, engine=engine)
+    _report_engine(args, engine)
+    print(render(result))
+    return _report_problems(check(result), "SHAPE VIOLATION")
+
+
+def _cmd_figure4(args) -> int:
+    from .analysis.figure4 import (
+        check_figure4_shape,
+        render_figure4,
+        run_figure4,
+    )
+
+    return _grid_figure(args, run_figure4, render_figure4,
+                        check_figure4_shape)
 
 
 def _cmd_figure5(args) -> int:
-    engine = _make_engine(args)
-    result = analysis.run_figure5(
-        args.benchmarks or None, args.requests, engine=engine
+    from .analysis.figure5 import (
+        check_figure5_shape,
+        render_figure5,
+        run_figure5,
     )
-    _report_engine(args, engine)
-    print(analysis.render_figure5(result))
-    problems = analysis.check_figure5_shape(result)
-    for problem in problems:
-        print(f"SHAPE VIOLATION: {problem}", file=sys.stderr)
-    return 1 if problems else 0
+
+    return _grid_figure(args, run_figure5, render_figure5,
+                        check_figure5_shape)
 
 
 def _cmd_figure_policies(args) -> int:
-    engine = _make_engine(args)
-    result = analysis.run_figure_policies(
-        args.benchmarks or None, args.requests, engine=engine
+    from .analysis.figure_policies import (
+        check_figure_policies_shape,
+        render_figure_policies,
+        run_figure_policies,
     )
-    _report_engine(args, engine)
-    print(analysis.render_figure_policies(result))
-    problems = analysis.check_figure_policies_shape(result)
-    for problem in problems:
-        print(f"SHAPE VIOLATION: {problem}", file=sys.stderr)
-    return 1 if problems else 0
+
+    return _grid_figure(args, run_figure_policies, render_figure_policies,
+                        check_figure_policies_shape)
 
 
 def _cmd_figure_degradation(args) -> int:
-    engine = _make_engine(args)
-    result = analysis.run_figure_degradation(
-        args.benchmarks or None, args.requests, engine=engine
+    from .analysis.figure_degradation import (
+        check_figure_degradation_shape,
+        render_figure_degradation,
+        run_figure_degradation,
     )
-    _report_engine(args, engine)
-    print(analysis.render_figure_degradation(result))
-    problems = analysis.check_figure_degradation_shape(result)
-    for problem in problems:
-        print(f"SHAPE VIOLATION: {problem}", file=sys.stderr)
-    return 1 if problems else 0
+
+    return _grid_figure(args, run_figure_degradation,
+                        render_figure_degradation,
+                        check_figure_degradation_shape)
 
 
 def _cmd_blame(args) -> int:
     """Per-policy latency-blame decomposition, optionally archived."""
+    from .analysis.figure_blame import render_figure_blame, run_figure_blame
+    from .analysis.figure_policies import figure_policies_configs
+    from .obs.export import export_events
+    from .obs.manifest import JobRecord, RunManifest
+    from .obs.trace import span_to_events
     from .sim.parallel import CODE_VERSION, config_digest
 
-    if args.requests < 1:
-        raise ExperimentError(
-            f"--requests must be >= 1, got {args.requests}"
-        )
     if args.sample < 1:
         raise ExperimentError(
             f"--sample must be >= 1 (trace every Nth request, 1 = all); "
@@ -706,13 +699,13 @@ def _cmd_blame(args) -> int:
             raise ExperimentError(
                 f"--out parent directory does not exist: {parent}"
             )
-    result = analysis.run_figure_blame(
+    result = run_figure_blame(
         args.benchmarks or None,
         args.requests,
         sample_every=args.sample,
         keep_spans=out_dir is not None,
     )
-    print(analysis.render_figure_blame(result))
+    print(render_figure_blame(result))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         report_path = os.path.join(out_dir, "blame-report.json")
@@ -727,7 +720,7 @@ def _cmd_blame(args) -> int:
                 handle, indent=2, sort_keys=True,
             )
             handle.write("\n")
-        configs = analysis.figure_policies_configs()
+        configs = figure_policies_configs()
         manifest = RunManifest(code_version=CODE_VERSION)
         for (bench, series), (wall_s, cycles, instructions) in sorted(
             result.jobs.items()
@@ -761,55 +754,60 @@ def _cmd_blame(args) -> int:
 
 
 def _cmd_figure_blame(args) -> int:
-    result = analysis.run_figure_blame(
+    from .analysis.figure_blame import (
+        check_figure_blame_shape,
+        render_figure_blame,
+        run_figure_blame,
+    )
+
+    result = run_figure_blame(
         args.benchmarks or None, args.requests, sample_every=args.sample
     )
-    print(analysis.render_figure_blame(result))
-    problems = analysis.check_figure_blame_shape(result)
-    for problem in problems:
-        print(f"SHAPE VIOLATION: {problem}", file=sys.stderr)
-    return 1 if problems else 0
+    print(render_figure_blame(result))
+    return _report_problems(check_figure_blame_shape(result),
+                            "SHAPE VIOLATION")
 
 
 def _cmd_figure3(args) -> int:
-    scenarios = analysis.run_figure3()
-    print(analysis.render_figure3(scenarios))
-    problems = analysis.check_figure3(scenarios)
-    for problem in problems:
-        print(f"SHAPE VIOLATION: {problem}", file=sys.stderr)
-    return 1 if problems else 0
+    from .analysis.figure3 import check_figure3, render_figure3, run_figure3
+
+    scenarios = run_figure3()
+    print(render_figure3(scenarios))
+    return _report_problems(check_figure3(scenarios), "SHAPE VIOLATION")
 
 
 def _cmd_table1(args) -> int:
-    result = analysis.run_table1()
-    print(analysis.render_table1(result))
-    problems = analysis.check_table1(result)
-    for problem in problems:
-        print(f"MISMATCH: {problem}", file=sys.stderr)
-    return 1 if problems else 0
+    from .analysis.table1 import check_table1, render_table1, run_table1
+
+    result = run_table1()
+    print(render_table1(result))
+    return _report_problems(check_table1(result), "MISMATCH")
 
 
 def _cmd_table2(args) -> int:
-    print(analysis.render_table2())
-    problems = analysis.check_table2()
-    for problem in problems:
-        print(f"MISMATCH: {problem}", file=sys.stderr)
-    return 1 if problems else 0
+    from .analysis.table2 import check_table2, render_table2
+
+    print(render_table2())
+    return _report_problems(check_table2(), "MISMATCH")
 
 
 def _cmd_headline(args) -> int:
+    from .analysis.calibration import render_headline, run_headline
+
     engine = _make_engine(args)
-    result = analysis.run_headline(
+    result = run_headline(
         args.requests, args.benchmarks or None, engine=engine
     )
     _report_engine(args, engine)
-    print(analysis.render_headline(result))
+    print(render_headline(result))
     return 0
 
 
 def _cmd_reproduce(args) -> int:
+    from .analysis.reproduce import reproduce_all
+
     engine = _make_engine(args)
-    manifest = analysis.reproduce_all(
+    manifest = reproduce_all(
         args.out, args.requests, args.benchmarks or None, engine=engine
     )
     _report_engine(args, engine)
@@ -828,6 +826,8 @@ def _device_faulted_chaos_config(config: SystemConfig,
     bit-identical to the plain config: carrying a *disabled*
     reliability block must not change a single counter.
     """
+    from .sim.experiment import run_benchmark
+
     plan = _seeded_kill_plan(config, args.seed, args.device_faults)
     print(plan.describe())
     faulted = with_reliability(
@@ -861,6 +861,11 @@ def _device_faulted_chaos_config(config: SystemConfig,
 def _cmd_chaos(args) -> int:
     """Prove fault tolerance: chaos run bit-identical to a clean one."""
     import tempfile
+
+    from .resilience.engine import ResilientEngine
+    from .resilience.faults import FaultPlan
+    from .resilience.retry import RetryPolicy
+    from .sim.parallel import ExperimentJob, ParallelExperimentEngine
 
     if args.jobs < 1:
         raise ExperimentError(f"--jobs must be >= 1, got {args.jobs}")
@@ -944,6 +949,8 @@ def _cmd_chaos(args) -> int:
 
 def _is_telemetry_spool(path: str) -> bool:
     """True when the file's first line is a telemetry frame."""
+    from .obs.stream import FRAME_SCHEMA
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             head = handle.readline()
@@ -953,6 +960,16 @@ def _is_telemetry_spool(path: str) -> bool:
 
 
 def _cmd_inspect(args) -> int:
+    from .obs.hub import TelemetryHub, render_dashboard
+    from .obs.inspect import (
+        inspect_trace,
+        load_events,
+        render_engine_report,
+        summarize_events,
+        summarize_manifest,
+    )
+    from .obs.manifest import read_manifest
+
     if args.engine:
         path = args.trace
         if os.path.isdir(path):
@@ -983,6 +1000,10 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_watch(args) -> int:
     """Live (or replayed) sweep dashboard over a telemetry spool."""
+    from .obs.drift import DriftDetector, read_envelopes
+    from .obs.hub import SPOOL_NAME, TelemetryHub, render_dashboard
+    from .obs.stream import read_spool
+
     spool = args.spool
     if spool is None:
         cache_dir = (getattr(args, "cache_dir", None)
@@ -1031,6 +1052,11 @@ def _cmd_watch(args) -> int:
 def _profiled_run(config: SystemConfig, benchmark: str,
                   requests: int) -> Tuple[SimResult, PhaseTimer]:
     """One simulation with every phase timed into a fresh timer."""
+    from .obs.perf.profiler import PH_TRACE_DECODE, PhaseTimer, attached
+    from .sim.experiment import run_trace
+    from .workloads.spec_profiles import get_profile
+    from .workloads.tracegen import generate_trace
+
     timer = PhaseTimer()
     with timer.phase(PH_TRACE_DECODE):
         trace = generate_trace(get_profile(benchmark), requests)
@@ -1041,10 +1067,9 @@ def _profiled_run(config: SystemConfig, benchmark: str,
 
 def _cmd_profile(args) -> int:
     """Attribute the simulator's own wall time to named phases."""
-    if args.requests < 1:
-        raise ExperimentError(
-            f"--requests must be >= 1, got {args.requests}"
-        )
+    from .obs.perf.profiler import phase_table
+    from .sim.reporting import dict_table
+
     config = build_config(args.config)
     pstats_profile = None
     if args.emit_pstats:
@@ -1084,14 +1109,12 @@ def _cmd_perf(args) -> int:
 
 def _perf_record(args) -> int:
     """Measure simulator throughput and write the BENCH_PERF.json ledger."""
+    from .obs.perf.ledger import PerfEntry, PerfLedger
+    from .sim.experiment import run_benchmark
     from .sim.parallel import CODE_VERSION
 
     if args.repeats < 1:
         raise ExperimentError(f"--repeats must be >= 1, got {args.repeats}")
-    if args.requests < 1:
-        raise ExperimentError(
-            f"--requests must be >= 1, got {args.requests}"
-        )
     ledger = PerfLedger(code_version=CODE_VERSION)
     for config_name in args.configs:
         config = build_config(config_name)
@@ -1128,6 +1151,9 @@ def _perf_record(args) -> int:
 
 def _perf_compare(args) -> int:
     """Gate NEW against OLD; non-zero exit on a same-host regression."""
+    from .obs.perf.compare import compare_ledgers
+    from .obs.perf.ledger import read_ledger
+
     if args.rel_tol < 0:
         raise ExperimentError(
             f"--rel-tol must be >= 0, got {args.rel_tol}"
@@ -1147,6 +1173,10 @@ def _perf_compare(args) -> int:
 
 
 def _cmd_trace_gen(args) -> int:
+    from .workloads.spec_profiles import get_profile
+    from .workloads.trace_io import write_nvmain_trace, write_trace
+    from .workloads.tracegen import generate_trace
+
     profile = get_profile(args.profile)
     records = generate_trace(profile, args.count)
     if args.format == "nvmain":
@@ -1175,7 +1205,7 @@ def make_parser() -> argparse.ArgumentParser:
              "the names); overrides the config's default pair",
     )
     run_p.add_argument("--benchmark", default="mcf")
-    run_p.add_argument("--requests", type=int, default=5000)
+    run_p.add_argument("--requests", type=_positive_int, default=5000)
     run_p.add_argument("--trace", help="replay a native trace file instead")
     run_p.add_argument(
         "--epoch-cycles", type=int, default=0,
@@ -1244,7 +1274,7 @@ def make_parser() -> argparse.ArgumentParser:
     for name in ("figure4", "figure5"):
         fig_p = sub.add_parser(name, help=f"regenerate {name}")
         fig_p.add_argument("--benchmarks", nargs="*", default=[])
-        fig_p.add_argument("--requests", type=int, default=2500)
+        fig_p.add_argument("--requests", type=_positive_int, default=2500)
         _add_engine_flags(fig_p)
 
     cmp_p = sub.add_parser("compare", help="one benchmark, many configs")
@@ -1256,7 +1286,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="scheduler policy applied to every compared config",
     )
     cmp_p.add_argument("--benchmark", default="mcf")
-    cmp_p.add_argument("--requests", type=int, default=3000)
+    cmp_p.add_argument("--requests", type=_positive_int, default=3000)
     cmp_p.add_argument(
         "--epoch-cycles", type=int, default=0,
         help="record per-epoch counter deltas every N memory cycles",
@@ -1274,7 +1304,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="scheduler policy applied to the swept config",
     )
     sweep_p.add_argument("--benchmark", default="mcf")
-    sweep_p.add_argument("--requests", type=int, default=2000)
+    sweep_p.add_argument("--requests", type=_positive_int, default=2000)
     _add_engine_flags(sweep_p)
 
     pol_p = sub.add_parser(
@@ -1283,7 +1313,7 @@ def make_parser() -> argparse.ArgumentParser:
              "and energy",
     )
     pol_p.add_argument("--benchmarks", nargs="*", default=[])
-    pol_p.add_argument("--requests", type=int, default=2500)
+    pol_p.add_argument("--requests", type=_positive_int, default=2500)
     _add_engine_flags(pol_p)
 
     deg_p = sub.add_parser(
@@ -1293,7 +1323,7 @@ def make_parser() -> argparse.ArgumentParser:
              "kills",
     )
     deg_p.add_argument("--benchmarks", nargs="*", default=[])
-    deg_p.add_argument("--requests", type=int, default=2500)
+    deg_p.add_argument("--requests", type=_positive_int, default=2500)
     _add_engine_flags(deg_p)
 
     blame_p = sub.add_parser(
@@ -1302,7 +1332,7 @@ def make_parser() -> argparse.ArgumentParser:
              "waited (tile conflicts, write drains, scheduling, ...)",
     )
     blame_p.add_argument("--benchmarks", nargs="*", default=[])
-    blame_p.add_argument("--requests", type=int, default=2500)
+    blame_p.add_argument("--requests", type=_positive_int, default=2500)
     blame_p.add_argument(
         "--sample", type=int, default=1, metavar="N",
         help="trace every Nth request (default 1 = all)",
@@ -1319,7 +1349,7 @@ def make_parser() -> argparse.ArgumentParser:
              "speedup comes from conflict blame collapsing",
     )
     fblame_p.add_argument("--benchmarks", nargs="*", default=[])
-    fblame_p.add_argument("--requests", type=int, default=2500)
+    fblame_p.add_argument("--requests", type=_positive_int, default=2500)
     fblame_p.add_argument(
         "--sample", type=int, default=1, metavar="N",
         help="trace every Nth request (default 1 = all)",
@@ -1331,14 +1361,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     head_p = sub.add_parser("headline", help="Section 7 claims")
     head_p.add_argument("--benchmarks", nargs="*", default=[])
-    head_p.add_argument("--requests", type=int, default=2500)
+    head_p.add_argument("--requests", type=_positive_int, default=2500)
     _add_engine_flags(head_p)
 
     rep_p = sub.add_parser(
         "reproduce", help="regenerate every artifact into a directory"
     )
     rep_p.add_argument("--out", default="reproduction")
-    rep_p.add_argument("--requests", type=int, default=2500)
+    rep_p.add_argument("--requests", type=_positive_int, default=2500)
     rep_p.add_argument("--benchmarks", nargs="*", default=[])
     _add_engine_flags(rep_p)
 
@@ -1350,7 +1380,7 @@ def make_parser() -> argparse.ArgumentParser:
     chaos_p.add_argument("--config", default="fgnvm-8x2",
                          choices=sorted(CONFIG_BUILDERS))
     chaos_p.add_argument("--benchmark", default="mcf")
-    chaos_p.add_argument("--requests", type=int, default=600)
+    chaos_p.add_argument("--requests", type=_positive_int, default=600)
     chaos_p.add_argument("--jobs", type=int, default=6,
                          help="seed-varied jobs in the batch (default 6)")
     chaos_p.add_argument("--workers", type=int, default=2)
@@ -1459,7 +1489,7 @@ def make_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--config", default="fgnvm-8x2",
                         choices=sorted(CONFIG_BUILDERS))
     prof_p.add_argument("--benchmark", default="mcf")
-    prof_p.add_argument("--requests", type=int, default=5000)
+    prof_p.add_argument("--requests", type=_positive_int, default=5000)
     prof_p.add_argument(
         "--emit-pstats", metavar="PATH",
         help="additionally run under cProfile and dump a standard "
@@ -1478,7 +1508,7 @@ def make_parser() -> argparse.ArgumentParser:
     rec_p.add_argument("--configs", nargs="+", default=["fgnvm-8x2"],
                        choices=sorted(CONFIG_BUILDERS))
     rec_p.add_argument("--benchmarks", nargs="+", default=["mcf"])
-    rec_p.add_argument("--requests", type=int, default=2000)
+    rec_p.add_argument("--requests", type=_positive_int, default=2000)
     rec_p.add_argument(
         "--repeats", type=int, default=3, metavar="N",
         help="timing samples per point; the ledger stores all of them "

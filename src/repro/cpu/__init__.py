@@ -1,13 +1,9 @@
 """CPU substrate: ROB-limited trace-replay core and LLC filter model."""
 
-from .llc import AccessResult, LastLevelCache, LlcStats
-from .rob import ReorderBuffer
-from .trace_cpu import TraceCpu
+from .._lazy import attach
 
-__all__ = [
-    "AccessResult",
-    "LastLevelCache",
-    "LlcStats",
-    "ReorderBuffer",
-    "TraceCpu",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "llc": ("AccessResult", "LastLevelCache", "LlcStats"),
+    "rob": ("ReorderBuffer",),
+    "trace_cpu": ("TraceCpu",),
+})

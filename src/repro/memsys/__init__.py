@@ -5,97 +5,33 @@ cycle-level machinery every compared design (baseline, FgNVM, 128 banks)
 runs on.  The FgNVM-specific bank model lives in :mod:`repro.core`.
 """
 
-from .address import AddressMapper
-from .bank_baseline import BaselineNvmBank, build_banks
-from .bus import CommandBus, DataBus
-from .controller import MemoryController
-from .queues import TransactionQueue, WriteQueue
-from .request import (
-    SERVICE_ROW_HIT,
-    SERVICE_ROW_MISS,
-    SERVICE_UNDERFETCH,
-    SERVICE_WRITE,
-    SERVICE_WRITE_MISS,
-    DecodedAddress,
-    MemRequest,
-    OpType,
-    RequestState,
-)
-from .policies import (
-    ORGANISATION_CAPS,
-    OrganisationCaps,
-    PolicySpec,
-    apply_policy,
-    check_policy_pairing,
-    get_policy,
-    policy_names,
-    register_policy,
-    registered_policies,
-    resolve_scheduler,
-    unregister_policy,
-)
-from .reliability import (
-    BankReliability,
-    DeviceFaultPlan,
-    DeviceFaultSpec,
-    make_bank_reliability,
-    reliability_validation_problems,
-)
-from .scheduler import (
-    FcfsScheduler,
-    FrfcfsScheduler,
-    IncrementalFcfs,
-    IncrementalFrfcfs,
-    IncrementalPalp,
-    IncrementalRbla,
-    PalpReference,
-    RblaReference,
-    make_scheduler,
-)
-from .stats import StatsCollector
+from .._lazy import attach
 
-__all__ = [
-    "AddressMapper",
-    "BaselineNvmBank",
-    "build_banks",
-    "CommandBus",
-    "DataBus",
-    "MemoryController",
-    "TransactionQueue",
-    "WriteQueue",
-    "SERVICE_ROW_HIT",
-    "SERVICE_ROW_MISS",
-    "SERVICE_UNDERFETCH",
-    "SERVICE_WRITE",
-    "SERVICE_WRITE_MISS",
-    "DecodedAddress",
-    "MemRequest",
-    "OpType",
-    "RequestState",
-    "ORGANISATION_CAPS",
-    "OrganisationCaps",
-    "PolicySpec",
-    "apply_policy",
-    "check_policy_pairing",
-    "get_policy",
-    "policy_names",
-    "register_policy",
-    "registered_policies",
-    "resolve_scheduler",
-    "unregister_policy",
-    "BankReliability",
-    "DeviceFaultPlan",
-    "DeviceFaultSpec",
-    "make_bank_reliability",
-    "reliability_validation_problems",
-    "FcfsScheduler",
-    "FrfcfsScheduler",
-    "IncrementalFcfs",
-    "IncrementalFrfcfs",
-    "IncrementalPalp",
-    "IncrementalRbla",
-    "PalpReference",
-    "RblaReference",
-    "make_scheduler",
-    "StatsCollector",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "address": ("AddressMapper",),
+    "bank_baseline": ("BaselineNvmBank", "build_banks"),
+    "bus": ("CommandBus", "DataBus"),
+    "controller": ("MemoryController",),
+    "queues": ("TransactionQueue", "WriteQueue"),
+    "request": (
+        "SERVICE_ROW_HIT", "SERVICE_ROW_MISS", "SERVICE_UNDERFETCH",
+        "SERVICE_WRITE", "SERVICE_WRITE_MISS", "DecodedAddress",
+        "MemRequest", "OpType", "RequestState",
+    ),
+    "policies": (
+        "ORGANISATION_CAPS", "OrganisationCaps", "PolicySpec",
+        "apply_policy", "check_policy_pairing", "get_policy",
+        "policy_names", "register_policy", "registered_policies",
+        "resolve_scheduler", "unregister_policy",
+    ),
+    "reliability": (
+        "BankReliability", "DeviceFaultPlan", "DeviceFaultSpec",
+        "make_bank_reliability", "reliability_validation_problems",
+    ),
+    "scheduler": (
+        "FcfsScheduler", "FrfcfsScheduler", "IncrementalFcfs",
+        "IncrementalFrfcfs", "IncrementalPalp", "IncrementalRbla",
+        "PalpReference", "RblaReference", "make_scheduler",
+    ),
+    "stats": ("StatsCollector",),
+})

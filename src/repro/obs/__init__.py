@@ -27,259 +27,60 @@ The instrumentation layer for the whole reproduction:
   golden envelopes (IPC collapse, retry storms, starved workers).
 """
 
-from .events import (
-    EV_BLAME,
-    EV_COMPLETE,
-    EV_CPU_STALL,
-    EV_DEGRADED,
-    EV_DRAIN,
-    EV_DRIFT,
-    EV_ENQUEUE,
-    EV_FAULT,
-    EV_ISSUE,
-    EV_MAINT,
-    EV_POOL_REBUILD,
-    EV_QUARANTINE,
-    EV_QUEUE_STALL,
-    EV_RETRY,
-    EV_RUN_END,
-    EV_SENSE,
-    EV_SPAN,
-    EV_TILE_RETIRED,
-    EV_WRITE_PULSE,
-    EV_WRITE_RETRY,
-    EVENT_KINDS,
-    NULL_PROBE,
-    Event,
-    EventSink,
-    ListSink,
-    Probe,
-    TeeSink,
-    TimelineSink,
-    make_probe,
-    tile_events,
-)
-from .export import (
-    JSONL_SCHEMA,
-    JsonlEventSink,
-    chrome_trace,
-    event_from_json,
-    event_to_json,
-    export_events,
-    read_events_jsonl,
-    write_chrome_trace,
-    write_events_jsonl,
-)
-from .inspect import (
-    inspect_engine,
-    inspect_trace,
-    load_events,
-    render_engine_report,
-    render_inspection,
-    summarize_events,
-    summarize_manifest,
-)
-from .manifest import (
-    MANIFEST_SCHEMA,
-    JobRecord,
-    RunManifest,
-    read_manifest,
-)
-from .perf import (
-    ComparisonReport,
-    PerfEntry,
-    PerfLedger,
-    PerfLedgerError,
-    PhaseTimer,
-    compare_ledgers,
-    fold_manifest,
-    phase_table,
-    read_ledger,
-)
-from .registry import MetricRegistry, RunMetrics, TileMetrics, tile_label
-from .stream import (
-    FR_DRIFT,
-    FR_ENGINE,
-    FR_EPOCH,
-    FR_JOB_END,
-    FR_JOB_START,
-    FRAME_KINDS,
-    FRAME_SCHEMA,
-    TelemetryChannel,
-    TelemetryFrame,
-    activate,
-    active_channel,
-    frame_from_json,
-    frame_to_json,
-    read_spool,
-    validate_frame,
-)
-from .hub import (
-    SNAPSHOT_SCHEMA,
-    SPOOL_NAME,
-    FleetView,
-    JobView,
-    MetricsServer,
-    TelemetryHub,
-    otlp_json,
-    prometheus_text,
-    render_dashboard,
-)
-from .drift import (
-    DRIFT_IPC_HIGH,
-    DRIFT_IPC_LOW,
-    DRIFT_KINDS,
-    DRIFT_RETRY_STORM,
-    DRIFT_STARVED,
-    ENVELOPE_SCHEMA,
-    DriftDetector,
-    DriftEnvelope,
-    DriftFinding,
-    envelope_from_samples,
-    read_envelopes,
-    write_envelopes,
-)
-from .trace import (
-    BLAME_BUS,
-    BLAME_CAUSES,
-    BLAME_DRAIN,
-    BLAME_MAINT,
-    BLAME_MULTI_ACT,
-    BLAME_QUEUE_FULL,
-    BLAME_RUW,
-    BLAME_SCHED,
-    BLAME_SERVICE,
-    BLAME_TILE,
-    BLAME_WRITE_CAP,
-    BLAME_WRITE_RETRY,
-    RequestSpan,
-    RequestTracer,
-    blame_report,
-    emit_span,
-    render_blame,
-    seed_from_digest,
-    span_to_events,
-    spans_from_events,
-)
+from .._lazy import attach
 
-__all__ = [
-    "ComparisonReport",
-    "PerfEntry",
-    "PerfLedger",
-    "PerfLedgerError",
-    "PhaseTimer",
-    "compare_ledgers",
-    "fold_manifest",
-    "phase_table",
-    "read_ledger",
-    "EV_BLAME",
-    "EV_COMPLETE",
-    "EV_CPU_STALL",
-    "EV_DEGRADED",
-    "EV_DRAIN",
-    "EV_ENQUEUE",
-    "EV_FAULT",
-    "EV_ISSUE",
-    "EV_MAINT",
-    "EV_POOL_REBUILD",
-    "EV_QUARANTINE",
-    "EV_QUEUE_STALL",
-    "EV_RETRY",
-    "EV_RUN_END",
-    "EV_SENSE",
-    "EV_SPAN",
-    "EV_TILE_RETIRED",
-    "EV_WRITE_PULSE",
-    "EV_WRITE_RETRY",
-    "EVENT_KINDS",
-    "NULL_PROBE",
-    "Event",
-    "EventSink",
-    "ListSink",
-    "Probe",
-    "TeeSink",
-    "TimelineSink",
-    "make_probe",
-    "tile_events",
-    "JSONL_SCHEMA",
-    "JsonlEventSink",
-    "chrome_trace",
-    "event_from_json",
-    "event_to_json",
-    "export_events",
-    "read_events_jsonl",
-    "write_chrome_trace",
-    "write_events_jsonl",
-    "inspect_engine",
-    "inspect_trace",
-    "load_events",
-    "render_engine_report",
-    "render_inspection",
-    "summarize_events",
-    "summarize_manifest",
-    "MANIFEST_SCHEMA",
-    "JobRecord",
-    "RunManifest",
-    "read_manifest",
-    "MetricRegistry",
-    "RunMetrics",
-    "TileMetrics",
-    "tile_label",
-    "BLAME_BUS",
-    "BLAME_CAUSES",
-    "BLAME_DRAIN",
-    "BLAME_MAINT",
-    "BLAME_MULTI_ACT",
-    "BLAME_QUEUE_FULL",
-    "BLAME_RUW",
-    "BLAME_SCHED",
-    "BLAME_SERVICE",
-    "BLAME_TILE",
-    "BLAME_WRITE_CAP",
-    "BLAME_WRITE_RETRY",
-    "RequestSpan",
-    "RequestTracer",
-    "blame_report",
-    "emit_span",
-    "render_blame",
-    "seed_from_digest",
-    "span_to_events",
-    "spans_from_events",
-    "EV_DRIFT",
-    "FR_DRIFT",
-    "FR_ENGINE",
-    "FR_EPOCH",
-    "FR_JOB_END",
-    "FR_JOB_START",
-    "FRAME_KINDS",
-    "FRAME_SCHEMA",
-    "TelemetryChannel",
-    "TelemetryFrame",
-    "activate",
-    "active_channel",
-    "frame_from_json",
-    "frame_to_json",
-    "read_spool",
-    "validate_frame",
-    "SNAPSHOT_SCHEMA",
-    "SPOOL_NAME",
-    "FleetView",
-    "JobView",
-    "MetricsServer",
-    "TelemetryHub",
-    "otlp_json",
-    "prometheus_text",
-    "render_dashboard",
-    "DRIFT_IPC_HIGH",
-    "DRIFT_IPC_LOW",
-    "DRIFT_KINDS",
-    "DRIFT_RETRY_STORM",
-    "DRIFT_STARVED",
-    "ENVELOPE_SCHEMA",
-    "DriftDetector",
-    "DriftEnvelope",
-    "DriftFinding",
-    "envelope_from_samples",
-    "read_envelopes",
-    "write_envelopes",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "events": (
+        "EV_BLAME", "EV_COMPLETE", "EV_CPU_STALL", "EV_DEGRADED",
+        "EV_DRAIN", "EV_DRIFT", "EV_ENQUEUE", "EV_FAULT", "EV_ISSUE",
+        "EV_MAINT", "EV_POOL_REBUILD", "EV_QUARANTINE", "EV_QUEUE_STALL",
+        "EV_RETRY", "EV_RUN_END", "EV_SENSE", "EV_SPAN", "EV_TILE_RETIRED",
+        "EV_WRITE_PULSE", "EV_WRITE_RETRY", "EVENT_KINDS", "NULL_PROBE",
+        "Event", "EventSink", "ListSink", "Probe", "TeeSink",
+        "TimelineSink", "make_probe", "tile_events",
+    ),
+    "export": (
+        "JSONL_SCHEMA", "JsonlEventSink", "chrome_trace",
+        "event_from_json", "event_to_json", "export_events",
+        "read_events_jsonl", "write_chrome_trace", "write_events_jsonl",
+    ),
+    "inspect": (
+        "inspect_engine", "inspect_trace", "load_events",
+        "render_engine_report", "render_inspection", "summarize_events",
+        "summarize_manifest",
+    ),
+    "manifest": (
+        "MANIFEST_SCHEMA", "JobRecord", "RunManifest", "read_manifest",
+    ),
+    "perf": (
+        "ComparisonReport", "PerfEntry", "PerfLedger", "PerfLedgerError",
+        "PhaseTimer", "compare_ledgers", "fold_manifest", "phase_table",
+        "read_ledger",
+    ),
+    "registry": ("MetricRegistry", "RunMetrics", "TileMetrics", "tile_label"),
+    "stream": (
+        "FR_DRIFT", "FR_ENGINE", "FR_EPOCH", "FR_JOB_END", "FR_JOB_START",
+        "FRAME_KINDS", "FRAME_SCHEMA", "TelemetryChannel",
+        "TelemetryFrame", "activate", "active_channel", "frame_from_json",
+        "frame_to_json", "read_spool", "validate_frame",
+    ),
+    "hub": (
+        "SNAPSHOT_SCHEMA", "SPOOL_NAME", "FleetView", "JobView",
+        "MetricsServer", "TelemetryHub", "otlp_json", "prometheus_text",
+        "render_dashboard",
+    ),
+    "drift": (
+        "DRIFT_IPC_HIGH", "DRIFT_IPC_LOW", "DRIFT_KINDS",
+        "DRIFT_RETRY_STORM", "DRIFT_STARVED", "ENVELOPE_SCHEMA",
+        "DriftDetector", "DriftEnvelope", "DriftFinding",
+        "envelope_from_samples", "read_envelopes", "write_envelopes",
+    ),
+    "trace": (
+        "BLAME_BUS", "BLAME_CAUSES", "BLAME_DRAIN", "BLAME_MAINT",
+        "BLAME_MULTI_ACT", "BLAME_QUEUE_FULL", "BLAME_RUW", "BLAME_SCHED",
+        "BLAME_SERVICE", "BLAME_TILE", "BLAME_WRITE_CAP",
+        "BLAME_WRITE_RETRY", "RequestSpan", "RequestTracer",
+        "blame_report", "emit_span", "render_blame", "seed_from_digest",
+        "span_to_events", "spans_from_events",
+    ),
+})

@@ -18,9 +18,10 @@ exits non-zero on a throughput regression.  Noise-awareness rules:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from .ledger import PerfLedger
+if TYPE_CHECKING:  # the CLI's parser reads this module's constants cheaply
+    from .ledger import PerfLedger
 
 #: Metrics the gate can compare.  Every metric except ``wall_s`` is a
 #: throughput (higher is better); ``wall_s`` regresses upward.

@@ -17,60 +17,19 @@ The layer that keeps long sweeps alive:
 See ``docs/resilience.md`` for the fault model and recovery policies.
 """
 
-from .engine import (
-    SUPERVISOR_TICK_S,
-    ResilienceStats,
-    ResilientEngine,
-    resilient_engine,
-)
-from .faults import (
-    CACHE_FAULTS,
-    CORRUPT,
-    CRASH,
-    CRASH_EXIT_CODE,
-    DISK_FULL,
-    FAULT_KINDS,
-    HANG,
-    INTERRUPT,
-    TORN,
-    TRANSIENT,
-    WORKER_FAULTS,
-    FaultPlan,
-    FaultSpec,
-    apply_worker_fault,
-    disk_full_error,
-    faulted_execute_job,
-    mangle_blob,
-)
-from .journal import JOURNAL_NAME, JOURNAL_SCHEMA, SweepJournal
-from .retry import DEFAULT_RETRY_POLICY, RetryPolicy, is_transient
+from .._lazy import attach
 
-__all__ = [
-    "SUPERVISOR_TICK_S",
-    "ResilienceStats",
-    "ResilientEngine",
-    "resilient_engine",
-    "CACHE_FAULTS",
-    "CORRUPT",
-    "CRASH",
-    "CRASH_EXIT_CODE",
-    "DISK_FULL",
-    "FAULT_KINDS",
-    "HANG",
-    "INTERRUPT",
-    "TORN",
-    "TRANSIENT",
-    "WORKER_FAULTS",
-    "FaultPlan",
-    "FaultSpec",
-    "apply_worker_fault",
-    "disk_full_error",
-    "faulted_execute_job",
-    "mangle_blob",
-    "JOURNAL_NAME",
-    "JOURNAL_SCHEMA",
-    "SweepJournal",
-    "DEFAULT_RETRY_POLICY",
-    "RetryPolicy",
-    "is_transient",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "engine": (
+        "SUPERVISOR_TICK_S", "ResilienceStats", "ResilientEngine",
+        "resilient_engine",
+    ),
+    "faults": (
+        "CACHE_FAULTS", "CORRUPT", "CRASH", "CRASH_EXIT_CODE", "DISK_FULL",
+        "FAULT_KINDS", "HANG", "INTERRUPT", "TORN", "TRANSIENT",
+        "WORKER_FAULTS", "FaultPlan", "FaultSpec", "apply_worker_fault",
+        "disk_full_error", "faulted_execute_job", "mangle_blob",
+    ),
+    "journal": ("JOURNAL_NAME", "JOURNAL_SCHEMA", "SweepJournal"),
+    "retry": ("DEFAULT_RETRY_POLICY", "RetryPolicy", "is_transient"),
+})

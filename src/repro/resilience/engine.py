@@ -58,7 +58,6 @@ from ..sim.parallel import (
     ParallelExperimentEngine,
     ProgressHook,
     SimResult,
-    job_key,
 )
 from .faults import (
     CORRUPT,

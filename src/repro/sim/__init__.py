@@ -1,115 +1,37 @@
 """Simulation driver: main loop, experiment runner, reporting."""
 
-from .experiment import (
-    DEFAULT_REQUESTS,
-    ExperimentCache,
-    compare_architectures,
-    geometric_mean,
-    prefetch_jobs,
-    run_benchmark,
-    run_trace,
-    speedup,
-    speedup_table,
-    sweep_benchmarks,
-)
-from .parallel import (
-    BLOB_MAGIC,
-    CODE_VERSION,
-    QUARANTINE_DIR,
-    DiskResultCache,
-    EngineStats,
-    ExperimentJob,
-    ParallelExperimentEngine,
-    ProgressEvent,
-    canonical_config,
-    config_digest,
-    default_engine,
-    execute_job,
-    job_key,
-    result_digest,
-)
-from .reporting import (
-    ascii_table,
-    bar_chart,
-    dict_table,
-    format_duration,
-    hub_progress_printer,
-    progress_line,
-    progress_printer,
-    series_table,
-)
-from .epochs import (
-    EpochRecorder,
-    EpochSample,
-    epoch_table,
-    phase_summary,
-    sparkline,
-)
-from .multicore import (
-    MultiCoreResult,
-    MultiCoreSimulator,
-    isolate_address_spaces,
-    run_mix,
-    weighted_speedup_study,
-)
-from .report import full_report
-from .simulator import SimResult, Simulator, simulate
-from .sweeps import SweepResult, parameter_sweep, render_sweep, swept_configs
-from .system import MemorySystem
-from .timeline import overlap_summary, render_timeline
+from .._lazy import attach
 
-__all__ = [
-    "DEFAULT_REQUESTS",
-    "ExperimentCache",
-    "compare_architectures",
-    "geometric_mean",
-    "prefetch_jobs",
-    "run_benchmark",
-    "run_trace",
-    "speedup",
-    "speedup_table",
-    "sweep_benchmarks",
-    "BLOB_MAGIC",
-    "CODE_VERSION",
-    "QUARANTINE_DIR",
-    "DiskResultCache",
-    "EngineStats",
-    "ExperimentJob",
-    "ParallelExperimentEngine",
-    "ProgressEvent",
-    "canonical_config",
-    "config_digest",
-    "default_engine",
-    "execute_job",
-    "job_key",
-    "result_digest",
-    "ascii_table",
-    "bar_chart",
-    "dict_table",
-    "format_duration",
-    "hub_progress_printer",
-    "progress_line",
-    "progress_printer",
-    "series_table",
-    "EpochRecorder",
-    "EpochSample",
-    "epoch_table",
-    "phase_summary",
-    "sparkline",
-    "MultiCoreResult",
-    "MultiCoreSimulator",
-    "isolate_address_spaces",
-    "run_mix",
-    "weighted_speedup_study",
-    "full_report",
-    "SimResult",
-    "Simulator",
-    "simulate",
-    "SweepResult",
-    "parameter_sweep",
-    "render_sweep",
-    "swept_configs",
-    "MemorySystem",
-    "overlap_summary",
-    "render_timeline",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "experiment": (
+        "DEFAULT_REQUESTS", "ExperimentCache", "compare_architectures",
+        "geometric_mean", "prefetch_jobs", "run_benchmark", "run_trace",
+        "speedup", "speedup_table", "sweep_benchmarks",
+    ),
+    "parallel": (
+        "BLOB_MAGIC", "CODE_VERSION", "QUARANTINE_DIR", "DiskResultCache",
+        "EngineStats", "ExperimentJob", "ParallelExperimentEngine",
+        "ProgressEvent", "canonical_config", "config_digest",
+        "default_engine", "execute_job", "job_key", "result_digest",
+    ),
+    "reporting": (
+        "ascii_table", "bar_chart", "dict_table", "format_duration",
+        "hub_progress_printer", "progress_line", "progress_printer",
+        "series_table",
+    ),
+    "epochs": (
+        "EpochRecorder", "EpochSample", "epoch_table", "phase_summary",
+        "sparkline",
+    ),
+    "multicore": (
+        "MultiCoreResult", "MultiCoreSimulator", "isolate_address_spaces",
+        "run_mix", "weighted_speedup_study",
+    ),
+    "report": ("full_report",),
+    "simulator": ("SimResult", "Simulator", "simulate"),
+    "sweeps": (
+        "SweepResult", "parameter_sweep", "render_sweep", "swept_configs",
+    ),
+    "system": ("MemorySystem",),
+    "timeline": ("overlap_summary", "render_timeline"),
+})

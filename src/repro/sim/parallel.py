@@ -36,7 +36,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config.params import SystemConfig
 from ..errors import ExperimentError
@@ -84,15 +84,28 @@ class ExperimentJob:
     seed: Optional[int] = None
 
 
+#: Leaf types returned as they are (exact types: an enum deriving from
+#: ``int`` or ``str`` still reduces to its ``value``).
+_PRIMITIVES = frozenset((str, int, float, bool, type(None)))
+
+#: Field names of every dataclass met so far, in ``dataclasses.fields``
+#: order: looked up once per class rather than once per node.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
 def _jsonable(value):
     """Recursively reduce a config value to JSON-stable primitives."""
+    cls = type(value)
+    if cls in _PRIMITIVES:
+        return value
+    names = _FIELD_NAMES.get(cls)
+    if names is not None:
+        return {name: _jsonable(getattr(value, name)) for name in names}
     if isinstance(value, enum.Enum):
         return value.value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
+        _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(value))
+        return _jsonable(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -110,22 +123,33 @@ def canonical_config(config: SystemConfig) -> str:
     return json.dumps(_jsonable(config), sort_keys=True, separators=(",", ":"))
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def config_digest(config: SystemConfig) -> str:
     """SHA-256 hex digest of the canonical config serialization."""
-    return hashlib.sha256(canonical_config(config).encode("utf-8")).hexdigest()
+    return _sha256(canonical_config(config))
 
 
-def job_key(job: ExperimentJob, code_version: str = CODE_VERSION) -> str:
+def job_key(
+    job: ExperimentJob,
+    code_version: str = CODE_VERSION,
+    canonical: Optional[str] = None,
+) -> str:
     """Content-addressed cache key for one job.
 
     Stable across processes and Python versions (no ``hash()``
     randomisation), and distinct whenever the config, trace parameters
-    or code version differ.
+    or code version differ.  ``canonical`` is
+    ``canonical_config(job.config)`` when the caller already has it.
     """
+    if canonical is None:
+        canonical = canonical_config(job.config)
     payload = json.dumps(
         {
             "code": code_version,
-            "config": canonical_config(job.config),
+            "config": canonical,
             "benchmark": job.benchmark,
             "requests": job.requests,
             "seed": job.seed,
@@ -133,7 +157,7 @@ def job_key(job: ExperimentJob, code_version: str = CODE_VERSION) -> str:
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _sha256(payload)
 
 
 def _job_profile(job: ExperimentJob):
@@ -443,6 +467,8 @@ class ParallelExperimentEngine:
         #: Segments this engine created and must unlink at teardown.
         self._segments: List = []
         self._memory: Dict[str, SimResult] = {}
+        #: ``config_digest`` of each job key's config, for the records.
+        self._config_digests: Dict[str, str] = {}
         #: Per-job provenance across every batch this engine has run.
         self.records: List[JobRecord] = []
         #: Device reliability counters summed over every job served
@@ -478,7 +504,7 @@ class ParallelExperimentEngine:
         simulate once.
         """
         jobs = list(jobs)
-        keys = [job_key(job, self.code_version) for job in jobs]
+        keys = self._keys(jobs)
         self.stats.submitted += len(jobs)
         started = time.monotonic()
         previous_channel = None
@@ -537,6 +563,25 @@ class ParallelExperimentEngine:
                 self.telemetry.pump()
         return [results[key] for key in keys]
 
+    def _keys(self, jobs: List[ExperimentJob]) -> List[str]:
+        """The jobs' cache keys, canonicalising each distinct config once.
+
+        Configs are mutable, so a canonical form is reused only within
+        this call.  A key fixes its config's canonical form, so the
+        digest the job records carry is kept per key.
+        """
+        canonical: Dict[int, str] = {}
+        keys = []
+        for job in jobs:
+            text = canonical.get(id(job.config))
+            if text is None:
+                text = canonical[id(job.config)] = canonical_config(job.config)
+            key = job_key(job, self.code_version, text)
+            if key not in self._config_digests:
+                self._config_digests[key] = _sha256(text)
+            keys.append(key)
+        return keys
+
     def _run_pending(
         self,
         pending: List[ExperimentJob],
@@ -587,22 +632,6 @@ class ParallelExperimentEngine:
             return self.disk.put(key, result)
         except OSError:
             return None
-
-    def map(self, fn: Callable, items: Iterable) -> List:
-        """Generic fan-out of a picklable function over items (uncached).
-
-        Used for independent work that is not a (config, benchmark)
-        simulation — e.g. Figure 3's scenario panels.  Serial when the
-        pool is unavailable; order is preserved either way.
-        """
-        items = list(items)
-        if self.workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        pool = self._make_pool(len(items))
-        if pool is None:
-            return [fn(item) for item in items]
-        with pool:
-            return list(pool.map(fn, items))
 
     # -- trace fan-out -------------------------------------------------------
 
@@ -741,7 +770,7 @@ class ParallelExperimentEngine:
         self.records.append(JobRecord(
             key=key,
             config=job.config.name,
-            config_digest=config_digest(job.config),
+            config_digest=self._config_digests[key],
             benchmark=job.benchmark,
             requests=job.requests,
             seed=job.seed,

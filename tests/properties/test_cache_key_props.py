@@ -4,15 +4,24 @@ discriminating as the job description.
 * stable — re-constructing an identical config (and job) from scratch
   always reproduces the identical key,
 * sensitive — changing any single field of the config, or any trace
-  parameter, or the code-version tag, always changes the key.
+  parameter, or the code-version tag, always changes the key,
+* unchanged — the canonical form is byte-identical to the plain
+  recursive reduction the keys were first defined by, so existing
+  caches stay valid.
 """
+
+import dataclasses
+import enum
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import fgnvm
+from repro.config import all_presets, fgnvm, with_reliability
 from repro.config.params import override_nested
+from repro.memsys.reliability import DeviceFaultPlan
 from repro.sim.parallel import ExperimentJob, canonical_config, job_key
+from repro.sim.sweeps import swept_configs
 
 #: Valid (subarray_groups, column_divisions) draw space.
 GEOMETRIES = [(1, 1), (2, 2), (4, 4), (8, 2), (8, 8)]
@@ -104,3 +113,67 @@ def test_key_distinct_across_trace_parameters(geometry, requests, seed):
     assert job_key(ExperimentJob(cfg, "mcf", requests, seed)) != base
     assert job_key(ExperimentJob(cfg, "mcf", requests),
                    code_version="other") != base
+
+
+def _oracle_jsonable(value):
+    """The recursive reduction cache keys were first defined by."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: _oracle_jsonable(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, dict):
+        return {str(k): _oracle_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_oracle_jsonable(v) for v in value]
+    return value
+
+
+def oracle_canonical(config):
+    return json.dumps(_oracle_jsonable(config), sort_keys=True,
+                      separators=(",", ":"))
+
+
+#: Sweepable knobs with values valid for every preset.
+SWEEPS = [
+    ("org.rows_per_bank", [1024, 8192]),
+    ("controller.max_writes_per_bank", [1, 2]),
+    ("controller.eager_writes", [True, False]),
+    ("cpu.rob_entries", [64, 256]),
+    ("timing.twp_ns", [100.0, 150.0]),
+]
+
+
+@given(preset=st.sampled_from(range(len(all_presets()))),
+       sweep=st.sampled_from(SWEEPS),
+       mutation=st.sampled_from(FIELD_MUTATIONS),
+       kills=st.integers(0, 3),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_canonical_config_matches_recursive_oracle(preset, sweep, mutation,
+                                                   kills, seed):
+    base = all_presets()[preset]
+    if kills:
+        org = base.org
+        base = with_reliability(base, write_fail_prob=0.01, seed=seed,
+                                fault_plan=DeviceFaultPlan.seeded(
+                                    seed=seed, kills=kills,
+                                    banks=org.banks_per_rank,
+                                    subarray_groups=org.subarray_groups,
+                                    column_divisions=org.column_divisions))
+    path, values = sweep
+    for cfg in swept_configs(base, path, values):
+        assert canonical_config(cfg) == oracle_canonical(cfg)
+        # Mutate in place, as presets and sweeps do after construction.
+        field_path, mutate = mutation
+        *outer, leaf = field_path.split(".")
+        target = cfg
+        for part in outer:
+            target = getattr(target, part)
+        setattr(target, leaf, mutate(getattr(target, leaf)))
+        assert canonical_config(cfg) == oracle_canonical(cfg)
+        assert job_key(ExperimentJob(cfg, "mcf", 100),
+                       canonical=oracle_canonical(cfg)) == job_key(
+            ExperimentJob(cfg, "mcf", 100))

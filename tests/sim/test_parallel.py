@@ -67,6 +67,34 @@ class TestKeys:
             job(), code_version=CODE_VERSION
         )
 
+    def test_key_bytes_are_pinned(self):
+        """Existing caches stay valid: the key of a fixed job never moves."""
+        assert job_key(ExperimentJob(fgnvm(8, 2), "mcf", 2500)) == (
+            "72510da174b612a9babe6d64a1fa286cad449c1b3118333efd011e734f284f00"
+        )
+        assert config_digest(fgnvm(8, 2)) == (
+            "5e0eadd19ae5665e2be0bc980fd886fb633446cdb50743cd438017f584536c0a"
+        )
+
+    def test_precomputed_canonical_gives_the_same_key(self):
+        cfg = small(fgnvm(4, 4))
+        assert job_key(job(config=cfg), CODE_VERSION,
+                       canonical_config(cfg)) == job_key(job(config=cfg))
+
+    def test_in_place_mutation_between_batches_changes_the_key(self):
+        """Configs are mutable: no canonical form outlives one batch."""
+        engine = ParallelExperimentEngine(workers=1)
+        cfg = small(fgnvm(4, 4))
+        engine.run_jobs([job(config=cfg)])
+        cfg.cpu.rob_entries += 1
+        engine.run_jobs([job(config=cfg)])
+        first, second = engine.records
+        assert first.key != second.key
+        assert first.config_digest != second.config_digest
+        assert second.key == job_key(job(config=cfg))
+        assert second.config_digest == config_digest(cfg)
+        assert engine.stats.executed == 2
+
     def test_execute_job_matches_run_benchmark(self):
         direct = run_benchmark(small(fgnvm(4, 4)), "sphinx3", REQUESTS)
         via_job = execute_job(job())
@@ -217,10 +245,6 @@ class TestEngineSerial:
     def test_invalid_workers_rejected(self):
         with pytest.raises(ExperimentError):
             ParallelExperimentEngine(workers=0)
-
-    def test_map_serial(self):
-        engine = ParallelExperimentEngine(workers=1)
-        assert engine.map(len, ["ab", "c"]) == [2, 1]
 
     def test_duck_types_experiment_cache(self):
         """Everything accepting an ExperimentCache accepts an engine."""

@@ -394,12 +394,14 @@ class TestInstrumentation:
     )
     def test_missing_destination_fails_before_simulating(
             self, flag, tmp_path, monkeypatch, capsys):
-        import repro.cli
+        import repro.sim.experiment
 
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated before checking destinations")
 
-        monkeypatch.setattr(repro.cli, "run_benchmark", no_simulation)
+        # `run` imports the simulator entry point when it runs.
+        monkeypatch.setattr(repro.sim.experiment, "run_benchmark",
+                            no_simulation)
         with pytest.raises(SystemExit) as exc:
             main([
                 "run", "--config", "fgnvm-8x2", "--requests", "300",
@@ -586,9 +588,41 @@ class TestProfile:
         stats = pstats.Stats(str(path))
         assert stats.total_calls > 0
 
-    def test_profile_rejects_bad_requests(self):
-        with pytest.raises(SystemExit, match="--requests"):
+    def test_profile_rejects_bad_requests(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["profile", "--requests", "0"])
+        assert excinfo.value.code == 2
+        assert "--requests" in capsys.readouterr().err
+
+
+class TestRequestsValidation:
+    """Every ``--requests`` is a positive count, checked while parsing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["figure4"],
+        ["figure5"],
+        ["compare"],
+        ["sweep", "--path", "org.column_divisions", "--values", "2"],
+        ["figure-policies"],
+        ["figure-degradation"],
+        ["blame"],
+        ["figure-blame"],
+        ["headline"],
+        ["reproduce"],
+        ["chaos"],
+        ["profile"],
+        ["perf", "record"],
+    ], ids=lambda argv: argv[0] if argv[0] != "perf" else "perf-record")
+    @pytest.mark.parametrize("value", ["0", "-1", "many"])
+    def test_non_positive_requests_is_a_usage_error(self, argv, value,
+                                                    capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--requests", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --requests:" in err
+        assert "usage:" in err
 
 
 class TestUnknownBenchmark:
