@@ -110,6 +110,10 @@ class FgNvmBank:
         #: Column divisions one cache line spans (>1 when the grid is
         #: finer than a cache line, e.g. 32 CDs over a 16-line row).
         self.cd_span = cd_span
+        #: Base CD -> the CDs an access there touches (wrapping).
+        self._cd_table: List[Tuple[int, ...]] = [tuple(
+            (base + offset) % column_divisions for offset in range(cd_span)
+        ) for base in range(column_divisions)]
         self.timing = timing
         #: Bits latched by one sense: one CD slice of one row.
         self.sense_bits = sense_bits
@@ -177,15 +181,18 @@ class FgNvmBank:
 
     def classify(self, req: MemRequest) -> str:
         """Service kind this request would get if issued now."""
-        dec = req.decoded
-        sag, cds = self._coords(dec)
+        return self._classify_at(req, *self._coords(req.decoded))
+
+    def _classify_at(self, req: MemRequest, sag: int, cds: tuple) -> str:
+        """:meth:`classify` for already-resolved tile coordinates."""
+        row = req.decoded.row
         if req.is_write:
-            if self.open_row[sag] == dec.row:
+            if self.open_row[sag] == row:
                 return SERVICE_WRITE
             return SERVICE_WRITE_MISS
-        if all(self._buffered(sag, c, dec.row) for c in cds):
+        if all(self._buffered(sag, c, row) for c in cds):
             return SERVICE_ROW_HIT
-        if self.open_row[sag] == dec.row:
+        if self.open_row[sag] == row:
             return SERVICE_UNDERFETCH
         return SERVICE_ROW_MISS
 
@@ -214,12 +221,13 @@ class FgNvmBank:
         ``now`` — the incremental scheduler relies on this through
         :meth:`kind_and_constraint`.
         """
-        constraint = self._constraint(req, self.classify(req))
+        sag, cds = self._coords(req.decoded)
+        constraint = self._constraint_at(
+            self._classify_at(req, sag, cds), sag, cds)
         return constraint if constraint > now else now
 
-    def _constraint(self, req: MemRequest, kind: str) -> int:
-        """Now-independent earliest-start bound for ``req``."""
-        sag, cds = self._coords(req.decoded)
+    def _constraint_at(self, kind: str, sag: int, cds: tuple) -> int:
+        """Now-independent earliest-start bound for a ``kind`` access."""
         start = self._last_column + self.timing.tccd
         for cd in cds:
             cd_free = self.grid.cd_free_at(cd)
@@ -242,7 +250,7 @@ class FgNvmBank:
     def stall_blame(self, req: MemRequest) -> Tuple[str, int, str]:
         """(service kind, earliest-start constraint, blame cause).
 
-        Re-walks :meth:`_constraint` but remembers *which* resource set
+        Re-walks :meth:`_constraint_at` but remembers *which* resource set
         the binding bound, mapping it onto the blame taxonomy of
         :mod:`repro.obs.trace`:
 
@@ -261,8 +269,8 @@ class FgNvmBank:
         Only called for sampled requests, so it is kept simple rather
         than memoized.
         """
-        kind = self.classify(req)
         sag, cds = self._coords(req.decoded)
+        kind = self._classify_at(req, sag, cds)
         start = self._last_column + self.timing.tccd
         cause = BLAME_TILE
         for cd in cds:
@@ -321,8 +329,9 @@ class FgNvmBank:
         cached = self._sched_cache.get(key)
         if cached is not None:
             return cached
-        kind = self.classify(req)
-        entry = (kind, self._constraint(req, kind))
+        sag, cds = self._coords(dec)
+        kind = self._classify_at(req, sag, cds)
+        entry = (kind, self._constraint_at(kind, sag, cds))
         self._sched_cache[key] = entry
         return entry
 
@@ -333,11 +342,12 @@ class FgNvmBank:
 
         Raises :class:`ProtocolError` if the request is not actually
         issuable at ``now`` — the controller must respect
-        :meth:`earliest_start`.
+        :meth:`earliest_start`.  Close-page closes the tile resolved
+        before issue, even if the write retired it.
         """
-        result = self._issue(req, now)
+        sag, cds = self._coords(req.decoded)
+        result = self._issue(req, now, sag, cds)
         if self.close_page:
-            sag, cds = self._coords(req.decoded)
             self.open_row[sag] = None
             for cd in cds:
                 self.buffer_tag[cd] = None
@@ -349,22 +359,23 @@ class FgNvmBank:
             self._sched_cache.clear()
         return result
 
-    def _issue(self, req: MemRequest, now: int) -> IssueResult:
-        earliest = self.earliest_start(req, now)
+    def _issue(self, req: MemRequest, now: int, sag: int,
+               cds: Tuple[int, ...]) -> IssueResult:
+        # Legality is recomputed from bank state, never read from the
+        # scheduling memo, so a stale memo entry cannot slip through.
+        kind = self._classify_at(req, sag, cds)
+        earliest = self._constraint_at(kind, sag, cds)
         if earliest > now:
             raise ProtocolError(
                 f"bank {self.bank_id}: request {req.req_id} issued at {now} "
                 f"but earliest start is {earliest}"
             )
         dec = req.decoded
-        sag, cds = self._coords(dec)
-        kind = self.classify(req)
         t = self.timing
         self._last_column = now
 
-        overlapping = self.grid.active_cd_kinds(now, exclude_cds=cds)
-        overlapping_reads = sum(1 for k in overlapping if k == KIND_SENSE)
-        overlapping_writes = sum(1 for k in overlapping if k == KIND_WRITE)
+        overlapping_reads, overlapping_writes = self.grid.overlap_counts(
+            now, cds)
 
         if kind == SERVICE_ROW_HIT:
             self.stats.count_read_issue(kind)
@@ -585,9 +596,7 @@ class FgNvmBank:
     def active_writes(self, now: int) -> int:
         """Writes currently driving cells in this bank (the write-cap
         throttle and PALP's overlap term)."""
-        return sum(
-            1 for k in self.grid.active_cd_kinds(now) if k == KIND_WRITE
-        )
+        return self.grid.overlap_counts(now)[1]
 
     def write_cap_free_at(self, cap: int) -> int:
         """First cycle at which fewer than ``cap`` writes hold CDs.
@@ -646,11 +655,7 @@ class FgNvmBank:
         rel = self.reliability
         if rel is not None and rel.remap:
             sag, base = rel.resolve(sag, base)
-        cds = tuple(
-            (base + offset) % self.column_divisions
-            for offset in range(self.cd_span)
-        )
-        return (sag, cds)
+        return sag, self._cd_table[base]
 
     def open_rows(self) -> List[Optional[int]]:
         """Snapshot of per-SAG open rows (tests and debugging)."""

@@ -86,30 +86,23 @@ class TileGrid:
         sag, cd = tile
         return self._sag_until[sag] <= now and self._cd_until[cd] <= now
 
-    def active_cd_kinds(self, now: int,
-                        exclude_cds: "Optional[tuple]" = None) -> List[str]:
-        """Kinds of operations currently holding CDs (overlap stats).
+    def overlap_counts(self, now: int, exclude_cds: tuple = ()
+                       ) -> Tuple[int, int]:
+        """(senses, writes) currently holding CDs (overlap stats).
 
         Every array operation holds at least one CD, so CD occupancy is
         the census of in-flight operations; ``exclude_cds`` removes the
         caller's own columns from the count.
         """
-        excluded = exclude_cds or ()
-        until = self._cd_until
-        kinds = self._cd_kind
-        return [
-            kinds[cd]
-            for cd in range(len(until))
-            if until[cd] > now and cd not in excluded
-        ]
-
-    def any_write_active(self, now: int) -> bool:
-        until = self._cd_until
-        kinds = self._cd_kind
-        return any(
-            kinds[cd] == KIND_WRITE and until[cd] > now
-            for cd in range(len(until))
-        )
+        reads = writes = 0
+        for cd, until in enumerate(self._cd_until):
+            if until > now and cd not in exclude_cds:
+                kind = self._cd_kind[cd]
+                if kind == KIND_SENSE:
+                    reads += 1
+                elif kind == KIND_WRITE:
+                    writes += 1
+        return reads, writes
 
     # -- updates ---------------------------------------------------------
 

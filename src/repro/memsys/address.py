@@ -83,10 +83,10 @@ class AddressMapper:
         self._cd_span = org.cd_span
         self._cd_interleaved = org.cd_interleaved
         self._sag_interleaved = org.sag_interleaved
-        #: Decode memo keyed on the raw (pre-wrap) address.  Trace
-        #: working sets revisit lines heavily, and the trace path decodes
-        #: each address for admission, enqueue, and stall polling —
-        #: bounded by the number of distinct addresses in one run.
+        #: Decode memo keyed on the raw (pre-wrap) address.  Traces
+        #: rarely repeat a line, so on one channel it seldom hits (only
+        #: ``enqueue`` decodes); it serves the multi-channel routing
+        #: polls, which decode the same address until it is admitted.
         self._decode_cache: "dict[int, DecodedAddress]" = {}
 
     @property

@@ -108,17 +108,19 @@ class WriteQueue(TransactionQueue):
         self.low_watermark = low_watermark
         self._draining = False
         self._forced = False
-        self._by_address: Dict[int, MemRequest] = {}
+        #: Queued writes per address: a read forwards while any is left.
+        self._by_address: Dict[int, int] = {}
 
     def push(self, req: MemRequest, cycle: int) -> None:
         super().push(req, cycle)
-        # Last write to an address wins for forwarding purposes.
-        self._by_address[req.address] = req
+        self._by_address[req.address] = self._by_address.get(
+            req.address, 0) + 1
 
     def remove(self, req: MemRequest) -> None:
         super().remove(req)
-        if self._by_address.get(req.address) is req:
-            del self._by_address[req.address]
+        left = self._by_address.pop(req.address) - 1
+        if left:
+            self._by_address[req.address] = left
 
     def forwards(self, address: int) -> bool:
         """True when a queued write can service a read to ``address``."""

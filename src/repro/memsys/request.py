@@ -63,9 +63,9 @@ class DecodedAddress:
 _req_ids = itertools.count()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class MemRequest:
-    """One cache-line memory transaction."""
+    """One cache-line memory transaction (compared by identity)."""
 
     op: OpType
     address: int

@@ -6,7 +6,7 @@ tCAS_hit=6, tCCD=4, tBURST=4, write occupancy tCWD+tWP+tWR=66 cycles.
 
 import pytest
 
-from repro.config import fgnvm
+from repro.config import fgnvm, with_reliability
 from repro.config.params import TimingParams
 from repro.core.fgnvm_bank import FgNvmBank, make_fgnvm_bank
 from repro.errors import ProtocolError
@@ -224,6 +224,21 @@ class TestProtocolEnforcement:
         with pytest.raises(ProtocolError):
             bank.issue(conflicting, TCCD)
 
+    def test_issue_does_not_trust_the_scheduling_memo(self, setup):
+        """A memo entry claiming "issuable now" must not let a request
+        through whose real constraint lies in the future."""
+        bank, mapper, _ = setup
+        bank.issue(read_at(mapper, sag=0, cd=0), 0)
+        conflicting = read_at(mapper, sag=1, cd=0)
+        kind, constraint = bank.kind_and_constraint(conflicting)
+        assert constraint == MISS_BUSY
+        [key] = [k for k, v in bank._sched_cache.items()
+                 if v == (kind, constraint)]
+        bank._sched_cache[key] = (kind, 0)
+        assert bank.kind_and_constraint(conflicting) == (kind, 0)
+        with pytest.raises(ProtocolError):
+            bank.issue(conflicting, TCCD)
+
     def test_next_release_reports_busy_resources(self, setup):
         bank, mapper, _ = setup
         assert bank.next_release(0) is None
@@ -324,3 +339,37 @@ class TestClosePage:
         bank.issue(write, 0)
         assert bank.open_rows() == [None] * 4
         assert bank.classify(read_at(mapper)) == SERVICE_ROW_MISS
+
+    def wear_out(self, sag, cd):
+        """Write (sag, cd) twice on a bank whose tiles survive one write
+        and which has one spare: the second write retires the tile and
+        remaps it onto the next live one."""
+        cfg = with_reliability(fgnvm(4, 4), endurance_writes=1,
+                               spare_tiles=1)
+        cfg.org.rows_per_bank = 256
+        bank = make_fgnvm_bank(0, cfg.org, cfg.timing.cycles(),
+                               StatsCollector(), reliability=cfg.reliability)
+        bank.close_page = True
+        mapper = AddressMapper(cfg.org)
+        now = 0
+        for _ in range(2):
+            write = write_at(mapper, sag=sag, cd=cd)
+            now = bank.earliest_start(write, now)
+            bank.issue(write, now)
+        assert (sag, cd) in bank.reliability.remap
+        return bank, mapper
+
+    def test_retiring_write_closes_its_own_tile(self):
+        bank, _ = self.wear_out(sag=0, cd=0)
+        assert bank.reliability.remap[(0, 0)] == (0, 1)
+        assert bank.buffer_tag == [None] * 4
+        assert bank.open_rows() == [None] * 4
+
+    def test_retiring_write_closes_its_sag_when_remapped_across(self):
+        bank, mapper = self.wear_out(sag=0, cd=3)
+        assert bank.reliability.remap[(0, 3)] == (1, 0)
+        assert bank.buffer_tag == [None] * 4
+        assert bank.open_rows() == [None] * 4
+        # Same row, other CD of the written SAG: the wordline is down.
+        assert bank.classify(write_at(mapper, sag=0, cd=2)) == (
+            SERVICE_WRITE_MISS)

@@ -61,18 +61,18 @@ class TestQueries:
         assert not grid.is_tile_free((0, 2), 5)   # CD busy
         assert grid.is_tile_free((1, 0), 48)
 
-    def test_active_cd_kinds_with_exclusion(self, grid):
+    def test_overlap_counts_with_exclusion(self, grid):
         grid.occupy_cd(0, 0, 66, KIND_WRITE)
         grid.occupy_cd(1, 0, 38, KIND_SENSE)
-        assert sorted(grid.active_cd_kinds(5)) == ["sense", "write"]
-        assert grid.active_cd_kinds(5, exclude_cds=(0,)) == ["sense"]
-        assert grid.active_cd_kinds(50) == ["write"]
+        assert grid.overlap_counts(5) == (1, 1)
+        assert grid.overlap_counts(5, exclude_cds=(0,)) == (1, 0)
+        assert grid.overlap_counts(50) == (0, 1)
 
-    def test_any_write_active(self, grid):
-        assert not grid.any_write_active(0)
+    def test_overlap_counts_writes(self, grid):
+        assert grid.overlap_counts(0)[1] == 0
         grid.occupy_cd(3, 0, 66, KIND_WRITE)
-        assert grid.any_write_active(10)
-        assert not grid.any_write_active(66)
+        assert grid.overlap_counts(10)[1] == 1
+        assert grid.overlap_counts(66)[1] == 0
 
     def test_next_release(self, grid):
         assert grid.next_release(0) is None

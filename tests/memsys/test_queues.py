@@ -1,5 +1,7 @@
 """Transaction and write queues: capacity, watermarks, forwarding."""
 
+import copy
+
 import pytest
 
 from repro.errors import QueueFullError
@@ -113,6 +115,40 @@ class TestForwarding:
         queue.remove(first)
         # The newer write still covers the address.
         assert queue.forwards(0x40)
+
+    def test_older_write_covers_after_newer_leaves(self):
+        queue = WriteQueue(8, 6, 2)
+        first = req(0x40, OpType.WRITE)
+        second = req(0x40, OpType.WRITE)
+        queue.push(first, 0)
+        queue.push(second, 1)
+        queue.remove(second)
+        assert queue.forwards(0x40)
+        queue.remove(first)
+        assert not queue.forwards(0x40)
+
+
+@pytest.mark.parametrize("make_queue", [
+    lambda: TransactionQueue(4),
+    lambda: WriteQueue(4, 3, 1),
+], ids=["transaction", "write"])
+def test_remove_matches_identity_not_equal_fields(make_queue):
+    """A request's copy has the same ``req_id`` and fields, yet removing
+    the copy must leave the original queued in every index."""
+    queue = make_queue()
+    original = req(0x40, OpType.WRITE)
+    queue.push(original, 0)
+    twin = copy.copy(original)
+    queue.push(twin, 0)
+    assert twin.req_id == original.req_id
+    queue.remove(twin)
+    assert len(queue) == 1 and queue.oldest() is original
+    [group] = queue.by_bank().values()
+    assert len(group) == 1 and group[0] is original
+    if isinstance(queue, WriteQueue):
+        assert queue.forwards(0x40)
+        queue.remove(original)
+        assert not queue.forwards(0x40)
 
 
 def test_oldest_first_sorts_by_arrival_then_id():

@@ -9,11 +9,16 @@ A random, legally-scheduled stream of reads/writes must never violate:
 * the buffer tag always names the SAG's open row lineage.
 """
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import fgnvm, with_reliability
-from repro.core.fgnvm_bank import make_fgnvm_bank
+from repro.config.params import ReliabilityParams
+from repro.core.fgnvm_bank import FgNvmBank, make_fgnvm_bank
+from repro.core.tile import KIND_MAINT, KIND_SENSE, KIND_WRITE
+from repro.memsys.reliability import make_bank_reliability
 from repro.memsys.address import AddressMapper
 from repro.memsys.request import (
     SERVICE_ROW_HIT,
@@ -190,3 +195,54 @@ def test_write_cap_free_at_matches_active_writes(ops, dims, cap, faults):
         for t in range(start, max(horizon, free_at) + 2):
             assert (bank.active_writes(t) >= cap) == (t < free_at), t
         now = start
+
+
+@st.composite
+def occupied_banks(draw):
+    """A bank of any grid from 1x1 to 8x8, a line spanning one or two
+    CDs, with or without retired tiles remapped, and random occupancy."""
+    sags = draw(st.integers(1, 8))
+    cds = draw(st.integers(1, 8))
+    rel = None
+    if draw(st.booleans()):
+        rel = make_bank_reliability(
+            ReliabilityParams(enabled=True), 0, sags, cds)
+        tiles = st.tuples(st.integers(0, sags - 1), st.integers(0, cds - 1))
+        rel.remap.update(draw(st.dictionaries(tiles, tiles, max_size=6)))
+    bank = FgNvmBank(0, sags, cds, fgnvm().timing.cycles(), 1, 1,
+                     StatsCollector(), cd_span=draw(st.sampled_from([1, 2])),
+                     reliability=rel)
+    for cd in range(cds):
+        if draw(st.booleans()):
+            kind = draw(st.sampled_from([KIND_SENSE, KIND_WRITE, KIND_MAINT]))
+            bank.grid.occupy_cd(cd, draw(st.integers(0, 40)),
+                                draw(st.integers(1, 80)), kind)
+    return bank
+
+
+@given(bank=occupied_banks(), now=st.integers(0, 130), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_tile_tables_match_direct_formulas(bank, now, data):
+    """The per-base-CD table and the counting census answer exactly
+    what the generator-built tuple and the kind-list census did."""
+    sags, cds, span = bank.subarray_groups, bank.column_divisions, bank.cd_span
+    for sag in range(2 * sags):
+        for cd in range(2 * cds):
+            base_sag, base = sag % sags, cd % cds
+            rel = bank.reliability
+            if rel is not None and rel.remap:
+                base_sag, base = rel.resolve(base_sag, base)
+            expected = (base_sag,
+                        tuple((base + o) % cds for o in range(span)))
+            assert bank._coords(SimpleNamespace(sag=sag, cd=cd)) == expected
+    grid = bank.grid
+    exclude = tuple(data.draw(st.sets(st.integers(0, cds - 1))))
+    active = [grid.cd_kind(cd) for cd in range(cds)
+              if grid.cd_free_at(cd) > now and cd not in exclude]
+    assert grid.overlap_counts(now, exclude) == (
+        sum(1 for k in active if k == KIND_SENSE),
+        sum(1 for k in active if k == KIND_WRITE),
+    )
+    assert bank.active_writes(now) == sum(
+        1 for cd in range(cds)
+        if grid.cd_free_at(cd) > now and grid.cd_kind(cd) == KIND_WRITE)
