@@ -15,9 +15,8 @@ controlled queue depths and bank counts:
   policy shows up next to the FRFCFS numbers (every policy shares one
   min-scan, so only the ranking key differs),
 * ``trace.generate`` / ``trace.decode`` — the packed struct-of-arrays
-  trace pipeline against the per-record dataclass stream it replaced:
-  column-fill generation vs record-object generation, and streaming
-  text/framed-blob decode vs full record materialisation.
+  trace pipeline: column-fill generation, and streaming text decode vs
+  the framed-blob decode.
 
 Timings are recorded as ``microbench``-sourced entries in the session's
 ``BENCH_PERF.json`` via :func:`conftest.record_perf_entry`, alongside
@@ -39,7 +38,7 @@ from repro.memsys.stats import StatsCollector
 from repro.obs.perf import PerfEntry
 from repro.workloads.packed import PackedTrace
 from repro.workloads.spec_profiles import get_profile
-from repro.workloads.trace_io import read_trace_packed, trace_to_string
+from repro.workloads.trace_io import read_trace, trace_to_string
 from repro.workloads.tracegen import ProfileTraceGenerator, generate_packed_trace
 
 #: Transaction-queue occupancy held during timing.
@@ -186,50 +185,33 @@ TRACE_ROWS = 20_000
 
 
 def bench_trace_generate(cache):
-    """Packed column fill vs the per-record dataclass stream."""
+    """Packed column fill straight from the profile generator."""
     profile = get_profile("mcf")
-    packed_samples, record_samples = [], []
+    packed_samples = []
     for _ in range(SAMPLES):
         start = time.perf_counter()
         packed = ProfileTraceGenerator(profile).packed(TRACE_ROWS)
         packed_samples.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        drained = sum(1 for _ in ProfileTraceGenerator(profile)
-                      .records(TRACE_ROWS))
-        record_samples.append(time.perf_counter() - start)
-        assert len(packed) == drained == TRACE_ROWS
+        assert len(packed) == TRACE_ROWS
     _record("trace-pipeline", "generate-packed", TRACE_ROWS,
             TRACE_ROWS, packed_samples)
-    _record("trace-pipeline", "generate-records", TRACE_ROWS,
-            TRACE_ROWS, record_samples)
 
 
 def bench_trace_decode(cache):
-    """Streaming/blob decode vs materialising every TraceRecord.
-
-    ``decode-records`` times what the old reader always paid — columns
-    plus one dataclass per line — so the packed rows show the decode
-    cost the struct-of-arrays pipeline removed.
-    """
+    """Streaming text decode vs the framed blob decode."""
     trace = generate_packed_trace(get_profile("mcf"), TRACE_ROWS)
-    text = trace_to_string(trace.view())
+    text = trace_to_string(trace)
     blob = trace.to_bytes()
-    text_samples, blob_samples, record_samples = [], [], []
+    text_samples, blob_samples = [], []
     for _ in range(SAMPLES):
         start = time.perf_counter()
-        decoded = read_trace_packed(io.StringIO(text))
+        decoded = read_trace(io.StringIO(text))
         text_samples.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        records = decoded.to_records()
-        record_samples.append(
-            time.perf_counter() - start + text_samples[-1])
         start = time.perf_counter()
         reloaded = PackedTrace.from_bytes(blob)
         blob_samples.append(time.perf_counter() - start)
-        assert len(records) == len(reloaded) == TRACE_ROWS
+        assert len(decoded) == len(reloaded) == TRACE_ROWS
     _record("trace-pipeline", "decode-packed", TRACE_ROWS,
             TRACE_ROWS, text_samples)
-    _record("trace-pipeline", "decode-records", TRACE_ROWS,
-            TRACE_ROWS, record_samples)
     _record("trace-pipeline", "decode-blob", TRACE_ROWS,
             TRACE_ROWS, blob_samples)

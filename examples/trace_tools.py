@@ -42,7 +42,7 @@ def main() -> None:
 
     print("filtering through a 2 MiB, 16-way LLC ...")
     cache = LastLevelCache(size_bytes=2 << 20, ways=16)
-    filtered = list(cache.filter_trace(raw))
+    filtered = cache.filter_trace(raw)
     print(
         f"  {cache.stats.accesses} accesses -> {cache.stats.misses} "
         f"misses + {cache.stats.writebacks} writebacks "

@@ -14,11 +14,10 @@ write traffic comes from — the mechanism Backgrounded Writes targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, List, Optional
 
-from ..memsys.request import OpType
 from ..units import is_power_of_two, log2_exact
-from ..workloads.record import TraceRecord
+from ..workloads.packed import OP_READ, OP_WRITE, PackedTrace
 
 
 @dataclass
@@ -94,28 +93,26 @@ class LastLevelCache:
         lines[block] = is_write
         return AccessResult(hit=False, writeback_address=writeback)
 
-    def filter_trace(
-        self, trace: Iterable[TraceRecord]
-    ) -> Iterator[TraceRecord]:
-        """Yield the memory-level trace a cached CPU would emit.
+    def filter_trace(self, trace: PackedTrace) -> PackedTrace:
+        """The memory-level trace a cached CPU would emit.
 
         Misses become memory reads (line fills) carrying the accumulated
         instruction gap of the hits they absorb; dirty evictions become
         memory writes with zero gap (writebacks leave asynchronously).
         """
+        misses = PackedTrace()
         pending_gap = 0
-        for record in trace:
-            pending_gap += record.gap
-            result = self.access(
-                record.address, record.op is OpType.WRITE
-            )
+        for gap, op_code, address in trace.rows():
+            pending_gap += gap
+            result = self.access(address, op_code == OP_WRITE)
             if result.hit:
                 pending_gap += 1  # the hit retires as a plain instruction
                 continue
-            yield TraceRecord(pending_gap, OpType.READ, record.address)
+            misses.append(pending_gap, OP_READ, address)
             pending_gap = 0
             if result.writeback_address is not None:
-                yield TraceRecord(0, OpType.WRITE, result.writeback_address)
+                misses.append(0, OP_WRITE, result.writeback_address)
+        return misses
 
     def resident_lines(self) -> int:
         """Lines currently cached (tests and occupancy reporting)."""

@@ -18,15 +18,12 @@ are ratios of these IPCs across memory architectures.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
-
 from ..config.params import CpuParams
 from ..memsys.controller import MemoryController  # noqa: F401 (doc type)
 from ..memsys.request import MemRequest, OpType
 from ..memsys.stats import StatsCollector
 from ..obs.events import EV_CPU_STALL, NULL_PROBE, Event, Probe
-from ..workloads.packed import OP_READ, PackedTrace, RecordView
-from ..workloads.record import TraceRecord
+from ..workloads.packed import OP_READ, PackedTrace
 from .rob import ReorderBuffer
 
 
@@ -36,7 +33,7 @@ class TraceCpu:
     def __init__(
         self,
         params: CpuParams,
-        trace: Iterable[TraceRecord],
+        trace: PackedTrace,
         controller: MemoryController,
         stats: StatsCollector,
         tck_ns: float,
@@ -50,27 +47,20 @@ class TraceCpu:
         self.stats = stats
         self.probe = probe
         self.rob = ReorderBuffer(params.rob_entries)
-        # Packed traces replay by column index — no TraceRecord exists
-        # on the replay path; anything else replays through an iterator.
-        # Both cursors fill the same scalar fields, so the fetch loop is
-        # representation-blind.
-        if isinstance(trace, RecordView):
-            trace = trace.packed
-        if isinstance(trace, PackedTrace):
-            self._packed: Optional[PackedTrace] = trace
-            self._gaps = trace.gaps
-            self._ops = trace.ops
-            self._addresses = trace.addresses
-            self._packed_len = len(trace)
-            self._index = 0
-            self._trace: Iterator[TraceRecord] = iter(())
-        else:
-            self._packed = None
-            self._packed_len = 0
-            self._index = 0
-            self._trace = iter(trace)
+        # The trace replays by column index: no TraceRecord exists on
+        # the replay path.
+        if not isinstance(trace, PackedTrace):
+            raise TypeError(
+                f"a trace must be a PackedTrace, not {type(trace).__name__}"
+                "; pack records with PackedTrace.from_records"
+            )
+        self._gaps = trace.gaps
+        self._ops = trace.ops
+        self._addresses = trace.addresses
+        self._trace_len = len(trace)
+        self._index = 0
         #: Scalar trace cursor: the pending access (valid when
-        #: ``_have_current``), decomposed so neither path boxes records.
+        #: ``_have_current``), decomposed so replay never boxes records.
         self._have_current = False
         self._cur_is_read = False
         self._cur_address = 0
@@ -95,27 +85,15 @@ class TraceCpu:
     # -- trace cursor -----------------------------------------------------
 
     def _advance_record(self) -> None:
-        if self._packed is not None:
-            index = self._index
-            if index >= self._packed_len:
-                self._have_current = False
-                self._trace_done = True
-                return
-            self._index = index + 1
-            self._gap_left = self._gaps[index]
-            self._cur_is_read = self._ops[index] == OP_READ
-            self._cur_address = self._addresses[index]
-            self._have_current = True
-            return
-        try:
-            record = next(self._trace)
-        except StopIteration:
+        index = self._index
+        if index >= self._trace_len:
             self._have_current = False
             self._trace_done = True
             return
-        self._gap_left = record.gap
-        self._cur_is_read = record.op is OpType.READ
-        self._cur_address = record.address
+        self._index = index + 1
+        self._gap_left = self._gaps[index]
+        self._cur_is_read = self._ops[index] == OP_READ
+        self._cur_address = self._addresses[index]
         self._have_current = True
 
     @property

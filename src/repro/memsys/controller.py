@@ -116,9 +116,11 @@ class MemoryController:
         #: work: enqueue, issue, flush.  A bank held by the write
         #: throttle counts as blocked until its
         #: :meth:`~repro.core.fgnvm_bank.FgNvmBank.write_cap_free_at`
-        #: cycle.  Not installed while traced requests are queued under
-        #: a throttle: the blame pass only runs on non-quiet cycles and
-        #: reads the throttle at the cycle it runs on.
+        #: cycle.  Not installed while traced writes are queued under a
+        #: throttle: the blame pass only runs on non-quiet cycles and
+        #: reads the throttle at the cycle it runs on.  Traced reads
+        #: need no exception: ``write_cap`` blame applies only to
+        #: writes, and a drain flip is an event of its own.
         self._quiet_until = 0
         #: Min earliest-start constraint per flat bank over both queues,
         #: and the min over those (the O(pending) part of the event
@@ -135,6 +137,8 @@ class MemoryController:
         #: blame attribution; empty whenever nothing is traced, so
         #: hot paths may guard on truthiness alone.
         self._traced: "dict[int, Tuple[MemRequest, RequestSpan]]" = {}
+        #: How many of ``_traced`` are writes (see ``_quiet_until``).
+        self._traced_writes = 0
 
     # -- admission ----------------------------------------------------------
 
@@ -177,7 +181,13 @@ class MemoryController:
         if req.decoded is None:
             req.decoded = self.mapper.decode(req.address)
         tracer = self.tracer
-        span = tracer.on_admit(req, now) if tracer is not None else None
+        span = None
+        if tracer is not None:
+            # The tracer's countdown spares unsampled requests a call.
+            if tracer.skip:
+                tracer.skip -= 1
+            else:
+                span = tracer.on_admit(req, now)
         if self.probe.enabled:
             self.probe.emit(Event(
                 EV_ENQUEUE, now, req_id=req.req_id, op=req.op.value,
@@ -208,6 +218,8 @@ class MemoryController:
             self.read_queue.push(req, now)
         else:
             self.write_queue.push(req, now)
+            if span is not None:
+                self._traced_writes += 1
         if span is not None:
             self._traced[req.req_id] = (req, span)
         self._quiet_until = 0
@@ -235,9 +247,10 @@ class MemoryController:
                     service=req.service_kind, channel=self.channel,
                     value=req.latency,
                 ))
-            if self.tracer is not None:
-                span = self.tracer.finish(req)
-                if span is not None and self.probe.enabled:
+            tracer = self.tracer
+            if tracer is not None and req.req_id in tracer.active:
+                span = tracer.finish(req)
+                if self.probe.enabled:
                     emit_span(self.probe, span)
             done.append(req)
         if read_latencies:
@@ -290,7 +303,7 @@ class MemoryController:
             self._issue(candidate, now)
             issued = True
         if not issued and not starved and not (
-                self._traced and self._write_cap is not None):
+                self._traced_writes and self._write_cap is not None):
             # Nothing issued, so queue occupancy (and with it the drain
             # phase and fall-through policy) is frozen until the next
             # enqueue/issue/flush — each of which resets the memo.  With
@@ -320,12 +333,11 @@ class MemoryController:
                 continue
             bank = banks[req.decoded.flat_bank]
             _, constraint, bank_cause = bank.stall_blame(req)
-            if req.is_write and cap is not None \
-                    and bank.active_writes(now) >= cap:
+            if req.op is OpType.READ:
+                policy_cause = BLAME_DRAIN if draining else BLAME_SCHED
+            elif cap is not None and bank.active_writes(now) >= cap:
                 policy_cause = BLAME_WRITE_CAP
-            elif req.is_read and draining:
-                policy_cause = BLAME_DRAIN
-            elif req.is_write and not draining and not eager \
+            elif not draining and not eager \
                     and not self.read_queue.is_empty:
                 policy_cause = BLAME_DRAIN
             else:
@@ -436,13 +448,12 @@ class MemoryController:
             heapq.heappush(
                 self._completions, (completion, req.req_id, req)
             )
-            if self._traced:
-                entry = self._traced.pop(req.req_id, None)
-                if entry is not None:
-                    self.tracer.on_issue_read(
-                        entry[1], now, result.kind,
-                        result.bus_desired_start, bus_start, completion,
-                    )
+            if req.req_id in self._traced:
+                _, span = self._traced.pop(req.req_id)
+                self.tracer.on_issue_read(
+                    span, now, result.kind,
+                    result.bus_desired_start, bus_start, completion,
+                )
         else:
             # Write data crosses the bus after tCWD; the cell write then
             # proceeds inside the bank.  The request is done (from the
@@ -455,13 +466,13 @@ class MemoryController:
             heapq.heappush(
                 self._completions, (result.data_ready, req.req_id, req)
             )
-            if self._traced:
-                entry = self._traced.pop(req.req_id, None)
-                if entry is not None:
-                    self.tracer.on_issue_write(
-                        entry[1], now, result.kind, result.data_ready,
-                        result.retry_cycles,
-                    )
+            if req.req_id in self._traced:
+                _, span = self._traced.pop(req.req_id)
+                self._traced_writes -= 1
+                self.tracer.on_issue_write(
+                    span, now, result.kind, result.data_ready,
+                    result.retry_cycles,
+                )
 
     # -- progress queries ------------------------------------------------------
 
@@ -515,10 +526,10 @@ class MemoryController:
             # first (and is only worth a rescan) past this point.
             if self._dirty_banks:
                 self._recompute_min_constraint()
-            # Traced requests queued under a cap are blamed on the cycle
+            # Traced writes queued under a cap are blamed on the cycle
             # the blame pass runs, so those runs keep visiting raw-ready
             # cycles (exactly when the quiet memo is not installed).
-            if self._traced and self._write_cap is not None:
+            if self._traced_writes and self._write_cap is not None:
                 min_c = self._min_raw
             else:
                 min_c = self._min_constraint

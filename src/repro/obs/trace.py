@@ -173,15 +173,15 @@ class RequestTracer:
     """Deterministically sampled per-request lifecycle tracer.
 
     The controller calls the ``on_*`` hooks (each guarded by
-    ``if tracer is not None:`` on the hot path); the tracer owns sampling,
-    the span store, and pre-admission backpressure counters.  One
-    tracer may span several channels — admission order is global and
-    deterministic under the single-threaded simulation loop.
+    ``if tracer is not None:`` on the hot path) for sampled requests
+    only; the tracer owns sampling, the span store, and pre-admission
+    backpressure counters.  One tracer may span several channels —
+    admission order is global and deterministic under the
+    single-threaded simulation loop.
     """
 
     __slots__ = (
-        "sample_every", "seed", "_phase", "_admitted",
-        "active", "finished", "queue_full",
+        "sample_every", "seed", "skip", "active", "finished", "queue_full",
     )
 
     def __init__(self, sample_every: int = 1, seed: int = 0):
@@ -191,8 +191,12 @@ class RequestTracer:
             )
         self.sample_every = sample_every
         self.seed = seed
-        self._phase = seed % sample_every
-        self._admitted = 0
+        #: Admissions to pass over before the next sampled one.  The
+        #: controller counts it down instead of making a call per
+        #: admission and calls :meth:`on_admit` when it reaches 0, so
+        #: admission index ``k`` is sampled iff
+        #: ``k % sample_every == seed % sample_every``.
+        self.skip = seed % sample_every
         #: Sampled spans still in flight, keyed by request id.
         self.active: Dict[int, RequestSpan] = {}
         #: Completed spans, in completion order.
@@ -205,15 +209,12 @@ class RequestTracer:
     def on_queue_full(self, op_token: str) -> None:
         self.queue_full[op_token] = self.queue_full.get(op_token, 0) + 1
 
-    def on_admit(self, req, now: int) -> Optional[RequestSpan]:
-        """Sampling decision at queue admission; returns the new span
-        for sampled requests, None otherwise.  Samples on the per-run
+    def on_admit(self, req, now: int) -> RequestSpan:
+        """Open a sampled request's span (called when :attr:`skip` is 0)
+        and re-arm the countdown.  Sampling follows the per-run
         admission index, *not* ``req_id`` (request ids come from a
         process-global counter and are not per-run deterministic)."""
-        index = self._admitted
-        self._admitted += 1
-        if index % self.sample_every != self._phase:
-            return None
+        self.skip = self.sample_every - 1
         dec = req.decoded
         span = RequestSpan(
             req_id=req.req_id, op=req.op.value, arrival=now, last=now,

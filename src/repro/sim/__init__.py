@@ -12,7 +12,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
         "BLOB_MAGIC", "CODE_VERSION", "QUARANTINE_DIR", "DiskResultCache",
         "EngineStats", "ExperimentJob", "ParallelExperimentEngine",
         "ProgressEvent", "canonical_config", "config_digest",
-        "default_engine", "execute_job", "job_key", "result_digest",
+        "execute_job", "job_key", "result_digest",
     ),
     "reporting": (
         "ascii_table", "bar_chart", "dict_table", "format_duration",

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config.params import SystemConfig
 from ..obs.events import Probe
-from ..workloads.record import TraceRecord
+from ..workloads.packed import PackedTrace
 from ..workloads.spec_profiles import get_profile
 from ..workloads.tracegen import generate_trace
 from .simulator import SimResult, simulate
@@ -30,7 +30,7 @@ from .simulator import SimResult, simulate
 DEFAULT_REQUESTS = 20_000
 
 
-def run_trace(config: SystemConfig, trace: Iterable[TraceRecord],
+def run_trace(config: SystemConfig, trace: PackedTrace,
               probe: "Probe | None" = None) -> SimResult:
     """Simulate an explicit trace on one configuration."""
     return simulate(config, trace, probe=probe)

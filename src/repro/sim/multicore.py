@@ -24,7 +24,7 @@ from ..core.energy import EnergyBreakdown, measure_energy
 from ..cpu.trace_cpu import TraceCpu
 from ..errors import SimulationError
 from ..memsys.stats import StatsCollector
-from ..workloads.record import TraceRecord
+from ..workloads.packed import PackedTrace
 from ..workloads.transform import offset_trace
 from .simulator import simulate
 from .system import MemorySystem
@@ -78,7 +78,7 @@ class MultiCoreSimulator:
     def __init__(
         self,
         config: SystemConfig,
-        traces: Sequence[Sequence[TraceRecord]],
+        traces: Sequence[PackedTrace],
         labels: "Sequence[str] | None" = None,
     ):
         if not traces:
@@ -183,7 +183,7 @@ class MultiCoreSimulator:
 
 def run_mix(
     config: SystemConfig,
-    traces: Sequence[Sequence[TraceRecord]],
+    traces: Sequence[PackedTrace],
     labels: "Sequence[str] | None" = None,
 ) -> MultiCoreResult:
     """Build and run a multi-core simulation in one call."""
@@ -198,9 +198,9 @@ DEFAULT_REGION_BYTES = (1 << 25) + (1 << 13)
 
 
 def isolate_address_spaces(
-    traces: Sequence[Sequence[TraceRecord]],
+    traces: Sequence[PackedTrace],
     region_bytes: int = DEFAULT_REGION_BYTES,
-) -> "list[list[TraceRecord]]":
+) -> "list[PackedTrace]":
     """Relocate each trace into its own address region.
 
     Distinct programs should not alias physical lines: shared addresses
@@ -218,7 +218,7 @@ def isolate_address_spaces(
 
 def weighted_speedup_study(
     config: SystemConfig,
-    traces: Sequence[Sequence[TraceRecord]],
+    traces: Sequence[PackedTrace],
     labels: "Sequence[str] | None" = None,
     isolate: bool = True,
 ) -> Dict[str, float]:

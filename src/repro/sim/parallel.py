@@ -848,16 +848,3 @@ class ParallelExperimentEngine:
             self.telemetry.note_progress(event)
         if self.progress is not None:
             self.progress(event)
-
-
-def default_engine(
-    workers: Optional[int] = 1,
-    cache_dir: "str | os.PathLike[str] | None" = None,
-    progress: Optional[ProgressHook] = None,
-) -> ParallelExperimentEngine:
-    """An engine honouring the ``REPRO_CACHE_DIR`` environment default."""
-    if cache_dir is None:
-        cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-    return ParallelExperimentEngine(
-        workers=workers, cache_dir=cache_dir, progress=progress
-    )

@@ -20,7 +20,7 @@ is in flight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..config.params import SystemConfig
 from ..config.validate import validate_config
@@ -33,7 +33,7 @@ from ..cpu.trace_cpu import TraceCpu
 from ..errors import SimulationError
 from ..memsys.stats import StatsCollector
 from ..obs.events import EV_RUN_END, NULL_PROBE, Event, Probe
-from ..workloads.record import TraceRecord
+from ..workloads.packed import PackedTrace
 from .epochs import EpochRecorder, EpochSample
 from .system import MemorySystem
 
@@ -68,7 +68,7 @@ class SimResult:
 class Simulator:
     """One CPU + one memory system, run to completion."""
 
-    def __init__(self, config: SystemConfig, trace: Iterable[TraceRecord],
+    def __init__(self, config: SystemConfig, trace: PackedTrace,
                  probe: "Probe | None" = None):
         validate_config(config)
         self.config = config
@@ -210,7 +210,7 @@ class Simulator:
         return horizon if horizon > naive else naive
 
 
-def simulate(config: SystemConfig, trace: Iterable[TraceRecord],
+def simulate(config: SystemConfig, trace: PackedTrace,
              probe: "Probe | None" = None) -> SimResult:
     """Build and run a simulator in one call (the common entry point)."""
     return Simulator(config, trace, probe=probe).run()

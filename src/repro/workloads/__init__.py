@@ -11,13 +11,11 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "characterize": ("TraceCharacter", "characterize", "fidelity_report"),
     "packed": (
         "OP_READ", "OP_WRITE", "PACKED_FORMAT_VERSION", "PackedTrace",
-        "RecordView", "SharedTraceRef", "TraceCache",
-        "clear_trace_sources", "install_trace_sources", "resolve_trace",
-        "trace_key",
+        "SharedTraceRef", "TraceCache", "clear_trace_sources",
+        "install_trace_sources", "read_fraction", "resolve_trace",
+        "total_instructions", "trace_key", "trace_mpki",
     ),
-    "record": (
-        "TraceRecord", "read_fraction", "total_instructions", "trace_mpki",
-    ),
+    "record": ("TraceRecord",),
     "spec_profiles": (
         "PROFILES", "BenchmarkProfile", "benchmark_names", "get_profile",
     ),
@@ -26,9 +24,8 @@ __getattr__, __dir__, __all__ = attach(__name__, {
         "random_kernel", "stream_kernel", "strided_kernel",
     ),
     "trace_io": (
-        "read_nvmain_trace", "read_nvmain_trace_packed", "read_trace",
-        "read_trace_packed", "trace_to_string", "write_nvmain_trace",
-        "write_trace",
+        "read_nvmain_trace", "read_trace", "trace_to_string",
+        "write_nvmain_trace", "write_trace",
     ),
     "tracegen": (
         "ProfileTraceGenerator", "generate_packed_trace", "generate_trace",

@@ -26,8 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..config.params import OrgParams
 from ..memsys.address import AddressMapper
-from ..memsys.request import OpType
-from .record import TraceRecord, read_fraction, trace_mpki
+from .packed import PackedTrace, read_fraction, trace_mpki
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ def _normalised_entropy(counts: Sequence[int]) -> float:
 
 
 def characterize(
-    trace: List[TraceRecord],
+    trace: PackedTrace,
     org: Optional[OrgParams] = None,
 ) -> TraceCharacter:
     """Measure a trace's statistics against ``org`` (default preset)."""
@@ -87,9 +86,9 @@ def characterize(
     bursts = 0
     lines = set()
 
-    for record in trace:
-        dec = mapper.decode(record.address)
-        lines.add(record.address // org.cacheline_bytes)
+    for gap, _op, address in trace.rows():
+        dec = mapper.decode(address)
+        lines.add(address // org.cacheline_bytes)
         bank_counts[dec.flat_bank % len(bank_counts)] += 1
         sag_counts[dec.sag] += 1
         cd_counts[dec.cd % org.column_divisions] += 1
@@ -99,7 +98,7 @@ def characterize(
             if last == dec.row:
                 same_row += 1
         per_bank_last_row[dec.flat_bank] = dec.row
-        if record.gap <= 1:
+        if gap <= 1:
             bursts += 1
 
     count = len(trace)

@@ -1,13 +1,14 @@
 """Packed struct-of-arrays traces and their zero-copy transport.
 
-A trace of N accesses used to live as N frozen ``TraceRecord`` objects —
-three boxed ints and a dataclass header each, built one at a time and
-pickled one at a time into every pool worker.  This module replaces that
-representation on the hot paths:
+Every trace — read from a file, generated from a profile, built by a
+synthetic kernel or a transform — lives in one container:
 
 * :class:`PackedTrace` — three parallel stdlib ``array('q')`` columns
   (``gaps`` / ``ops`` / ``addresses``), appendable while a generator or
-  reader fills them, indexable without materialising records,
+  reader fills them; indexing or iterating one yields
+  :class:`~repro.workloads.record.TraceRecord` rows,
+* :func:`total_instructions` / :func:`read_fraction` /
+  :func:`trace_mpki` — the whole-trace reductions, over the columns,
 * a versioned binary **blob format** (:data:`PACKED_MAGIC` + embedded
   SHA-256, the :mod:`repro.store` framing shared with the result-cache
   blobs) so a trace serialises to one contiguous byte string,
@@ -21,15 +22,11 @@ representation on the hot paths:
   installs in-process traces and/or shared-memory references;
   :func:`resolve_trace` serves workers from those sources and falls back
   to deterministic regeneration, so every transport failure degrades to
-  the bit-identical slow path,
-* :class:`RecordView` — a lazy, list-like adapter that keeps every
-  existing ``List[TraceRecord]`` caller working against packed columns
-  without constructing records up front.
+  the bit-identical slow path.
 
-Bit-identity contract: a packed trace and its record form describe the
-identical access stream, the blob round-trips byte-for-byte, and every
-consumer (generator, readers, CPU model, transports) produces results
-indistinguishable from the record pipeline.
+Bit-identity contract: the blob round-trips byte-for-byte, and every
+transport (in-process, shared memory, cache, regeneration) hands the
+simulator identical columns.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ import hashlib
 import json
 import sys
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import TraceFormatError
 from ..memsys.request import OpType
@@ -75,10 +72,11 @@ class PackedTrace:
     Columns are stdlib ``array('q')`` when built locally and appendable;
     traces loaded by :meth:`from_buffer` hold ``memoryview`` columns
     cast straight over the source buffer (zero copies, read-only use).
-    Both support index access and record iteration identically.
+    Both index, iterate and compare identically.
     """
 
     __slots__ = ("gaps", "ops", "addresses", "_owner", "_views")
+    __hash__ = None
 
     def __init__(self, gaps=None, ops=None, addresses=None, owner=None):
         self.gaps = gaps if gaps is not None else array(_TYPECODE)
@@ -106,49 +104,53 @@ class PackedTrace:
         self.addresses.append(address)
 
     @classmethod
-    def from_records(cls, records: Iterable[TraceRecord]) -> "PackedTrace":
+    def from_rows(cls, rows: Iterable[Tuple[int, int, int]]
+                  ) -> "PackedTrace":
+        """Pack ``(gap, op_code, address)`` rows, validated as a
+        :class:`TraceRecord` validates its fields."""
         packed = cls()
         append = packed.append
-        for record in records:
-            append(
-                record.gap,
-                OP_WRITE if record.op is OpType.WRITE else OP_READ,
-                record.address,
-            )
+        for gap, op_code, address in rows:
+            if gap < 0:
+                raise ValueError(f"negative instruction gap: {gap}")
+            if address < 0:
+                raise ValueError(f"negative address: {address:#x}")
+            append(gap, op_code, address)
         return packed
 
-    # -- record access ------------------------------------------------------
+    @classmethod
+    def from_records(cls, records: Iterable[TraceRecord]) -> "PackedTrace":
+        return cls.from_rows(
+            (record.gap,
+             OP_WRITE if record.op is OpType.WRITE else OP_READ,
+             record.address)
+            for record in records
+        )
+
+    # -- row access ---------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.gaps)
 
-    def record(self, index: int) -> TraceRecord:
+    def __getitem__(self, index: int) -> TraceRecord:
         """The access at ``index`` as a (validated) TraceRecord."""
         return TraceRecord(
             self.gaps[index], _op_of(self.ops[index]), self.addresses[index]
         )
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        gaps, ops, addresses = self.gaps, self.ops, self.addresses
-        for i in range(len(gaps)):
-            yield TraceRecord(gaps[i], _op_of(ops[i]), addresses[i])
+        for gap, op_code, address in self.rows():
+            yield TraceRecord(gap, _op_of(op_code), address)
 
-    def to_records(self) -> List[TraceRecord]:
-        return list(self)
+    def rows(self) -> Iterator[Tuple[int, int, int]]:
+        """The accesses as raw ``(gap, op_code, address)`` ints."""
+        return zip(self.gaps, self.ops, self.addresses)
 
-    def view(self) -> "RecordView":
-        """A lazy list-like facade for record-typed callers."""
-        return RecordView(self)
-
-    # -- whole-column reductions --------------------------------------------
-
-    def total_instructions(self) -> int:
-        """Instructions represented (gaps plus the accesses themselves)."""
-        return sum(self.gaps) + len(self.gaps)
-
-    def read_count(self) -> int:
-        """Number of read accesses."""
-        return sum(1 for code in self.ops if code == OP_READ)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PackedTrace):
+            return NotImplemented
+        return (self.gaps == other.gaps and self.ops == other.ops
+                and self.addresses == other.addresses)
 
     # -- binary blob format -------------------------------------------------
 
@@ -299,62 +301,27 @@ class PackedTrace:
                 pass
 
 
-class RecordView:
-    """Lazy list-like adapter over a :class:`PackedTrace`.
+# -- whole-trace reductions ---------------------------------------------------
 
-    Existing callers typed against ``List[TraceRecord]`` keep working —
-    length, iteration, indexing, slicing, equality and concatenation all
-    behave like the list did — but no ``TraceRecord`` exists until the
-    moment an element is actually touched.
-    """
 
-    __slots__ = ("packed",)
-    __hash__ = None
+def total_instructions(trace: PackedTrace) -> int:
+    """Instructions a trace represents (gaps plus the accesses themselves)."""
+    return sum(trace.gaps) + len(trace)
 
-    def __init__(self, packed: PackedTrace):
-        self.packed = packed
 
-    def __len__(self) -> int:
-        return len(self.packed)
+def read_fraction(trace: PackedTrace) -> float:
+    """Fraction of accesses that are reads."""
+    if not len(trace):
+        return 0.0
+    return sum(1 for code in trace.ops if code == OP_READ) / len(trace)
 
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.packed)
 
-    def __getitem__(
-        self, index: "int | slice"
-    ) -> "TraceRecord | List[TraceRecord]":
-        if isinstance(index, slice):
-            packed = self.packed
-            return [packed.record(i)
-                    for i in range(*index.indices(len(packed)))]
-        n = len(self.packed)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("trace index out of range")
-        return self.packed.record(index)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RecordView):
-            other = other.packed
-        if isinstance(other, PackedTrace):
-            mine = self.packed
-            return (mine.gaps == other.gaps and mine.ops == other.ops
-                    and mine.addresses == other.addresses)
-        if not isinstance(other, (list, tuple)):
-            return NotImplemented
-        if len(other) != len(self):
-            return False
-        return all(a == b for a, b in zip(self, other))
-
-    def __add__(self, other):
-        return list(self) + list(other)
-
-    def __radd__(self, other):
-        return list(other) + list(self)
-
-    def __repr__(self) -> str:
-        return f"RecordView({len(self)} records)"
+def trace_mpki(trace: PackedTrace) -> float:
+    """Memory accesses per kilo-instruction represented by the trace."""
+    instructions = total_instructions(trace)
+    if instructions == 0:
+        return 0.0
+    return 1000.0 * len(trace) / instructions
 
 
 # -- content-addressed keys and the on-disk trace cache ----------------------

@@ -1,17 +1,19 @@
-"""Trace records: the interface between workloads and the CPU model.
+"""Trace records: one row of a trace.
 
-A trace is a sequence of LLC-miss-level memory accesses, each annotated
-with the number of independent (non-memory) instructions the program
-executes before it.  This is the SimPoint-slice equivalent: the paper
-feeds gem5 quarter-billion-instruction SPEC2006 regions; we feed the CPU
-model statistically equivalent streams (see
-:mod:`repro.workloads.spec_profiles`).
+A trace (a :class:`~repro.workloads.packed.PackedTrace`) is a sequence
+of LLC-miss-level memory accesses, each annotated with the number of
+independent (non-memory) instructions the program executes before it.
+This is the SimPoint-slice equivalent: the paper feeds gem5
+quarter-billion-instruction SPEC2006 regions; we feed the CPU model
+statistically equivalent streams (see
+:mod:`repro.workloads.spec_profiles`).  Indexing or iterating a packed
+trace yields :class:`TraceRecord` rows, and
+:meth:`~repro.workloads.packed.PackedTrace.from_records` packs them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
 
 from ..memsys.request import OpType
 
@@ -34,27 +36,3 @@ class TraceRecord:
             raise ValueError(f"negative instruction gap: {self.gap}")
         if self.address < 0:
             raise ValueError(f"negative address: {self.address:#x}")
-
-
-def total_instructions(trace: Iterable[TraceRecord]) -> int:
-    """Instructions a trace represents (gaps plus the accesses themselves)."""
-    total = 0
-    for record in trace:
-        total += record.gap + 1
-    return total
-
-
-def read_fraction(trace: List[TraceRecord]) -> float:
-    """Fraction of accesses that are reads."""
-    if not trace:
-        return 0.0
-    reads = sum(1 for record in trace if record.op is OpType.READ)
-    return reads / len(trace)
-
-
-def trace_mpki(trace: List[TraceRecord]) -> float:
-    """Memory accesses per kilo-instruction represented by the trace."""
-    instructions = total_instructions(trace)
-    if instructions == 0:
-        return 0.0
-    return 1000.0 * len(trace) / instructions

@@ -16,53 +16,51 @@ controlled pattern is clearer than a SPEC-like profile:
 * :func:`multi_stream_kernel` — N interleaved sequential streams
   (tunable bank/SAG parallelism; the Multi-Activation showcase).
 
-All kernels are deterministic given their seed and emit
-:class:`~repro.workloads.record.TraceRecord` lists.
+All kernels are deterministic given their seed and return a
+:class:`~repro.workloads.packed.PackedTrace`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List
 
-from ..memsys.request import OpType
-from .record import TraceRecord
+from .packed import OP_READ, OP_WRITE, PackedTrace
 
 LINE = 64
 
 
-def stream_kernel(count: int, gap: int = 20, start: int = 0) -> List[TraceRecord]:
+def stream_kernel(count: int, gap: int = 20, start: int = 0) -> PackedTrace:
     """Sequential reads, one per ``gap`` instructions."""
-    return [
-        TraceRecord(gap, OpType.READ, start + i * LINE) for i in range(count)
-    ]
+    return PackedTrace.from_rows(
+        (gap, OP_READ, start + i * LINE) for i in range(count)
+    )
 
 
 def copy_kernel(count: int, gap: int = 20, src: int = 0,
-                dst: int = 1 << 28) -> List[TraceRecord]:
+                dst: int = 1 << 28) -> PackedTrace:
     """Alternating read-from-src / write-to-dst, STREAM-copy style."""
-    records: List[TraceRecord] = []
+    rows = []
     for i in range(count // 2):
-        records.append(TraceRecord(gap, OpType.READ, src + i * LINE))
-        records.append(TraceRecord(0, OpType.WRITE, dst + i * LINE))
-    return records
+        rows.append((gap, OP_READ, src + i * LINE))
+        rows.append((0, OP_WRITE, dst + i * LINE))
+    return PackedTrace.from_rows(rows)
 
 
 def random_kernel(count: int, footprint_bytes: int = 1 << 30,
                   gap: int = 20, write_fraction: float = 0.0,
-                  seed: int = 7) -> List[TraceRecord]:
+                  seed: int = 7) -> PackedTrace:
     """Uniform random cache lines over ``footprint_bytes``."""
     rng = random.Random(seed)
     lines = footprint_bytes // LINE
-    records = []
+    rows = []
     for _ in range(count):
-        op = OpType.WRITE if rng.random() < write_fraction else OpType.READ
-        records.append(TraceRecord(gap, op, rng.randrange(lines) * LINE))
-    return records
+        op = OP_WRITE if rng.random() < write_fraction else OP_READ
+        rows.append((gap, op, rng.randrange(lines) * LINE))
+    return PackedTrace.from_rows(rows)
 
 
 def pointer_chase_kernel(count: int, footprint_bytes: int = 1 << 28,
-                         gap: int = 50, seed: int = 11) -> List[TraceRecord]:
+                         gap: int = 50, seed: int = 11) -> PackedTrace:
     """A single dependent chain of random hops (zero MLP).
 
     The replay CPU cannot distinguish dependence explicitly, but a chase
@@ -70,29 +68,27 @@ def pointer_chase_kernel(count: int, footprint_bytes: int = 1 << 28,
     """
     rng = random.Random(seed)
     lines = footprint_bytes // LINE
-    position = rng.randrange(lines)
-    records = []
-    for _ in range(count):
-        position = rng.randrange(lines)
-        records.append(TraceRecord(gap, OpType.READ, position * LINE))
-    return records
+    rng.randrange(lines)  # the start draw; kept so seeded streams stay put
+    return PackedTrace.from_rows(
+        (gap, OP_READ, rng.randrange(lines) * LINE) for _ in range(count)
+    )
 
 
 def strided_kernel(count: int, stride_lines: int, gap: int = 20,
-                   start: int = 0) -> List[TraceRecord]:
+                   start: int = 0) -> PackedTrace:
     """Fixed-stride reads; stride >= lines-per-row defeats row reuse."""
     if stride_lines < 1:
         raise ValueError("stride must be >= 1 line")
-    return [
-        TraceRecord(gap, OpType.READ, start + i * stride_lines * LINE)
+    return PackedTrace.from_rows(
+        (gap, OP_READ, start + i * stride_lines * LINE)
         for i in range(count)
-    ]
+    )
 
 
 def multi_stream_kernel(count: int, streams: int, gap: int = 20,
                         stream_spacing_bytes: int = 1 << 24,
                         write_fraction: float = 0.0,
-                        seed: int = 13) -> List[TraceRecord]:
+                        seed: int = 13) -> PackedTrace:
     """N interleaved sequential streams starting far apart.
 
     With spacing chosen to land streams in different SAGs/banks, this is
@@ -103,10 +99,10 @@ def multi_stream_kernel(count: int, streams: int, gap: int = 20,
         raise ValueError("needs at least one stream")
     rng = random.Random(seed)
     positions = [i * stream_spacing_bytes for i in range(streams)]
-    records = []
+    rows = []
     for i in range(count):
         index = i % streams
-        op = OpType.WRITE if rng.random() < write_fraction else OpType.READ
-        records.append(TraceRecord(gap, op, positions[index]))
+        op = OP_WRITE if rng.random() < write_fraction else OP_READ
+        rows.append((gap, op, positions[index]))
         positions[index] += LINE
-    return records
+    return PackedTrace.from_rows(rows)

@@ -13,22 +13,18 @@ Two formats are supported:
 
 Readers stream straight into :class:`~repro.workloads.packed.PackedTrace`
 columns — a million-access file costs three int64 arrays, not a million
-``TraceRecord`` objects — and return a lazy
-:class:`~repro.workloads.packed.RecordView` so record-typed callers are
-unchanged.  ``read_trace_packed`` / ``read_nvmain_trace_packed`` expose
-the columns directly for packed-aware consumers.
+``TraceRecord`` objects — and writers read those columns back.
 """
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import Iterable, TextIO, Union
+from typing import TextIO, Union
 
 from ..errors import TraceFormatError
 from ..memsys.request import OpType
-from .packed import OP_READ, OP_WRITE, PackedTrace, RecordView
-from .record import TraceRecord
+from .packed import OP_READ, OP_WRITE, PackedTrace
 
 PathOrFile = Union[str, Path, TextIO]
 
@@ -51,29 +47,13 @@ def _open_for_write(target: PathOrFile):
     return target, False
 
 
-def _packed_rows(records: "Iterable[TraceRecord] | PackedTrace | RecordView"):
-    """(gap, op_code, address) rows without materialising records."""
-    if isinstance(records, RecordView):
-        records = records.packed
-    if isinstance(records, PackedTrace):
-        return zip(records.gaps, records.ops, records.addresses)
-    return (
-        (
-            record.gap,
-            OP_WRITE if record.op is OpType.WRITE else OP_READ,
-            record.address,
-        )
-        for record in records
-    )
-
-
-def write_trace(records: Iterable[TraceRecord], target: PathOrFile) -> int:
-    """Write records in native format; returns the line count."""
+def write_trace(trace: PackedTrace, target: PathOrFile) -> int:
+    """Write a trace in native format; returns the line count."""
     handle, owned = _open_for_write(target)
     count = 0
     try:
         handle.write("# repro native trace: <gap> <R|W> <hex-address>\n")
-        for gap, op_code, address in _packed_rows(records):
+        for gap, op_code, address in trace.rows():
             handle.write(f"{gap} {_OP_TOKENS[op_code]} 0x{address:x}\n")
             count += 1
     finally:
@@ -82,7 +62,7 @@ def write_trace(records: Iterable[TraceRecord], target: PathOrFile) -> int:
     return count
 
 
-def read_trace_packed(source: PathOrFile) -> PackedTrace:
+def read_trace(source: PathOrFile) -> PackedTrace:
     """Stream a native-format trace into packed columns."""
     handle, owned = _open_for_read(source)
     trace = PackedTrace()
@@ -107,8 +87,7 @@ def read_trace_packed(source: PathOrFile) -> PackedTrace:
                 address = int(parts[2], 0)
             except ValueError as exc:
                 raise TraceFormatError(f"line {line_no}: {exc}") from exc
-            # Same validation (and exceptions) TraceRecord applied when
-            # the reader materialised records.
+            # Same validation (and exceptions) as TraceRecord.
             if gap < 0:
                 raise ValueError(f"negative instruction gap: {gap}")
             if address < 0:
@@ -120,13 +99,8 @@ def read_trace_packed(source: PathOrFile) -> PackedTrace:
     return trace
 
 
-def read_trace(source: PathOrFile) -> RecordView:
-    """Read a native-format trace (lazy record view over packed columns)."""
-    return RecordView(read_trace_packed(source))
-
-
 def write_nvmain_trace(
-    records: Iterable[TraceRecord],
+    trace: PackedTrace,
     target: PathOrFile,
     cycles_per_instruction: float = 0.5,
     thread_id: int = 0,
@@ -138,7 +112,7 @@ def write_nvmain_trace(
     cycle = 0
     count = 0
     try:
-        for gap, op_code, address in _packed_rows(records):
+        for gap, op_code, address in trace.rows():
             cycle += max(1, round((gap + 1) * cycles_per_instruction))
             handle.write(
                 f"{cycle} {_OP_TOKENS[op_code]} 0x{address:x} 0 "
@@ -151,10 +125,10 @@ def write_nvmain_trace(
     return count
 
 
-def read_nvmain_trace_packed(
+def read_nvmain_trace(
     source: PathOrFile, cycles_per_instruction: float = 0.5
 ) -> PackedTrace:
-    """Stream an NVMain-format trace into packed columns."""
+    """Import an NVMain-format trace, converting cycles to gaps."""
     if cycles_per_instruction <= 0:
         raise TraceFormatError("cycles_per_instruction must be positive")
     handle, owned = _open_for_read(source)
@@ -196,17 +170,8 @@ def read_nvmain_trace_packed(
     return trace
 
 
-def read_nvmain_trace(
-    source: PathOrFile, cycles_per_instruction: float = 0.5
-) -> RecordView:
-    """Import an NVMain-format trace, converting cycles to gaps."""
-    return RecordView(
-        read_nvmain_trace_packed(source, cycles_per_instruction)
-    )
-
-
-def trace_to_string(records: Iterable[TraceRecord]) -> str:
+def trace_to_string(trace: PackedTrace) -> str:
     """Native-format trace as a string (round-trip testing helper)."""
     buffer = io.StringIO()
-    write_trace(records, buffer)
+    write_trace(trace, buffer)
     return buffer.getvalue()

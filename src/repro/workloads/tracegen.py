@@ -21,11 +21,9 @@ same stream (``random.Random(profile.seed)``).
 from __future__ import annotations
 
 import random
-from typing import Iterator, Tuple
+from typing import List
 
-from ..memsys.request import OpType
-from .packed import OP_READ, OP_WRITE, PackedTrace, RecordView
-from .record import TraceRecord
+from .packed import OP_READ, OP_WRITE, PackedTrace
 from .spec_profiles import BenchmarkProfile
 
 #: Cache-line granularity of generated addresses.
@@ -82,16 +80,17 @@ class ProfileTraceGenerator:
             self._walkers[index] = self._rng.randrange(self._footprint_lines)
         return self._walkers[index]
 
-    def packed_rows(self, count: int) -> Iterator[Tuple[int, int, int]]:
-        """Yield ``count`` accesses as raw ``(gap, op_code, address)`` ints.
+    def packed(self, count: int) -> PackedTrace:
+        """Generate ``count`` accesses straight into packed columns.
 
-        This is the generator's native output: the RNG draw order (op
-        draw, then line draws, then gap draws) is the bit-identity
-        contract shared with :meth:`records`, pinned by the packed
-        equivalence property suite.
+        The RNG draw order per access (op draw, then line draws, then
+        gap draws) is the bit-identity contract every cached, shared or
+        regenerated copy of a trace relies on.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
+        trace = PackedTrace()
+        append = trace.append
         write_fraction = self.profile.write_fraction
         rng_random = self._rng.random
         line_bytes = self.line_bytes
@@ -102,23 +101,7 @@ class ProfileTraceGenerator:
                 OP_WRITE if rng_random() < write_fraction else OP_READ
             )
             address = next_line() * line_bytes
-            yield next_gap(), op_code, address
-
-    def records(self, count: int) -> Iterator[TraceRecord]:
-        """Yield ``count`` trace records."""
-        for gap, op_code, address in self.packed_rows(count):
-            yield TraceRecord(
-                gap,
-                OpType.WRITE if op_code == OP_WRITE else OpType.READ,
-                address,
-            )
-
-    def packed(self, count: int) -> PackedTrace:
-        """Materialise ``count`` accesses straight into packed columns."""
-        trace = PackedTrace()
-        append = trace.append
-        for gap, op_code, address in self.packed_rows(count):
-            append(gap, op_code, address)
+            append(next_gap(), op_code, address)
         return trace
 
 
@@ -129,14 +112,7 @@ def generate_packed_trace(
     return ProfileTraceGenerator(profile, line_bytes).packed(count)
 
 
-def generate_trace(
-    profile: BenchmarkProfile, count: int, line_bytes: int = LINE_BYTES
-) -> RecordView:
-    """Materialise a full trace for ``profile`` (deterministic).
-
-    The trace is generated directly into a :class:`PackedTrace`; the
-    returned :class:`RecordView` behaves like the historical
-    ``List[TraceRecord]`` (iteration, indexing, slicing, equality) while
-    letting packed-aware consumers unwrap the columns.
-    """
-    return RecordView(generate_packed_trace(profile, count, line_bytes))
+# One function, two names: the end-to-end benchmark calls
+# ``repro.workloads.generate_trace`` and wraps
+# ``repro.sim.parallel.generate_packed_trace`` by name, so both stay.
+generate_trace = generate_packed_trace

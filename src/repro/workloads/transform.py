@@ -16,17 +16,22 @@ Utilities for composing studies out of existing traces:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from array import array
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .record import TraceRecord
+from .packed import PackedTrace
 
 
-def offset_trace(trace: Sequence[TraceRecord], base: int
-                 ) -> List[TraceRecord]:
+def _column(values) -> array:
+    """A fresh local int64 column holding ``values``."""
+    return array("q", values)
+
+
+def offset_trace(trace: PackedTrace, base: int) -> PackedTrace:
     """Shift every address by ``base`` bytes (cache-line aligned).
 
-    >>> from repro.memsys.request import OpType
-    >>> t = [TraceRecord(1, OpType.READ, 0x40)]
+    >>> from repro.workloads.packed import OP_READ
+    >>> t = PackedTrace.from_rows([(1, OP_READ, 0x40)])
     >>> offset_trace(t, 1 << 30)[0].address == 0x40 + (1 << 30)
     True
     """
@@ -34,67 +39,75 @@ def offset_trace(trace: Sequence[TraceRecord], base: int
         raise ValueError("offset must be cache-line aligned")
     if base < 0:
         raise ValueError("offset must be non-negative")
-    return [
-        TraceRecord(r.gap, r.op, r.address + base) for r in trace
-    ]
+    return PackedTrace(
+        _column(trace.gaps), _column(trace.ops),
+        _column(address + base for address in trace.addresses),
+    )
 
 
-def slice_trace(trace: Sequence[TraceRecord], start: int, count: int
-                ) -> List[TraceRecord]:
-    """Records [start, start+count) — a region of interest."""
+def slice_trace(trace: PackedTrace, start: int, count: int) -> PackedTrace:
+    """Accesses [start, start+count) — a region of interest."""
     if start < 0 or count < 0:
         raise ValueError("start and count must be non-negative")
-    return list(trace[start:start + count])
+    window = slice(start, start + count)
+    return PackedTrace(
+        _column(trace.gaps[window]), _column(trace.ops[window]),
+        _column(trace.addresses[window]),
+    )
 
 
-def concat_traces(*traces: Sequence[TraceRecord]) -> List[TraceRecord]:
+def concat_traces(*traces: PackedTrace) -> PackedTrace:
     """Run traces back to back (program phases)."""
-    merged: List[TraceRecord] = []
+    merged = PackedTrace()
     for trace in traces:
-        merged.extend(trace)
+        merged.gaps.extend(trace.gaps)
+        merged.ops.extend(trace.ops)
+        merged.addresses.extend(trace.addresses)
     return merged
 
 
-def scale_gaps(trace: Sequence[TraceRecord], factor: float
-               ) -> List[TraceRecord]:
+def scale_gaps(trace: PackedTrace, factor: float) -> PackedTrace:
     """Multiply instruction gaps by ``factor`` (changes MPKI by ~1/factor).
 
-    Fractional parts are carried between records so the long-run mean is
-    exact rather than rounded per record.
+    Fractional parts are carried between accesses so the long-run mean
+    is exact rather than rounded per access.
     """
     if factor < 0:
         raise ValueError("factor must be non-negative")
-    scaled: List[TraceRecord] = []
+    gaps = _column(())
     carry = 0.0
-    for record in trace:
-        exact = record.gap * factor + carry
+    for gap in trace.gaps:
+        exact = gap * factor + carry
         gap = int(exact)
         carry = exact - gap
-        scaled.append(TraceRecord(gap, record.op, record.address))
-    return scaled
+        gaps.append(gap)
+    return PackedTrace(gaps, _column(trace.ops), _column(trace.addresses))
 
 
 def interleave_traces(
-    traces: Sequence[Sequence[TraceRecord]],
+    traces: Sequence[PackedTrace],
     quantum_instructions: int = 10_000,
-) -> List[TraceRecord]:
+) -> PackedTrace:
     """Round-robin merge by instruction budget (context switching).
 
-    Each turn takes records from one trace until ``quantum_instructions``
-    retire, then switches.  Exhausted traces drop out; the result ends
-    when all do.
+    Each turn takes accesses from one trace until ``quantum_instructions``
+    retire, then switches; an access that costs more than a whole
+    quantum fills one turn by itself.  Exhausted traces drop out; the
+    result ends when all do.
     """
     if quantum_instructions < 1:
         raise ValueError("quantum must be >= 1 instruction")
-    cursors = [iter(trace) for trace in traces]
-    pending: List[TraceRecord | None] = [None] * len(traces)
+    cursors: List[Iterator[Tuple[int, int, int]]] = [
+        trace.rows() for trace in traces
+    ]
+    pending: List[Optional[Tuple[int, int, int]]] = [None] * len(traces)
     live = set(range(len(traces)))
-    merged: List[TraceRecord] = []
+    merged = PackedTrace()
 
     def pull(index: int):
         if pending[index] is not None:
-            record, pending[index] = pending[index], None
-            return record
+            row, pending[index] = pending[index], None
+            return row
         try:
             return next(cursors[index])
         except StopIteration:
@@ -109,14 +122,15 @@ def interleave_traces(
             continue
         budget = quantum_instructions
         while budget > 0:
-            record = pull(index)
-            if record is None:
+            row = pull(index)
+            if row is None:
                 break
-            cost = record.gap + 1
-            if cost > budget and merged and budget < cost:
-                # Does not fit this quantum: save it for the next turn.
-                pending[index] = record
+            cost = row[0] + 1
+            if cost > budget and budget < quantum_instructions:
+                # Does not fit the rest of this quantum: save it for
+                # the next turn, whose fresh quantum takes it whole.
+                pending[index] = row
                 break
-            merged.append(record)
+            merged.append(*row)
             budget -= cost
     return merged

@@ -15,6 +15,7 @@ from repro.config.params import TimingParams
 from repro.memsys.address import AddressMapper
 from repro.memsys.request import MemRequest, OpType
 from repro.memsys.stats import StatsCollector
+from repro.workloads.packed import PackedTrace
 from repro.workloads.record import TraceRecord
 
 
@@ -79,4 +80,6 @@ def make_write(mapper: AddressMapper, bank=0, row=0, col=0) -> MemRequest:
 def flat_trace(count: int, gap: int = 10, stride: int = 64,
                op: OpType = OpType.READ):
     """A simple sequential trace of ``count`` records."""
-    return [TraceRecord(gap, op, i * stride) for i in range(count)]
+    return PackedTrace.from_records(
+        TraceRecord(gap, op, i * stride) for i in range(count)
+    )

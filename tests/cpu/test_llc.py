@@ -4,6 +4,7 @@ import pytest
 
 from repro.cpu.llc import LastLevelCache
 from repro.memsys.request import OpType
+from repro.workloads.packed import PackedTrace
 from repro.workloads.record import TraceRecord
 
 
@@ -74,12 +75,12 @@ class TestGeometryValidation:
 class TestFilterTrace:
     def test_hits_are_absorbed_into_gaps(self):
         cache = tiny_cache(ways=2, sets=2)
-        raw = [
+        raw = PackedTrace.from_records([
             TraceRecord(10, OpType.READ, 0x40),
             TraceRecord(10, OpType.READ, 0x40),  # hit
             TraceRecord(10, OpType.READ, 0x80),
-        ]
-        filtered = list(cache.filter_trace(raw))
+        ])
+        filtered = cache.filter_trace(raw)
         assert len(filtered) == 2
         assert filtered[0].gap == 10
         # The hit contributes its gap + itself to the next miss's gap.
@@ -87,8 +88,10 @@ class TestFilterTrace:
 
     def test_all_filtered_records_start_as_reads_or_writebacks(self):
         cache = tiny_cache(ways=1, sets=1)
-        raw = [TraceRecord(0, OpType.WRITE, i * 64) for i in range(4)]
-        filtered = list(cache.filter_trace(raw))
+        raw = PackedTrace.from_records(
+            TraceRecord(0, OpType.WRITE, i * 64) for i in range(4)
+        )
+        filtered = cache.filter_trace(raw)
         fills = [r for r in filtered if r.op is OpType.READ]
         writebacks = [r for r in filtered if r.op is OpType.WRITE]
         assert len(fills) == 4          # every miss fetches the line
@@ -96,8 +99,10 @@ class TestFilterTrace:
 
     def test_mpki_reflects_miss_rate(self):
         cache = tiny_cache(ways=2, sets=2)
-        raw = [TraceRecord(99, OpType.READ, (i % 2) * 64) for i in range(100)]
-        filtered = list(cache.filter_trace(raw))
+        raw = PackedTrace.from_records(
+            TraceRecord(99, OpType.READ, (i % 2) * 64) for i in range(100)
+        )
+        filtered = cache.filter_trace(raw)
         assert cache.stats.misses == 2
         assert cache.stats.miss_rate == pytest.approx(0.02)
         assert cache.stats.mpki(10_000) == pytest.approx(0.2)

@@ -7,15 +7,17 @@ from repro.cpu.trace_cpu import TraceCpu
 from repro.memsys.controller import MemoryController
 from repro.memsys.request import OpType
 from repro.memsys.stats import StatsCollector
+from repro.workloads.packed import PackedTrace
 from repro.workloads.record import TraceRecord
 
 
-def build(trace, cfg=None):
+def build(records, cfg=None):
     cfg = cfg or baseline_nvm()
     cfg.org.rows_per_bank = 256
     stats = StatsCollector()
     controller = MemoryController(cfg, stats)
-    cpu = TraceCpu(cfg.cpu, trace, controller, stats, cfg.timing.tck_ns)
+    cpu = TraceCpu(cfg.cpu, PackedTrace.from_records(records), controller,
+                   stats, cfg.timing.tck_ns)
     return cpu, controller, stats, cfg
 
 
@@ -127,3 +129,13 @@ class TestProgressQueries:
         cpu, _, _, _ = build(trace)
         with pytest.raises(ValueError):
             cpu.on_read_completed(1)
+
+
+class TestTraceType:
+    def test_record_list_rejected_with_packing_hint(self):
+        cfg = baseline_nvm()
+        stats = StatsCollector()
+        controller = MemoryController(cfg, stats)
+        with pytest.raises(TypeError, match="PackedTrace.from_records"):
+            TraceCpu(cfg.cpu, [TraceRecord(0, OpType.READ, 0x40)],
+                     controller, stats, cfg.timing.tck_ns)

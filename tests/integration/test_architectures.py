@@ -14,6 +14,7 @@ from repro.config import (
     many_banks,
 )
 from repro.sim.simulator import simulate
+from repro.workloads.packed import PackedTrace
 from repro.workloads.record import TraceRecord
 from repro.memsys.request import OpType
 from repro.workloads.synthetic import (
@@ -77,7 +78,9 @@ class TestBackgroundedWrites:
         """Removing writes from the same read stream must help baseline
         reads more than it helps FgNVM (that's the interference)."""
         mixed = self.write_heavy_trace()
-        reads_only = [r for r in mixed if r.op is OpType.READ]
+        reads_only = PackedTrace.from_records(
+            r for r in mixed if r.op is OpType.READ
+        )
         base_mixed = simulate(small(baseline_nvm()), mixed)
         base_clean = simulate(small(baseline_nvm()), reads_only)
         assert (
@@ -139,7 +142,9 @@ class TestRequestConservation:
         assert result.stats.writes == writes
 
     def test_identical_work_across_architectures(self):
-        trace = [TraceRecord(10, OpType.READ, i * 4096) for i in range(64)]
+        trace = PackedTrace.from_records(
+            TraceRecord(10, OpType.READ, i * 4096) for i in range(64)
+        )
         base = simulate(small(baseline_nvm()), trace)
         fg = simulate(small(fgnvm(4, 4)), trace)
         assert base.instructions == fg.instructions

@@ -141,8 +141,8 @@ class TestTracedCappedIdentity:
 
     ``fgnvm-8x2`` caps in-flight writes at one per bank.  The fast
     path memoizes quiet cycles under that cap, except while sampled
-    requests are queued: blame attribution reads the cap on the cycle
-    it runs, so skipping cycles would move ``write_cap`` blame.  Every
+    writes are queued: blame attribution reads the cap on the cycle it
+    runs, so skipping cycles would move ``write_cap`` blame.  Every
     span must therefore match the oracle's segment for segment, as
     ``repro run --trace-sample 2`` samples them.
     """

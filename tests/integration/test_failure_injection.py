@@ -19,6 +19,7 @@ from repro.memsys.request import MemRequest, OpType
 from repro.memsys.scheduler import FrfcfsScheduler
 from repro.memsys.stats import StatsCollector
 from repro.sim.simulator import Simulator
+from repro.workloads.packed import PackedTrace
 from repro.workloads.record import TraceRecord
 from repro.workloads.synthetic import stream_kernel
 
@@ -84,7 +85,9 @@ class TestQueueOverflow:
         # storm must complete without a QueueFullError escaping.
         cfg = baseline_nvm()
         cfg.org.rows_per_bank = 256
-        trace = [TraceRecord(0, OpType.WRITE, i * 64) for i in range(500)]
+        trace = PackedTrace.from_records(
+            TraceRecord(0, OpType.WRITE, i * 64) for i in range(500)
+        )
         result = Simulator(cfg, trace).run()
         assert result.stats.writes == 500
 

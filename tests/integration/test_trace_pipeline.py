@@ -4,7 +4,8 @@ from repro.config import baseline_nvm, fgnvm
 from repro.cpu.llc import LastLevelCache
 from repro.memsys.request import OpType
 from repro.sim.simulator import simulate
-from repro.workloads.record import TraceRecord, total_instructions
+from repro.workloads.packed import PackedTrace, total_instructions
+from repro.workloads.record import TraceRecord
 from repro.workloads.spec_profiles import get_profile
 from repro.workloads.trace_io import read_trace, write_trace
 from repro.workloads.tracegen import generate_trace
@@ -18,12 +19,12 @@ def small(cfg):
 class TestLlcToSimulator:
     def test_filtered_stream_simulates(self):
         cache = LastLevelCache(size_bytes=64 * 1024, ways=8)
-        raw = [
+        raw = PackedTrace.from_records(
             TraceRecord(5, OpType.WRITE if i % 3 == 0 else OpType.READ,
                         (i % 4096) * 64)
             for i in range(8000)
-        ]
-        filtered = list(cache.filter_trace(raw))
+        )
+        filtered = cache.filter_trace(raw)
         assert 0 < len(filtered) < len(raw) + cache.stats.writebacks + 1
         result = simulate(small(baseline_nvm()), filtered)
         reads = sum(1 for r in filtered if r.op is OpType.READ)
@@ -34,9 +35,10 @@ class TestLlcToSimulator:
         # stream keeps missing and ends on a miss: no trailing hit run
         # is left unflushed.
         cache = LastLevelCache(size_bytes=64 * 1024, ways=8)
-        raw = [TraceRecord(7, OpType.READ, (i % 4096) * 64)
-               for i in range(8192)]
-        filtered = list(cache.filter_trace(raw))
+        raw = PackedTrace.from_records(
+            TraceRecord(7, OpType.READ, (i % 4096) * 64) for i in range(8192)
+        )
+        filtered = cache.filter_trace(raw)
         # Hits fold into the next miss's gap (hit instruction included);
         # writebacks add zero-gap records.
         raw_insts = total_instructions(raw)

@@ -16,8 +16,8 @@ from repro.obs import ListSink, MetricRegistry, make_probe
 from repro.obs.events import NULL_PROBE
 from repro.obs.perf import PhaseTimer, attached
 from repro.obs.trace import RequestTracer
-from repro.sim.simulator import simulate
-from repro.workloads import generate_trace, get_profile
+from repro.sim.simulator import Simulator, simulate
+from repro.workloads import OP_READ, generate_trace, get_profile
 
 
 def run(config_builder, probe=None, benchmark="mcf", requests=700):
@@ -162,6 +162,64 @@ class TestStreamingNoBehaviourChange:
         self.run_engine(workers=2, hub=hub)
         assert hub.dropped_frames == 0
         assert hub.fleet.jobs_done == 2
+
+
+class HookSpy(RequestTracer):
+    """A tracer that records which requests reach its request hooks."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.admitted, self.finished_ids = [], []
+
+    def on_admit(self, req, now):
+        self.admitted.append(req.req_id)
+        return super().on_admit(req, now)
+
+    def finish(self, req):
+        self.finished_ids.append(req.req_id)
+        return super().finish(req)
+
+
+class TestSampledPathCost:
+    """What keeps 1-in-N tracing cheap: unsampled requests cost the
+    tracer nothing, and sampled reads do not change the visited cycles."""
+
+    def test_unsampled_requests_trigger_no_tracer_hook(self):
+        tracer = HookSpy(sample_every=5, seed=3)
+        run(lambda: fgnvm(8, 2), probe=make_probe(tracer=tracer),
+            requests=400)
+        sampled = [span.req_id for span in tracer.finished]
+        assert len(sampled) == 80
+        assert sorted(tracer.admitted) == sorted(sampled)
+        assert sorted(tracer.finished_ids) == sorted(sampled)
+
+    def test_read_only_samples_keep_the_capped_event_horizon(self):
+        def visited(probe):
+            cfg = fgnvm(8, 2)
+            assert cfg.controller.max_writes_per_bank is not None
+            cfg.org.rows_per_bank = 256
+            trace = generate_trace(get_profile("lbm"), 1500)
+            for index in range(0, len(trace), 4):
+                trace.ops[index] = OP_READ  # every sampled request reads
+            sim = Simulator(cfg, trace, probe=probe)
+            cycles = []
+            advance = sim._next_cycle
+
+            def recording():
+                cycle = advance()
+                cycles.append(cycle)
+                return cycle
+
+            sim._next_cycle = recording
+            return sim.run(), cycles
+
+        tracer = RequestTracer(sample_every=4, seed=0)
+        traced, traced_cycles = visited(make_probe(tracer=tracer))
+        plain, plain_cycles = visited(None)
+        assert {span.op for span in tracer.finished} == {"R"}
+        assert len(tracer.finished) == 375
+        assert traced.summary() == plain.summary()
+        assert traced_cycles == plain_cycles
 
 
 @pytest.mark.skipif(

@@ -9,6 +9,9 @@ span/event round-trips, and the report math.
 import pytest
 
 from repro.config import fgnvm
+from repro.memsys.controller import MemoryController
+from repro.memsys.request import MemRequest, OpType
+from repro.memsys.stats import StatsCollector
 from repro.obs import make_probe
 from repro.obs.trace import (
     BLAME_CAUSES,
@@ -70,22 +73,17 @@ class TestSampling:
         request's per-run admission index — not on req_id, which comes
         from a process-global counter."""
 
-        class Req:
-            def __init__(self, req_id):
-                self.req_id = req_id
-                self.op = type("O", (), {"value": "R"})()
-                self.decoded = type(
-                    "D", (), {"channel": 0, "flat_bank": 0,
-                              "sag": 0, "cd": 0},
-                )()
-
-        def sampled_indices(start_id):
+        def sampled_indices(skipped_ids):
+            for _ in range(skipped_ids):
+                MemRequest(OpType.READ, 0)  # advances the global id counter
             tracer = RequestTracer(sample_every=3, seed=7)
-            picks = []
-            for index in range(12):
-                if tracer.on_admit(Req(start_id + index), now=index) is not None:
-                    picks.append(index)
-            return picks
+            ctrl = MemoryController(fgnvm(8, 2), StatsCollector(),
+                                    probe=make_probe(tracer=tracer))
+            reqs = [MemRequest(OpType.READ, i * 64) for i in range(12)]
+            for index, req in enumerate(reqs):
+                ctrl.enqueue(req, now=index)
+            return [index for index, req in enumerate(reqs)
+                    if req.req_id in tracer.active]
 
         assert sampled_indices(0) == sampled_indices(1000)
         assert sampled_indices(0) == [1, 4, 7, 10]  # 7 % 3 == 1

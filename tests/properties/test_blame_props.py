@@ -52,7 +52,7 @@ class TestBlameTilesLatency:
         # ... the deterministic 1-in-N arithmetic held ...
         phase = seed % sample_every
         expected = len([
-            i for i in range(tracer._admitted)
+            i for i in range(requests)  # every request is admitted once
             if i % sample_every == phase
         ])
         assert len(tracer.finished) == expected

@@ -1,12 +1,12 @@
-"""Property tests: the packed pipeline is bit-identical to records.
+"""Property tests: the packed pipeline's transport contracts.
 
 The contracts pinned here are the ones every transport relies on:
 
-* the generator's packed and record outputs describe the same stream,
+* the generator emits the stream its per-access draw order defines,
 * the framed blob round-trips byte-for-byte (shared-memory segments
   carry exactly these bytes),
 * trace file I/O round-trips through the streaming packed readers,
-* the whole-column reductions agree with the record stream.
+* the whole-column reductions agree with a per-row count.
 """
 
 import dataclasses
@@ -19,12 +19,14 @@ from repro.workloads.packed import (
     OP_READ,
     OP_WRITE,
     PackedTrace,
+    read_fraction,
+    total_instructions,
     trace_key,
 )
 from repro.workloads.spec_profiles import benchmark_names, get_profile
 from repro.workloads.trace_io import (
-    read_nvmain_trace_packed,
-    read_trace_packed,
+    read_nvmain_trace,
+    read_trace,
     trace_to_string,
     write_nvmain_trace,
 )
@@ -58,9 +60,15 @@ def packed_from(row_list):
 def test_generator_packed_equals_records(bench, seed, count):
     profile = dataclasses.replace(get_profile(bench), seed=seed)
     packed = ProfileTraceGenerator(profile).packed(count)
-    records = list(ProfileTraceGenerator(profile).records(count))
-    assert packed.to_records() == records
-    assert packed.view() == records
+    # Oracle: per access, the op draw, then the line draws, then the gap.
+    oracle = ProfileTraceGenerator(profile)
+    rows = []
+    for _ in range(count):
+        op_code = (OP_WRITE if oracle._rng.random() < profile.write_fraction
+                   else OP_READ)
+        address = oracle._next_line() * oracle.line_bytes
+        rows.append((oracle._next_gap(), op_code, address))
+    assert list(packed.rows()) == rows
 
 
 @given(row_list=rows)
@@ -82,7 +90,7 @@ def test_from_buffer_matches_from_bytes(row_list):
     carrier = bytearray(trace.to_bytes()) + bytes(512)  # page-rounded
     mapped = PackedTrace.from_buffer(memoryview(carrier))
     try:
-        assert mapped.to_records() == trace.to_records()
+        assert mapped == trace
     finally:
         mapped.close()
 
@@ -91,9 +99,9 @@ def test_from_buffer_matches_from_bytes(row_list):
 @settings(max_examples=50, deadline=None)
 def test_native_text_round_trip(row_list):
     trace = packed_from(row_list)
-    text = trace_to_string(trace.view())
-    back = read_trace_packed(io.StringIO(text))
-    assert back.to_records() == trace.to_records()
+    text = trace_to_string(trace)
+    back = read_trace(io.StringIO(text))
+    assert back == trace
 
 
 @given(
@@ -106,11 +114,11 @@ def test_nvmain_round_trip_at_integral_cpi(row_list, cpi):
     # is exact: cycle deltas are (gap + 1) * cpi, recovered precisely.
     trace = packed_from(row_list)
     buffer = io.StringIO()
-    write_nvmain_trace(trace.view(), buffer, cycles_per_instruction=cpi)
-    back = read_nvmain_trace_packed(
+    write_nvmain_trace(trace, buffer, cycles_per_instruction=cpi)
+    back = read_nvmain_trace(
         io.StringIO(buffer.getvalue()), cycles_per_instruction=cpi
     )
-    assert back.to_records() == trace.to_records()
+    assert back == trace
 
 
 @given(
@@ -121,8 +129,8 @@ def test_nvmain_round_trip_at_integral_cpi(row_list, cpi):
 def test_nvmain_conversion_preserves_ops_and_addresses(row_list, cpi):
     trace = packed_from(row_list)
     buffer = io.StringIO()
-    write_nvmain_trace(trace.view(), buffer, cycles_per_instruction=cpi)
-    back = read_nvmain_trace_packed(
+    write_nvmain_trace(trace, buffer, cycles_per_instruction=cpi)
+    back = read_nvmain_trace(
         io.StringIO(buffer.getvalue()), cycles_per_instruction=cpi
     )
     assert list(back.ops) == list(trace.ops)
@@ -133,12 +141,12 @@ def test_nvmain_conversion_preserves_ops_and_addresses(row_list, cpi):
 @settings(max_examples=30, deadline=None)
 def test_column_reductions_match_records(row_list):
     trace = packed_from(row_list)
-    assert trace.total_instructions() == sum(
+    assert total_instructions(trace) == sum(
         gap + 1 for gap, _op, _address in row_list
     )
-    assert trace.read_count() == sum(
-        1 for _gap, op, _address in row_list if op == OP_READ
-    )
+    reads = sum(1 for _gap, op, _address in row_list if op == OP_READ)
+    assert read_fraction(trace) == (reads / len(row_list) if row_list
+                                    else 0.0)
 
 
 @given(

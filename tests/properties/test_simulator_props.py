@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from repro.config import baseline_nvm, fgnvm, many_banks
 from repro.memsys.request import OpType
 from repro.sim.simulator import simulate
-from repro.workloads.record import TraceRecord, total_instructions
+from repro.workloads.packed import PackedTrace, total_instructions
+from repro.workloads.record import TraceRecord
 
 #: Bounded random traces: up to 60 accesses over a 1 MiB footprint.
 trace_strategy = st.lists(
@@ -26,11 +27,11 @@ trace_strategy = st.lists(
 )
 
 
-def to_records(raw):
-    return [
+def to_trace(raw):
+    return PackedTrace.from_records(
         TraceRecord(gap, OpType.WRITE if w else OpType.READ, line * 64)
         for gap, w, line in raw
-    ]
+    )
 
 
 def small(cfg):
@@ -49,7 +50,7 @@ ARCHES = {
 @given(raw=trace_strategy)
 @settings(max_examples=25, deadline=None)
 def test_conservation_and_accounting(arch, raw):
-    trace = to_records(raw)
+    trace = to_trace(raw)
     result = simulate(ARCHES[arch](), trace)
     reads = sum(1 for r in trace if r.op is OpType.READ)
     writes = len(trace) - reads
@@ -62,7 +63,7 @@ def test_conservation_and_accounting(arch, raw):
 @given(raw=trace_strategy)
 @settings(max_examples=25, deadline=None)
 def test_read_latency_floor(raw):
-    trace = to_records(raw)
+    trace = to_trace(raw)
     config = small(fgnvm(4, 4))
     result = simulate(config, trace)
     if result.stats.reads:
@@ -76,7 +77,7 @@ def test_read_latency_floor(raw):
 @given(raw=trace_strategy)
 @settings(max_examples=15, deadline=None)
 def test_reruns_are_bit_identical(raw):
-    trace = to_records(raw)
+    trace = to_trace(raw)
     first = simulate(small(fgnvm(4, 4)), trace)
     second = simulate(small(fgnvm(4, 4)), trace)
     assert first.stats.as_dict() == second.stats.as_dict()
@@ -86,7 +87,7 @@ def test_reruns_are_bit_identical(raw):
 @given(raw=trace_strategy)
 @settings(max_examples=15, deadline=None)
 def test_energy_components_consistent_with_counters(raw):
-    trace = to_records(raw)
+    trace = to_trace(raw)
     config = small(fgnvm(4, 4))
     result = simulate(config, trace)
     stats = result.stats
@@ -100,7 +101,7 @@ def test_energy_components_consistent_with_counters(raw):
 def test_multicore_conservation(raw, raw2):
     from repro.sim.multicore import run_mix
 
-    traces = [to_records(raw), to_records(raw2)]
+    traces = [to_trace(raw), to_trace(raw2)]
     result = run_mix(small(fgnvm(4, 4)), traces)
     total = len(traces[0]) + len(traces[1])
     assert result.stats.requests == total

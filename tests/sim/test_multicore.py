@@ -11,6 +11,7 @@ from repro.sim.multicore import (
     weighted_speedup_study,
 )
 from repro.sim.simulator import simulate
+from repro.workloads.packed import PackedTrace
 from repro.workloads.record import TraceRecord
 from repro.workloads.synthetic import random_kernel, stream_kernel
 
@@ -109,7 +110,9 @@ class TestInterference:
         # A write-heavy core next to a read-only core: MSHR accounting
         # must survive cross-core completion routing.
         traces = [
-            [TraceRecord(3, OpType.WRITE, i * 64) for i in range(150)],
+            PackedTrace.from_records(
+                TraceRecord(3, OpType.WRITE, i * 64) for i in range(150)
+            ),
             random_kernel(150, footprint_bytes=1 << 22, gap=3, seed=9),
         ]
         result = run_mix(small(fgnvm(4, 4)), traces)

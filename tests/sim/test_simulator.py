@@ -16,6 +16,7 @@ from repro.obs.events import EV_CPU_STALL, ListSink
 from repro.obs.trace import RequestTracer
 from repro.sim.simulator import Simulator, simulate
 from repro.workloads import generate_trace, get_profile
+from repro.workloads.packed import PackedTrace
 from repro.workloads.record import TraceRecord
 from repro.workloads.synthetic import multi_stream_kernel, stream_kernel
 
@@ -35,7 +36,9 @@ class TestEndToEnd:
         assert result.energy.total_pj > 0
 
     def test_write_trace_fully_drains(self):
-        trace = [TraceRecord(5, OpType.WRITE, i * 64) for i in range(50)]
+        trace = PackedTrace.from_records(
+            TraceRecord(5, OpType.WRITE, i * 64) for i in range(50)
+        )
         result = simulate(small(baseline_nvm()), trace)
         assert result.stats.writes == 50
 
@@ -47,7 +50,7 @@ class TestEndToEnd:
         assert "row_hit_rate" in summary
 
     def test_empty_trace(self):
-        result = simulate(small(baseline_nvm()), [])
+        result = simulate(small(baseline_nvm()), PackedTrace())
         assert result.stats.reads == 0
         assert result.instructions == 0
 
@@ -148,8 +151,10 @@ class TestEventSkipping:
 
     def test_long_gaps_do_not_blow_up_runtime(self):
         # Huge compute gap between two accesses: must finish quickly.
-        trace = [TraceRecord(0, OpType.READ, 0x40),
-                 TraceRecord(100_000, OpType.READ, 0x80)]
+        trace = PackedTrace.from_records([
+            TraceRecord(0, OpType.READ, 0x40),
+            TraceRecord(100_000, OpType.READ, 0x80),
+        ])
         result = simulate(small(baseline_nvm()), trace)
         assert result.instructions == 100_002
 
@@ -165,7 +170,7 @@ class TestGuards:
         cfg = baseline_nvm()
         cfg.org.channels = 3
         with pytest.raises(Exception):
-            Simulator(cfg, [])
+            Simulator(cfg, PackedTrace())
 
 
 class TestCrossArchitectureSanity:

@@ -9,6 +9,7 @@ from repro.workloads.characterize import (
     characterize,
     fidelity_report,
 )
+from repro.workloads.packed import PackedTrace
 from repro.workloads.record import TraceRecord
 from repro.workloads.spec_profiles import PROFILES
 from repro.workloads.synthetic import (
@@ -43,8 +44,10 @@ class TestKernelsHaveKnownCharacter:
         assert character.cd_spread > 0.0  # walks the row's CDs
 
     def test_burstiness_counts_small_gaps(self):
-        trace = [TraceRecord(0, OpType.READ, i * 64) for i in range(10)]
-        trace += [TraceRecord(50, OpType.READ, i * 64) for i in range(10)]
+        trace = PackedTrace.from_records(
+            [TraceRecord(0, OpType.READ, i * 64) for i in range(10)]
+            + [TraceRecord(50, OpType.READ, i * 64) for i in range(10)]
+        )
         character = characterize(trace)
         assert character.burstiness == pytest.approx(0.5)
 
@@ -60,7 +63,7 @@ class TestKernelsHaveKnownCharacter:
         assert character.sag_spread > 0.9
 
     def test_empty_trace(self):
-        character = characterize([])
+        character = characterize(PackedTrace())
         assert character.accesses == 0
         assert character.row_locality == 0.0
         assert character.burstiness == 0.0

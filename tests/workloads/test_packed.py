@@ -12,18 +12,19 @@ from repro.workloads.packed import (
     OP_WRITE,
     PACKED_MAGIC,
     PackedTrace,
-    RecordView,
     SharedTraceRef,
     TraceCache,
     attach_failures,
     clear_trace_sources,
     install_trace_sources,
+    read_fraction,
     resolve_trace,
+    total_instructions,
     trace_key,
 )
 from repro.workloads.record import TraceRecord
 from repro.workloads.spec_profiles import get_profile
-from repro.workloads.trace_io import read_trace, write_trace
+from repro.workloads.trace_io import read_trace
 from repro.workloads.tracegen import generate_packed_trace
 
 
@@ -47,18 +48,18 @@ class TestPackedTrace:
     def test_append_and_record_access(self):
         trace = sample_trace()
         assert len(trace) == 3
-        assert trace.record(1) == TraceRecord(3, OpType.WRITE, 0x2040)
+        assert trace[1] == TraceRecord(3, OpType.WRITE, 0x2040)
         assert list(trace) == sample_records()
-        assert trace.to_records() == sample_records()
 
     def test_from_records_round_trip(self):
         trace = PackedTrace.from_records(sample_records())
-        assert trace.to_records() == sample_records()
+        assert list(trace) == sample_records()
+        assert trace == sample_trace()
 
     def test_column_reductions(self):
         trace = sample_trace()
-        assert trace.total_instructions() == 0 + 3 + 17 + 3
-        assert trace.read_count() == 2
+        assert total_instructions(trace) == 0 + 3 + 17 + 3
+        assert read_fraction(trace) == pytest.approx(2 / 3)
 
     def test_mismatched_columns_rejected(self):
         from array import array
@@ -66,37 +67,40 @@ class TestPackedTrace:
         with pytest.raises(TraceFormatError, match="disagree"):
             PackedTrace(array("q", [1]), array("q"), array("q"))
 
-
-class TestRecordView:
-    def test_list_likeness(self):
-        view = sample_trace().view()
+    def test_indexing_and_iteration(self):
+        trace = sample_trace()
         records = sample_records()
-        assert len(view) == 3
-        assert list(view) == records
-        assert view[0] == records[0]
-        assert view[-1] == records[-1]
-        assert view[1:] == records[1:]
-        assert view == records
-        assert records == list(view)
+        assert [trace[i] for i in range(len(trace))] == records
+        assert trace[-1] == records[-1]
+        assert [row for row in trace.rows()] == [
+            (0, OP_READ, 0x1000), (3, OP_WRITE, 0x2040), (17, OP_READ, 0)
+        ]
         with pytest.raises(IndexError):
-            view[3]
+            trace[3]
 
-    def test_equality_both_directions(self):
-        a = sample_trace().view()
-        b = sample_trace().view()
-        assert a == b
-        assert a == sample_records()
-        assert a != sample_records()[:-1]
-        assert a != RecordView(PackedTrace())
+    def test_column_wise_equality(self):
+        assert sample_trace() == sample_trace()
+        shorter = PackedTrace.from_records(sample_records()[:-1])
+        assert sample_trace() != shorter
+        assert sample_trace() != PackedTrace()
+        # Not a list: compare rows explicitly.
+        assert sample_trace() != sample_records()
+        carrier = bytearray(sample_trace().to_bytes())
+        mapped = PackedTrace.from_buffer(memoryview(carrier))
+        try:
+            assert mapped == sample_trace()
+        finally:
+            mapped.close()
 
-    def test_concatenation_yields_lists(self):
-        view = sample_trace().view()
-        assert view + view == sample_records() + sample_records()
-        assert sample_records() + view == sample_records() * 2
-
-    def test_unhashable_like_a_list(self):
+    def test_unhashable(self):
         with pytest.raises(TypeError):
-            hash(sample_trace().view())
+            hash(sample_trace())
+
+    def test_from_rows_validates_like_trace_record(self):
+        with pytest.raises(ValueError, match="negative instruction gap"):
+            PackedTrace.from_rows([(-1, OP_READ, 0)])
+        with pytest.raises(ValueError, match="negative address"):
+            PackedTrace.from_rows([(0, OP_READ, -64)])
 
 
 class TestBlobFormat:
@@ -105,7 +109,7 @@ class TestBlobFormat:
         blob = trace.to_bytes()
         assert blob.startswith(PACKED_MAGIC)
         decoded = PackedTrace.from_bytes(blob)
-        assert decoded.to_records() == trace.to_records()
+        assert decoded == trace
         assert decoded.to_bytes() == blob
 
     def test_empty_trace_round_trips(self):
@@ -134,7 +138,7 @@ class TestBlobFormat:
         blob = trace.to_bytes()
         carrier = bytearray(blob) + bytearray(4096 - len(blob) % 4096)
         mapped = PackedTrace.from_buffer(memoryview(carrier))
-        assert mapped.to_records() == trace.to_records()
+        assert mapped == trace
         mapped.close()
 
     def test_close_releases_views(self):
@@ -169,7 +173,7 @@ class TestTraceCache:
         assert cache.put(key, trace) > 0
         got = cache.get(key)
         assert got is not None
-        assert got.to_records() == trace.to_records()
+        assert got == trace
         assert cache.hits == 1
         assert len(cache) == 1
 
@@ -220,7 +224,7 @@ class TestTraceSourceRegistry:
         profile = get_profile("milc")
         resolved = resolve_trace(profile, 80)
         expected = generate_packed_trace(profile, 80)
-        assert resolved.to_records() == expected.to_records()
+        assert resolved == expected
 
     def test_dead_shared_ref_degrades_bit_identically(self):
         profile = get_profile("mcf")
@@ -232,9 +236,7 @@ class TestTraceSourceRegistry:
         ])
         resolved = resolve_trace(profile, 60)
         assert attach_failures() == before + 1
-        assert resolved.to_records() == (
-            generate_packed_trace(profile, 60).to_records()
-        )
+        assert resolved == generate_packed_trace(profile, 60)
 
     def test_clear_drops_installed_sources(self):
         profile = get_profile("mcf")
@@ -248,7 +250,7 @@ class TestReaderAllocation:
     def test_read_trace_does_not_materialise_records(self):
         # The regression the packed reader fixes: a large file used to
         # become a List[TraceRecord].  Streaming into columns must leave
-        # zero live TraceRecord objects until the view is indexed.
+        # zero live TraceRecord objects until the trace is indexed.
         lines = ["# header"]
         for i in range(20_000):
             op = "W" if i % 7 == 0 else "R"

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.memsys.request import OpType
-from repro.workloads.record import (
-    TraceRecord,
+from repro.workloads.packed import (
+    PackedTrace,
     read_fraction,
     total_instructions,
     trace_mpki,
 )
+from repro.workloads.record import TraceRecord
 
 
 class TestTraceRecord:
@@ -28,20 +29,20 @@ class TestTraceRecord:
 
 class TestAggregates:
     def trace(self):
-        return [
+        return PackedTrace.from_records([
             TraceRecord(9, OpType.READ, 0x00),
             TraceRecord(9, OpType.WRITE, 0x40),
             TraceRecord(9, OpType.READ, 0x80),
             TraceRecord(9, OpType.READ, 0xc0),
-        ]
+        ])
 
     def test_total_instructions_counts_accesses(self):
         assert total_instructions(self.trace()) == 40
 
     def test_read_fraction(self):
         assert read_fraction(self.trace()) == pytest.approx(0.75)
-        assert read_fraction([]) == 0.0
+        assert read_fraction(PackedTrace()) == 0.0
 
     def test_trace_mpki(self):
         assert trace_mpki(self.trace()) == pytest.approx(100.0)
-        assert trace_mpki([]) == 0.0
+        assert trace_mpki(PackedTrace()) == 0.0

@@ -18,13 +18,13 @@ class TestStream:
         records = stream_kernel(10, gap=5, start=0x1000)
         assert len(records) == 10
         assert all(r.op is OpType.READ and r.gap == 5 for r in records)
-        assert [r.address for r in records[:3]] == [0x1000, 0x1040, 0x1080]
+        assert list(records.addresses[:3]) == [0x1000, 0x1040, 0x1080]
 
 
 class TestCopy:
     def test_alternates_read_write(self):
         records = copy_kernel(10, gap=4)
-        assert [r.op for r in records[:4]] == [
+        assert [r.op for r in list(records)[:4]] == [
             OpType.READ, OpType.WRITE, OpType.READ, OpType.WRITE
         ]
         # Writes land in the destination region.
@@ -63,9 +63,8 @@ class TestPointerChase:
 class TestStrided:
     def test_stride_distance(self):
         records = strided_kernel(5, stride_lines=16)
-        deltas = {
-            b.address - a.address for a, b in zip(records, records[1:])
-        }
+        addresses = records.addresses
+        deltas = {b - a for a, b in zip(addresses, addresses[1:])}
         assert deltas == {16 * 64}
 
     def test_rejects_zero_stride(self):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import TraceFormatError
 from repro.memsys.request import OpType
+from repro.workloads.packed import PackedTrace
 from repro.workloads.record import TraceRecord
 from repro.workloads.trace_io import (
     read_nvmain_trace,
@@ -18,11 +19,11 @@ from repro.workloads.trace_io import (
 
 @pytest.fixture
 def records():
-    return [
+    return PackedTrace.from_records([
         TraceRecord(10, OpType.READ, 0x1000),
         TraceRecord(0, OpType.WRITE, 0x2040),
         TraceRecord(250, OpType.READ, 0xdeadbeef40),
-    ]
+    ])
 
 
 class TestNativeFormat:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.memsys.request import OpType
-from repro.workloads.record import read_fraction, trace_mpki
+from repro.workloads.packed import read_fraction, trace_mpki
 from repro.workloads.spec_profiles import BenchmarkProfile, get_profile
 from repro.workloads.tracegen import ProfileTraceGenerator, generate_trace
 
@@ -44,16 +44,14 @@ class TestStatisticalTargets:
 
     def test_streaming_profile_is_sequential(self):
         trace = generate_trace(profile(p_seq=1.0, streams=1), 1000)
-        deltas = [
-            b.address - a.address for a, b in zip(trace, trace[1:])
-        ]
+        addresses = trace.addresses
+        deltas = [b - a for a, b in zip(addresses, addresses[1:])]
         assert all(d == 64 for d in deltas)
 
     def test_random_profile_jumps(self):
         trace = generate_trace(profile(p_seq=0.0, streams=1), 1000)
-        deltas = [
-            abs(b.address - a.address) for a, b in zip(trace, trace[1:])
-        ]
+        addresses = trace.addresses
+        deltas = [abs(b - a) for a, b in zip(addresses, addresses[1:])]
         assert sum(1 for d in deltas if d != 64) > 900
 
     def test_addresses_stay_inside_footprint(self):
@@ -67,15 +65,19 @@ class TestStatisticalTargets:
 
 
 class TestGeneratorApi:
-    def test_records_is_lazy_and_counted(self):
+    def test_packed_length_is_counted(self):
         gen = ProfileTraceGenerator(profile())
-        records = list(gen.records(17))
-        assert len(records) == 17
+        assert len(gen.packed(17)) == 17
 
     def test_negative_count_rejected(self):
         gen = ProfileTraceGenerator(profile())
         with pytest.raises(ValueError):
-            list(gen.records(-1))
+            gen.packed(-1)
+
+    def test_generate_trace_is_the_packed_generator(self):
+        from repro.workloads.tracegen import generate_packed_trace
+
+        assert generate_trace is generate_packed_trace
 
     def test_zero_write_fraction_is_read_only(self):
         trace = generate_trace(profile(write_fraction=0.0), 500)
