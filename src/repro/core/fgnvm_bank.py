@@ -32,8 +32,7 @@ sensed at first touch and a write blocks everything — see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..config.params import TimingCycles
 from ..errors import ProtocolError
@@ -44,7 +43,7 @@ from ..memsys.request import (
     SERVICE_WRITE,
     SERVICE_WRITE_MISS,
     MemRequest,
-    OpType,
+    memo_key,
 )
 from ..memsys.stats import StatsCollector
 from ..obs.events import (
@@ -62,12 +61,7 @@ from ..obs.trace import BLAME_MAINT, BLAME_MULTI_ACT, BLAME_RUW, BLAME_TILE
 from ..units import BITS_PER_BYTE
 from .tile import KIND_MAINT, KIND_SENSE, KIND_WRITE, TileGrid
 
-#: Module-level alias: class attribute access on an Enum is slow.
-_OP_WRITE = OpType.WRITE
-
-
-@dataclass(frozen=True)
-class IssueResult:
+class IssueResult(NamedTuple):
     """Outcome of issuing one request to a bank.
 
     ``bus_desired_start`` is when the data transfer would like the data
@@ -76,7 +70,8 @@ class IssueResult:
     ``retry_cycles`` is how many of the occupancy's cycles were spent
     re-pulsing a write whose verify failed (0 for reads and for
     first-pulse-clean writes) — the tracer attributes them to the
-    ``write_retry`` blame cause.
+    ``write_retry`` blame cause.  A named tuple: one per issued
+    request, built without a per-field ``object.__setattr__``.
     """
 
     kind: str
@@ -153,16 +148,19 @@ class FgNvmBank:
         self.reliability = reliability
         #: Last cycle a column command was accepted (tCCD spacing).
         self._last_column = -(10**9)
-        #: Scheduling memo: (is_write, row, sag, cd) -> (kind, constraint).
-        #: Together with the owning controller's per-bank queue index this
-        #: is the row-hit lookup keyed on (flat_bank, row): every request
-        #: targeting the same tile coordinates shares one cached
-        #: classification and earliest-start constraint.  Plain-int keys
-        #: hold :meth:`write_cap_free_at` answers per cap.  Every value
+        #: Scheduling memo: :func:`~repro.memsys.request.memo_key` ->
+        #: (kind, constraint).  Together with the owning controller's
+        #: per-bank queue index this is the row-hit lookup keyed on
+        #: (flat_bank, row): every request targeting the same tile
+        #: coordinates shares one cached classification and
+        #: earliest-start constraint.  Plain-int keys hold
+        #: :meth:`write_cap_free_at` answers per cap.  Every value
         #: depends only on bank state, and all bank state mutates inside
-        #: :meth:`issue` — which drops the memo — so entries can never go
-        #: stale.
-        self._sched_cache: dict = {}
+        #: :meth:`issue` — which clears the memo in place — so entries
+        #: can never go stale.  Public because the fast scheduler scan
+        #: reads it inline by ``MemRequest.sched_key`` and calls
+        #: :meth:`kind_and_constraint` only on a miss.
+        self.sched_memo: dict = {}
 
     # -- row-buffer tags -----------------------------------------------------
 
@@ -190,7 +188,11 @@ class FgNvmBank:
             if self.open_row[sag] == row:
                 return SERVICE_WRITE
             return SERVICE_WRITE_MISS
-        if all(self._buffered(sag, c, row) for c in cds):
+        if len(cds) == 1:
+            # One CD (every preset but the finest grids): no generator.
+            if self._buffered(sag, cds[0], row):
+                return SERVICE_ROW_HIT
+        elif all(self._buffered(sag, c, row) for c in cds):
             return SERVICE_ROW_HIT
         if self.open_row[sag] == row:
             return SERVICE_UNDERFETCH
@@ -323,16 +325,16 @@ class FgNvmBank:
         the reference oracle the differential tests compare against.
         """
         dec = req.decoded
-        # Keyed on a bool, not the OpType member: Enum hashing runs in
-        # Python and this is the hottest lookup in the simulator.
-        key = (req.op is _OP_WRITE, dec.row, dec.sag, dec.cd)
-        cached = self._sched_cache.get(key)
+        key = req.sched_key
+        if key is None:
+            key = memo_key(req.is_write, dec)
+        cached = self.sched_memo.get(key)
         if cached is not None:
             return cached
         sag, cds = self._coords(dec)
         kind = self._classify_at(req, sag, cds)
         entry = (kind, self._constraint_at(kind, sag, cds))
-        self._sched_cache[key] = entry
+        self.sched_memo[key] = entry
         return entry
 
     # -- issue ---------------------------------------------------------------
@@ -355,8 +357,8 @@ class FgNvmBank:
                     self._sag_buffer[sag][cd] = None
         # Issuing is the only place bank state changes; the scheduling
         # memo is rebuilt lazily on the next query.
-        if self._sched_cache:
-            self._sched_cache.clear()
+        if self.sched_memo:
+            self.sched_memo.clear()
         return result
 
     def _issue(self, req: MemRequest, now: int, sag: int,
@@ -608,7 +610,7 @@ class FgNvmBank:
         do), a function of bank state alone, so it shares the
         scheduling memo that :meth:`issue` drops.
         """
-        cached = self._sched_cache.get(cap)
+        cached = self.sched_memo.get(cap)
         if cached is not None:
             return cached
         grid = self.grid
@@ -618,7 +620,7 @@ class FgNvmBank:
             reverse=True,
         )
         free_at = releases[cap - 1] if len(releases) >= cap else 0
-        self._sched_cache[cap] = free_at
+        self.sched_memo[cap] = free_at
         return free_at
 
     # -- event-skipping support ----------------------------------------------

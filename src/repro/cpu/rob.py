@@ -22,6 +22,8 @@ from typing import Deque, Optional, Union
 
 from ..memsys.request import MemRequest, RequestState
 
+_COMPLETED = RequestState.COMPLETED
+
 
 class _InstChunk:
     """A run of plain instructions, retire-ready from the start."""
@@ -52,26 +54,24 @@ class ReorderBuffer:
             raise ValueError("ROB must have at least one entry")
         self.capacity = entries
         self._fifo: Deque[RobEntry] = deque()
-        self._occupancy = 0
-
-    @property
-    def occupancy(self) -> int:
-        """Slots in use (instructions plus load markers)."""
-        return self._occupancy
+        #: Slots in use (instructions plus load markers).  A plain
+        #: attribute: the CPU reads it every cycle.
+        self.occupancy = 0
 
     @property
     def free_slots(self) -> int:
-        return self.capacity - self._occupancy
+        return self.capacity - self.occupancy
 
     @property
     def is_empty(self) -> bool:
-        return self._occupancy == 0
+        return self.occupancy == 0
 
     # -- fill ---------------------------------------------------------------
 
     def push_instructions(self, count: int) -> int:
         """Insert up to ``count`` plain instructions; returns how many fit."""
-        accepted = min(count, self.free_slots)
+        free = self.capacity - self.occupancy
+        accepted = count if count < free else free
         if accepted <= 0:
             return 0
         tail = self._fifo[-1] if self._fifo else None
@@ -79,15 +79,15 @@ class ReorderBuffer:
             tail.count += accepted
         else:
             self._fifo.append(_InstChunk(accepted))
-        self._occupancy += accepted
+        self.occupancy += accepted
         return accepted
 
     def push_load(self, request: MemRequest) -> bool:
         """Insert a load marker; False when the ROB is full."""
-        if self.free_slots < 1:
+        if self.occupancy >= self.capacity:
             return False
         self._fifo.append(_LoadMarker(request))
-        self._occupancy += 1
+        self.occupancy += 1
         return True
 
     # -- drain ---------------------------------------------------------------
@@ -97,34 +97,39 @@ class ReorderBuffer:
 
         Retirement stops early at a load whose data has not returned.
         """
+        fifo = self._fifo
         retired = 0
-        while budget > 0 and self._fifo:
-            head = self._fifo[0]
-            if isinstance(head, _InstChunk):
-                take = min(budget, head.count)
-                head.count -= take
+        while budget > 0 and fifo:
+            head = fifo[0]
+            if type(head) is _InstChunk:
+                count = head.count
+                take = budget if budget < count else count
+                head.count = count - take
                 retired += take
                 budget -= take
-                if head.count == 0:
-                    self._fifo.popleft()
+                if take == count:
+                    fifo.popleft()
             else:
-                if head.request.state is not RequestState.COMPLETED:
+                if head.request.state is not _COMPLETED:
                     break
-                self._fifo.popleft()
+                fifo.popleft()
                 retired += 1
                 budget -= 1
-        self._occupancy -= retired
+        self.occupancy -= retired
         return retired
 
     def head_blocked(self) -> bool:
         """True when the head is a load still waiting for data."""
-        if not self._fifo:
-            return False
-        head = self._fifo[0]
-        return (
-            isinstance(head, _LoadMarker)
-            and head.request.state is not RequestState.COMPLETED
-        )
+        return self.blocking_load() is not None
+
+    def blocking_load(self) -> Optional[MemRequest]:
+        """The head load while its data has not returned, else None."""
+        if self._fifo:
+            head = self._fifo[0]
+            if (type(head) is _LoadMarker
+                    and head.request.state is not _COMPLETED):
+                return head.request
+        return None
 
     def head_request(self) -> Optional[MemRequest]:
         """The blocking head load, if any (for diagnostics)."""

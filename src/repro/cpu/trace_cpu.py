@@ -18,8 +18,14 @@ are ratios of these IPCs across memory architectures.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..config.params import CpuParams
-from ..memsys.controller import MemoryController  # noqa: F401 (doc type)
+from ..memsys.controller import (  # noqa: F401 (MemoryController: doc type)
+    ANY_COMPLETION,
+    ANY_READ,
+    MemoryController,
+)
 from ..memsys.request import MemRequest, OpType
 from ..memsys.stats import StatsCollector
 from ..obs.events import EV_CPU_STALL, NULL_PROBE, Event, Probe
@@ -66,6 +72,7 @@ class TraceCpu:
         self._cur_address = 0
         self._gap_left = 0
         self._mshrs_in_use = 0
+        self._mshr_entries = params.mshr_entries
         self._trace_done = False
         self._per_mem_cycle = params.retire_width * params.cpu_cycles_per_mem_cycle(tck_ns)
         #: Fractional budget carry so non-integer CPU/memory clock ratios
@@ -102,7 +109,7 @@ class TraceCpu:
 
     def done(self) -> bool:
         """All instructions fetched and retired (memory may still drain)."""
-        return self._trace_done and self.rob.is_empty
+        return self._trace_done and not self.rob.occupancy
 
     # -- per-cycle operation -----------------------------------------------
 
@@ -116,26 +123,28 @@ class TraceCpu:
             self._budget_carry = budget_f - budget
 
         fetched = self._fetch(now, budget)
-        retired = self.rob.retire(budget)
+        rob = self.rob
+        retired = rob.retire(budget)
         self.instructions_retired += retired
         self.stats.instructions += retired
         if self.probe.enabled:
             # Once per visited cycle: counts depend on event skipping.
-            if retired == 0 and self.rob.head_blocked():
+            if retired == 0 and rob.head_blocked():
                 self.probe.emit(Event(EV_CPU_STALL, now, service="retire",
                                       value=self.owner))
             if (fetched == 0 and not self._trace_done
-                    and self.rob.free_slots == 0):
+                    and rob.occupancy == rob.capacity):
                 self.probe.emit(Event(EV_CPU_STALL, now, service="fetch",
                                       value=self.owner))
 
     def _fetch(self, now: int, budget: int) -> int:
         """Bring up to ``budget`` instructions into the window."""
+        rob = self.rob
         fetched = 0
         while fetched < budget and self._have_current:
             if self._gap_left > 0:
                 want = min(self._gap_left, budget - fetched)
-                accepted = self.rob.push_instructions(want)
+                accepted = rob.push_instructions(want)
                 fetched += accepted
                 self._gap_left -= accepted
                 if accepted < want:
@@ -143,32 +152,30 @@ class TraceCpu:
                 continue
             address = self._cur_address
             if self._cur_is_read:
-                if (self._mshrs_in_use >= self.params.mshr_entries
-                        or self.rob.free_slots < 1
+                if (self._mshrs_in_use >= self._mshr_entries
+                        or rob.occupancy >= rob.capacity
                         or not self.controller.can_accept(
                             OpType.READ, address, now)):
                     break
-                req = MemRequest(OpType.READ, address,
-                                 owner=self.owner)
+                req = MemRequest(OpType.READ, address, owner=self.owner)
                 self.controller.enqueue(req, now)
-                self.rob.push_load(req)
+                rob.push_load(req)
                 self._mshrs_in_use += 1
                 self.loads_issued += 1
                 fetched += 1
             else:
-                if self.rob.free_slots < 1:
+                if rob.occupancy >= rob.capacity:
                     break
                 if not self.controller.can_accept(
                         OpType.WRITE, address, now):
                     break
-                req = MemRequest(OpType.WRITE, address,
-                                 owner=self.owner)
+                req = MemRequest(OpType.WRITE, address, owner=self.owner)
                 self.controller.enqueue(req, now)
                 self.stores_issued += 1
                 # The store instruction itself retires in order like any
                 # other instruction; it occupies a normal ROB slot (the
                 # store *data* drains through the write queue).
-                self.rob.push_instructions(1)
+                rob.push_instructions(1)
                 fetched += 1
             self._advance_record()
         return fetched
@@ -181,25 +188,40 @@ class TraceCpu:
 
     # -- event-skipping support ----------------------------------------------
 
-    def fully_stalled(self) -> bool:
-        """No forward progress possible until a memory event occurs.
+    def waiting_on(self) -> Optional[int]:
+        """What must happen before this core can make progress.
 
-        True when retirement is blocked on the head load and the front
-        end cannot fetch (ROB full, MSHRs exhausted, queue full, or the
-        next record is an unissuable memory access with no gap left).
+        ``None`` when it can act on the very next cycle.  Otherwise
+        retirement is blocked on the ROB head's load and the front end
+        cannot fetch:
+
+        * :data:`~repro.memsys.controller.ANY_READ` when the fetch
+          waits on an MSHR, which any read completion frees;
+        * :data:`~repro.memsys.controller.ANY_COMPLETION` when the
+          fetch polls a full controller queue: the stall ends at an
+          issue (a controller event), but every cycle the core is
+          visited counts one more refused admission, so the clock keeps
+          visiting every completion;
+        * else (ROB full, or nothing left to fetch) the cycle the
+          head's load completes, or -1 while it is still queued: its
+          issue is a controller event, and the completion cycle is
+          known from then on.
         """
-        if not self.rob.head_blocked():
-            return False
-        if self._trace_done or not self._have_current:
-            return True
-        if self.rob.free_slots == 0:
-            return True
-        if self._gap_left > 0:
-            return False  # can still fetch plain instructions
-        address = self._cur_address
-        if self._cur_is_read:
-            return (
-                self._mshrs_in_use >= self.params.mshr_entries
-                or not self.controller.has_space(OpType.READ, address)
-            )
-        return not self.controller.has_space(OpType.WRITE, address)
+        rob = self.rob
+        head = rob.blocking_load()
+        if head is None:
+            return None
+        if (not self._trace_done and self._have_current
+                and rob.occupancy < rob.capacity):
+            if self._gap_left > 0:
+                return None  # can still fetch plain instructions
+            if self._cur_is_read:
+                if self._mshrs_in_use >= self._mshr_entries:
+                    return ANY_READ
+                op = OpType.READ
+            else:
+                op = OpType.WRITE
+            if self.controller.has_space(op, self._cur_address):
+                return None
+            return ANY_COMPLETION
+        return head.completion_cycle

@@ -39,9 +39,6 @@ class _Field:
     shift: int
     mask: int
 
-    def extract(self, address: int) -> int:
-        return (address >> self.shift) & self.mask
-
     def insert(self, value: int) -> int:
         if value & ~self.mask:
             raise AddressError(
@@ -76,6 +73,8 @@ class AddressMapper:
         shift += row_bits
         self.address_bits = shift
         self.offset_bits = offset_bits
+        #: Addresses beyond the capacity wrap under this mask.
+        self._wrap_mask = (1 << shift) - 1
 
         # SAG/CD derivation shifts within the bank-local coordinates.
         self._rows_per_sag = org.rows_per_sag
@@ -83,6 +82,14 @@ class AddressMapper:
         self._cd_span = org.cd_span
         self._cd_interleaved = org.cd_interleaved
         self._sag_interleaved = org.sag_interleaved
+        #: ``decode``'s field layout as plain ints: (shift, mask) per
+        #: field, read without a method call per field.
+        self._layout = tuple(
+            value for field in (self._row, self._col, self._bank,
+                                self._rank, self._channel)
+            for value in (field.shift, field.mask)
+        )
+        self._many_banks = org.architecture is BankArchitecture.MANY_BANKS
         #: Decode memo keyed on the raw (pre-wrap) address.  Traces
         #: rarely repeat a line, so on one channel it seldom hits (only
         #: ``enqueue`` decodes); it serves the multi-channel routing
@@ -106,11 +113,13 @@ class AddressMapper:
         if address < 0:
             raise AddressError(f"negative address: {address}")
         raw = address
-        address &= self.capacity_bytes - 1
-        row = self._row.extract(address)
-        col = self._col.extract(address)
-        bank = self._bank.extract(address)
-        rank = self._rank.extract(address)
+        address &= self._wrap_mask
+        (row_shift, row_mask, col_shift, col_mask, bank_shift, bank_mask,
+         rank_shift, rank_mask, channel_shift, channel_mask) = self._layout
+        row = (address >> row_shift) & row_mask
+        col = (address >> col_shift) & col_mask
+        bank = (address >> bank_shift) & bank_mask
+        rank = (address >> rank_shift) & rank_mask
         if self._sag_interleaved:
             sag = row % self.org.subarray_groups
         else:
@@ -126,7 +135,7 @@ class AddressMapper:
         # ``flat_bank`` indexes the owning channel's bank list: ranks
         # share the channel buses but their banks are independent.
         flat_bank = rank * self.org.banks_per_rank + bank
-        if self.org.architecture is BankArchitecture.MANY_BANKS:
+        if self._many_banks:
             # Fold (rank, bank, sag, cd) into one independent-bank
             # index; the in-unit row/column become the residues.
             flat_bank = (
@@ -136,14 +145,8 @@ class AddressMapper:
                 + cd
             )
         decoded = DecodedAddress(
-            channel=self._channel.extract(address),
-            rank=rank,
-            bank=bank,
-            row=row,
-            col=col,
-            sag=sag,
-            cd=cd,
-            flat_bank=flat_bank,
+            (address >> channel_shift) & channel_mask,
+            rank, bank, row, col, sag, cd, flat_bank,
         )
         self._decode_cache[raw] = decoded
         return decoded

@@ -72,9 +72,12 @@ class DataBus:
 
         Returns the actual start cycle (>= desired under contention).
         """
-        lane = min(range(self.width), key=self._lane_free.__getitem__)
-        start = max(desired, self._lane_free[lane])
-        self._lane_free[lane] = start + self.tburst
+        lane_free = self._lane_free
+        free = min(lane_free)
+        # The first minimal lane, as ``min`` over lane indexes breaks ties.
+        lane = lane_free.index(free)
+        start = desired if desired > free else free
+        lane_free[lane] = start + self.tburst
         self.transfers += 1
         self.busy_cycles += self.tburst
         self.conflict_cycles += start - desired

@@ -19,7 +19,7 @@ blocked, reproducing the read/write interference the paper attacks.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..config.params import SystemConfig
 from ..errors import SimulationError
@@ -45,19 +45,39 @@ from .bank_baseline import build_banks
 from .bus import CommandBus, DataBus
 from .policies import resolve_scheduler
 from .queues import TransactionQueue, WriteQueue
-from .request import MemRequest, OpType
+from .request import MemRequest, OpType, memo_key
 from .scheduler import Candidate
 from .stats import StatsCollector
 
 #: Quiet-cycle sentinel: "no issuable work until something enqueues".
 _FAR_FUTURE = 1 << 62
 
+#: What a cycle that retires no completion returns (shared, never
+#: mutated: no list is built for it).
+_NONE_DONE: "tuple[MemRequest, ...]" = ()
 
-def _min_constraint(lookup, reqs) -> Optional[int]:
-    """Min bank constraint over ``reqs`` (None when there are none)."""
+#: Completion watches a caller can name to
+#: :meth:`MemoryController.next_event_after` (negative, so they never
+#: read as a cycle): the first read completion — a core's fetch waits
+#: on an MSHR — or every completion — a core's fetch polls a full
+#: queue, and each refused poll is counted, once per visited cycle.
+ANY_READ = -2
+ANY_COMPLETION = -3
+
+
+def _min_constraint(bank, reqs) -> Optional[int]:
+    """Min bank constraint over ``reqs`` (None when there are none).
+
+    Reads the bank's memo inline by each request's ``sched_key``, like
+    the scheduler's scan; ``kind_and_constraint`` runs only on a miss.
+    """
+    memo = bank.sched_memo
     min_c: Optional[int] = None
     for req in reqs:
-        constraint = lookup(req)[1]
+        entry = memo.get(req.sched_key)
+        if entry is None:
+            entry = bank.kind_and_constraint(req)
+        constraint = entry[1]
         if min_c is None or constraint < min_c:
             min_c = constraint
     return min_c
@@ -100,11 +120,16 @@ class MemoryController:
         self.data_bus = DataBus(
             config.controller.data_bus_width, self.timing.tburst
         )
-        #: Min-heap of future controller events keyed by cycle: data-bus
+        #: Min-heap of in-flight completions keyed by cycle: data-bus
         #: transfer completions for reads and forwarded hits, write-pulse
         #: ends for writes — everything that leaves the queues but is not
-        #: yet done.
+        #: yet done.  A completion is retired at the first visited cycle
+        #: at or after it; it is a clock event only when something
+        #: observes it at its cycle (see :meth:`next_event_after`).
         self._completions: List[Tuple[int, int, MemRequest]] = []
+        #: Completion cycles of the reads among them, as a min-heap: the
+        #: first read completion frees an MSHR.
+        self._read_completions: List[int] = []
         self._flush_mode = False
         self._was_draining = False
         self.forwarded_reads = 0
@@ -180,6 +205,7 @@ class MemoryController:
         """
         if req.decoded is None:
             req.decoded = self.mapper.decode(req.address)
+        req.sched_key = memo_key(req.is_write, req.decoded)
         tracer = self.tracer
         span = None
         if tracer is not None:
@@ -212,6 +238,7 @@ class MemoryController:
                 heapq.heappush(
                     self._completions, (done, req.req_id, req)
                 )
+                heapq.heappush(self._read_completions, done)
                 if span is not None:
                     tracer.on_forward(span, now, done)
                 return
@@ -227,23 +254,35 @@ class MemoryController:
 
     # -- per-cycle operation --------------------------------------------------
 
-    def tick(self, now: int) -> List[MemRequest]:
+    def tick(self, now: int) -> Sequence[MemRequest]:
         """Advance one cycle: complete transfers, then issue commands."""
         completed = self._pop_completions(now)
         self._issue_phase(now)
         return completed
 
-    def _pop_completions(self, now: int) -> List[MemRequest]:
+    def _pop_completions(self, now: int) -> Sequence[MemRequest]:
+        """Retire every completion due by ``now``, in (cycle, id) order.
+
+        A completion no observer waits on may be retired at a later
+        visited cycle than its own, so events carry the request's
+        ``completion_cycle``, never ``now``.
+        """
+        completions = self._completions
+        if not completions or completions[0][0] > now:
+            return _NONE_DONE
         done: List[MemRequest] = []
         read_latencies: List[int] = []
-        while self._completions and self._completions[0][0] <= now:
-            _, _, req = heapq.heappop(self._completions)
+        while completions and completions[0][0] <= now:
+            _, _, req = heapq.heappop(completions)
             req.mark_completed()
             if req.is_read:
                 read_latencies.append(req.latency)
+                # The popped read is the earliest one left.
+                heapq.heappop(self._read_completions)
             if self.probe.enabled:
                 self.probe.emit(Event(
-                    EV_COMPLETE, now, req_id=req.req_id, op=req.op.value,
+                    EV_COMPLETE, req.completion_cycle, req_id=req.req_id,
+                    op=req.op.value,
                     service=req.service_kind, channel=self.channel,
                     value=req.latency,
                 ))
@@ -393,29 +432,12 @@ class MemoryController:
         by_bank = queue.by_bank()
         if not by_bank:
             return None, None
-        banks = self.banks
-        candidates: List[Candidate] = []
-        cap = self._write_cap if queue is self.write_queue else None
         # A throttled bank is blocked like any candidate: until the
         # cycle its in-flight writes fall below the cap.
-        capped_min: Optional[int] = None
-        for flat_bank, reqs in by_bank.items():
-            bank = banks[flat_bank]
-            if cap is not None:
-                free_at = bank.write_cap_free_at(cap)
-                if free_at > now:
-                    if capped_min is None or free_at < capped_min:
-                        capped_min = free_at
-                    continue
-            for req in reqs:
-                candidates.append((req, bank))
-        best, blocked_min = self.scheduler.pick_with_horizon(
-            candidates, now
+        return self.scheduler.pick_with_horizon(
+            by_bank, self.banks, now,
+            self._write_cap if queue is self.write_queue else None,
         )
-        if capped_min is not None and (
-                blocked_min is None or capped_min < blocked_min):
-            blocked_min = capped_min
-        return best, blocked_min
 
     def _candidates(self, queue: TransactionQueue, now: int
                      ) -> List[Candidate]:
@@ -448,6 +470,7 @@ class MemoryController:
             heapq.heappush(
                 self._completions, (completion, req.req_id, req)
             )
+            heapq.heappush(self._read_completions, completion)
             if req.req_id in self._traced:
                 _, span = self._traced.pop(req.req_id)
                 self.tracer.on_issue_read(
@@ -492,20 +515,43 @@ class MemoryController:
         self._flush_mode = True
         self._quiet_until = 0
 
-    def next_event_after(self, now: int) -> Optional[int]:
+    def next_event_after(self, now: int, watch: Optional[int] = None,
+                         last: bool = False) -> Optional[int]:
         """Earliest future cycle at which this controller can make progress.
 
-        Used for clock skipping: the next event on the completion heap,
-        or the earliest cycle any queued request becomes issuable.  With
-        the incremental scheduler the queue part is a cached minimum
-        over the banks' now-independent earliest-start constraints
+        Used for clock skipping: the earliest cycle any queued request
+        becomes issuable, or an observed completion.  With the
+        incremental scheduler the queue part is a cached minimum over
+        the banks' now-independent earliest-start constraints
         (``earliest_start(req, now) == max(now, constraint)``, so
         ``min over requests of max(constraint, now + 1)`` equals
         ``max(min constraint, now + 1)``), with writes held to their
         bank's write-cap release and the whole term held to the
         quiet-cycle memo — the same facts the issue pass acts on.  The
         reference policy keeps the seed's exhaustive per-request scan
-        over the raw constraints, so it visits a superset of cycles.
+        over the raw constraints and every completion, so it visits a
+        superset of cycles.
+
+        A completion is an event only when something observes it at
+        its cycle; any other one is retired at the next visited cycle
+        (:meth:`_pop_completions`).  The caller names the observers:
+
+        * ``watch`` — what a waiting core watches: :data:`ANY_READ`
+          (its fetch waits on an MSHR, which the first read completion
+          frees) or :data:`ANY_COMPLETION` (its fetch polls a full
+          queue and counts each refusal, so every visited cycle counts;
+          the clock keeps visiting every completion there).  Any other
+          value is ignored: a core waiting on its ROB head knows that
+          completion cycle itself;
+        * ``last`` — the end of the run: once both queues are empty,
+          the last completion ends it.
+
+        (The simulator adds the third observer, the epoch recorder,
+        through :meth:`next_completion`.)
+
+        While traced writes are queued under a cap every completion is
+        an event: ``write_cap`` blame is decided on the cycle the blame
+        pass runs, and a write-cap release is a write completion.
 
         A drain-phase flip is an event too: the next pass publishes
         ``EV_DRAIN``, so it runs on the very next cycle.
@@ -515,9 +561,20 @@ class MemoryController:
             return now + 1
         if not self.scheduler.incremental:
             return self._next_event_after_reference(now)
+        traced_cap = bool(self._traced_writes) and self._write_cap is not None
         horizon: Optional[int] = None
-        if self._completions:
-            horizon = self._completions[0][0]
+        completions = self._completions
+        if completions:
+            if traced_cap or watch == ANY_COMPLETION:
+                horizon = completions[0][0]
+            else:
+                if watch == ANY_READ and self._read_completions:
+                    horizon = self._read_completions[0]
+                if last and self.read_queue.is_empty \
+                        and self.write_queue.is_empty:
+                    final = max(entry[0] for entry in completions)
+                    if horizon is None or final < horizon:
+                        horizon = final
         floor = now + 1
         if self._quiet_until > floor:
             floor = self._quiet_until
@@ -529,10 +586,7 @@ class MemoryController:
             # Traced writes queued under a cap are blamed on the cycle
             # the blame pass runs, so those runs keep visiting raw-ready
             # cycles (exactly when the quiet memo is not installed).
-            if self._traced_writes and self._write_cap is not None:
-                min_c = self._min_raw
-            else:
-                min_c = self._min_constraint
+            min_c = self._min_raw if traced_cap else self._min_constraint
             if min_c is not None:
                 when = min_c if min_c > floor else floor
                 if horizon is None or when < horizon:
@@ -542,6 +596,10 @@ class MemoryController:
                 f"controller event horizon {horizon} not after now={now}"
             )
         return horizon
+
+    def next_completion(self) -> Optional[int]:
+        """Cycle of the earliest in-flight completion (None: none)."""
+        return self._completions[0][0] if self._completions else None
 
     def _recompute_min_constraint(self) -> None:
         """Rescan the dirty banks, then take both mins over every bank.
@@ -558,13 +616,12 @@ class MemoryController:
         cap = self._write_cap
         for flat_bank in self._dirty_banks:
             bank = self.banks[flat_bank]
-            lookup = bank.kind_and_constraint
-            raw = held = _min_constraint(lookup, writes.get(flat_bank, ()))
+            raw = held = _min_constraint(bank, writes.get(flat_bank, ()))
             if held is not None and cap is not None:
                 free_at = bank.write_cap_free_at(cap)
                 if free_at > held:
                     held = free_at
-            read_min = _min_constraint(lookup, reads.get(flat_bank, ()))
+            read_min = _min_constraint(bank, reads.get(flat_bank, ()))
             if read_min is not None:
                 if raw is None or read_min < raw:
                     raw = read_min

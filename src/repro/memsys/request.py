@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class OpType(enum.Enum):
@@ -40,14 +39,14 @@ class RequestState(enum.Enum):
     COMPLETED = enum.auto()
 
 
-@dataclass(frozen=True, slots=True)
-class DecodedAddress:
+class DecodedAddress(NamedTuple):
     """A physical address decoded against the active organisation.
 
     ``sag`` and ``cd`` are the FgNVM coordinates; for non-subdivided
     organisations they are both zero.  ``flat_bank`` is the global bank
     index used to look up the bank model (for MANY_BANKS it already folds
-    the (SAG, CD) coordinates in).
+    the (SAG, CD) coordinates in).  A named tuple: immutable, and built
+    in one call rather than one ``object.__setattr__`` per field.
     """
 
     channel: int
@@ -61,34 +60,51 @@ class DecodedAddress:
 
 
 _req_ids = itertools.count()
+_READ = OpType.READ
 
 
-@dataclass(slots=True, eq=False)
+def memo_key(is_write: bool, decoded: DecodedAddress) -> tuple:
+    """Key of a bank's scheduling memo: requests sharing it share one
+    (service kind, earliest-start constraint) answer.
+
+    Keyed on a bool, not the :class:`OpType` member: Enum hashing runs
+    in Python and the memo is the hottest lookup in the simulator.
+    """
+    return (is_write, decoded.row, decoded.sag, decoded.cd)
+
+
 class MemRequest:
     """One cache-line memory transaction (compared by identity)."""
 
-    op: OpType
-    address: int
-    decoded: Optional[DecodedAddress] = None
-    arrival_cycle: int = 0
-    issue_cycle: int = -1
-    completion_cycle: int = -1
-    state: RequestState = RequestState.CREATED
-    #: Set at issue time: whether the access hit buffered data (row hit),
-    #: re-sensed an open row ("underfetch") or was a full row miss.
-    service_kind: str = ""
-    #: Issuing core's index (0 for single-core runs); lets multi-core
-    #: simulations route completions back to the right MSHR file.
-    owner: int = 0
-    req_id: int = field(default_factory=lambda: next(_req_ids))
+    __slots__ = (
+        "op", "address", "decoded", "arrival_cycle", "issue_cycle",
+        "completion_cycle", "state", "service_kind", "owner", "req_id",
+        "is_read", "is_write", "sched_key",
+    )
 
-    @property
-    def is_read(self) -> bool:
-        return self.op is OpType.READ
-
-    @property
-    def is_write(self) -> bool:
-        return self.op is OpType.WRITE
+    def __init__(self, op: OpType, address: int,
+                 decoded: Optional[DecodedAddress] = None, owner: int = 0):
+        self.op = op
+        self.address = address
+        self.decoded = decoded
+        self.arrival_cycle = 0
+        self.issue_cycle = -1
+        self.completion_cycle = -1
+        self.state = RequestState.CREATED
+        #: Set at issue time: whether the access hit buffered data (row
+        #: hit), re-sensed an open row ("underfetch") or was a full row
+        #: miss.
+        self.service_kind = ""
+        #: Issuing core's index (0 for single-core runs); lets multi-core
+        #: simulations route completions back to the right MSHR file.
+        self.owner = owner
+        self.req_id = next(_req_ids)
+        #: The operation never changes, so its two tests are fields.
+        self.is_read = op is _READ
+        self.is_write = not self.is_read
+        #: :func:`memo_key`, fixed by the controller at enqueue (None
+        #: before): the scheduler's inline memo lookups read it.
+        self.sched_key: Optional[tuple] = None
 
     @property
     def latency(self) -> int:

@@ -5,10 +5,13 @@ Every policy is one *ranking* — a mixin defining
 one of two bases:
 
 * :class:`MinScanPolicy` — the fast implementation: one O(n) pass
-  (:meth:`~MinScanPolicy.pick_with_horizon`) over the banks' memoized
-  :meth:`~repro.core.fgnvm_bank.FgNvmBank.kind_and_constraint` lookups,
-  keeping the key-minimal issuable candidate and the earliest
-  constraint among blocked ones.  The controller runs this by default.
+  (:meth:`~MinScanPolicy.pick_with_horizon`) over a queue's per-bank
+  groups, applying the write cap per bank and reading each request's
+  (kind, constraint) from its bank's memo inline
+  (:meth:`~repro.core.fgnvm_bank.FgNvmBank.kind_and_constraint` only
+  on a miss), keeping the key-minimal issuable candidate and the
+  earliest constraint among blocked ones.  The controller runs this by
+  default.
 * :class:`KeyedReference` — the brute-force oracle: filter the issuable
   candidates through the uncached ``earliest_start`` / ``is_row_hit``
   protocol pair and sort them all by the same key.  The property suites
@@ -47,15 +50,23 @@ policy in the zoo.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
 
 from ..config.params import SchedulerKind
 from .request import SERVICE_ROW_HIT, SERVICE_WRITE, MemRequest
 
 
 class BankLike(Protocol):
-    """What a scheduler needs to know about a bank."""
+    """What a scheduler needs to know about a bank.
 
+    ``sched_memo`` is ``kind_and_constraint``'s memo, keyed by
+    ``MemRequest.sched_key`` (and by an int cap for
+    ``write_cap_free_at``); the fast scan reads it inline.
+    """
+
+    sched_memo: dict
+
+    def write_cap_free_at(self, cap: int) -> int: ...
     def is_row_hit(self, req: MemRequest) -> bool: ...
     def earliest_start(self, req: MemRequest, now: int) -> int: ...
     def kind_and_constraint(self, req: MemRequest) -> Tuple[str, int]: ...
@@ -102,11 +113,26 @@ class MinScanPolicy(SchedulingPolicy):
 
     def pick(self, candidates: Sequence[Candidate], now: int
              ) -> Optional[Candidate]:
-        return self.pick_with_horizon(candidates, now)[0]
+        """The candidate-list form (oracle comparisons): the caller's
+        own winning tuple."""
+        best = self.pick_with_horizon(*candidate_groups(candidates), now)[0]
+        if best is None:
+            return None
+        return next(cand for cand in candidates if cand[0] is best[0])
 
-    def pick_with_horizon(self, candidates: Sequence[Candidate], now: int
+    def pick_with_horizon(self, by_bank: "Mapping[int, Sequence[MemRequest]]",
+                          banks: "Sequence[BankLike]", now: int,
+                          cap: Optional[int] = None
                           ) -> "Tuple[Optional[Candidate], Optional[int]]":
         """(best candidate, earliest constraint among blocked ones).
+
+        Walks a queue's per-bank groups directly: ``by_bank`` maps a
+        bank index to its arrival-ordered requests and ``banks`` holds
+        the bank models by index.  Under a write ``cap`` a bank whose
+        in-flight writes hold the cap is blocked, like any candidate,
+        until its ``write_cap_free_at(cap)``.  Each request's (kind,
+        constraint) is read from its bank's ``sched_memo`` by its
+        ``sched_key``; ``kind_and_constraint`` runs only on a miss.
 
         The second element is the soonest cycle any *currently blocked*
         candidate could become issuable — ``None`` when nothing is
@@ -114,23 +140,47 @@ class MinScanPolicy(SchedulingPolicy):
         cycles.
         """
         scan_key = self.scan_key
-        best: Optional[Candidate] = None
+        best_req: Optional[MemRequest] = None
+        best_bank: Optional[BankLike] = None
         best_key: Optional[tuple] = None
         blocked_min: Optional[int] = None
-        for cand in candidates:
-            req, bank = cand
-            kind, constraint = bank.kind_and_constraint(req)
-            if constraint > now:
-                if blocked_min is None or constraint < blocked_min:
-                    blocked_min = constraint
-                continue
-            key = scan_key(req, bank,
-                           kind == SERVICE_ROW_HIT or kind == SERVICE_WRITE,
-                           now)
-            if best_key is None or key < best_key:
-                best = cand
-                best_key = key
-        return best, blocked_min
+        for index, reqs in by_bank.items():
+            bank = banks[index]
+            memo = bank.sched_memo
+            if cap is not None:
+                free_at = memo.get(cap)
+                if free_at is None:
+                    free_at = bank.write_cap_free_at(cap)
+                if free_at > now:
+                    if blocked_min is None or free_at < blocked_min:
+                        blocked_min = free_at
+                    continue
+            for req in reqs:
+                entry = memo.get(req.sched_key)
+                if entry is None:
+                    entry = bank.kind_and_constraint(req)
+                kind, constraint = entry
+                if constraint > now:
+                    if blocked_min is None or constraint < blocked_min:
+                        blocked_min = constraint
+                    continue
+                hit = kind == SERVICE_ROW_HIT or kind == SERVICE_WRITE
+                key = scan_key(req, bank, hit, now)
+                if best_key is None or key < best_key:
+                    best_req = req
+                    best_bank = bank
+                    best_key = key
+        if best_req is None:
+            return None, blocked_min
+        return (best_req, best_bank), blocked_min
+
+
+def candidate_groups(candidates: Sequence[Candidate]
+                     ) -> "Tuple[Dict[int, List[MemRequest]], List[BankLike]]":
+    """A candidate list as :meth:`MinScanPolicy.pick_with_horizon`'s
+    (``by_bank``, ``banks``) pair: one group per candidate."""
+    return ({index: [req] for index, (req, _) in enumerate(candidates)},
+            [bank for _, bank in candidates])
 
 
 class KeyedReference(SchedulingPolicy):

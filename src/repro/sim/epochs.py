@@ -63,6 +63,14 @@ class EpochRecorder:
         #: tests/obs equivalence suites).
         self.on_sample = on_sample
 
+    def boundary_from(self, cycle: int) -> int:
+        """The first unmaterialised boundary at or after ``cycle``."""
+        behind = cycle - self.next_boundary
+        if behind <= 0:
+            return self.next_boundary
+        return self.next_boundary + -(-behind // self.epoch_cycles) \
+            * self.epoch_cycles
+
     def observe(self, now: int, pending: int) -> None:
         """Record any epoch boundaries passed by cycle ``now``.
 

@@ -23,6 +23,7 @@ from ..config.validate import validate_config
 from ..core.energy import EnergyBreakdown, measure_energy
 from ..cpu.trace_cpu import TraceCpu
 from ..errors import SimulationError
+from ..memsys.controller import ANY_COMPLETION, ANY_READ
 from ..memsys.stats import StatsCollector
 from ..workloads.packed import PackedTrace
 from ..workloads.transform import offset_trace
@@ -165,10 +166,36 @@ class MultiCoreSimulator:
         )
 
     def _next_cycle(self) -> int:
-        naive = self.now + 1
-        if not all(cpu.done() or cpu.fully_stalled() for cpu in self.cpus):
-            return naive
-        horizon = self.system.next_event_after(self.now)
+        """The single-core clock rule over every core.
+
+        The clock steps by one while any core can progress.  Otherwise
+        it jumps to the memory system's next event, where the observed
+        completions are each waiting core's ROB-head load, any read
+        while some core's fetch waits on an MSHR, every completion while
+        some core polls a full queue, and the last one once every core
+        is done (see ``Simulator._next_cycle``).
+        """
+        now = self.now
+        naive = now + 1
+        head: "int | None" = None
+        watch: "int | None" = None
+        all_done = True
+        for cpu in self.cpus:
+            if cpu.done():
+                continue
+            all_done = False
+            wait = cpu.waiting_on()
+            if wait is None:
+                return naive
+            if wait > now:
+                if head is None or wait < head:
+                    head = wait
+            elif wait == ANY_COMPLETION or (wait == ANY_READ
+                                            and watch is None):
+                watch = wait
+        horizon = self.system.next_event_after(now, watch, last=all_done)
+        if head is not None and (horizon is None or head < horizon):
+            horizon = head
         if horizon is None:
             return naive
         return max(naive, horizon)

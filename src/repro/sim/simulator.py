@@ -7,9 +7,10 @@ clock jumps to ``min(next CPU-visible event, next controller event)``.
 A runnable CPU's next event is the very next cycle, so execution phases
 step cycle-by-cycle; whenever the CPU is blocked on memory (or has
 finished and only the write drain remains), the clock jumps straight to
-the controller's next completion or earliest-issuable cycle — a large
-win given PCM's 60-cycle write pulses.  The set of simulated cycles is
-identical either way, which is what keeps results bit-identical to an
+the controller's earliest-issuable cycle or to a completion that
+something observes — a large win given PCM's 60-cycle write pulses.
+The skipped cycles are those where a densely ticked run changes
+nothing anyone reads, which is what keeps results bit-identical to an
 unskipped run (see docs/performance.md, "Hot-path architecture").
 
 End of run: the trace is fully retired, the controller has drained every
@@ -196,13 +197,34 @@ class Simulator:
         event is simply ``now + 1``, which bounds the min from below —
         so the controller horizon query is short-circuited and the clock
         steps by one.  When the CPU is blocked on memory (or has
-        finished), the CPU term drops out and the clock jumps straight
-        to the controller's next completion or earliest-issuable cycle.
+        finished), the clock jumps to the controller's next issuable
+        cycle or to a completion something observes: the load the CPU's
+        ROB head waits on, any read while its fetch waits on an MSHR,
+        any completion while it polls a full queue, the end of the run,
+        or the next epoch boundary.  Any other completion is retired at
+        the next visited cycle: until someone looks, retiring it later
+        changes nothing.
         """
-        naive = self.now + 1
-        if not (self.cpu.done() or self.cpu.fully_stalled()):
+        now = self.now
+        naive = now + 1
+        cpu = self.cpu
+        done = cpu.done()
+        wait = None if done else cpu.waiting_on()
+        if wait is None and not done:
             return naive  # next CPU event is the very next cycle
-        horizon = self.controller.next_event_after(self.now)
+        controller = self.controller
+        horizon = controller.next_event_after(now, wait, last=done)
+        if wait is not None and wait > now \
+                and (horizon is None or wait < horizon):
+            horizon = wait
+        if self._epochs is not None:
+            # A boundary samples ``pending``: the first one at or after
+            # the next completion must see it retired.
+            first = controller.next_completion()
+            if first is not None:
+                boundary = self._epochs.boundary_from(first)
+                if horizon is None or boundary < horizon:
+                    horizon = boundary
         if horizon is None:
             # CPU blocked with no memory event: only legal when the CPU
             # is done and the controller is empty (loop exits first).

@@ -10,7 +10,7 @@ facade is what makes the ``org.channels`` knob real.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..config.params import SystemConfig
 from ..memsys.address import AddressMapper
@@ -67,7 +67,7 @@ class MemorySystem:
 
     # -- per-cycle operation ---------------------------------------------------
 
-    def tick(self, now: int) -> List[MemRequest]:
+    def tick(self, now: int) -> Sequence[MemRequest]:
         if self._single is not None:
             return self._single.tick(now)
         completed: List[MemRequest] = []
@@ -92,17 +92,28 @@ class MemorySystem:
         for controller in self.controllers:
             controller.begin_flush()
 
-    def next_event_after(self, now: int) -> Optional[int]:
+    def next_event_after(self, now: int, watch: Optional[int] = None,
+                         last: bool = False) -> Optional[int]:
+        """Earliest next event over the channels; the observers are
+        those of :meth:`MemoryController.next_event_after`."""
         if self._single is not None:
-            return self._single.next_event_after(now)
+            return self._single.next_event_after(now, watch, last)
         horizons = [
             horizon
             for horizon in (
-                c.next_event_after(now) for c in self.controllers
+                c.next_event_after(now, watch, last)
+                for c in self.controllers
             )
             if horizon is not None
         ]
         return min(horizons) if horizons else None
+
+    def next_completion(self) -> Optional[int]:
+        """Cycle of the earliest in-flight completion on any channel."""
+        cycles = [cycle for cycle in (
+            c.next_completion() for c in self.controllers
+        ) if cycle is not None]
+        return min(cycles) if cycles else None
 
     def commands_issued(self) -> int:
         """Total commands across channels (progress marker)."""

@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 import sys
 from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -133,7 +134,20 @@ class PackedTrace:
         return len(self.gaps)
 
     def __getitem__(self, index: int) -> TraceRecord:
-        """The access at ``index`` as a (validated) TraceRecord."""
+        """The access at ``index`` as a (validated) TraceRecord.
+
+        Indexes are ints only: a window of accesses is
+        :func:`~repro.workloads.transform.slice_trace`, or a slice of
+        the columns themselves.
+        """
+        try:
+            index = operator.index(index)
+        except TypeError:
+            raise TypeError(
+                f"PackedTrace indices must be integers, not "
+                f"{type(index).__name__}; for a window of accesses use "
+                f"slice_trace(trace, start, count)"
+            ) from None
         return TraceRecord(
             self.gaps[index], _op_of(self.ops[index]), self.addresses[index]
         )

@@ -232,9 +232,9 @@ class TestProtocolEnforcement:
         conflicting = read_at(mapper, sag=1, cd=0)
         kind, constraint = bank.kind_and_constraint(conflicting)
         assert constraint == MISS_BUSY
-        [key] = [k for k, v in bank._sched_cache.items()
+        [key] = [k for k, v in bank.sched_memo.items()
                  if v == (kind, constraint)]
-        bank._sched_cache[key] = (kind, 0)
+        bank.sched_memo[key] = (kind, 0)
         assert bank.kind_and_constraint(conflicting) == (kind, 0)
         with pytest.raises(ProtocolError):
             bank.issue(conflicting, TCCD)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import baseline_nvm
 from repro.cpu.trace_cpu import TraceCpu
-from repro.memsys.controller import MemoryController
+from repro.memsys.controller import ANY_COMPLETION, ANY_READ, MemoryController
 from repro.memsys.request import OpType
 from repro.memsys.stats import StatsCollector
 from repro.workloads.packed import PackedTrace
@@ -114,7 +114,13 @@ class TestProgressQueries:
         trace = [TraceRecord(0, OpType.READ, 0x40)]
         cpu, controller, stats, _ = build(trace)
         cpu.tick(0)  # issues the load, head now blocked
-        assert cpu.fully_stalled()
+        # Nothing left to fetch: only the head load wakes the core, and
+        # while it is still queued its completion cycle is unknown.
+        assert cpu.waiting_on() == -1
+        controller.tick(1)  # the load issues
+        head = cpu.rob.blocking_load()
+        assert head.completion_cycle > 1
+        assert cpu.waiting_on() == head.completion_cycle
 
     def test_not_stalled_while_instructions_available(self):
         trace = [TraceRecord(0, OpType.READ, 0x40),
@@ -122,7 +128,31 @@ class TestProgressQueries:
         cpu, controller, stats, _ = build(trace)
         cpu.tick(0)
         # Head load pending but the gap still feeds the front end.
-        assert not cpu.fully_stalled()
+        assert cpu.waiting_on() is None
+
+    def test_full_queue_poll_watches_every_completion(self):
+        # Nothing issues: the writes behind the blocked head load fill
+        # the write queue, and each visited cycle then counts a refusal.
+        trace = [TraceRecord(0, OpType.READ, 0x40)] + [
+            TraceRecord(0, OpType.WRITE, 0x1000 * (i + 1)) for i in range(80)
+        ]
+        cpu, controller, stats, cfg = build(trace)
+        for cycle in range(20):
+            cpu.tick(cycle)
+        assert len(controller.write_queue) == \
+            cfg.controller.write_queue_entries
+        assert stats.write_queue_full_events > 0
+        assert cpu.waiting_on() == ANY_COMPLETION
+
+    def test_mshr_stall_waits_on_any_read(self):
+        cfg = baseline_nvm()
+        cfg.cpu.mshr_entries = 2
+        trace = [TraceRecord(0, OpType.READ, i * 0x100000) for i in range(4)]
+        cpu, controller, stats, _ = build(trace, cfg)
+        cpu.tick(0)
+        assert cpu.loads_issued == 2
+        # Any read completion frees an MSHR, not just the head's.
+        assert cpu.waiting_on() == ANY_READ
 
     def test_mshr_underflow_detected(self):
         trace = [TraceRecord(0, OpType.READ, 0x40)]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import baseline_nvm, fgnvm
-from repro.memsys.controller import MemoryController
+from repro.memsys.controller import ANY_COMPLETION, ANY_READ, MemoryController
 from repro.memsys.request import MemRequest, OpType, RequestState
 from repro.memsys.stats import StatsCollector
 from repro.obs import make_probe
@@ -250,8 +250,32 @@ class TestFlushAndProgress:
         req = MemRequest(OpType.READ, 0x40)
         ctrl.enqueue(req, 0)
         ctrl.tick(0)
-        horizon = ctrl.next_event_after(0)
-        assert horizon == req.completion_cycle
+        # A completion is an event only when something observes it: a
+        # core waiting on any read, or the end of the run.
+        assert ctrl.next_event_after(0) is None
+        assert ctrl.next_event_after(0, ANY_READ) == req.completion_cycle
+        assert ctrl.next_event_after(0, ANY_COMPLETION) == \
+            req.completion_cycle
+        assert ctrl.next_event_after(0, last=True) == req.completion_cycle
+        assert ctrl.next_completion() == req.completion_cycle
+
+    def test_write_completions_wake_only_the_end_of_the_run(self, ctrl):
+        first = MemRequest(OpType.WRITE, ctrl.mapper.encode(bank=0))
+        second = MemRequest(OpType.WRITE, ctrl.mapper.encode(bank=1))
+        ctrl.enqueue(first, 0)
+        ctrl.enqueue(second, 0)
+        ctrl.begin_flush()
+        now = 0
+        while ctrl.write_queue:
+            ctrl.tick(now)
+            now += 1
+        assert now < first.completion_cycle < second.completion_cycle
+        assert ctrl.next_event_after(now, ANY_READ) is None
+        assert ctrl.next_event_after(now, ANY_COMPLETION) == \
+            first.completion_cycle
+        # The run ends when the last write finishes, not the first.
+        assert ctrl.next_event_after(now, last=True) == \
+            second.completion_cycle
 
     def test_next_event_after_visits_the_cycle_after_a_drain_flip(self,
                                                                  ctrl):

@@ -154,6 +154,9 @@ class ScriptableBank:
         self.hits = {}
         self.ready = {}
         self.writes_in_flight = writes_in_flight
+        #: Never filled: every fast-scan lookup misses and asks
+        #: ``kind_and_constraint``.
+        self.sched_memo = {}
 
     def is_row_hit(self, req):
         return self.hits.get(req.req_id, False)

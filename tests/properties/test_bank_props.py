@@ -190,7 +190,7 @@ def test_write_cap_free_at_matches_active_writes(ops, dims, cap, faults):
         start = bank.earliest_start(req, now + idle)
         bank.issue(req, start)
         free_at = bank.write_cap_free_at(cap)
-        assert bank._sched_cache[cap] == free_at
+        assert bank.sched_memo[cap] == free_at
         horizon = max(bank.grid.cd_free_at(cd) for cd in range(cds))
         for t in range(start, max(horizon, free_at) + 2):
             assert (bank.active_writes(t) >= cap) == (t < free_at), t

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import baseline_nvm, fgnvm
+from repro.config import baseline_nvm, fgnvm, fgnvm_multi_issue
 from repro.core.fgnvm_bank import make_fgnvm_bank
 from repro.memsys.address import AddressMapper
 from repro.memsys.policies import apply_policy, get_policy, policy_names
@@ -35,6 +35,7 @@ from repro.memsys.request import (
     MemRequest,
     OpType,
 )
+from repro.memsys.scheduler import candidate_groups
 from repro.memsys.stats import StatsCollector
 from repro.sim.experiment import run_benchmark
 
@@ -57,6 +58,9 @@ class ScriptedBank:
     def __init__(self):
         self.hits = {}
         self.ready = {}
+        #: Never filled: every fast-scan lookup misses and asks
+        #: ``kind_and_constraint``.
+        self.sched_memo = {}
 
     def is_row_hit(self, req):
         return self.hits[req.req_id]
@@ -162,7 +166,8 @@ class TestPolicyMatrixScripted:
     def test_blocked_horizon_is_min_blocked_constraint(self, policy, spec):
         fast = get_policy(policy).fast()
         candidates = matrix_candidates(spec)
-        _, horizon = fast.pick_with_horizon(candidates, NOW)
+        _, horizon = fast.pick_with_horizon(*candidate_groups(candidates),
+                                            NOW)
         blocked = [bank.earliest_start(req, NOW)
                    for req, bank in candidates
                    if bank.earliest_start(req, NOW) > NOW]
@@ -214,38 +219,59 @@ class TestPolicyMatrixLiveReplay:
             now += 1
 
 
+def assert_fast_matches_oracle(cfg_factory, benchmark, monkeypatch,
+                               requests=400):
+    """One run with the fast policy, one with the forced oracle."""
+    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+    fast = run_benchmark(cfg_factory(), benchmark, requests)
+    monkeypatch.setenv("REPRO_SCHEDULER", "reference")
+    oracle = run_benchmark(cfg_factory(), benchmark, requests)
+    assert fast.summary() == oracle.summary()
+    assert fast.cycles == oracle.cycles
+    assert fast.ipc == oracle.ipc
+
+
+def small_rows(cfg):
+    cfg.org.rows_per_bank = 1024
+    return cfg
+
+
 class TestEndToEndCycleIdentity:
     """The figure sweeps are bit-identical under either implementation."""
 
     CONFIGS = (baseline_nvm, lambda: fgnvm(4, 4), lambda: fgnvm(8, 2))
+    CONFIG_IDS = ("baseline", "fgnvm-4x4", "fgnvm-8x2")
 
-    @pytest.mark.parametrize("make_cfg", CONFIGS,
-                             ids=("baseline", "fgnvm-4x4", "fgnvm-8x2"))
+    @pytest.mark.parametrize("make_cfg", CONFIGS, ids=CONFIG_IDS)
     def test_sweep_summary_identical(self, make_cfg, monkeypatch):
-        def small(cfg):
-            cfg.org.rows_per_bank = 1024
-            return cfg
-
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        fast = run_benchmark(small(make_cfg()), "mcf", 400)
-        monkeypatch.setenv("REPRO_SCHEDULER", "reference")
-        oracle = run_benchmark(small(make_cfg()), "mcf", 400)
-        assert fast.summary() == oracle.summary()
-        assert fast.cycles == oracle.cycles
-        assert fast.ipc == oracle.ipc
+        assert_fast_matches_oracle(lambda: small_rows(make_cfg()), "mcf",
+                                   monkeypatch)
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_policy_summary_identical_to_oracle(self, policy, monkeypatch):
         """Per-policy end-to-end identity: default impl vs forced oracle."""
-        def make_cfg():
-            cfg = fgnvm(4, 4)
-            cfg.org.rows_per_bank = 1024
-            return apply_policy(cfg, policy)
+        assert_fast_matches_oracle(
+            lambda: apply_policy(small_rows(fgnvm(4, 4)), policy), "mcf",
+            monkeypatch)
 
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        fast = run_benchmark(make_cfg(), "mcf", 400)
-        monkeypatch.setenv("REPRO_SCHEDULER", "reference")
-        oracle = run_benchmark(make_cfg(), "mcf", 400)
-        assert fast.summary() == oracle.summary()
-        assert fast.cycles == oracle.cycles
-        assert fast.ipc == oracle.ipc
+    @pytest.mark.parametrize("make_cfg", CONFIGS, ids=CONFIG_IDS)
+    def test_lbm_summary_identical(self, make_cfg, monkeypatch):
+        """lbm's write drains and write cap, which the fused scan
+        applies per bank group."""
+        assert_fast_matches_oracle(lambda: small_rows(make_cfg()), "lbm",
+                                   monkeypatch)
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_policy_lbm_summary_identical_to_oracle(self, policy,
+                                                    monkeypatch):
+        assert_fast_matches_oracle(
+            lambda: apply_policy(small_rows(fgnvm(4, 4)), policy), "lbm",
+            monkeypatch)
+
+    @pytest.mark.parametrize("workload", ("mcf", "lbm"))
+    def test_multi_issue_summary_identical(self, workload, monkeypatch):
+        """Two command slots and two data-bus lanes per cycle."""
+        assert_fast_matches_oracle(
+            lambda: small_rows(fgnvm_multi_issue(8, 2, issue_width=2,
+                                                 data_bus_width=2)),
+            workload, monkeypatch)

@@ -3,14 +3,17 @@
 import pytest
 
 from repro.config import baseline_nvm, fgnvm
+from repro.memsys.policies import apply_policy
 from repro.memsys.request import OpType
 from repro.sim.multicore import (
     MultiCoreResult,
     MultiCoreSimulator,
+    isolate_address_spaces,
     run_mix,
     weighted_speedup_study,
 )
 from repro.sim.simulator import simulate
+from repro.workloads import generate_trace, get_profile
 from repro.workloads.packed import PackedTrace
 from repro.workloads.record import TraceRecord
 from repro.workloads.synthetic import random_kernel, stream_kernel
@@ -143,3 +146,42 @@ class TestAddressIsolation:
             small(fgnvm(4, 4)), traces, labels=["a", "b"]
         )
         assert 0 < study["weighted_speedup"] <= 2.02
+
+
+class TestEventSkipping:
+    """The multi-core clock rule must not change simulated behaviour:
+    every run equals the same run ticked densely (``now + 1``)."""
+
+    @pytest.mark.parametrize("preset", ("baseline", "fgnvm-4x4",
+                                        "fgnvm-8x2", "fgnvm-8x2-palp"))
+    def test_skipping_matches_dense_ticking(self, preset):
+        def config():
+            if preset == "baseline":
+                return small(baseline_nvm())
+            if preset == "fgnvm-4x4":
+                return small(fgnvm(4, 4))
+            cfg = small(fgnvm(8, 2))
+            return apply_policy(cfg, "palp") if preset.endswith("palp") \
+                else cfg
+
+        traces = isolate_address_spaces([
+            generate_trace(get_profile(name), 150)
+            for name in ("mcf", "lbm", "libquantum")
+        ])
+        skipped = MultiCoreSimulator(config(), traces)
+        visited = []
+        advance = skipped._next_cycle
+
+        def recording():
+            visited.append(advance())
+            return visited[-1]
+
+        skipped._next_cycle = recording
+        dense = MultiCoreSimulator(config(), traces)
+        dense._next_cycle = lambda: dense.now + 1
+        fast, slow = skipped.run(), dense.run()
+        assert len(visited) < fast.cycles  # the clock did skip
+        assert fast.cycles == slow.cycles
+        assert fast.stats.as_dict() == slow.stats.as_dict()
+        assert fast.per_core_instructions == slow.per_core_instructions
+        assert fast.per_core_ipc == slow.per_core_ipc

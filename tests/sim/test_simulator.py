@@ -81,13 +81,17 @@ def _skip_cases():
 SKIP_CASES = _skip_cases()
 
 
-def _case_config(preset, policy, reliability, epoch_cycles):
-    config = apply_policy(small(CONFIG_BUILDERS[preset]()), policy)
+def _case_config(preset, policy, reliability, epoch_cycles, mshrs=None):
+    config = small(CONFIG_BUILDERS[preset]())
+    if policy is not None:  # None: the preset's own policy
+        config = apply_policy(config, policy)
+    if mshrs is not None:
+        config.cpu.mshr_entries = mshrs
     if reliability:
         config = with_reliability(config, write_fail_prob=0.2,
                                   endurance_writes=60, wear_rotate_every=16,
                                   seed=5)
-    config.sim.epoch_cycles = epoch_cycles
+    config.sim.epoch_cycles = epoch_cycles or None  # 0: epochs off
     return config
 
 
@@ -114,11 +118,12 @@ def _spans(probe):
              s.service, s.segments) for s in probe.tracer.finished]
 
 
-def assert_skipping_matches_dense(case, trace, epoch_cycles, traced):
-    skipped, skipped_probe = _run(_case_config(*case, epoch_cycles), trace,
-                                  dense=False, traced=traced)
-    dense, dense_probe = _run(_case_config(*case, epoch_cycles), trace,
-                              dense=True, traced=traced)
+def assert_skipping_matches_dense(case, trace, epoch_cycles, traced,
+                                  mshrs=None):
+    skipped, skipped_probe = _run(_case_config(*case, epoch_cycles, mshrs),
+                                  trace, dense=False, traced=traced)
+    dense, dense_probe = _run(_case_config(*case, epoch_cycles, mshrs),
+                              trace, dense=True, traced=traced)
     assert skipped.cycles == dense.cycles
     assert skipped.stats.as_dict() == dense.stats.as_dict()
     assert skipped.epochs == dense.epochs
@@ -134,7 +139,8 @@ class TestEventSkipping:
     @given(case=st.sampled_from(SKIP_CASES),
            benchmark=st.sampled_from(["mcf", "lbm", "libquantum"]),
            seed=st.integers(0, 2**16), requests=st.integers(20, 300),
-           epoch_cycles=st.integers(50, 1000), traced=st.booleans())
+           epoch_cycles=st.just(0) | st.integers(50, 1000),
+           traced=st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_skipping_matches_dense_ticking(self, case, benchmark, seed,
                                             requests, epoch_cycles, traced):
@@ -145,9 +151,25 @@ class TestEventSkipping:
     @pytest.mark.parametrize("case", SKIP_CASES,
                              ids=["-".join(map(str, c)) for c in SKIP_CASES])
     def test_every_case_matches_dense_ticking(self, case):
+        # Epochs off (0) is the clock every benchmark and figure runs.
         trace = generate_trace(get_profile("lbm"), 150)
-        assert_skipping_matches_dense(case, trace, 250, traced=False)
-        assert_skipping_matches_dense(case, trace, 250, traced=True)
+        for epoch_cycles in (0, 250):
+            assert_skipping_matches_dense(case, trace, epoch_cycles,
+                                          traced=False)
+            assert_skipping_matches_dense(case, trace, epoch_cycles,
+                                          traced=True)
+
+    @pytest.mark.parametrize("preset", ["baseline", "fgnvm-8x2", "salp-8",
+                                        "multi-issue"])
+    def test_mshr_bound_core_matches_dense_ticking(self, preset):
+        """Few MSHRs: the fetch waits on *any* read completion, not just
+        the ROB head's, so those completions must stay clock events."""
+        trace = generate_trace(get_profile("mcf"), 200)
+        case = (preset, None, False)
+        for epoch_cycles in (0, 250):
+            for traced in (False, True):
+                assert_skipping_matches_dense(case, trace, epoch_cycles,
+                                              traced, mshrs=4)
 
     def test_long_gaps_do_not_blow_up_runtime(self):
         # Huge compute gap between two accesses: must finish quickly.

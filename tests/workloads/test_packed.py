@@ -75,6 +75,12 @@ class TestPackedTrace:
         assert [row for row in trace.rows()] == [
             (0, OP_READ, 0x1000), (3, OP_WRITE, 0x2040), (17, OP_READ, 0)
         ]
+
+    def test_non_int_index_names_slice_trace(self):
+        trace = sample_trace()
+        for index in (slice(0, 2), 1.0, "1"):
+            with pytest.raises(TypeError, match="slice_trace"):
+                trace[index]
         with pytest.raises(IndexError):
             trace[3]
 
