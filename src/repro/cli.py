@@ -138,21 +138,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
              "leaving their (config, benchmark) band raise EV_DRIFT "
              "events and manifest findings (needs --telemetry)",
     )
-    parser.add_argument(
-        "--prom", default=None, metavar="PATH",
-        help="write a Prometheus text exposition of the final hub "
-             "state to PATH (needs --telemetry)",
-    )
-    parser.add_argument(
-        "--otlp", default=None, metavar="PATH",
-        help="write an OTLP-shaped JSON metrics export of the final "
-             "hub state to PATH (needs --telemetry)",
-    )
-    parser.add_argument(
-        "--prom-port", type=int, default=None, metavar="PORT",
-        help="serve /metrics (Prometheus) and /otlp live on this port "
-             "for the duration of the run (needs --telemetry)",
-    )
 
 
 def _spool_path(args) -> Optional[str]:
@@ -172,13 +157,12 @@ def _spool_path(args) -> Optional[str]:
 
 def _make_hub(args) -> Optional[TelemetryHub]:
     """The telemetry hub for one command (None when streaming is off)."""
-    for flag in ("drift_envelope", "prom", "otlp", "prom_port"):
-        if (getattr(args, flag, None) is not None
-                and getattr(args, "telemetry", None) is None):
-            raise ExperimentError(
-                f"--{flag.replace('_', '-')} needs --telemetry (the "
-                "flag only shapes the live stream)"
-            )
+    if (getattr(args, "drift_envelope", None) is not None
+            and getattr(args, "telemetry", None) is None):
+        raise ExperimentError(
+            "--drift-envelope needs --telemetry (the flag only shapes "
+            "the live stream)"
+        )
     if getattr(args, "telemetry", None) is None:
         return None
     from .obs.drift import DriftDetector, read_envelopes
@@ -226,7 +210,7 @@ def _make_engine(args):
                     else progress_printer())
     else:
         progress = None
-    engine = resilient_engine(
+    return resilient_engine(
         workers=workers,
         cache_dir=args.cache_dir,
         progress=progress,
@@ -235,33 +219,12 @@ def _make_engine(args):
         resume=getattr(args, "resume", False),
         telemetry=hub,
     )
-    if hub is not None and getattr(args, "prom_port", None) is not None:
-        from .obs.hub import MetricsServer
-
-        engine._metrics_server = MetricsServer(hub, port=args.prom_port)
-        print(f"serving metrics at {engine._metrics_server.url}/metrics "
-              f"(and /otlp)", file=sys.stderr)
-    return engine
 
 
 def _report_engine(args, engine) -> None:
     hub = getattr(engine, "telemetry", None)
     if hub is not None:
-        from .obs.hub import otlp_json, prometheus_text
-
         hub.close()
-        server = getattr(engine, "_metrics_server", None)
-        if server is not None:
-            server.stop()
-        if getattr(args, "prom", None):
-            with open(args.prom, "w", encoding="utf-8") as handle:
-                handle.write(prometheus_text(hub))
-            print(f"prometheus exposition: {args.prom}", file=sys.stderr)
-        if getattr(args, "otlp", None):
-            with open(args.otlp, "w", encoding="utf-8") as handle:
-                json.dump(otlp_json(hub), handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"otlp metrics export: {args.otlp}", file=sys.stderr)
         print(
             f"telemetry: {hub.frames_seen} frame(s) from "
             f"{len(hub.jobs)} job(s), {hub.dropped_frames} dropped"

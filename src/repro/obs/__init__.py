@@ -21,8 +21,8 @@ The instrumentation layer for the whole reproduction:
   drop-counting, schema-versioned snapshots streamed from pool workers
   while a sweep is in flight,
 * :mod:`repro.obs.hub` — the supervisor-side fold of that stream:
-  ``repro watch`` dashboards, Prometheus/OTLP exposition, the
-  ``telemetry.jsonl`` spool,
+  ``repro watch`` dashboards, snapshots and the ``telemetry.jsonl``
+  spool,
 * :mod:`repro.obs.drift` — live epoch series checked against committed
   golden envelopes (IPC collapse, retry storms, starved workers).
 """
@@ -66,8 +66,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     ),
     "hub": (
         "SNAPSHOT_SCHEMA", "SPOOL_NAME", "FleetView", "JobView",
-        "MetricsServer", "TelemetryHub", "otlp_json", "prometheus_text",
-        "render_dashboard",
+        "TelemetryHub", "render_dashboard",
     ),
     "drift": (
         "DRIFT_IPC_HIGH", "DRIFT_IPC_LOW", "DRIFT_KINDS",

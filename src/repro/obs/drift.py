@@ -101,6 +101,18 @@ class DriftFinding:
             "detail": self.detail,
         }
 
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "DriftFinding":
+        """Rebuild a finding from a ``drift`` frame payload."""
+        return cls(
+            kind=str(data["kind"]),
+            job=str(data.get("job", "")),
+            epoch=int(data.get("epoch", 0)),
+            observed=float(data.get("observed", 0.0)),
+            bound=float(data.get("bound", 0.0)),
+            detail=str(data.get("detail", "")),
+        )
+
 
 def envelope_from_samples(config: str, benchmark: str,
                           ipc_series: List[float],
@@ -192,6 +204,22 @@ class DriftDetector:
     utilization_floor: Optional[float] = None
     findings: List[DriftFinding] = field(default_factory=list)
     _retry_fired: bool = False
+    _keys: set = field(default_factory=set)
+
+    def record(self, finding: DriftFinding) -> Optional[DriftFinding]:
+        """Keep a finding unless the same anomaly is already kept.
+
+        One anomaly is one (kind, job, epoch).  Returns the finding when
+        it is new, None for a repeat: the spool holds every finding as a
+        ``drift`` frame, so a replay (re-)detecting one must not count
+        it twice.
+        """
+        key = (finding.kind, finding.job, finding.epoch)
+        if key in self._keys:
+            return None
+        self._keys.add(key)
+        self.findings.append(finding)
+        return finding
 
     def check_epoch(self, job: str, config: str, benchmark: str,
                     epoch: int, ipc: float) -> Optional[DriftFinding]:
@@ -211,8 +239,7 @@ class DriftDetector:
             detail=(f"epoch {epoch} ipc {ipc:.4f} outside "
                     f"[{env.floor:.4f}, {env.ceiling:.4f}]"),
         )
-        self.findings.append(finding)
-        return finding
+        return self.record(finding)
 
     def check_retries(self, total_retries: int) -> Optional[DriftFinding]:
         """Check the fleet retry count (fires at most once per run)."""
@@ -228,8 +255,7 @@ class DriftDetector:
             detail=(f"{total_retries} retries across the fleet "
                     f"(threshold {self.retry_storm_threshold})"),
         )
-        self.findings.append(finding)
-        return finding
+        return self.record(finding)
 
     def check_utilization(self, utilization: float
                           ) -> Optional[DriftFinding]:
@@ -246,8 +272,7 @@ class DriftDetector:
             detail=(f"worker utilization {utilization:.2%} under the "
                     f"{self.utilization_floor:.2%} floor"),
         )
-        self.findings.append(finding)
-        return finding
+        return self.record(finding)
 
     def summary(self) -> Dict[str, object]:
         """Manifest-ready digest of every finding."""

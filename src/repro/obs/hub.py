@@ -1,4 +1,4 @@
-"""The supervisor-side telemetry hub: fold, watch, expose, spool.
+"""The supervisor-side telemetry hub: fold, watch, spool.
 
 :class:`TelemetryHub` is the single consumer of the frame stream
 (:mod:`repro.obs.stream`) and the single source of truth for everything
@@ -11,15 +11,13 @@ live observers see:
   ``repro watch`` refreshes (per-job progress/ETA, worker utilization,
   epoch IPC sparklines); :meth:`TelemetryHub.snapshot` is the same
   state as schema-versioned JSON for ``--json`` / CI,
-* **expose** — :func:`prometheus_text` renders the Prometheus text
-  exposition and :func:`otlp_json` an OTLP-shaped JSON export;
-  :class:`MetricsServer` serves both over HTTP for external scrapers,
 * **spool** — every folded frame appends to a durable
   ``telemetry.jsonl``, replayable by ``repro watch --replay`` and
   ``repro inspect``,
 * **drift** — epoch frames are checked against a committed golden
   envelope (:mod:`repro.obs.drift`); anomalies become ``drift`` frames,
-  :data:`~repro.obs.events.EV_DRIFT` probe events and manifest entries.
+  :data:`~repro.obs.events.EV_DRIFT` probe events and manifest entries,
+  and ``drift`` frames replayed from a spool become findings again.
 
 The hub also *publishes*: engine progress snapshots arrive through
 :meth:`note_progress` (the progress hook the engines call), which keeps
@@ -29,17 +27,17 @@ they cannot disagree about job counts.
 
 from __future__ import annotations
 
-import json
 import os
+import queue
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..errors import ReproError
-from .drift import DriftDetector
+from .drift import DriftDetector, DriftFinding
 from .events import (
     EV_DEGRADED,
     EV_DRIFT,
@@ -85,19 +83,14 @@ class JobView:
     seed: Optional[int] = None
     state: str = "running"      #: "running" | "done"
     worker: int = -1
-    started_t: float = 0.0
-    ended_t: float = 0.0
     wall_s: float = 0.0
     cycles: int = 0
     instructions: int = 0
     ipc: float = 0.0
     epochs: int = 0
     dropped_frames: int = 0
-    #: Recent per-epoch series (ring buffers, fixed memory).
+    #: Recent per-epoch IPC (a ring buffer, fixed memory).
     ipc_series: deque = field(default_factory=lambda: deque(maxlen=RING))
-    hit_series: deque = field(default_factory=lambda: deque(maxlen=RING))
-    pending_series: deque = field(
-        default_factory=lambda: deque(maxlen=RING))
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -163,13 +156,12 @@ class FleetView:
 
 
 class TelemetryHub:
-    """Fold the frame stream; expose watch, Prometheus, OTLP, spool.
+    """Fold the frame stream; feed watch, snapshot, manifest and spool.
 
     * ``spool_path`` — append folded frames to this ``telemetry.jsonl``
       (None keeps telemetry in-memory only),
     * ``drift`` — optional :class:`~repro.obs.drift.DriftDetector`
-      checked on every epoch frame,
-    * ``ring`` — per-job series ring length.
+      checked on every epoch frame.
 
     The hub is also an :class:`~repro.obs.events.EventSink`: adopt an
     engine's probe with :meth:`adopt_probe` and harness events (retries,
@@ -180,12 +172,10 @@ class TelemetryHub:
         self,
         spool_path: "str | os.PathLike[str] | None" = None,
         drift: Optional[DriftDetector] = None,
-        ring: int = RING,
     ):
         self.fleet = FleetView()
         self.jobs: Dict[str, JobView] = {}
         self.drift = drift
-        self.ring = ring
         self.frames_seen = 0
         self.channel: Optional[TelemetryChannel] = None
         #: Probe drift events are emitted on (set by :meth:`adopt_probe`).
@@ -217,19 +207,12 @@ class TelemetryHub:
         lost across the switch.
         """
         if self.channel is not None:
-            if not pooled or self.channel_is_pooled:
+            if not pooled or not isinstance(self.channel.queue, queue.Queue):
                 return self.channel
             self.pump()  # drain the serial channel before replacing it
         self.channel = (TelemetryChannel.pooled() if pooled
                         else TelemetryChannel.serial())
         return self.channel
-
-    @property
-    def channel_is_pooled(self) -> bool:
-        import queue as _queue
-
-        return (self.channel is not None
-                and not isinstance(self.channel.queue, _queue.Queue))
 
     def pump(self, limit: Optional[int] = None) -> int:
         """Drain and fold everything currently readable; returns count."""
@@ -286,11 +269,7 @@ class TelemetryHub:
     def _view(self, label: str) -> JobView:
         view = self.jobs.get(label)
         if view is None:
-            view = JobView(label=label)
-            view.ipc_series = deque(maxlen=self.ring)
-            view.hit_series = deque(maxlen=self.ring)
-            view.pending_series = deque(maxlen=self.ring)
-            self.jobs[label] = view
+            view = self.jobs[label] = JobView(label=label)
         return view
 
     def _fold_job_start(self, frame: TelemetryFrame) -> None:
@@ -298,7 +277,6 @@ class TelemetryHub:
         payload = frame.payload
         view.state = "running"
         view.worker = frame.worker
-        view.started_t = frame.t
         view.config = str(payload.get("config", ""))
         view.benchmark = str(payload.get("benchmark", ""))
         view.requests = int(payload.get("requests", 0))
@@ -310,8 +288,6 @@ class TelemetryHub:
         ipc = float(payload.get("ipc", 0.0))
         view.epochs += 1
         view.ipc_series.append(ipc)
-        view.hit_series.append(float(payload.get("hit_rate", 0.0)))
-        view.pending_series.append(int(payload.get("pending", 0)))
         if self.drift is not None:
             finding = self.drift.check_epoch(
                 view.label, view.config, view.benchmark,
@@ -324,7 +300,6 @@ class TelemetryHub:
         view = self._view(frame.job)
         payload = frame.payload
         view.state = "done"
-        view.ended_t = frame.t
         view.wall_s = float(payload.get("wall_s", 0.0))
         view.cycles = int(payload.get("cycles", 0))
         view.instructions = int(payload.get("instructions", 0))
@@ -351,10 +326,13 @@ class TelemetryHub:
         fleet.workers = int(payload.get("workers", fleet.workers))
 
     def _fold_drift(self, frame: TelemetryFrame) -> None:
-        # Replay path: findings from a spool rebuild the drift tally
-        # without a detector attached.
-        if self.drift is not None:
-            pass  # live findings were already recorded by the detector
+        # A replayed spool rebuilds the findings, with or without an
+        # envelope.  The detector drops a finding it already holds: the
+        # live hub folding its own frame, or a replay with an envelope
+        # re-detecting it from the epoch series.
+        if self.drift is None:
+            self.drift = DriftDetector()
+        self.drift.record(DriftFinding.from_dict(frame.payload))
 
     # -- publishing ----------------------------------------------------------
 
@@ -607,218 +585,11 @@ def render_dashboard(hub: TelemetryHub, width: int = 72) -> str:
     return "\n".join(lines)
 
 
-# -- Prometheus / OTLP exposition --------------------------------------------
-
-#: (metric name, help text, type) of every fleet-level series.
-PROM_METRICS = (
-    ("repro_jobs_total", "Jobs in the current sweep", "gauge"),
-    ("repro_jobs_done_total", "Jobs completed (cache or simulated)",
-     "gauge"),
-    ("repro_cache_hits_total", "Jobs served from the result cache",
-     "gauge"),
-    ("repro_retries_total", "Harness job retries", "counter"),
-    ("repro_faults_injected_total", "Chaos faults injected", "counter"),
-    ("repro_quarantines_total", "Corrupt cache blobs quarantined",
-     "counter"),
-    ("repro_pool_rebuilds_total", "Worker pools rebuilt", "counter"),
-    ("repro_dropped_frames_total",
-     "Telemetry frames dropped instead of blocking a worker", "counter"),
-    ("repro_drift_findings_total", "Drift anomalies detected", "counter"),
-    ("repro_worker_utilization",
-     "Busy fraction of the fleet's wall capacity", "gauge"),
-)
-
-
-def _prom_escape(value: str) -> str:
-    return value.replace("\\", r"\\").replace('"', r'\"')
-
-
-def prometheus_text(hub: TelemetryHub) -> str:
-    """Prometheus text exposition (format 0.0.4) of the hub state."""
-    fleet = hub.fleet
-    drift_count = (len(hub.drift.findings)
-                   if hub.drift is not None else 0)
-    values = {
-        "repro_jobs_total": fleet.jobs_total,
-        "repro_jobs_done_total": fleet.jobs_done,
-        "repro_cache_hits_total": fleet.cache_hits,
-        "repro_retries_total": fleet.retries,
-        "repro_faults_injected_total": fleet.faults,
-        "repro_quarantines_total": fleet.quarantines,
-        "repro_pool_rebuilds_total": fleet.pool_rebuilds,
-        "repro_dropped_frames_total": hub.dropped_frames,
-        "repro_drift_findings_total": drift_count,
-        "repro_worker_utilization": round(hub.utilization, 6),
-    }
-    lines: List[str] = []
-    for name, help_text, kind in PROM_METRICS:
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {kind}")
-        lines.append(f"{name} {values[name]}")
-    lines.append("# HELP repro_job_ipc Final or latest IPC per job")
-    lines.append("# TYPE repro_job_ipc gauge")
-    for label in sorted(hub.jobs):
-        view = hub.jobs[label]
-        ipc = view.ipc if view.state == "done" else (
-            view.ipc_series[-1] if view.ipc_series else 0.0)
-        lines.append(
-            f'repro_job_ipc{{job="{_prom_escape(label)}"}} '
-            f"{round(ipc, 6)}"
-        )
-    lines.append("# HELP repro_job_epochs_total Epoch samples per job")
-    lines.append("# TYPE repro_job_epochs_total counter")
-    for label in sorted(hub.jobs):
-        lines.append(
-            f'repro_job_epochs_total{{job="{_prom_escape(label)}"}} '
-            f"{hub.jobs[label].epochs}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def otlp_json(hub: TelemetryHub) -> Dict[str, object]:
-    """OTLP-shaped JSON export (resourceMetrics/scopeMetrics/metrics).
-
-    Shaped like an OTLP/HTTP ``ExportMetricsServiceRequest`` body so
-    collectors with a JSON receiver ingest it directly; no OTLP SDK is
-    required (or available offline).
-    """
-    now_ns = int(time.time() * 1e9)
-    fleet = hub.fleet
-    drift_count = (len(hub.drift.findings)
-                   if hub.drift is not None else 0)
-
-    def gauge(name: str, value, attrs: Dict[str, str] = {}):
-        return {
-            "name": name,
-            "gauge": {"dataPoints": [{
-                "timeUnixNano": now_ns,
-                "asDouble": float(value),
-                "attributes": [
-                    {"key": k, "value": {"stringValue": v}}
-                    for k, v in attrs.items()
-                ],
-            }]},
-        }
-
-    def counter(name: str, value, attrs: Dict[str, str] = {}):
-        return {
-            "name": name,
-            "sum": {
-                "aggregationTemporality": 2,  # CUMULATIVE
-                "isMonotonic": True,
-                "dataPoints": [{
-                    "timeUnixNano": now_ns,
-                    "asDouble": float(value),
-                    "attributes": [
-                        {"key": k, "value": {"stringValue": v}}
-                        for k, v in attrs.items()
-                    ],
-                }],
-            },
-        }
-
-    metrics = [
-        gauge("repro_jobs_total", fleet.jobs_total),
-        gauge("repro_jobs_done_total", fleet.jobs_done),
-        gauge("repro_cache_hits_total", fleet.cache_hits),
-        counter("repro_retries_total", fleet.retries),
-        counter("repro_faults_injected_total", fleet.faults),
-        counter("repro_quarantines_total", fleet.quarantines),
-        counter("repro_pool_rebuilds_total", fleet.pool_rebuilds),
-        counter("repro_dropped_frames_total", hub.dropped_frames),
-        counter("repro_drift_findings_total", drift_count),
-        gauge("repro_worker_utilization", round(hub.utilization, 6)),
-    ]
-    for label in sorted(hub.jobs):
-        view = hub.jobs[label]
-        ipc = view.ipc if view.state == "done" else (
-            view.ipc_series[-1] if view.ipc_series else 0.0)
-        metrics.append(gauge("repro_job_ipc", round(ipc, 6),
-                             {"job": label}))
-    return {
-        "resourceMetrics": [{
-            "resource": {"attributes": [{
-                "key": "service.name",
-                "value": {"stringValue": "repro-sweep"},
-            }]},
-            "scopeMetrics": [{
-                "scope": {"name": "repro.obs.hub"},
-                "metrics": metrics,
-            }],
-        }],
-    }
-
-
-# -- HTTP exposition ---------------------------------------------------------
-
-
-class MetricsServer:
-    """Serve ``/metrics`` (Prometheus) and ``/otlp`` (JSON) for one hub.
-
-    Background daemon thread on ``host:port`` (port 0 binds an
-    ephemeral port, reported by :attr:`port`); :meth:`stop` shuts it
-    down.  Read-only: the handler renders from the hub on each scrape.
-    """
-
-    def __init__(self, hub: TelemetryHub, host: str = "127.0.0.1",
-                 port: int = 0):
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        outer_hub = hub
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 (http.server API)
-                if self.path.split("?")[0] == "/metrics":
-                    body = prometheus_text(outer_hub).encode("utf-8")
-                    ctype = ("text/plain; version=0.0.4; "
-                             "charset=utf-8")
-                elif self.path.split("?")[0] == "/otlp":
-                    body = json.dumps(otlp_json(outer_hub)).encode("utf-8")
-                    ctype = "application/json"
-                elif self.path.split("?")[0] == "/snapshot":
-                    body = json.dumps(outer_hub.snapshot()).encode("utf-8")
-                    ctype = "application/json"
-                else:
-                    self.send_error(404)
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):  # silence per-scrape stderr
-                pass
-
-        self._server = ThreadingHTTPServer((host, port), Handler)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
-        )
-        self._thread.start()
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5)
-
-
 __all__ = [
     "SNAPSHOT_SCHEMA",
     "SPOOL_NAME",
     "FleetView",
     "JobView",
-    "MetricsServer",
     "TelemetryHub",
-    "otlp_json",
-    "prometheus_text",
     "render_dashboard",
 ]

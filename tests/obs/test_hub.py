@@ -1,7 +1,6 @@
-"""TelemetryHub folding, exposition, serving and replay."""
+"""TelemetryHub folding, snapshots, dashboard, drift and replay."""
 
 import json
-import urllib.request
 
 import pytest
 
@@ -18,13 +17,9 @@ from repro.obs.events import (
     make_probe,
 )
 from repro.obs.hub import (
-    PROM_METRICS,
     RING,
     SNAPSHOT_SCHEMA,
-    MetricsServer,
     TelemetryHub,
-    otlp_json,
-    prometheus_text,
     render_dashboard,
 )
 from repro.obs.stream import (
@@ -110,16 +105,17 @@ class TestFolding:
         assert hub.frames_seen == 1
 
     def test_ring_buffer_bounds_series_memory(self):
-        hub = TelemetryHub(ring=5)
-        for epoch in range(20):
+        hub = TelemetryHub()
+        for epoch in range(RING + 5):
             hub.fold(TelemetryFrame(
                 kind="epoch", seq=epoch, job="j", worker=1, t=0.0,
                 payload={"epoch": epoch, "ipc": float(epoch),
                          "hit_rate": 0.5, "pending": 0},
             ))
         view = hub.jobs["j"]
-        assert view.epochs == 20          # the count keeps the truth
-        assert list(view.ipc_series) == [15.0, 16.0, 17.0, 18.0, 19.0]
+        assert view.epochs == RING + 5    # the count keeps the truth
+        assert list(view.ipc_series) == [float(e)
+                                         for e in range(5, RING + 5)]
 
     def test_close_is_idempotent(self):
         hub = TelemetryHub()
@@ -140,8 +136,6 @@ class TestDroppedAccounting:
         assert hub.dropped_frames > 0
         assert hub.manifest_block()["dropped_frames"] == hub.dropped_frames
         assert hub.snapshot()["dropped_frames"] == hub.dropped_frames
-        assert (f"repro_dropped_frames_total {hub.dropped_frames}"
-                in prometheus_text(hub))
 
     def test_per_pid_counts_never_double(self):
         hub = TelemetryHub()
@@ -249,82 +243,6 @@ class TestSnapshotAndDashboard:
         assert "ipc_low" in text
 
 
-class TestExposition:
-    def make_hub(self):
-        hub = TelemetryHub()
-        run_one_job(hub)
-        hub.note_progress(ProgressEvent(
-            done=1, total=1, elapsed_s=1.0, cache_hits=0,
-        ))
-        return hub
-
-    def test_prometheus_format(self):
-        text = prometheus_text(self.make_hub())
-        for name, _help, kind in PROM_METRICS:
-            assert f"# HELP {name} " in text
-            assert f"# TYPE {name} {kind}" in text
-            assert f"\n{name} " in "\n" + text
-        assert "repro_jobs_done_total 1" in text
-        assert 'repro_job_ipc{job="' in text
-        assert 'repro_job_epochs_total{job="' in text
-        assert text.endswith("\n")
-
-    def test_prometheus_label_escaping(self):
-        hub = TelemetryHub()
-        hub.fold(TelemetryFrame(
-            kind="job_end", seq=0, job='we"ird\\label', worker=1, t=0.0,
-            payload={"wall_s": 0.1, "cycles": 1, "instructions": 1,
-                     "ipc": 1.0, "dropped_frames": 0},
-        ))
-        text = prometheus_text(hub)
-        assert r'job="we\"ird\\label"' in text
-
-    def test_otlp_shape(self):
-        data = otlp_json(self.make_hub())
-        scopes = data["resourceMetrics"][0]["scopeMetrics"]
-        metrics = scopes[0]["metrics"]
-        names = [m["name"] for m in metrics]
-        assert "repro_jobs_done_total" in names
-        assert "repro_job_ipc" in names
-        counters = [m for m in metrics if "sum" in m]
-        assert counters
-        for metric in counters:
-            assert metric["sum"]["aggregationTemporality"] == 2
-            assert metric["sum"]["isMonotonic"] is True
-        json.dumps(data)
-
-
-class TestMetricsServer:
-    def test_serves_all_endpoints(self):
-        hub = self_hub = TelemetryHub()
-        run_one_job(self_hub)
-        server = MetricsServer(hub)
-        try:
-            base = server.url
-            with urllib.request.urlopen(f"{base}/metrics") as resp:
-                assert resp.status == 200
-                assert "version=0.0.4" in resp.headers["Content-Type"]
-                body = resp.read().decode("utf-8")
-                assert "repro_jobs_total" in body
-            with urllib.request.urlopen(f"{base}/otlp") as resp:
-                data = json.loads(resp.read())
-                assert "resourceMetrics" in data
-            with urllib.request.urlopen(f"{base}/snapshot") as resp:
-                snap = json.loads(resp.read())
-                assert snap["schema"] == SNAPSHOT_SCHEMA
-        finally:
-            server.stop()
-
-    def test_unknown_path_404(self):
-        server = MetricsServer(TelemetryHub())
-        try:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(f"{server.url}/nope")
-            assert err.value.code == 404
-        finally:
-            server.stop()
-
-
 class TestSpoolAndReplay:
     def test_spool_written_and_replayable(self, tmp_path):
         spool = tmp_path / "telemetry.jsonl"
@@ -343,6 +261,7 @@ class TestSpoolAndReplay:
         assert list(view.ipc_series) == list(
             next(iter(hub.jobs.values())).ipc_series
         )
+        assert "drift" not in replayed.snapshot()
 
     def test_replay_missing_spool_raises(self, tmp_path):
         from repro.errors import ReproError
@@ -350,19 +269,40 @@ class TestSpoolAndReplay:
         with pytest.raises(ReproError):
             TelemetryHub.replay(tmp_path / "absent.jsonl")
 
-    def test_drift_frames_survive_replay_in_spool(self, tmp_path):
-        spool = tmp_path / "telemetry.jsonl"
+    @staticmethod
+    def detector():
         envelope = DriftEnvelope(config="fgnvm-4x4", benchmark="mcf",
                                  ipc_min=50.0, ipc_max=60.0, rel_tol=0.0)
-        hub = TelemetryHub(spool_path=spool, drift=DriftDetector(
-            envelopes={("fgnvm-4x4", "mcf"): envelope},
-        ))
+        return DriftDetector(envelopes={("fgnvm-4x4", "mcf"): envelope})
+
+    def drifting_spool(self, tmp_path):
+        spool = tmp_path / "telemetry.jsonl"
+        hub = TelemetryHub(spool_path=spool, drift=self.detector())
         run_one_job(hub)
         hub.close()
+        return spool, hub
+
+    def test_drift_frames_survive_replay_in_spool(self, tmp_path):
+        spool, hub = self.drifting_spool(tmp_path)
         assert hub.drift.findings
         lines = spool.read_text(encoding="utf-8").splitlines()
         kinds = [json.loads(line)["kind"] for line in lines]
-        assert FR_DRIFT in kinds
+        # One frame per finding: the live hub folds its own drift
+        # frames without counting them a second time.
+        assert kinds.count(FR_DRIFT) == len(hub.drift.findings)
+
+    def test_replay_rebuilds_drift_findings(self, tmp_path):
+        spool, hub = self.drifting_spool(tmp_path)
+        replayed = TelemetryHub.replay(spool)
+        assert replayed.snapshot()["drift"]["findings"] == (
+            hub.snapshot()["drift"]["findings"])
+        assert "DRIFT" in render_dashboard(replayed)
+
+    def test_replay_with_envelope_counts_each_finding_once(self, tmp_path):
+        spool, hub = self.drifting_spool(tmp_path)
+        replayed = TelemetryHub.replay(spool, drift=self.detector())
+        assert len(replayed.drift.findings) == len(hub.drift.findings)
+        assert replayed.frames_seen == hub.frames_seen
 
 
 class TestUtilization:

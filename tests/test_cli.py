@@ -785,42 +785,67 @@ class TestTelemetryCli:
         out = capsys.readouterr().out
         assert "dropped frames" in out
 
-    def test_prom_and_otlp_exports(self, tmp_path, capsys):
-        import json
-
-        prom = tmp_path / "metrics.prom"
-        otlp = tmp_path / "metrics.otlp.json"
-        self.sweep(tmp_path, capsys,
-                   extra=["--prom", str(prom), "--otlp", str(otlp)])
-        text = prom.read_text()
-        assert "# TYPE repro_jobs_total gauge" in text
-        assert "repro_dropped_frames_total 0" in text
-        data = json.loads(otlp.read_text())
-        assert "resourceMetrics" in data
-
-    def test_prom_without_telemetry_rejected(self, tmp_path):
+    def test_drift_envelope_without_telemetry_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="--telemetry"):
-            main(self.RUN + ["--prom", str(tmp_path / "m.prom")])
+            main(self.RUN + ["--drift-envelope",
+                             str(tmp_path / "envelopes.json")])
+
+    def impossible_envelope(self, tmp_path):
+        """Envelopes no real sphinx3 run fits: every epoch drifts."""
+        from repro.obs.drift import DriftEnvelope, write_envelopes
+
+        path = tmp_path / "envelopes.json"
+        write_envelopes(path, [
+            DriftEnvelope(config=config, benchmark="sphinx3",
+                          ipc_min=50.0, ipc_max=60.0, rel_tol=0.0)
+            for config in ("baseline-nvm", "fgnvm-8x2")
+        ])
+        return path
 
     def test_drift_envelope_flags_findings(self, tmp_path, capsys):
         import json
 
-        from repro.obs.drift import DriftEnvelope, write_envelopes
-
-        envelope_path = tmp_path / "envelopes.json"
-        write_envelopes(envelope_path, [
-            DriftEnvelope(config="baseline-nvm", benchmark="sphinx3",
-                          ipc_min=50.0, ipc_max=60.0, rel_tol=0.0),
-            DriftEnvelope(config="fgnvm-8x2", benchmark="sphinx3",
-                          ipc_min=50.0, ipc_max=60.0, rel_tol=0.0),
-        ])
         cache, err = self.sweep(
             tmp_path, capsys,
-            extra=["--drift-envelope", str(envelope_path)],
+            extra=["--drift-envelope",
+                   str(self.impossible_envelope(tmp_path))],
         )
         assert "DRIFT ipc_low" in err
         manifest = json.loads((cache / "run-manifest.json").read_text())
         assert manifest["telemetry"]["drift"]["by_kind"]["ipc_low"] >= 1
+
+    def test_replay_shows_recorded_drift_findings(self, tmp_path, capsys):
+        import json
+
+        envelope_path = self.impossible_envelope(tmp_path)
+        cache, err = self.sweep(
+            tmp_path, capsys,
+            extra=["--drift-envelope", str(envelope_path)],
+        )
+        live = json.loads(
+            (cache / "run-manifest.json").read_text()
+        )["telemetry"]["drift"]
+        assert live["by_kind"]["ipc_low"] >= 1
+        assert err.count("DRIFT ipc_low") == len(live["findings"])
+
+        # Replayed without an envelope: the spool's drift frames alone
+        # rebuild the same findings.
+        assert main(["watch", str(cache), "--once", "--json"]) == 0
+        replayed = json.loads(capsys.readouterr().out)["drift"]
+        assert replayed["by_kind"] == live["by_kind"]
+        assert replayed["findings"] == live["findings"]
+
+        # Replayed with the envelope: re-detected findings are the
+        # recorded ones, not a second copy.
+        assert main(["watch", str(cache), "--once", "--json",
+                     "--drift-envelope", str(envelope_path)]) == 0
+        rearmed = json.loads(capsys.readouterr().out)["drift"]
+        assert rearmed["by_kind"] == live["by_kind"]
+
+        assert main(["inspect", str(cache / "telemetry.jsonl")]) == 0
+        out = capsys.readouterr().out
+        assert f"DRIFT ({len(live['findings'])} finding(s)):" in out
+        assert "ipc_low" in out
 
     def test_progress_renders_from_hub(self, tmp_path, capsys):
         cache = tmp_path / "cache"
