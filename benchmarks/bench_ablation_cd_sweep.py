@@ -9,7 +9,6 @@ underfetch rate climbs.
 """
 
 from repro.config import baseline_nvm, fgnvm
-from repro.sim.experiment import ExperimentCache, run_benchmark
 from repro.sim.reporting import series_table
 
 from conftest import publish

@@ -8,7 +8,6 @@ not the buses, are the binding resource past a few lanes).
 """
 
 from repro.config import baseline_nvm, fgnvm, fgnvm_multi_issue
-from repro.sim.experiment import ExperimentCache, run_benchmark
 from repro.sim.reporting import series_table
 
 from conftest import publish

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..sim.experiment import DEFAULT_REQUESTS, ExperimentCache
+from ..sim.experiment import DEFAULT_REQUESTS, default_engine
 from ..sim.reporting import ascii_table
 from .figure4 import Figure4Result, run_figure4
 from .figure5 import Figure5Result, run_figure5
@@ -71,7 +71,7 @@ class HeadlineResult:
 def run_headline(
     requests: int = DEFAULT_REQUESTS,
     benchmarks: Optional[List[str]] = None,
-    cache: Optional[ExperimentCache] = None,
+    cache=None,
     engine=None,
 ) -> HeadlineResult:
     """Run everything the Section 7 summary depends on.
@@ -80,10 +80,7 @@ def run_headline(
     :class:`repro.sim.parallel.ParallelExperimentEngine`, so Figure 5
     reuses Figure 4's baseline runs from the engine's cache.
     """
-    # Explicit None checks: an empty cache/engine is len() == 0, falsy.
-    cache = engine if engine is not None else cache
-    if cache is None:
-        cache = ExperimentCache()
+    cache = default_engine(engine or cache)
     return HeadlineResult(
         figure4=run_figure4(benchmarks, requests, cache),
         figure5=run_figure5(benchmarks, requests, cache),

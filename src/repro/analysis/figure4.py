@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 from ..config.presets import figure4_configs
 from ..sim.experiment import (
     DEFAULT_REQUESTS,
-    ExperimentCache,
+    default_engine,
     geometric_mean,
     prefetch_jobs,
     speedup,
@@ -62,19 +62,16 @@ class Figure4Result:
 def run_figure4(
     benchmarks: Optional[List[str]] = None,
     requests: int = DEFAULT_REQUESTS,
-    cache: Optional[ExperimentCache] = None,
+    cache=None,
     engine=None,
 ) -> Figure4Result:
     """Simulate every (benchmark, architecture) pair of Figure 4.
 
-    ``engine`` (or an engine passed as ``cache`` — they share the
-    ``run()`` surface) fans the whole (benchmark x architecture) grid
-    across its worker pool before the speedup table is assembled.
+    ``engine`` (or ``cache``; default: a fresh serial engine) fans
+    the whole (benchmark x architecture) grid across its worker pool
+    before the speedup table is assembled.
     """
-    # Explicit None checks: an empty cache/engine is len() == 0, falsy.
-    cache = engine if engine is not None else cache
-    if cache is None:
-        cache = ExperimentCache()
+    cache = default_engine(engine or cache)
     names = benchmarks or benchmark_names()
     configs = figure4_configs()
     prefetch_jobs(cache, [

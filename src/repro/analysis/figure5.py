@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..config.presets import figure5_configs
-from ..sim.experiment import DEFAULT_REQUESTS, ExperimentCache, prefetch_jobs
+from ..sim.experiment import DEFAULT_REQUESTS, default_engine, prefetch_jobs
 from ..sim.reporting import series_table
 from ..workloads.spec_profiles import benchmark_names
 
@@ -50,18 +50,15 @@ class Figure5Result:
 def run_figure5(
     benchmarks: Optional[List[str]] = None,
     requests: int = DEFAULT_REQUESTS,
-    cache: Optional[ExperimentCache] = None,
+    cache=None,
     engine=None,
 ) -> Figure5Result:
     """Simulate the CD sweep and normalise energies to the baseline.
 
-    ``engine`` (or an engine passed as ``cache``) fans the whole grid
-    across its worker pool before normalisation.
+    ``engine`` (or ``cache``; default: a fresh serial engine) fans
+    the whole grid across its worker pool before normalisation.
     """
-    # Explicit None checks: an empty cache/engine is len() == 0, falsy.
-    cache = engine if engine is not None else cache
-    if cache is None:
-        cache = ExperimentCache()
+    cache = default_engine(engine or cache)
     names = benchmarks or benchmark_names()
     configs = figure5_configs()
     prefetch_jobs(cache, [

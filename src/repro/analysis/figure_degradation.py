@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 from ..config.params import SystemConfig
 from ..config.presets import baseline_nvm, fgnvm, salp, with_reliability
 from ..memsys.reliability import DeviceFaultPlan
-from ..sim.experiment import DEFAULT_REQUESTS, ExperimentCache, prefetch_jobs
+from ..sim.experiment import DEFAULT_REQUESTS, default_engine, prefetch_jobs
 from ..sim.reporting import series_table
 
 #: Organisation series, in degradation order (worst first).
@@ -160,18 +160,16 @@ class FigureDegradationResult:
 def run_figure_degradation(
     benchmarks: Optional[List[str]] = None,
     requests: int = DEFAULT_REQUESTS,
-    cache: Optional[ExperimentCache] = None,
+    cache=None,
     engine=None,
 ) -> FigureDegradationResult:
     """Simulate the fault-rate and tile-kill sweeps, normalised per-org.
 
-    ``engine`` (or an engine passed as ``cache`` — they share the
-    ``run()`` surface) fans the whole grid across its worker pool
-    before the tables are assembled.
+    ``engine`` (or ``cache``; default: a fresh serial engine) fans
+    the whole grid across its worker pool before the tables are
+    assembled.
     """
-    cache = engine if engine is not None else cache
-    if cache is None:
-        cache = ExperimentCache()
+    cache = default_engine(engine or cache)
     names = list(benchmarks) if benchmarks else list(DEFAULT_BENCHMARKS)
     healthy = _healthy_configs()
     max_rate = FAULT_RATES[-1]

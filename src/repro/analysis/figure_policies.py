@@ -29,7 +29,7 @@ from ..config.params import SystemConfig
 from ..memsys.policies import apply_policy
 from ..sim.experiment import (
     DEFAULT_REQUESTS,
-    ExperimentCache,
+    default_engine,
     geometric_mean,
     prefetch_jobs,
     speedup,
@@ -99,19 +99,16 @@ class FigurePoliciesResult:
 def run_figure_policies(
     benchmarks: Optional[List[str]] = None,
     requests: int = DEFAULT_REQUESTS,
-    cache: Optional[ExperimentCache] = None,
+    cache=None,
     engine=None,
 ) -> FigurePoliciesResult:
     """Simulate the (benchmark x policy) grid and normalise to baseline.
 
-    ``engine`` (or an engine passed as ``cache`` — they share the
-    ``run()`` surface) fans the whole grid across its worker pool
-    before the tables are assembled.
+    ``engine`` (or ``cache``; default: a fresh serial engine) fans
+    the whole grid across its worker pool before the tables are
+    assembled.
     """
-    # Explicit None checks: an empty cache/engine is len() == 0, falsy.
-    cache = engine if engine is not None else cache
-    if cache is None:
-        cache = ExperimentCache()
+    cache = default_engine(engine or cache)
     names = list(benchmarks) if benchmarks else list(DEFAULT_BENCHMARKS)
     configs = figure_policies_configs()
     prefetch_jobs(cache, [

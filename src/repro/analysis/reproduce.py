@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List
 
-from ..sim.experiment import ExperimentCache
+from ..sim.experiment import default_engine
 from .calibration import render_headline, run_headline
 from .export import figure4_csv, figure5_csv, table1_csv
 from .figure3 import check_figure3, render_figure3, run_figure3
@@ -67,8 +67,7 @@ def reproduce_all(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = ReproductionManifest(out_dir=out, requests=requests)
-    # Explicit None check: an empty engine is len() == 0, falsy.
-    cache = engine if engine is not None else ExperimentCache()
+    cache = default_engine(engine)
 
     def save(name: str, text: str) -> None:
         path = out / name

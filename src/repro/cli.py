@@ -99,8 +99,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         help="simulation processes (0 = one per CPU core; default 1 = serial)",
     )
     parser.add_argument(
-        "--cache-dir", default=None,
-        help="persistent result cache directory (also via REPRO_CACHE_DIR); "
+        "--cache-dir", default=os.environ.get("REPRO_CACHE_DIR") or None,
+        help="persistent result cache directory (default: REPRO_CACHE_DIR); "
              "repeated runs with identical parameters simulate nothing",
     )
     parser.add_argument(
@@ -149,10 +149,9 @@ def _spool_path(args) -> Optional[str]:
         return telemetry
     from .obs.hub import SPOOL_NAME
 
-    cache_dir = getattr(args, "cache_dir", None) or os.environ.get(
-        "REPRO_CACHE_DIR"
-    )
-    return os.path.join(cache_dir, SPOOL_NAME) if cache_dir else None
+    if not args.cache_dir:
+        return None
+    return os.path.join(args.cache_dir, SPOOL_NAME)
 
 
 def _make_hub(args) -> Optional[TelemetryHub]:
@@ -175,14 +174,9 @@ def _make_hub(args) -> Optional[TelemetryHub]:
 
 
 def _make_engine(args):
-    """The experiment engine every simulating command routes through.
-
-    Always the fault-tolerant engine: with no faults to ride out it
-    behaves exactly like the plain pool, and a crashed worker or a
-    corrupt cache blob no longer costs the whole run.
-    """
-    from .resilience.engine import resilient_engine
+    """The experiment engine every simulating command routes through."""
     from .resilience.retry import RetryPolicy
+    from .sim.parallel import ParallelExperimentEngine
     from .sim.reporting import hub_progress_printer, progress_printer
 
     if args.workers < 0:
@@ -210,7 +204,7 @@ def _make_engine(args):
                     else progress_printer())
     else:
         progress = None
-    return resilient_engine(
+    return ParallelExperimentEngine(
         workers=workers,
         cache_dir=args.cache_dir,
         progress=progress,
@@ -235,7 +229,7 @@ def _report_engine(args, engine) -> None:
             for finding in hub.drift.findings:
                 print(f"DRIFT {finding.kind}: {finding.detail}",
                       file=sys.stderr)
-    if args.progress or args.cache_dir:
+    if args.progress or engine.disk is not None:
         stats = engine.stats
         print(
             f"engine: {stats.simulations} simulation(s), "
@@ -243,19 +237,17 @@ def _report_engine(args, engine) -> None:
             f"({stats.disk_hits} from disk), workers={engine.workers}",
             file=sys.stderr,
         )
-        rstats = getattr(engine, "rstats", None)
-        if rstats is not None:
-            dirty = {k: v for k, v in rstats.as_dict().items()
-                     if v and k != "journal_entries"}
-            if dirty:
-                print(
-                    "resilience: " + ", ".join(
-                        f"{k}={v}" for k, v in sorted(dirty.items())
-                    ),
-                    file=sys.stderr,
-                )
+        dirty = {k: v for k, v in engine.rstats.as_dict().items()
+                 if v and k != "journal_entries"}
+        if dirty:
+            print(
+                "resilience: " + ", ".join(
+                    f"{k}={v}" for k, v in sorted(dirty.items())
+                ),
+                file=sys.stderr,
+            )
     manifest_path = engine.write_manifest()
-    if manifest_path is not None and (args.progress or args.cache_dir):
+    if manifest_path is not None:
         print(f"run manifest: {manifest_path}", file=sys.stderr)
 
 
@@ -825,7 +817,6 @@ def _cmd_chaos(args) -> int:
     """Prove fault tolerance: chaos run bit-identical to a clean one."""
     import tempfile
 
-    from .resilience.engine import ResilientEngine
     from .resilience.faults import FaultPlan
     from .resilience.retry import RetryPolicy
     from .sim.parallel import ExperimentJob, ParallelExperimentEngine
@@ -867,7 +858,7 @@ def _cmd_chaos(args) -> int:
             f"--workers must be >= 0 (0 = one process per CPU core, "
             f"1 = serial); got {args.workers}"
         )
-    chaotic = ResilientEngine(
+    chaotic = ParallelExperimentEngine(
         workers=None if args.workers == 0 else args.workers,
         cache_dir=cache_dir,
         fault_plan=plan,
@@ -889,7 +880,8 @@ def _cmd_chaos(args) -> int:
 
     # A fresh engine resuming from the chaos run's journal + cache must
     # reproduce everything without re-simulating the intact jobs.
-    readback = ResilientEngine(workers=1, cache_dir=cache_dir, resume=True)
+    readback = ParallelExperimentEngine(workers=1, cache_dir=cache_dir,
+                                        resume=True)
     replayed = [r.summary() for r in readback.run_jobs(jobs)]
     print(
         f"resume: {readback.resumable_jobs} job(s) checkpointed, "

@@ -83,7 +83,7 @@ class FatalJobError(ExperimentError):
     """A job failed deterministically, or exhausted its retry budget.
 
     Carries the last underlying error as ``__cause__``; raised by the
-    resilient engine instead of retrying forever.
+    experiment engine instead of retrying forever.
     """
 
 

@@ -68,8 +68,9 @@ class RunManifest:
     #: predates the packed pipeline.
     trace: Dict[str, object] = field(default_factory=dict)
     #: Fault-tolerance counters (retries, injected faults, quarantined
-    #: blobs, pool rebuilds, ...) — how dirty the run was.  Empty for
-    #: the plain engine; populated by :mod:`repro.resilience`.
+    #: blobs, pool rebuilds, ...) — how dirty the run was
+    #: (:class:`repro.sim.parallel.ResilienceStats`).  Empty when the
+    #: producer is not the experiment engine.
     resilience: Dict[str, int] = field(default_factory=dict)
     #: Device-level reliability counters summed over every job's result
     #: (write retries, retired tiles, maintenance ops, ...;

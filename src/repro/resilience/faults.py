@@ -1,7 +1,7 @@
 """Deterministic chaos: seeded fault plans for the experiment engine.
 
 A :class:`FaultPlan` is a value — a seed plus a tuple of
-:class:`FaultSpec` entries — that tells the resilient engine to break
+:class:`FaultSpec` entries — that tells the experiment engine to break
 specific jobs of a batch in specific ways.  Because the plan is data
 (JSON-serializable, picklable), the same chaos run reproduces exactly:
 in a unit test, in ``repro chaos`` on a laptop, and in CI.
@@ -36,8 +36,6 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from ..errors import ExperimentError, TransientJobError, WorkerCrashError
-from ..sim.parallel import ExperimentJob, execute_job
-from ..sim.simulator import SimResult
 
 #: Fault kind identifiers.
 CRASH = "crash"
@@ -209,21 +207,6 @@ def apply_worker_fault(spec: FaultSpec, in_process: bool = False) -> None:
         raise TransientJobError(
             f"injected transient fault at job {spec.job_index}"
         )
-
-
-def faulted_execute_job(
-    job: ExperimentJob, fault: Optional[FaultSpec]
-) -> "tuple[SimResult, float]":
-    """Pool-worker entry point: optionally misbehave, then simulate.
-
-    Module-level so it pickles into worker processes; with ``fault``
-    None it is exactly the plain timed execution path.
-    """
-    if fault is not None:
-        apply_worker_fault(fault)
-    started = time.monotonic()
-    result = execute_job(job)
-    return result, time.monotonic() - started
 
 
 def disk_full_error(spec: FaultSpec) -> OSError:

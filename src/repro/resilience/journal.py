@@ -22,9 +22,10 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..sim.parallel import CODE_VERSION, DiskResultCache, ExperimentJob
+if TYPE_CHECKING:  # the engine imports this module: no runtime cycle
+    from ..sim.parallel import DiskResultCache, ExperimentJob
 
 #: Journal file name, placed beside the disk cache it checkpoints.
 JOURNAL_NAME = "sweep-journal.jsonl"
@@ -38,7 +39,11 @@ class SweepJournal:
     """Append-only record of completed (job key, result digest) pairs."""
 
     def __init__(self, path: "str | os.PathLike[str]",
-                 code_version: str = CODE_VERSION):
+                 code_version: Optional[str] = None):
+        if code_version is None:
+            from ..sim.parallel import CODE_VERSION
+
+            code_version = CODE_VERSION
         self.path = Path(path)
         self.code_version = code_version
         #: Unparsable lines skipped during the last read (telemetry;

@@ -4,15 +4,15 @@ from .._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
     "experiment": (
-        "DEFAULT_REQUESTS", "ExperimentCache", "compare_architectures",
-        "geometric_mean", "prefetch_jobs", "run_benchmark", "run_trace",
-        "speedup", "speedup_table", "sweep_benchmarks",
+        "DEFAULT_REQUESTS", "compare_architectures", "geometric_mean",
+        "prefetch_jobs", "run_benchmark", "run_trace", "speedup",
+        "speedup_table", "sweep_benchmarks",
     ),
     "parallel": (
         "BLOB_MAGIC", "CODE_VERSION", "QUARANTINE_DIR", "DiskResultCache",
         "EngineStats", "ExperimentJob", "ParallelExperimentEngine",
-        "ProgressEvent", "canonical_config", "config_digest",
-        "execute_job", "job_key", "result_digest",
+        "ProgressEvent", "ResilienceStats", "canonical_config",
+        "config_digest", "execute_job", "job_key", "result_digest",
     ),
     "reporting": (
         "ascii_table", "bar_chart", "dict_table", "format_duration",

@@ -6,16 +6,19 @@ This is the layer the figures are generated from:
   deterministic generated trace,
 * :func:`compare_architectures` — one benchmark across a set of
   configurations (Figure 4's bar groups),
-* :func:`speedup` / :func:`geometric_mean` — normalisation helpers,
-* :class:`ExperimentCache` — memoises simulations within a process so
-  Figure 5 can reuse Figure 4's runs.
+* :func:`speedup` / :func:`geometric_mean` — normalisation helpers.
+
+Everything that runs more than one simulation goes through a
+:class:`repro.sim.parallel.ParallelExperimentEngine`, whose memo lets
+Figure 5 reuse Figure 4's runs.  The engine module is imported only
+when one is needed, so ``repro run --trace`` never loads it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..config.params import SystemConfig
 from ..obs.events import Probe
@@ -56,28 +59,29 @@ def run_benchmark(
     return simulate(config, trace, probe=probe)
 
 
-def prefetch_jobs(runner, jobs: "Sequence[tuple]",
-                  label: Optional[str] = None) -> None:
-    """Warm a cache/engine with (config, benchmark, requests) tuples.
+def default_engine(engine=None):
+    """``engine``, or a fresh serial in-memory engine when it is None."""
+    if engine is not None:
+        return engine
+    from .parallel import ParallelExperimentEngine
 
-    When ``runner`` is a :class:`repro.sim.parallel.ParallelExperimentEngine`
-    the whole batch fans out across the pool in one go; a plain
-    :class:`ExperimentCache` (or ``None``) warms nothing — subsequent
-    ``run`` calls simulate serially exactly as before.  ``label`` tags
-    the batch for engines that journal their progress (the resilient
-    engine's sweep journal records it per completed job).
+    return ParallelExperimentEngine()
+
+
+def prefetch_jobs(engine, jobs: "Sequence[tuple]",
+                  label: Optional[str] = None) -> None:
+    """Run (config, benchmark, requests) tuples as one engine batch.
+
+    The whole batch fans out across the engine's pool in one go, so the
+    ``engine.run`` calls that follow are memory hits.  ``label`` tags
+    the batch's entries in the sweep journal.
     """
-    run_jobs = getattr(runner, "run_jobs", None)
-    if run_jobs is None:
-        return
-    if label is not None:
-        begin_batch = getattr(runner, "begin_batch", None)
-        if begin_batch is not None:
-            begin_batch(label)
     from .parallel import ExperimentJob
 
-    run_jobs([ExperimentJob(config, benchmark, requests)
-              for config, benchmark, requests in jobs])
+    if label is not None:
+        engine.begin_batch(label)
+    engine.run_jobs([ExperimentJob(config, benchmark, requests)
+                     for config, benchmark, requests in jobs])
 
 
 def speedup(result: SimResult, baseline: SimResult) -> float:
@@ -100,66 +104,35 @@ def compare_architectures(
     configs: Dict[str, SystemConfig],
     benchmark: str,
     requests: int = DEFAULT_REQUESTS,
-    cache: "Optional[ExperimentCache]" = None,
+    cache=None,
 ) -> Dict[str, SimResult]:
     """Run one benchmark across several configurations.
 
-    ``cache`` accepts either an :class:`ExperimentCache` or a
-    :class:`repro.sim.parallel.ParallelExperimentEngine`; with an engine
-    the per-config simulations fan out across its worker pool before the
-    results are assembled in label order.
+    ``cache`` is a :class:`repro.sim.parallel.ParallelExperimentEngine`
+    (default: a fresh serial one); the per-config simulations fan out
+    across its worker pool before the results are assembled in label
+    order.
     """
+    cache = default_engine(cache)
     prefetch_jobs(cache, [(config, benchmark, requests)
                           for config in configs.values()],
                   label=f"compare:{benchmark}")
-    results: Dict[str, SimResult] = {}
-    for label, config in configs.items():
-        if cache is not None:
-            results[label] = cache.run(config, benchmark, requests)
-        else:
-            results[label] = run_benchmark(config, benchmark, requests)
-    return results
-
-
-class ExperimentCache:
-    """Process-local memoisation of (config name, benchmark, length) runs.
-
-    Config *names* key the cache, which is safe for the preset
-    constructors (each name fully determines the parameters).  Sweeps
-    that mutate a config in place must rename it.
-    """
-
-    def __init__(self):
-        self._results: Dict[Tuple[str, str, int], SimResult] = {}
-
-    def run(self, config: SystemConfig, benchmark: str,
-            requests: int = DEFAULT_REQUESTS) -> SimResult:
-        key = (config.name, benchmark, requests)
-        if key not in self._results:
-            self._results[key] = run_benchmark(config, benchmark, requests)
-        return self._results[key]
-
-    def __len__(self) -> int:
-        return len(self._results)
+    return {label: cache.run(config, benchmark, requests)
+            for label, config in configs.items()}
 
 
 def sweep_benchmarks(
     config: SystemConfig,
     benchmarks: Iterable[str],
     requests: int = DEFAULT_REQUESTS,
-    cache: Optional[ExperimentCache] = None,
+    cache=None,
 ) -> Dict[str, SimResult]:
     """Run one configuration across a benchmark list."""
+    cache = default_engine(cache)
     benchmarks = list(benchmarks)
     prefetch_jobs(cache, [(config, name, requests) for name in benchmarks],
                   label=f"benchmarks:{config.name}")
-    results = {}
-    for name in benchmarks:
-        if cache is not None:
-            results[name] = cache.run(config, name, requests)
-        else:
-            results[name] = run_benchmark(config, name, requests)
-    return results
+    return {name: cache.run(config, name, requests) for name in benchmarks}
 
 
 def speedup_table(

@@ -1,4 +1,4 @@
-"""Parallel experiment engine with a persistent on-disk result cache.
+"""The experiment engine: parallel, cached and supervised.
 
 The experiment grid behind every figure and sweep is embarrassingly
 parallel: each (config, benchmark, requests, seed) simulation is
@@ -12,15 +12,19 @@ second time performs zero new simulations:
   parameters and a code-version tag,
 * :class:`DiskResultCache` — pickled :class:`SimResult` blobs under a
   cache directory, keyed by :func:`job_key`,
-* :class:`ParallelExperimentEngine` — ``ProcessPoolExecutor`` fan-out
-  with an in-memory layer above the disk layer, a serial fallback when
-  ``workers=1`` (or the platform cannot fork a pool), and progress/ETA
-  callbacks wired to :mod:`repro.sim.reporting`.
+* :class:`ParallelExperimentEngine` — the one engine every figure,
+  sweep and CLI command runs through: ``ProcessPoolExecutor`` fan-out
+  with at most ``workers`` jobs in flight, an in-memory layer above the
+  disk layer, a serial path when ``workers=1`` (or the platform cannot
+  fork a pool), progress/ETA callbacks wired to
+  :mod:`repro.sim.reporting`, and the supervision a long sweep needs:
+  per-job timeouts, retry with backoff, pool recovery, degradation to
+  serial, the sweep journal behind ``--resume`` and seeded chaos hooks
+  (:mod:`repro.resilience`).
 
-The engine duck-types :class:`~repro.sim.experiment.ExperimentCache`
-(``run(config, benchmark, requests)`` plus ``__len__``), so everything
-that accepted a cache — figure generators, benches, sweeps — can be
-handed an engine instead.
+The mirror with the paper is deliberate: FgNVM's Backgrounded Writes
+let reads proceed under a stalled long write; this engine lets a sweep
+proceed under a stalled worker.
 """
 
 from __future__ import annotations
@@ -33,15 +37,45 @@ import json
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config.params import SystemConfig
-from ..errors import ExperimentError
+from ..errors import (
+    ExperimentError,
+    FatalJobError,
+    JobTimeoutError,
+    ReproError,
+    WorkerCrashError,
+)
+from ..obs.events import (
+    EV_DEGRADED,
+    EV_FAULT,
+    EV_POOL_REBUILD,
+    EV_QUARANTINE,
+    EV_RETRY,
+    NULL_PROBE,
+    Event,
+    Probe,
+)
 from ..obs.manifest import JobRecord, RunManifest
 from ..obs.stream import activate, active_channel, init_worker, streamed_simulate
+from ..resilience.faults import (
+    CORRUPT,
+    DISK_FULL,
+    TORN,
+    FaultPlan,
+    FaultSpec,
+    apply_worker_fault,
+    disk_full_error,
+    mangle_blob,
+)
+from ..resilience.journal import JOURNAL_NAME, SweepJournal
+from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy, is_transient
 from ..store import QUARANTINE_DIR, BlobStore
 from ..workloads.packed import (
     PackedTrace,
@@ -61,9 +95,12 @@ from .simulator import SimResult, simulate
 #: newer code would simulate differently.
 CODE_VERSION = "fgnvm-sim-2"
 
-#: Default cache directory (overridable per engine or via
-#: ``REPRO_CACHE_DIR``).
-DEFAULT_CACHE_DIR = ".repro-cache"
+#: Broken or hung pools an engine tolerates before it runs every later
+#: batch serially in-process.
+MAX_POOL_REBUILDS = 3
+
+#: Poll interval for the supervision loop while a job timeout is armed.
+SUPERVISOR_TICK_S = 0.05
 
 
 # -- jobs and keys ----------------------------------------------------------
@@ -188,8 +225,17 @@ def execute_job(job: ExperimentJob) -> SimResult:
     return simulate(job.config, trace)
 
 
-def _timed_execute_job(job: ExperimentJob) -> "tuple[SimResult, float]":
-    """Worker entry point that also reports the job's wall time."""
+def _timed_execute_job(
+    job: ExperimentJob, fault: Optional[FaultSpec]
+) -> "tuple[SimResult, float]":
+    """Pool-worker entry point: optionally misbehave, then simulate.
+
+    Module-level so it pickles into worker processes.  Returns the
+    result and the simulation's wall time; with ``fault`` None it is the
+    plain timed execution path.
+    """
+    if fault is not None:
+        apply_worker_fault(fault)
     started = time.monotonic()
     result = execute_job(job)
     return result, time.monotonic() - started
@@ -410,18 +456,57 @@ class ProgressEvent:
 ProgressHook = Callable[[ProgressEvent], None]
 
 
+@dataclass
+class ResilienceStats:
+    """How dirty a run was: every recovery action, counted."""
+
+    retries: int = 0
+    worker_crashes: int = 0
+    timeouts: int = 0
+    pool_rebuilds: int = 0
+    degraded_to_serial: int = 0
+    faults_injected: int = 0
+    journal_entries: int = 0
+    resumed_hits: int = 0
+    interrupted: bool = False
+
+    def as_dict(self) -> Dict[str, int]:
+        return {
+            "retries": self.retries,
+            "worker_crashes": self.worker_crashes,
+            "timeouts": self.timeouts,
+            "pool_rebuilds": self.pool_rebuilds,
+            "degraded_to_serial": self.degraded_to_serial,
+            "faults_injected": self.faults_injected,
+            "journal_entries": self.journal_entries,
+            "resumed_hits": self.resumed_hits,
+        }
+
+
 class ParallelExperimentEngine:
-    """Fan independent simulation jobs across cores, memoised twice over.
+    """Fan independent simulation jobs across cores, memoised and supervised.
 
     * ``workers`` — pool size; ``None`` means ``os.cpu_count()``; ``1``
       (or an unavailable pool) runs serially in-process with identical
       results and the same cache behaviour.
-    * ``cache_dir`` — enables the persistent :class:`DiskResultCache`;
-      ``None`` keeps memoisation purely in-memory (like the classic
-      :class:`~repro.sim.experiment.ExperimentCache`).
+    * ``cache_dir`` — enables the persistent :class:`DiskResultCache`
+      and, beside it, the sweep journal; ``None`` keeps memoisation
+      purely in-memory.
     * ``progress`` — optional :data:`ProgressHook` called after every
       completed job of a batch (see
       :func:`repro.sim.reporting.progress_printer`).
+    * ``retry`` — :class:`~repro.resilience.retry.RetryPolicy` for
+      transient failures (default: 3 attempts, jittered backoff).
+    * ``job_timeout_s`` — per-job wall-clock budget; an overdue pooled
+      job is presumed hung, its pool is killed and rebuilt, and the job
+      retried.  ``None`` (default) disables the watchdog.
+    * ``fault_plan`` — a :class:`~repro.resilience.faults.FaultPlan` of
+      chaos to inject.
+    * ``probe`` — :mod:`repro.obs` probe for fault/retry/quarantine
+      events.
+    * ``resume`` — verify the sweep journal against the disk cache and
+      serve checkpointed jobs without re-simulation (requires a cache
+      dir).
     * ``telemetry`` — optional :class:`~repro.obs.hub.TelemetryHub`;
       when set, every simulation (serial or pooled) streams lifecycle
       and epoch frames into the hub, and progress snapshots route
@@ -432,6 +517,8 @@ class ParallelExperimentEngine:
     Lookup order per job: in-memory dict, then disk, then simulate.
     Results are returned in job order regardless of completion order,
     so serial and parallel runs are indistinguishable to callers.
+    After more than :data:`MAX_POOL_REBUILDS` broken or hung pools the
+    engine runs every later batch serially in-process.
     """
 
     def __init__(
@@ -439,7 +526,11 @@ class ParallelExperimentEngine:
         workers: Optional[int] = 1,
         cache_dir: "str | os.PathLike[str] | None" = None,
         progress: Optional[ProgressHook] = None,
-        code_version: str = CODE_VERSION,
+        retry: Optional[RetryPolicy] = None,
+        job_timeout_s: Optional[float] = None,
+        fault_plan: Optional[FaultPlan] = None,
+        probe: Optional[Probe] = None,
+        resume: bool = False,
         telemetry=None,
     ):
         self.workers = os.cpu_count() or 1 if workers is None else workers
@@ -447,20 +538,42 @@ class ParallelExperimentEngine:
             raise ExperimentError(
                 f"workers must be >= 1, got {self.workers}"
             )
-        self.code_version = code_version
+        if job_timeout_s is not None and job_timeout_s <= 0:
+            raise ExperimentError(
+                f"job_timeout_s must be positive, got {job_timeout_s}"
+            )
+        self.code_version = CODE_VERSION
+        self.max_pool_rebuilds = MAX_POOL_REBUILDS
         self.progress = progress
+        self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
+        self.job_timeout_s = job_timeout_s
+        self.plan = fault_plan
+        self.probe = probe if probe is not None else NULL_PROBE
         self.telemetry = telemetry
         if telemetry is not None:
             telemetry.note_workers(self.workers)
+            # Tee harness events (retries, faults, quarantines, pool
+            # rebuilds) into the hub's fleet counters; the caller's
+            # sink, if any, still sees the unmodified stream.
+            self.probe = telemetry.adopt_probe(self.probe)
         self.disk = DiskResultCache(cache_dir) if cache_dir else None
         self.stats = EngineStats()
+        self.rstats = ResilienceStats()
         #: Content-addressed packed-trace blobs next to the result cache.
         self.traces: Optional[TraceCache] = None
+        #: Completed-job checkpoints next to the result cache.
+        self.journal: Optional[SweepJournal] = None
         if self.disk is not None:
             try:
                 self.traces = TraceCache(self.disk.root / "traces")
             except OSError:
                 self.traces = None  # results cache survives; traces regen
+            self.journal = SweepJournal(
+                self.disk.root / JOURNAL_NAME, self.code_version
+            )
+        for store in (self.disk, self.traces):
+            if store is not None:
+                store.on_corrupt = self._on_corrupt
         self.trace_stats = TraceStats()
         #: Segment locators handed to pool workers for the current batch.
         self._shared_refs: "tuple[SharedTraceRef, ...]" = ()
@@ -477,8 +590,19 @@ class ParallelExperimentEngine:
         self.reliability_totals: Dict[str, int] = {}
         self._wall_s = 0.0
         self._busy_s = 0.0
-
-    # -- ExperimentCache-compatible surface ---------------------------------
+        self._degraded = False
+        self._fired_cache_faults: "set[int]" = set()
+        self._fired_interrupts: "set[int]" = set()
+        self._batch_label = ""
+        self._resumed_keys: "set[str]" = set()
+        if resume:
+            if self.journal is None:
+                raise ExperimentError(
+                    "--resume needs a persistent cache: pass --cache-dir "
+                    "(or set REPRO_CACHE_DIR) so the sweep journal and "
+                    "result blobs have somewhere to live"
+                )
+            self._resumed_keys = self.journal.verified_keys(self.disk)
 
     def run(
         self,
@@ -487,13 +611,19 @@ class ParallelExperimentEngine:
         requests: int = 20_000,
         seed: Optional[int] = None,
     ) -> SimResult:
-        """One job through the cache hierarchy (drop-in for a cache)."""
+        """One job through the cache hierarchy."""
         return self.run_jobs(
             [ExperimentJob(config, benchmark, requests, seed)]
         )[0]
 
-    def __len__(self) -> int:
-        return len(self._memory)
+    def begin_batch(self, label: str) -> None:
+        """Label journal entries for the next batch (e.g. ``sweep:...``)."""
+        self._batch_label = label
+
+    @property
+    def resumable_jobs(self) -> int:
+        """Checkpointed jobs a resumed run can serve without simulating."""
+        return len(self._resumed_keys)
 
     # -- batch execution ----------------------------------------------------
 
@@ -501,9 +631,21 @@ class ParallelExperimentEngine:
         """Run a batch of jobs, fanning cache misses across the pool.
 
         Returns results in job order.  Duplicate jobs within one batch
-        simulate once.
+        simulate once.  On ``KeyboardInterrupt`` the completed jobs are
+        already on disk and journaled; a partial ``run-manifest.json``
+        is written as the receipt before the interrupt propagates.
         """
-        jobs = list(jobs)
+        try:
+            return self._run_batch(list(jobs))
+        except KeyboardInterrupt:
+            self.rstats.interrupted = True
+            try:
+                self.write_manifest()
+            except OSError:
+                pass
+            raise
+
+    def _run_batch(self, jobs: List[ExperimentJob]) -> List[SimResult]:
         keys = self._keys(jobs)
         self.stats.submitted += len(jobs)
         started = time.monotonic()
@@ -542,12 +684,14 @@ class ParallelExperimentEngine:
                 pending.append(job)
                 pending_keys.append(key)
 
-        done = len(jobs) - len(pending)
-        self._report(done, len(jobs), started)
-        self._prepare_traces(pending)
+        self._report(len(jobs) - len(pending), len(jobs), started)
+        # Pooled or in-process is decided once per batch: the trace
+        # transport and the supervisor follow the same decision.
+        pooled = self.workers > 1 and len(pending) > 1 and not self._degraded
+        self._prepare_traces(pending, pooled)
         try:
-            self._run_pending(pending, pending_keys, results,
-                              len(jobs), started)
+            self._supervise(pending, pending_keys, results, pooled,
+                            len(jobs), started)
         finally:
             self._teardown_traces()
             self._wall_s += time.monotonic() - started
@@ -582,45 +726,155 @@ class ParallelExperimentEngine:
             keys.append(key)
         return keys
 
-    def _run_pending(
+    def _supervise(
         self,
         pending: List[ExperimentJob],
         pending_keys: List[str],
         results: Dict[str, SimResult],
+        pooled: bool,
         total: int,
         started: float,
     ) -> None:
-        """Execute the cache misses of one batch (the supervision seam).
+        """Execute the cache misses of one batch: retries, timeouts, pool
+        recovery, checkpoints."""
+        if not pending:
+            return
+        n = len(pending)
+        done_base = total - n
+        attempts = [0] * n
+        completed = 0
+        queue: "deque[int]" = deque(range(n))
 
-        The base engine streams results off :meth:`_execute`; the
-        resilient subclass replaces this with a retrying, checkpointing
-        supervisor while reusing :meth:`_complete_job` for bookkeeping.
-        """
-        for job, key, (result, wall_s) in zip(
-            pending, pending_keys,
-            self._execute(pending, total, started),
-        ):
-            self._complete_job(job, key, result, wall_s, results)
+        def on_success(idx: int, result: SimResult, wall_s: float) -> None:
+            nonlocal completed
+            job, key = pending[idx], pending_keys[idx]
+            self._arm_cache_fault(idx)
+            results[key] = result
+            self._memory[key] = result
+            digest = self._persist(key, result)
+            self.stats.executed += 1
+            self._busy_s += wall_s
+            self._record(job, key, "simulated", wall_s, result)
+            self._mangle_after_persist(idx, key, digest)
+            if self.journal is not None and digest is not None:
+                self.journal.record(
+                    key, digest, job=job, batch=self._batch_label
+                )
+                self.rstats.journal_entries += 1
+            completed += 1
+            self._report(done_base + completed, total, started)
+            self._maybe_interrupt(idx)
 
-    def _complete_job(
-        self,
-        job: ExperimentJob,
-        key: str,
-        result: SimResult,
-        wall_s: float,
-        results: Dict[str, SimResult],
-    ) -> Optional[str]:
-        """Account one finished simulation; returns its blob digest."""
-        results[key] = result
-        self._memory[key] = result
-        digest = self._persist(key, result)
-        self.stats.executed += 1
-        self._busy_s += wall_s
-        self._record(job, key, "simulated", wall_s, result)
-        return digest
+        def run_one_serial(idx: int) -> None:
+            fault = (self.plan.worker_fault(idx, attempts[idx])
+                     if self.plan is not None else None)
+            try:
+                if fault is not None:
+                    self._note_fault(fault)
+                    apply_worker_fault(fault, in_process=True)
+                on_success(idx, *_timed_execute_job(pending[idx], None))
+            except KeyboardInterrupt:
+                raise
+            except Exception as exc:
+                self._retry_or_raise(idx, pending[idx], attempts, queue, exc)
+
+        pool: Optional[ProcessPoolExecutor] = None
+        if pooled:
+            pool = self._make_pool(n)
+            if pool is None:
+                self._degrade("platform refused a process pool")
+        try:
+            inflight: "Dict[object, tuple[int, float]]" = {}
+            while queue or inflight:
+                if pool is None:
+                    # Degraded (or serial-by-construction): drain the
+                    # queue in-process, faults softened accordingly.
+                    while queue:
+                        run_one_serial(queue.popleft())
+                    break
+
+                # Keep at most `workers` jobs in flight so a submitted
+                # job starts immediately and its wall clock is honest.
+                broken = False
+                while queue and len(inflight) < self.workers:
+                    idx = queue.popleft()
+                    fault = (self.plan.worker_fault(idx, attempts[idx])
+                             if self.plan is not None else None)
+                    if fault is not None:
+                        self._note_fault(fault)
+                    try:
+                        future = pool.submit(
+                            _timed_execute_job, pending[idx], fault
+                        )
+                    except (BrokenProcessPool, RuntimeError):
+                        queue.appendleft(idx)
+                        broken = True
+                        break
+                    inflight[future] = (idx, time.monotonic())
+                if broken:
+                    pool = self._recover_pool(pool, inflight, queue)
+                    continue
+
+                timeout = (None if self.job_timeout_s is None
+                           else SUPERVISOR_TICK_S)
+                done, _ = wait(set(inflight), timeout=timeout,
+                               return_when=FIRST_COMPLETED)
+                for future in done:
+                    idx, _t0 = inflight.pop(future)
+                    try:
+                        result, wall_s = future.result()
+                    except BrokenProcessPool as exc:
+                        broken = True
+                        self.rstats.worker_crashes += 1
+                        self._retry_or_raise(
+                            idx, pending[idx], attempts, queue,
+                            WorkerCrashError(
+                                f"worker died running job {idx}: "
+                                f"{exc or 'process pool broken'}"
+                            ),
+                            backoff=False,
+                        )
+                    except KeyboardInterrupt:
+                        raise
+                    except Exception as exc:
+                        self._retry_or_raise(
+                            idx, pending[idx], attempts, queue, exc
+                        )
+                    else:
+                        on_success(idx, result, wall_s)
+                if broken:
+                    pool = self._recover_pool(pool, inflight, queue)
+                    continue
+
+                if not done and self.job_timeout_s is not None:
+                    now = time.monotonic()
+                    hung = [
+                        (future, idx) for future, (idx, t0)
+                        in inflight.items()
+                        if now - t0 > self.job_timeout_s
+                    ]
+                    if hung:
+                        for future, idx in hung:
+                            inflight.pop(future)
+                            self.rstats.timeouts += 1
+                            self._retry_or_raise(
+                                idx, pending[idx], attempts, queue,
+                                JobTimeoutError(
+                                    f"job {idx} exceeded "
+                                    f"{self.job_timeout_s:g}s wall-clock "
+                                    "budget (presumed hung)"
+                                ),
+                                backoff=False,
+                            )
+                        # A hung worker can only be reclaimed by
+                        # killing its process: rebuild the pool.
+                        pool = self._recover_pool(pool, inflight, queue)
+        finally:
+            if pool is not None:
+                self._shutdown_pool(pool, brutal=False)
 
     def _persist(self, key: str, result: SimResult) -> Optional[str]:
-        """Write one blob to disk.
+        """Write one blob to disk; returns its digest.
 
         A failed write (e.g. disk full) is counted by the store and
         tolerated — the result lives on in memory and is simply
@@ -633,19 +887,153 @@ class ParallelExperimentEngine:
         except OSError:
             return None
 
+    # -- failure handling ----------------------------------------------------
+
+    def _retry_or_raise(
+        self,
+        idx: int,
+        job: ExperimentJob,
+        attempts: List[int],
+        queue: "deque[int]",
+        exc: BaseException,
+        backoff: bool = True,
+    ) -> None:
+        """Schedule a retry with backoff, or raise a fatal error."""
+        attempts[idx] += 1
+        what = (f"job {idx} ({job.config.name} / {job.benchmark} / "
+                f"{job.requests} requests)")
+        if not is_transient(exc):
+            if isinstance(exc, ReproError):
+                raise exc
+            raise FatalJobError(f"{what} failed: {exc}") from exc
+        if attempts[idx] >= self.retry.max_attempts:
+            raise FatalJobError(
+                f"{what} still failing after {attempts[idx]} attempt(s); "
+                f"last error: {exc}"
+            ) from exc
+        self.rstats.retries += 1
+        if self.probe.enabled:
+            self.probe.emit(Event(
+                kind=EV_RETRY, cycle=idx, value=attempts[idx],
+                service=type(exc).__name__,
+            ))
+        if backoff:
+            delay = self.retry.delay(attempts[idx])
+            if delay > 0:
+                time.sleep(delay)
+        queue.append(idx)
+
+    def _recover_pool(
+        self,
+        pool: ProcessPoolExecutor,
+        inflight: "Dict[object, tuple[int, float]]",
+        queue: "deque[int]",
+    ) -> Optional[ProcessPoolExecutor]:
+        """Replace a broken/hung pool; degrade to serial past the limit."""
+        for _future, (idx, _t0) in inflight.items():
+            queue.append(idx)
+        inflight.clear()
+        self._shutdown_pool(pool, brutal=True)
+        self.rstats.pool_rebuilds += 1
+        if self.probe.enabled:
+            self.probe.emit(Event(
+                kind=EV_POOL_REBUILD, cycle=0,
+                value=self.rstats.pool_rebuilds,
+            ))
+        if self.rstats.pool_rebuilds > self.max_pool_rebuilds:
+            self._degrade(
+                f"{self.rstats.pool_rebuilds} pool failures exceed the "
+                f"limit of {self.max_pool_rebuilds}"
+            )
+            return None
+        fresh = self._make_pool(max(1, len(queue)))
+        if fresh is None:
+            self._degrade("pool rebuild refused by platform")
+        return fresh
+
+    def _shutdown_pool(self, pool: ProcessPoolExecutor,
+                       brutal: bool) -> None:
+        """Tear a pool down; ``brutal`` kills workers (hung or crashed)."""
+        if brutal:
+            for process in list(getattr(pool, "_processes", {}).values()):
+                try:
+                    process.kill()
+                except (OSError, AttributeError):
+                    pass
+        try:
+            pool.shutdown(wait=not brutal, cancel_futures=True)
+        except (OSError, RuntimeError):
+            pass
+
+    def _degrade(self, reason: str) -> None:
+        """Run this and every later batch serially in-process."""
+        if not self._degraded:
+            self._degraded = True
+            self.rstats.degraded_to_serial = 1
+            if self.probe.enabled:
+                self.probe.emit(Event(
+                    kind=EV_DEGRADED, cycle=0, service=reason[:80]
+                ))
+
+    # -- chaos hooks ---------------------------------------------------------
+
+    def _note_fault(self, fault: FaultSpec) -> None:
+        self.rstats.faults_injected += 1
+        if self.probe.enabled:
+            self.probe.emit(Event(
+                kind=EV_FAULT, cycle=fault.job_index, service=fault.kind,
+            ))
+
+    def _arm_cache_fault(self, idx: int) -> None:
+        """Prime a disk-full fault so the upcoming persist fails once."""
+        if self.plan is None or self.disk is None:
+            return
+        fault = self.plan.cache_fault(idx)
+        if (fault is not None and fault.kind == DISK_FULL
+                and idx not in self._fired_cache_faults):
+            self._fired_cache_faults.add(idx)
+            self._note_fault(fault)
+            self.disk.inject_put_error = disk_full_error(fault)
+
+    def _mangle_after_persist(self, idx: int, key: str,
+                              digest: Optional[str]) -> None:
+        """Corrupt/tear the just-written blob when the plan says so."""
+        if self.plan is None or self.disk is None or digest is None:
+            return
+        fault = self.plan.cache_fault(idx)
+        if (fault is not None and fault.kind in (CORRUPT, TORN)
+                and idx not in self._fired_cache_faults):
+            self._fired_cache_faults.add(idx)
+            self._note_fault(fault)
+            mangle_blob(self.disk._path(key), fault.kind)
+
+    def _maybe_interrupt(self, idx: int) -> None:
+        if (self.plan is not None and self.plan.interrupt_after(idx)
+                and idx not in self._fired_interrupts):
+            self._fired_interrupts.add(idx)
+            raise KeyboardInterrupt(
+                f"injected interrupt after job {idx}"
+            )
+
+    def _on_corrupt(self, key: str, reason: str) -> None:
+        if self.probe.enabled:
+            self.probe.emit(Event(
+                kind=EV_QUARANTINE, cycle=0, service=reason[:80],
+            ))
+
     # -- trace fan-out -------------------------------------------------------
 
-    def _prepare_traces(self, pending: Sequence[ExperimentJob]) -> None:
+    def _prepare_traces(self, pending: Sequence[ExperimentJob],
+                        pooled: bool) -> None:
         """Materialise each distinct trace once and stage its transport.
 
         Every pending job's trace is served from the content-addressed
         trace cache or generated exactly once here in the parent, then
-        installed in the process-global registry (serial and
-        degraded-pool paths read it directly) and — when a pool will
-        actually run — exported into shared-memory segments that workers
-        map zero-copy.  Any shared-memory failure records a fallback
-        reason and leaves workers on the bit-identical regeneration
-        path.
+        installed in the process-global registry (the in-process path
+        reads it directly) and — when the batch is ``pooled`` —
+        exported into shared-memory segments that workers map
+        zero-copy.  Any shared-memory failure records a fallback reason
+        and leaves workers on the bit-identical regeneration path.
         """
         if not pending:
             return
@@ -671,7 +1059,7 @@ class ParallelExperimentEngine:
         stats.packed_bytes += sum(p.column_bytes for p in local.values())
         install_trace_sources(local=local)
         self._shared_refs = ()
-        if self.workers > 1 and len(pending) > 1:
+        if pooled:
             self._shared_refs = self._export_segments(local)
             if self._shared_refs:
                 stats.shm_attached += len(pending)
@@ -721,10 +1109,9 @@ class ParallelExperimentEngine:
     def _teardown_traces(self) -> None:
         """Drop installed sources and unlink this batch's segments.
 
-        Runs in ``run_jobs``'s finally, so interrupts (the resilient
-        engine's KeyboardInterrupt manifest path included) release every
-        segment; :func:`_cleanup_live_segments` backstops anything that
-        escapes.
+        Runs in the batch's finally, so interrupts (the
+        KeyboardInterrupt manifest path included) release every segment;
+        :func:`_cleanup_live_segments` backstops anything that escapes.
         """
         clear_trace_sources()
         self._shared_refs = ()
@@ -732,25 +1119,7 @@ class ParallelExperimentEngine:
         for shm in segments:
             _release_segment(shm)
 
-    # -- internals ----------------------------------------------------------
-
-    def _execute(self, pending: List[ExperimentJob], total: int,
-                 started: float) -> "Iterable[tuple[SimResult, float]]":
-        done = total - len(pending)
-        runner = None
-        if self.workers > 1 and len(pending) > 1:
-            pool = self._make_pool(len(pending))
-            if pool is not None:
-                def pooled():
-                    with pool:
-                        yield from pool.map(_timed_execute_job, pending)
-                runner = pooled()
-        if runner is None:
-            runner = (_timed_execute_job(job) for job in pending)
-        for timed in runner:
-            done += 1
-            self._report(done, total, started)
-            yield timed
+    # -- records and telemetry ----------------------------------------------
 
     #: Stats counters folded into :attr:`reliability_totals` per job.
     RELIABILITY_COUNTERS = (
@@ -760,6 +1129,8 @@ class ParallelExperimentEngine:
 
     def _record(self, job: ExperimentJob, key: str, source: str,
                 wall_s: float, result: "SimResult | None" = None) -> None:
+        if source == "disk" and key in self._resumed_keys:
+            self.rstats.resumed_hits += 1
         if result is not None:
             for name in self.RELIABILITY_COUNTERS:
                 count = getattr(result.stats, name, 0)
@@ -780,8 +1151,6 @@ class ParallelExperimentEngine:
             instructions=result.instructions if result is not None else 0,
         ))
 
-    # -- telemetry -----------------------------------------------------------
-
     def manifest(self) -> RunManifest:
         """Provenance + telemetry for everything this engine has run."""
         return RunManifest(
@@ -792,9 +1161,11 @@ class ParallelExperimentEngine:
             busy_s=round(self._busy_s, 6),
             engine=self.stats.as_dict(),
             trace=self.trace_stats.as_dict(),
+            resilience=self.rstats.as_dict(),
             reliability=dict(self.reliability_totals),
             telemetry=(self.telemetry.manifest_block()
                        if self.telemetry is not None else {}),
+            interrupted=self.rstats.interrupted,
             jobs=list(self.records),
         )
 

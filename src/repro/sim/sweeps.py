@@ -12,9 +12,9 @@ provides the reusable form:
     )
     print(render_sweep(sweep))
 
-Every swept config is validated and renamed (so result caches keyed by
-name stay correct), and the result rows carry speedup-vs-first-value
-normalisation alongside the raw metrics.
+Every swept config is validated and renamed (so result rows, job
+records and journal entries name each point), and the result rows carry
+speedup-vs-first-value normalisation alongside the raw metrics.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 from ..config.params import SystemConfig, override_nested
 from ..config.validate import validate_config
 from ..errors import ExperimentError
-from .experiment import prefetch_jobs, run_benchmark
+from .experiment import default_engine, prefetch_jobs
 from .reporting import series_table
 from .simulator import SimResult
 
@@ -96,20 +96,17 @@ def parameter_sweep(
 ) -> SweepResult:
     """Run ``benchmark`` across every value of one dotted-path knob.
 
-    ``engine`` (a :class:`repro.sim.parallel.ParallelExperimentEngine`
-    or a plain :class:`~repro.sim.experiment.ExperimentCache`) routes
-    the sweep points through its pool and result cache; the serial
-    in-process path is the default.
+    ``engine`` (a :class:`repro.sim.parallel.ParallelExperimentEngine`;
+    default: a fresh serial one) routes the sweep points through its
+    pool and result cache.
     """
+    engine = default_engine(engine)
     sweep = SweepResult(path=path, benchmark=benchmark, values=list(values))
     configs = swept_configs(base, path, values)
     prefetch_jobs(engine, [(cfg, benchmark, requests) for cfg in configs],
                   label=f"sweep:{path}")
-    for cfg in configs:
-        if engine is not None:
-            sweep.results.append(engine.run(cfg, benchmark, requests))
-        else:
-            sweep.results.append(run_benchmark(cfg, benchmark, requests))
+    sweep.results.extend(engine.run(cfg, benchmark, requests)
+                         for cfg in configs)
     return sweep
 
 

@@ -15,7 +15,7 @@ from repro.analysis.figure4 import run_figure4
 from repro.analysis.figure5 import run_figure5
 from repro.analysis.table1 import run_table1
 from repro.config import fgnvm
-from repro.sim.experiment import ExperimentCache
+from repro.sim.parallel import ParallelExperimentEngine
 from repro.sim.sweeps import parameter_sweep
 
 BENCHES = ["sphinx3"]
@@ -24,7 +24,7 @@ REQUESTS = 500
 
 @pytest.fixture(scope="module")
 def cache():
-    return ExperimentCache()
+    return ParallelExperimentEngine()
 
 
 def parse(buffer):

@@ -18,14 +18,14 @@ from repro.analysis.figure_degradation import (
     render_figure_degradation,
     run_figure_degradation,
 )
-from repro.sim.experiment import ExperimentCache
+from repro.sim.parallel import ParallelExperimentEngine
 
 REQUESTS = 1000
 
 
 @pytest.fixture(scope="module")
 def cache():
-    return ExperimentCache()
+    return ParallelExperimentEngine()
 
 
 @pytest.fixture(scope="module")
@@ -77,9 +77,9 @@ class TestFigureDegradation:
             assert config.name == name
 
     def test_grid_is_fully_cached(self, cache, fig):
-        before = len(cache)
+        before = cache.stats.executed
         again = run_figure_degradation(list(DEFAULT_BENCHMARKS), REQUESTS,
                                        cache)
-        assert len(cache) == before
+        assert cache.stats.executed == before
         assert again.retention == fig.retention
         assert again.kill_retention == fig.kill_retention

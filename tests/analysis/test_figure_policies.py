@@ -16,14 +16,14 @@ from repro.analysis.figure_policies import (
     render_figure_policies,
     run_figure_policies,
 )
-from repro.sim.experiment import ExperimentCache
+from repro.sim.parallel import ParallelExperimentEngine
 
 REQUESTS = 800
 
 
 @pytest.fixture(scope="module")
 def cache():
-    return ExperimentCache()
+    return ParallelExperimentEngine()
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +65,9 @@ class TestFigurePolicies:
     def test_grid_is_fully_cached(self, cache, fig):
         """One run() per (config, bench) cell — re-running the figure
         must hit the cache for every cell, not simulate."""
-        before = len(cache)
+        before = cache.stats.executed
         again = run_figure_policies(list(DEFAULT_BENCHMARKS), REQUESTS,
                                     cache)
-        assert len(cache) == before
+        assert cache.stats.executed == before
         assert again.speedups == fig.speedups
         assert again.relative_energy == fig.relative_energy

@@ -18,7 +18,7 @@ from repro.analysis.figure5 import (
     render_figure5,
     run_figure5,
 )
-from repro.sim.experiment import ExperimentCache
+from repro.sim.parallel import ParallelExperimentEngine
 
 BENCHES = ["mcf", "lbm", "sphinx3"]
 REQUESTS = 1200
@@ -26,7 +26,7 @@ REQUESTS = 1200
 
 @pytest.fixture(scope="module")
 def cache():
-    return ExperimentCache()
+    return ParallelExperimentEngine()
 
 
 @pytest.fixture(scope="module")

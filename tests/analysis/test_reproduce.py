@@ -3,9 +3,8 @@
 import pytest
 
 from repro.analysis.reproduce import reproduce_all
-from repro.resilience import engine as resilient
-from repro.resilience.engine import resilient_engine
 from repro.sim import parallel
+from repro.sim.parallel import ParallelExperimentEngine
 
 REQUESTS = 300
 BENCHMARKS = ["sphinx3"]
@@ -21,14 +20,13 @@ def _artifacts(out_dir):
 def test_warm_reproduction_forks_no_pool(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     reproduce_all(tmp_path / "cold", REQUESTS, BENCHMARKS,
-                  engine=resilient_engine(workers=1, cache_dir=cache))
+                  engine=ParallelExperimentEngine(workers=1, cache_dir=cache))
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a warm reproduction forked a process pool")
 
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(resilient, "ProcessPoolExecutor", no_pool)
-    engine = resilient_engine(workers=2, cache_dir=cache)
+    engine = ParallelExperimentEngine(workers=2, cache_dir=cache)
     reproduce_all(tmp_path / "warm", REQUESTS, BENCHMARKS, engine=engine)
 
     assert engine.stats.simulations == 0

@@ -8,7 +8,6 @@ from repro.resilience import (
     DISK_FULL,
     FaultPlan,
     FaultSpec,
-    ResilientEngine,
 )
 from repro.sim.parallel import (
     QUARANTINE_DIR,
@@ -66,7 +65,7 @@ class TestDiskFullSurvival:
         plan = FaultPlan(faults=(
             FaultSpec(kind=DISK_FULL, job_index=0),
         ))
-        engine = ResilientEngine(
+        engine = ParallelExperimentEngine(
             workers=1, cache_dir=tmp_path / "cache", fault_plan=plan
         )
         baseline = ParallelExperimentEngine(workers=1)
@@ -102,7 +101,7 @@ class TestTraceBlobQuarantine:
         other = ExperimentJob(small(fgnvm(8, 2)), "sphinx3", REQUESTS)
         sink = ListSink()
         hub = TelemetryHub()
-        engine = ResilientEngine(
+        engine = ParallelExperimentEngine(
             workers=1, cache_dir=cache_dir, probe=make_probe(sink),
             telemetry=hub,
         )

@@ -1,4 +1,4 @@
-"""Chaos tests: the resilient engine under injected faults.
+"""Chaos tests: the experiment engine under injected faults.
 
 The acceptance bar from the paper-reproduction roadmap: a sweep run
 under a seeded fault plan (worker crashes, hangs, corrupt blobs,
@@ -24,10 +24,9 @@ from repro.resilience import (
     TRANSIENT,
     FaultPlan,
     FaultSpec,
-    ResilientEngine,
     RetryPolicy,
-    resilient_engine,
 )
+from repro.sim import parallel
 from repro.sim.parallel import ExperimentJob, ParallelExperimentEngine
 
 REQUESTS = 300
@@ -39,9 +38,9 @@ def small(cfg):
     return cfg
 
 
-def jobs(n):
+def jobs(n, first_seed=0):
     return [ExperimentJob(small(fgnvm(4, 4)), "sphinx3", REQUESTS, seed)
-            for seed in range(n)]
+            for seed in range(first_seed, first_seed + n)]
 
 
 def clean_summaries(batch):
@@ -55,7 +54,7 @@ class TestSerialChaos:
         plan = FaultPlan(faults=(
             FaultSpec(kind=TRANSIENT, job_index=1),
         ))
-        engine = ResilientEngine(
+        engine = ParallelExperimentEngine(
             workers=1, fault_plan=plan, retry=FAST_RETRY
         )
         got = [r.summary() for r in engine.run_jobs(batch)]
@@ -66,7 +65,7 @@ class TestSerialChaos:
     def test_serial_crash_softened_and_retried(self):
         batch = jobs(2)
         plan = FaultPlan(faults=(FaultSpec(kind=CRASH, job_index=0),))
-        engine = ResilientEngine(
+        engine = ParallelExperimentEngine(
             workers=1, fault_plan=plan, retry=FAST_RETRY
         )
         got = [r.summary() for r in engine.run_jobs(batch)]
@@ -78,7 +77,7 @@ class TestSerialChaos:
         plan = FaultPlan(faults=(
             FaultSpec(kind=TRANSIENT, job_index=0, attempts=99),
         ))
-        engine = ResilientEngine(
+        engine = ParallelExperimentEngine(
             workers=1, fault_plan=plan,
             retry=RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0),
         )
@@ -87,7 +86,7 @@ class TestSerialChaos:
         assert engine.rstats.retries == 1  # one retry, then gave up
 
     def test_deterministic_error_not_retried(self):
-        engine = ResilientEngine(workers=1, retry=FAST_RETRY)
+        engine = ParallelExperimentEngine(workers=1, retry=FAST_RETRY)
         bad = ExperimentJob(small(fgnvm(4, 4)), "no-such-benchmark",
                             REQUESTS)
         with pytest.raises(Exception):
@@ -103,7 +102,7 @@ class TestPooledChaos:
         expected = clean_summaries(batch)
         plan = FaultPlan.seeded(7, len(batch), crashes=1, corrupt=1)
         sink = ListSink()
-        engine = ResilientEngine(
+        engine = ParallelExperimentEngine(
             workers=2,
             cache_dir=tmp_path / "cache",
             fault_plan=plan,
@@ -127,7 +126,7 @@ class TestPooledChaos:
         plan = FaultPlan(faults=(
             FaultSpec(kind=HANG, job_index=1, seconds=30.0),
         ))
-        engine = ResilientEngine(
+        engine = ParallelExperimentEngine(
             workers=2,
             cache_dir=tmp_path / "cache",
             fault_plan=plan,
@@ -139,23 +138,50 @@ class TestPooledChaos:
         assert engine.rstats.timeouts >= 1
         assert engine.rstats.pool_rebuilds >= 1
 
-    def test_degrades_to_serial_past_rebuild_limit(self, tmp_path):
+    def test_degrades_to_serial_past_rebuild_limit(self, tmp_path,
+                                                   monkeypatch):
         batch = jobs(3)
         expected = clean_summaries(batch)
         plan = FaultPlan(faults=(FaultSpec(kind=CRASH, job_index=0),))
         sink = ListSink()
-        engine = ResilientEngine(
+        # The first broken pool forces serial.
+        monkeypatch.setattr(parallel, "MAX_POOL_REBUILDS", 0)
+        engine = ParallelExperimentEngine(
             workers=2,
             cache_dir=tmp_path / "cache",
             fault_plan=plan,
             retry=FAST_RETRY,
-            max_pool_rebuilds=0,  # first broken pool forces serial
             probe=make_probe(sink),
         )
         got = [r.summary() for r in engine.run_jobs(batch)]
         assert got == expected
         assert engine.rstats.degraded_to_serial == 1
         assert EV_DEGRADED in {e.kind for e in sink.events}
+
+    def test_degraded_engine_stays_in_process(self, monkeypatch):
+        """Degradation lasts for the engine's lifetime: a later batch
+        builds no pool and stages no shared memory."""
+        monkeypatch.setattr(parallel, "MAX_POOL_REBUILDS", 0)
+        plan = FaultPlan(faults=(FaultSpec(kind=CRASH, job_index=0),))
+        engine = ParallelExperimentEngine(
+            workers=2, fault_plan=plan, retry=FAST_RETRY
+        )
+        engine.run_jobs(jobs(4))
+        assert engine.rstats.degraded_to_serial == 1
+        assert engine.trace_stats.shm_attached == 4
+        segments = engine.trace_stats.shm_segments
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a degraded engine built a process pool")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        engine.plan = None
+        later = jobs(4, first_seed=4)
+        got = [r.summary() for r in engine.run_jobs(later)]
+        assert got == clean_summaries(later)
+        assert engine.trace_stats.shm_attached == 4
+        assert engine.trace_stats.shm_segments == segments
+        assert engine.trace_stats.inproc_jobs == 4
 
     def test_manifest_carries_resilience_counters(self, tmp_path):
         from repro.obs.manifest import read_manifest
@@ -164,7 +190,7 @@ class TestPooledChaos:
         plan = FaultPlan(faults=(
             FaultSpec(kind=TRANSIENT, job_index=0),
         ))
-        engine = ResilientEngine(
+        engine = ParallelExperimentEngine(
             workers=1,
             cache_dir=tmp_path / "cache",
             fault_plan=plan,
@@ -179,23 +205,16 @@ class TestPooledChaos:
 
 
 class TestFactoryAndValidation:
-    def test_factory_honours_env_cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
-        engine = resilient_engine(workers=1)
-        assert engine.disk is not None
-        assert engine.disk.root == tmp_path / "env-cache"
-        assert engine.journal is not None
-
     def test_bad_job_timeout_rejected(self):
         from repro.errors import ExperimentError
 
         with pytest.raises(ExperimentError, match="job_timeout_s"):
-            ResilientEngine(workers=1, job_timeout_s=0)
+            ParallelExperimentEngine(workers=1, job_timeout_s=0)
 
     def test_plain_batch_unchanged_by_supervision(self, tmp_path):
-        """No faults, no plan: behaves exactly like the base engine."""
+        """No faults, no plan: results as from an unsupervised run."""
         batch = jobs(3)
-        engine = ResilientEngine(workers=1, cache_dir=tmp_path / "c")
+        engine = ParallelExperimentEngine(workers=1, cache_dir=tmp_path / "c")
         got = [r.summary() for r in engine.run_jobs(batch)]
         assert got == clean_summaries(batch)
         assert engine.rstats.as_dict() == {

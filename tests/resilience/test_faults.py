@@ -25,10 +25,9 @@ from repro.resilience import (
     FaultSpec,
     apply_worker_fault,
     disk_full_error,
-    faulted_execute_job,
     mangle_blob,
 )
-from repro.sim.parallel import ExperimentJob, execute_job
+from repro.sim.parallel import ExperimentJob, _timed_execute_job, execute_job
 
 REQUESTS = 300
 
@@ -129,7 +128,7 @@ class TestApplicators:
         assert time.monotonic() - t0 < 1.0
 
     def test_faulted_execute_without_fault_matches_plain(self):
-        result, wall_s = faulted_execute_job(job(), None)
+        result, wall_s = _timed_execute_job(job(), None)
         assert wall_s > 0
         assert result.summary() == execute_job(job()).summary()
 

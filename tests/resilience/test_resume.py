@@ -15,7 +15,6 @@ from repro.resilience import (
     INTERRUPT,
     FaultPlan,
     FaultSpec,
-    ResilientEngine,
     RetryPolicy,
     mangle_blob,
 )
@@ -45,7 +44,7 @@ def interrupted_run(cache_dir, batch, after_index, workers=1):
     plan = FaultPlan(faults=(
         FaultSpec(kind=INTERRUPT, job_index=after_index),
     ))
-    engine = ResilientEngine(
+    engine = ParallelExperimentEngine(
         workers=workers, cache_dir=cache_dir, fault_plan=plan,
         retry=FAST_RETRY,
     )
@@ -66,8 +65,9 @@ class TestResumeEquivalence:
         assert first.rstats.journal_entries == 3
         assert first.rstats.interrupted
 
-        second = ResilientEngine(workers=1, cache_dir=cache_dir,
-                                 resume=True)
+        second = ParallelExperimentEngine(
+            workers=1, cache_dir=cache_dir, resume=True
+        )
         assert second.resumable_jobs == 3
         got = [r.summary() for r in second.run_jobs(batch)]
 
@@ -86,8 +86,9 @@ class TestResumeEquivalence:
 
         interrupted_run(cache_dir, batch, after_index=1, workers=2)
 
-        second = ResilientEngine(workers=1, cache_dir=cache_dir,
-                                 resume=True)
+        second = ParallelExperimentEngine(
+            workers=1, cache_dir=cache_dir, resume=True
+        )
         checkpointed = second.resumable_jobs
         assert checkpointed >= 1  # at least the interrupting job
         got = [r.summary() for r in second.run_jobs(batch)]
@@ -115,8 +116,9 @@ class TestResumeEquivalence:
         victim = job_key(batch[1])
         mangle_blob(first.disk._path(victim), CORRUPT)
 
-        second = ResilientEngine(workers=1, cache_dir=cache_dir,
-                                 resume=True)
+        second = ParallelExperimentEngine(
+            workers=1, cache_dir=cache_dir, resume=True
+        )
         # Verification caught the rot: two intact checkpoints remain.
         assert second.resumable_jobs == 2
         assert second.disk.corrupt_blobs == 1
@@ -131,16 +133,18 @@ class TestResumeEquivalence:
         first = interrupted_run(cache_dir, batch, after_index=1)
         mangle_blob(first.disk._path(job_key(batch[0])), CORRUPT)
 
-        second = ResilientEngine(workers=1, cache_dir=cache_dir,
-                                 resume=True)
+        second = ParallelExperimentEngine(
+            workers=1, cache_dir=cache_dir, resume=True
+        )
         second.run_jobs(batch)
 
-        third = ResilientEngine(workers=1, cache_dir=cache_dir,
-                                resume=True)
+        third = ParallelExperimentEngine(
+            workers=1, cache_dir=cache_dir, resume=True
+        )
         assert third.resumable_jobs == 3
         third.run_jobs(batch)
         assert third.stats.executed == 0
 
     def test_resume_without_cache_rejected(self):
         with pytest.raises(ExperimentError, match="persistent cache"):
-            ResilientEngine(workers=1, resume=True)
+            ParallelExperimentEngine(workers=1, resume=True)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import baseline_nvm, fgnvm
 from repro.sim.experiment import (
-    ExperimentCache,
     compare_architectures,
     geometric_mean,
     run_benchmark,
@@ -13,6 +12,7 @@ from repro.sim.experiment import (
     speedup_table,
     sweep_benchmarks,
 )
+from repro.sim.parallel import ParallelExperimentEngine
 from repro.workloads.synthetic import stream_kernel
 
 REQUESTS = 400
@@ -55,19 +55,19 @@ class TestRunners:
 
 class TestCache:
     def test_cache_avoids_reruns(self):
-        cache = ExperimentCache()
+        cache = ParallelExperimentEngine()
         cfg = baseline_nvm()
         first = cache.run(cfg, "sphinx3", REQUESTS)
         second = cache.run(cfg, "sphinx3", REQUESTS)
         assert first is second
-        assert len(cache) == 1
+        assert cache.stats.executed == 1
 
     def test_cache_keys_on_name_bench_and_length(self):
-        cache = ExperimentCache()
+        cache = ParallelExperimentEngine()
         cache.run(baseline_nvm(), "sphinx3", REQUESTS)
         cache.run(baseline_nvm(), "sphinx3", REQUESTS // 2)
         cache.run(fgnvm(8, 2), "sphinx3", REQUESTS)
-        assert len(cache) == 3
+        assert cache.stats.executed == 3
 
 
 class TestTables:
@@ -80,13 +80,13 @@ class TestTables:
         assert set(results) == {"baseline", "fgnvm"}
 
     def test_sweep_benchmarks_shares_cache(self):
-        cache = ExperimentCache()
+        cache = ParallelExperimentEngine()
         sweep_benchmarks(baseline_nvm(), ["sphinx3", "astar"], REQUESTS,
                          cache)
-        assert len(cache) == 2
+        assert cache.stats.executed == 2
 
     def test_speedup_table_adds_gmean(self):
-        cache = ExperimentCache()
+        cache = ParallelExperimentEngine()
         configs = {"baseline": baseline_nvm(), "fgnvm": fgnvm(8, 2)}
         nest = {
             bench: compare_architectures(configs, bench, REQUESTS, cache)

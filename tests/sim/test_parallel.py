@@ -6,7 +6,8 @@ import pytest
 
 from repro.config import baseline_nvm, fgnvm
 from repro.errors import ExperimentError
-from repro.sim.experiment import ExperimentCache, run_benchmark
+from repro.sim import parallel
+from repro.sim.experiment import run_benchmark
 from repro.sim.parallel import (
     BLOB_MAGIC,
     CODE_VERSION,
@@ -225,7 +226,6 @@ class TestEngineSerial:
         assert first is second
         assert engine.stats.executed == 1
         assert engine.stats.memory_hits == 1
-        assert len(engine) == 1
 
     def test_duplicate_jobs_in_one_batch_simulate_once(self):
         engine = ParallelExperimentEngine(workers=1)
@@ -246,12 +246,6 @@ class TestEngineSerial:
         with pytest.raises(ExperimentError):
             ParallelExperimentEngine(workers=0)
 
-    def test_duck_types_experiment_cache(self):
-        """Everything accepting an ExperimentCache accepts an engine."""
-        for attr in ("run", "__len__"):
-            assert hasattr(ParallelExperimentEngine(), attr)
-            assert hasattr(ExperimentCache(), attr)
-
 
 class TestEngineDisk:
     def test_disk_hits_survive_new_engine(self, tmp_path):
@@ -266,14 +260,14 @@ class TestEngineDisk:
         assert second.stats.disk_hits == 1
         assert warm.summary() == result.summary()
 
-    def test_code_version_invalidates_disk_cache(self, tmp_path):
+    def test_code_version_invalidates_disk_cache(self, tmp_path,
+                                                 monkeypatch):
         cfg = small(fgnvm(4, 4))
         ParallelExperimentEngine(workers=1, cache_dir=tmp_path).run(
             cfg, "sphinx3", REQUESTS
         )
-        bumped = ParallelExperimentEngine(
-            workers=1, cache_dir=tmp_path, code_version="vNext"
-        )
+        monkeypatch.setattr(parallel, "CODE_VERSION", "vNext")
+        bumped = ParallelExperimentEngine(workers=1, cache_dir=tmp_path)
         bumped.run(cfg, "sphinx3", REQUESTS)
         assert bumped.stats.executed == 1
         assert bumped.stats.disk_hits == 0
@@ -376,6 +370,6 @@ class TestTelemetry:
     def test_timed_results_identical_to_untimed(self):
         from repro.sim.parallel import _timed_execute_job
 
-        result, wall_s = _timed_execute_job(job())
+        result, wall_s = _timed_execute_job(job(), None)
         assert wall_s > 0
         assert result.summary() == execute_job(job()).summary()

@@ -145,14 +145,13 @@ class TestSegmentLifetime:
             CRASH,
             FaultPlan,
             FaultSpec,
-            ResilientEngine,
             RetryPolicy,
         )
 
         batch = jobs(3)
         expected = summaries(
             ParallelExperimentEngine(workers=1).run_jobs(batch))
-        engine = ResilientEngine(
+        engine = ParallelExperimentEngine(
             workers=2,
             cache_dir=tmp_path / "cache",
             fault_plan=FaultPlan(

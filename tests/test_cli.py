@@ -247,6 +247,20 @@ class TestEngineValidation:
         err = capsys.readouterr().err
         assert "run manifest" in err
 
+    def test_env_cache_dir_reports_like_the_flag(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cache_dir = tmp_path / "env-cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        assert main([
+            "run", "--benchmark", "sphinx3", "--requests", "300",
+        ]) == 0
+        assert (cache_dir / "run-manifest.json").exists()
+        assert (cache_dir / "sweep-journal.jsonl").exists()
+        err = capsys.readouterr().err
+        assert "engine: 1 simulation(s)" in err
+        assert f"run manifest: {cache_dir / 'run-manifest.json'}" in err
+
     def test_resume_run_simulates_nothing(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         args = [

@@ -74,6 +74,24 @@ def test_cli_import_loads_only_what_the_parser_needs():
     assert [m for m in NOT_LOADED_BY_CLI if m in loaded] == []
 
 
+def test_trace_replay_path_loads_no_engine():
+    """``repro run --trace`` simulates in-process: the experiment engine,
+    its supervision and the process pool stay unloaded."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli, repro.sim.experiment; "
+         "print(*sorted(sys.modules))"],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout.split()
+    assert "repro.sim.experiment" in loaded
+    engine = [m for m in loaded
+              if m == "repro.sim.parallel"
+              or m.startswith(("repro.resilience", "concurrent.futures"))]
+    assert engine == []
+
+
 def test_top_level_all_resolves():
     for symbol in repro.__all__:
         assert hasattr(repro, symbol)
