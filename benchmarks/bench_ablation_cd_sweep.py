@@ -17,12 +17,12 @@ CD_COUNTS = (1, 2, 4, 8)
 BENCHES = ("mcf", "libquantum")
 
 
-def run_sweep(requests, cache):
+def run_sweep(requests, engine):
     rows = {}
     for bench in BENCHES:
-        base = cache.run(baseline_nvm(), bench, requests)
+        base = engine.run(baseline_nvm(), bench, requests)
         for cds in CD_COUNTS:
-            run = cache.run(fgnvm(8, cds), bench, requests)
+            run = engine.run(fgnvm(8, cds), bench, requests)
             rows[f"{bench}-8x{cds}"] = {
                 "speedup": run.ipc / base.ipc,
                 "underfetch_rate": run.stats.underfetch_rate,
@@ -33,9 +33,9 @@ def run_sweep(requests, cache):
     return rows
 
 
-def bench_cd_sweep(benchmark, cache, requests, results_dir):
+def bench_cd_sweep(benchmark, engine, requests, results_dir):
     rows = benchmark.pedantic(
-        lambda: run_sweep(requests, cache), rounds=1, iterations=1
+        lambda: run_sweep(requests, engine), rounds=1, iterations=1
     )
     text = (
         "Ablation — CD count sweep on FgNVM (8 SAGs)\n" + series_table(rows)

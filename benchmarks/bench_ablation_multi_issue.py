@@ -24,12 +24,12 @@ def config_for(width):
     return cfg
 
 
-def run_sweep(requests, cache):
+def run_sweep(requests, engine):
     rows = {}
     for bench in BENCHES:
-        base = cache.run(baseline_nvm(), bench, requests)
+        base = engine.run(baseline_nvm(), bench, requests)
         for width in WIDTHS:
-            run = cache.run(config_for(width), bench, requests)
+            run = engine.run(config_for(width), bench, requests)
             rows[f"{bench}-w{width}"] = {
                 "speedup": run.ipc / base.ipc,
                 "avg_read_latency": run.stats.avg_read_latency,
@@ -37,9 +37,9 @@ def run_sweep(requests, cache):
     return rows
 
 
-def bench_multi_issue_width(benchmark, cache, requests, results_dir):
+def bench_multi_issue_width(benchmark, engine, requests, results_dir):
     rows = benchmark.pedantic(
-        lambda: run_sweep(requests, cache), rounds=1, iterations=1
+        lambda: run_sweep(requests, engine), rounds=1, iterations=1
     )
     text = (
         "Ablation — Multi-Issue width sweep on FgNVM 8x2\n"

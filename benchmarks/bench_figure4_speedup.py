@@ -16,9 +16,9 @@ from repro.analysis.figure4 import (
 from conftest import publish
 
 
-def bench_figure4(benchmark, cache, requests, results_dir):
+def bench_figure4(benchmark, engine, requests, results_dir):
     result = benchmark.pedantic(
-        lambda: run_figure4(requests=requests, cache=cache),
+        lambda: run_figure4(requests=requests, engine=engine),
         rounds=1,
         iterations=1,
     )

@@ -15,9 +15,9 @@ from repro.analysis.figure5 import (
 from conftest import publish
 
 
-def bench_figure5(benchmark, cache, requests, results_dir):
+def bench_figure5(benchmark, engine, requests, results_dir):
     result = benchmark.pedantic(
-        lambda: run_figure5(requests=requests, cache=cache),
+        lambda: run_figure5(requests=requests, engine=engine),
         rounds=1,
         iterations=1,
     )

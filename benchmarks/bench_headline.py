@@ -10,9 +10,9 @@ from repro.analysis.calibration import render_headline, run_headline
 from conftest import publish
 
 
-def bench_headline(benchmark, cache, requests, results_dir):
+def bench_headline(benchmark, engine, requests, results_dir):
     result = benchmark.pedantic(
-        lambda: run_headline(requests=requests, cache=cache),
+        lambda: run_headline(requests=requests, engine=engine),
         rounds=1,
         iterations=1,
     )

@@ -88,7 +88,7 @@ def _record(name_config, bench, unit_count, per_sample_units, samples):
 
 @pytest.mark.parametrize("banks,depth", GRID,
                          ids=[f"b{b}-d{d}" for b, d in GRID])
-def bench_controller_tick(banks, depth, cache):
+def bench_controller_tick(banks, depth, engine):
     """Tick throughput with the queue topped back up every cycle."""
     samples = []
     completed_total = 0
@@ -118,7 +118,7 @@ def bench_controller_tick(banks, depth, cache):
 
 @pytest.mark.parametrize("banks,depth", GRID,
                          ids=[f"b{b}-d{d}" for b, d in GRID])
-def bench_clock_advance(banks, depth, cache):
+def bench_clock_advance(banks, depth, engine):
     """`next_event_after` cost against a busy, part-blocked queue."""
     ctrl = _filled_controller(banks, depth)
     # Issue what can issue at cycle 0 so in-flight completions populate
@@ -154,7 +154,7 @@ def _policy_controller(policy, banks, depth):
 
 
 @pytest.mark.parametrize("policy", policy_names())
-def bench_policy_tick(policy, cache):
+def bench_policy_tick(policy, engine):
     """Tick throughput per registered policy at b8-d32."""
     samples = []
     completed_total = 0
@@ -184,7 +184,7 @@ def bench_policy_tick(policy, cache):
 TRACE_ROWS = 20_000
 
 
-def bench_trace_generate(cache):
+def bench_trace_generate(engine):
     """Packed column fill straight from the profile generator."""
     profile = get_profile("mcf")
     packed_samples = []
@@ -197,7 +197,7 @@ def bench_trace_generate(cache):
             TRACE_ROWS, packed_samples)
 
 
-def bench_trace_decode(cache):
+def bench_trace_decode(engine):
     """Streaming text decode vs the framed blob decode."""
     trace = generate_packed_trace(get_profile("mcf"), TRACE_ROWS)
     text = trace_to_string(trace)

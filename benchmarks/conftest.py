@@ -76,7 +76,7 @@ def requests() -> int:
 
 
 @pytest.fixture(scope="session")
-def cache():
+def engine():
     """One experiment engine for the whole bench session.
 
     Figure 4, Figure 5 and the headline bench share baseline runs, so

@@ -71,7 +71,6 @@ class HeadlineResult:
 def run_headline(
     requests: int = DEFAULT_REQUESTS,
     benchmarks: Optional[List[str]] = None,
-    cache=None,
     engine=None,
 ) -> HeadlineResult:
     """Run everything the Section 7 summary depends on.
@@ -80,10 +79,10 @@ def run_headline(
     :class:`repro.sim.parallel.ParallelExperimentEngine`, so Figure 5
     reuses Figure 4's baseline runs from the engine's cache.
     """
-    cache = default_engine(engine or cache)
+    engine = default_engine(engine)
     return HeadlineResult(
-        figure4=run_figure4(benchmarks, requests, cache),
-        figure5=run_figure5(benchmarks, requests, cache),
+        figure4=run_figure4(benchmarks, requests, engine),
+        figure5=run_figure5(benchmarks, requests, engine),
         table1=run_table1(),
     )
 

@@ -62,29 +62,28 @@ class Figure4Result:
 def run_figure4(
     benchmarks: Optional[List[str]] = None,
     requests: int = DEFAULT_REQUESTS,
-    cache=None,
     engine=None,
 ) -> Figure4Result:
     """Simulate every (benchmark, architecture) pair of Figure 4.
 
-    ``engine`` (or ``cache``; default: a fresh serial engine) fans
-    the whole (benchmark x architecture) grid across its worker pool
-    before the speedup table is assembled.
+    ``engine`` (default: a fresh serial engine) fans the whole
+    (benchmark x architecture) grid across its worker pool before the
+    speedup table is assembled.
     """
-    cache = default_engine(engine or cache)
+    engine = default_engine(engine)
     names = benchmarks or benchmark_names()
     configs = figure4_configs()
-    prefetch_jobs(cache, [
+    prefetch_jobs(engine, [
         (configs[label], bench, requests)
         for bench in names
         for label in ("baseline",) + SERIES
-    ])
+    ], label="figure4")
     result = Figure4Result(requests=requests)
     for bench in names:
-        base = cache.run(configs["baseline"], bench, requests)
+        base = engine.run(configs["baseline"], bench, requests)
         result.baseline_ipc[bench] = base.ipc
         result.speedups[bench] = {
-            series: speedup(cache.run(configs[series], bench, requests), base)
+            series: speedup(engine.run(configs[series], bench, requests), base)
             for series in SERIES
         }
     return result

@@ -50,30 +50,29 @@ class Figure5Result:
 def run_figure5(
     benchmarks: Optional[List[str]] = None,
     requests: int = DEFAULT_REQUESTS,
-    cache=None,
     engine=None,
 ) -> Figure5Result:
     """Simulate the CD sweep and normalise energies to the baseline.
 
-    ``engine`` (or ``cache``; default: a fresh serial engine) fans
-    the whole grid across its worker pool before normalisation.
+    ``engine`` (default: a fresh serial engine) fans the whole grid
+    across its worker pool before normalisation.
     """
-    cache = default_engine(engine or cache)
+    engine = default_engine(engine)
     names = benchmarks or benchmark_names()
     configs = figure5_configs()
-    prefetch_jobs(cache, [
+    prefetch_jobs(engine, [
         (config, bench, requests)
         for bench in names
         for config in configs.values()
-    ])
+    ], label="figure5")
     result = Figure5Result(requests=requests)
     for bench in names:
-        base = cache.run(configs["baseline"], bench, requests)
+        base = engine.run(configs["baseline"], bench, requests)
         base_pj = base.energy.total_pj
         result.baseline_pj[bench] = base_pj
         row: Dict[str, float] = {}
         for label in ("8x2", "8x8", "8x32"):
-            run = cache.run(configs[label], bench, requests)
+            run = engine.run(configs[label], bench, requests)
             row[label] = run.energy.total_pj / base_pj
             if label == "8x32":
                 row["8x32-perfect"] = run.perfect_energy.total_pj / base_pj

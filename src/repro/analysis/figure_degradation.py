@@ -160,16 +160,14 @@ class FigureDegradationResult:
 def run_figure_degradation(
     benchmarks: Optional[List[str]] = None,
     requests: int = DEFAULT_REQUESTS,
-    cache=None,
     engine=None,
 ) -> FigureDegradationResult:
     """Simulate the fault-rate and tile-kill sweeps, normalised per-org.
 
-    ``engine`` (or ``cache``; default: a fresh serial engine) fans
-    the whole grid across its worker pool before the tables are
-    assembled.
+    ``engine`` (default: a fresh serial engine) fans the whole grid
+    across its worker pool before the tables are assembled.
     """
-    cache = default_engine(engine or cache)
+    engine = default_engine(engine)
     names = list(benchmarks) if benchmarks else list(DEFAULT_BENCHMARKS)
     healthy = _healthy_configs()
     max_rate = FAULT_RATES[-1]
@@ -184,7 +182,7 @@ def run_figure_degradation(
         for bench in names
         for kills in KILL_COUNTS
     ]
-    prefetch_jobs(cache, grid, label="figure-degradation")
+    prefetch_jobs(engine, grid, label="figure-degradation")
 
     result = FigureDegradationResult(requests=requests)
     for bench in names:
@@ -193,7 +191,7 @@ def run_figure_degradation(
         result.retries_at_max[bench] = {}
         for series, cfg in healthy.items():
             points = {
-                rate: cache.run(_faulted(cfg, rate), bench, requests)
+                rate: engine.run(_faulted(cfg, rate), bench, requests)
                 for rate in FAULT_RATES
             }
             anchor = points[0.0].ipc
@@ -208,7 +206,7 @@ def run_figure_degradation(
                 points[max_rate].stats.write_retries
             )
         kill_points = {
-            kills: cache.run(_killed(healthy["fgnvm"], kills),
+            kills: engine.run(_killed(healthy["fgnvm"], kills),
                              bench, requests)
             for kills in KILL_COUNTS
         }

@@ -99,33 +99,31 @@ class FigurePoliciesResult:
 def run_figure_policies(
     benchmarks: Optional[List[str]] = None,
     requests: int = DEFAULT_REQUESTS,
-    cache=None,
     engine=None,
 ) -> FigurePoliciesResult:
     """Simulate the (benchmark x policy) grid and normalise to baseline.
 
-    ``engine`` (or ``cache``; default: a fresh serial engine) fans
-    the whole grid across its worker pool before the tables are
-    assembled.
+    ``engine`` (default: a fresh serial engine) fans the whole grid
+    across its worker pool before the tables are assembled.
     """
-    cache = default_engine(engine or cache)
+    engine = default_engine(engine)
     names = list(benchmarks) if benchmarks else list(DEFAULT_BENCHMARKS)
     configs = figure_policies_configs()
-    prefetch_jobs(cache, [
+    prefetch_jobs(engine, [
         (config, bench, requests)
         for bench in names
         for config in configs.values()
-    ])
+    ], label="figure-policies")
     result = FigurePoliciesResult(requests=requests)
     for bench in names:
-        base = cache.run(configs["baseline"], bench, requests)
+        base = engine.run(configs["baseline"], bench, requests)
         base_pj = base.energy.total_pj
         result.baseline_ipc[bench] = base.ipc
         result.baseline_pj[bench] = base_pj
         result.speedups[bench] = {}
         result.relative_energy[bench] = {}
         for series in SERIES:
-            run = cache.run(configs[series], bench, requests)
+            run = engine.run(configs[series], bench, requests)
             result.speedups[bench][series] = speedup(run, base)
             result.relative_energy[bench][series] = (
                 run.energy.total_pj / base_pj

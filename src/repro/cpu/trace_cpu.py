@@ -109,7 +109,8 @@ class TraceCpu:
 
     def done(self) -> bool:
         """All instructions fetched and retired (memory may still drain)."""
-        return self._trace_done and not self.rob.occupancy
+        rob = self.rob
+        return self._trace_done and rob.fetched == rob.retired
 
     # -- per-cycle operation -----------------------------------------------
 
@@ -133,51 +134,63 @@ class TraceCpu:
                 self.probe.emit(Event(EV_CPU_STALL, now, service="retire",
                                       value=self.owner))
             if (fetched == 0 and not self._trace_done
-                    and rob.occupancy == rob.capacity):
+                    and rob.fetched - rob.retired == rob.capacity):
                 self.probe.emit(Event(EV_CPU_STALL, now, service="fetch",
                                       value=self.owner))
 
     def _fetch(self, now: int, budget: int) -> int:
-        """Bring up to ``budget`` instructions into the window."""
+        """Bring up to ``budget`` instructions into the window.
+
+        Gap instructions are admitted by advancing the ROB's fetch
+        counter; only loads enter its FIFO.
+        """
         rob = self.rob
+        seq = rob.fetched
+        room = rob.capacity - seq + rob.retired
+        controller = self.controller
         fetched = 0
         while fetched < budget and self._have_current:
-            if self._gap_left > 0:
-                want = min(self._gap_left, budget - fetched)
-                accepted = rob.push_instructions(want)
-                fetched += accepted
-                self._gap_left -= accepted
-                if accepted < want:
+            gap = self._gap_left
+            if gap > 0:
+                take = budget - fetched
+                if gap < take:
+                    take = gap
+                if room < take:
+                    take = room
+                seq += take
+                fetched += take
+                room -= take
+                self._gap_left = gap - take
+                if not room:
                     break  # ROB full
                 continue
+            if not room:
+                break
             address = self._cur_address
             if self._cur_is_read:
                 if (self._mshrs_in_use >= self._mshr_entries
-                        or rob.occupancy >= rob.capacity
-                        or not self.controller.can_accept(
+                        or not controller.can_accept(
                             OpType.READ, address, now)):
                     break
                 req = MemRequest(OpType.READ, address, owner=self.owner)
-                self.controller.enqueue(req, now)
-                rob.push_load(req)
+                controller.enqueue(req, now)
+                rob.loads.append((seq, req))
                 self._mshrs_in_use += 1
                 self.loads_issued += 1
-                fetched += 1
             else:
-                if rob.occupancy >= rob.capacity:
-                    break
-                if not self.controller.can_accept(
-                        OpType.WRITE, address, now):
+                if not controller.can_accept(OpType.WRITE, address, now):
                     break
                 req = MemRequest(OpType.WRITE, address, owner=self.owner)
-                self.controller.enqueue(req, now)
+                controller.enqueue(req, now)
                 self.stores_issued += 1
                 # The store instruction itself retires in order like any
                 # other instruction; it occupies a normal ROB slot (the
                 # store *data* drains through the write queue).
-                rob.push_instructions(1)
-                fetched += 1
+            seq += 1
+            room -= 1
+            fetched += 1
             self._advance_record()
+        rob.fetched = seq
         return fetched
 
     def on_read_completed(self, count: int = 1) -> None:
@@ -211,8 +224,8 @@ class TraceCpu:
         head = rob.blocking_load()
         if head is None:
             return None
-        if (not self._trace_done and self._have_current
-                and rob.occupancy < rob.capacity):
+        if (self._have_current
+                and rob.fetched - rob.retired < rob.capacity):
             if self._gap_left > 0:
                 return None  # can still fetch plain instructions
             if self._cur_is_read:

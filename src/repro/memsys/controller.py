@@ -130,6 +130,9 @@ class MemoryController:
         #: Completion cycles of the reads among them, as a min-heap: the
         #: first read completion frees an MSHR.
         self._read_completions: List[int] = []
+        #: Requests still queued or in flight: counted up at enqueue and
+        #: down at completion (an issue only moves one into flight).
+        self.pending = 0
         self._flush_mode = False
         self._was_draining = False
         self.forwarded_reads = 0
@@ -174,14 +177,14 @@ class MemoryController:
         and published on the event bus.  Pure capacity polls (event
         skipping, schedulers) must use :meth:`has_space` instead.
         """
-        if self.has_space(op):
+        queue = self.read_queue if op is OpType.READ else self.write_queue
+        depth = len(queue._entries)
+        if depth < queue.capacity:
             return True
         if op is OpType.READ:
             self.stats.read_queue_full_events += 1
-            depth = len(self.read_queue)
         else:
             self.stats.write_queue_full_events += 1
-            depth = len(self.write_queue)
         if self.probe.enabled:
             self.probe.emit(Event(
                 EV_QUEUE_STALL, now, op=op.value, channel=self.channel,
@@ -206,6 +209,7 @@ class MemoryController:
         if req.decoded is None:
             req.decoded = self.mapper.decode(req.address)
         req.sched_key = memo_key(req.is_write, req.decoded)
+        self.pending += 1
         tracer = self.tracer
         span = None
         if tracer is not None:
@@ -256,20 +260,27 @@ class MemoryController:
 
     def tick(self, now: int) -> Sequence[MemRequest]:
         """Advance one cycle: complete transfers, then issue commands."""
-        completed = self._pop_completions(now)
-        self._issue_phase(now)
+        completions = self._completions
+        if completions and completions[0][0] <= now:
+            completed = self._pop_completions(now)
+        else:
+            completed = _NONE_DONE
+        if now >= self._quiet_until:
+            # Below the memo a pass would find nothing to issue, and no
+            # drain flip is pending: every occupancy change and
+            # ``begin_flush`` reset the memo.
+            self._issue_phase(now)
         return completed
 
     def _pop_completions(self, now: int) -> Sequence[MemRequest]:
         """Retire every completion due by ``now``, in (cycle, id) order.
 
-        A completion no observer waits on may be retired at a later
+        :meth:`tick` calls it only when the heap top is due.  A
+        completion no observer waits on may be retired at a later
         visited cycle than its own, so events carry the request's
         ``completion_cycle``, never ``now``.
         """
         completions = self._completions
-        if not completions or completions[0][0] > now:
-            return _NONE_DONE
         done: List[MemRequest] = []
         read_latencies: List[int] = []
         while completions and completions[0][0] <= now:
@@ -292,6 +303,7 @@ class MemoryController:
                 if self.probe.enabled:
                     emit_span(self.probe, span)
             done.append(req)
+        self.pending -= len(done)
         if read_latencies:
             self.stats.count_read_latency_batch(read_latencies)
         return done
@@ -305,10 +317,6 @@ class MemoryController:
                     EV_DRAIN, now, op="W", channel=self.channel,
                     value=1 if draining else 0,
                 ))
-        if now < self._quiet_until:
-            # A previous pass proved no candidate can become issuable
-            # before this cycle, and nothing has changed since.
-            return
         if self._traced:
             # Close traced requests' waiting intervals *before* this
             # pass can issue anything: bank state still describes the
@@ -326,12 +334,36 @@ class MemoryController:
                     break
                 self._issue(candidate, now)
             return
+        # The phase policy and winner of :meth:`_next_candidate`, scanned
+        # through the per-bank index and the banks' memos; the earliest
+        # blocked constraint (a capped bank's release included) feeds
+        # the quiet memo.
+        pick = self.scheduler.pick_with_horizon
+        banks = self.banks
+        if draining:
+            first, second = self.write_queue, self.read_queue
+            first_cap, second_cap = self._write_cap, None
+        else:
+            first, second = self.read_queue, self.write_queue
+            first_cap, second_cap = None, self._write_cap
+        fall_through = draining or self.config.controller.eager_writes
         issued = False
         starved = False
         blocked_min: Optional[int] = None
         for _ in range(self.config.controller.issue_width):
-            candidate, blocked_min = self._next_candidate_fast(now, draining)
+            candidate = blocked = None
+            if first._by_bank:
+                candidate, blocked = pick(first._by_bank, banks, now,
+                                          first_cap)
+            if candidate is None and second._by_bank and (
+                    fall_through or not first._entries):
+                candidate, second_blocked = pick(second._by_bank, banks,
+                                                 now, second_cap)
+                if second_blocked is not None and (
+                        blocked is None or second_blocked < blocked):
+                    blocked = second_blocked
             if candidate is None:
+                blocked_min = blocked
                 break
             if not self.command_bus.acquire(now):
                 # A candidate exists but the bus refused the slot (only
@@ -401,44 +433,6 @@ class MemoryController:
             return self.scheduler.pick(self._candidates(second, now), now)
         return None
 
-    def _next_candidate_fast(
-        self, now: int, draining: bool
-    ) -> "Tuple[Optional[Candidate], Optional[int]]":
-        """Incremental-scheduler twin of :meth:`_next_candidate`.
-
-        Same phase policy and the same winner, but scanned through the
-        per-bank queue index and the banks' memoized (kind, constraint)
-        lookups; additionally reports the earliest constraint among
-        blocked candidates so quiet cycles can be memoized.
-        """
-        first, second = (
-            (self.write_queue, self.read_queue) if draining
-            else (self.read_queue, self.write_queue)
-        )
-        candidate, blocked = self._pick_fast(first, now)
-        if candidate is not None:
-            return candidate, None
-        if draining or self.config.controller.eager_writes or first.is_empty:
-            candidate, second_blocked = self._pick_fast(second, now)
-            if candidate is not None:
-                return candidate, None
-            if second_blocked is not None and (
-                    blocked is None or second_blocked < blocked):
-                blocked = second_blocked
-        return None, blocked
-
-    def _pick_fast(self, queue: TransactionQueue, now: int
-                   ) -> "Tuple[Optional[Candidate], Optional[int]]":
-        by_bank = queue.by_bank()
-        if not by_bank:
-            return None, None
-        # A throttled bank is blocked like any candidate: until the
-        # cycle its in-flight writes fall below the cap.
-        return self.scheduler.pick_with_horizon(
-            by_bank, self.banks, now,
-            self._write_cap if queue is self.write_queue else None,
-        )
-
     def _candidates(self, queue: TransactionQueue, now: int
                      ) -> List[Candidate]:
         if queue is self.write_queue:
@@ -498,14 +492,6 @@ class MemoryController:
                 )
 
     # -- progress queries ------------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        """Requests still queued or in flight."""
-        return (
-            len(self.read_queue) + len(self.write_queue)
-            + len(self._completions)
-        )
 
     def busy(self) -> bool:
         return self.pending > 0

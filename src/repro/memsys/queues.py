@@ -52,7 +52,7 @@ class TransactionQueue:
 
     def push(self, req: MemRequest, cycle: int) -> None:
         """Append a request; raises :class:`QueueFullError` when full."""
-        if self.is_full:
+        if len(self._entries) >= self.capacity:
             raise QueueFullError(
                 f"queue full ({self.capacity} entries) at cycle {cycle}"
             )
@@ -134,15 +134,16 @@ class WriteQueue(TransactionQueue):
         once occupancy falls below the low watermark.  A forced drain
         (:meth:`force_drain`) persists until the queue empties.
         """
+        depth = len(self._entries)
         if self._forced:
-            if self.is_empty:
+            if not depth:
                 self._forced = False
             else:
                 return True
         if self._draining:
-            if len(self) < self.low_watermark:
+            if depth < self.low_watermark:
                 self._draining = False
-        elif len(self) >= self.high_watermark:
+        elif depth >= self.high_watermark:
             self._draining = True
         return self._draining
 

@@ -32,6 +32,7 @@ from ..core.energy import (
 )
 from ..cpu.trace_cpu import TraceCpu
 from ..errors import SimulationError
+from ..memsys.controller import ANY_READ
 from ..memsys.stats import StatsCollector
 from ..obs.events import EV_RUN_END, NULL_PROBE, Event, Probe
 from ..workloads.packed import PackedTrace
@@ -85,6 +86,10 @@ class Simulator:
             probe=self.probe,
         )
         self.now = 0
+        #: The CPU's ``waiting_on()`` and ``done()`` answers, asked
+        #: after each tick and kept across the visits that skip one.
+        self._wait: Optional[int] = None
+        self._cpu_done = False
         self._flush_started = False
         self._warmup_left = config.sim.warmup_requests
         self._warmup_cycle = 0
@@ -102,39 +107,51 @@ class Simulator:
         cpu = self.cpu
         stats = self.stats
         epochs = self._epochs
+        skip_idle = self._idle_skips()
         # Progress tracking as plain ints (no per-cycle tuple builds).
         last_instructions = stats.instructions
         last_commands = controller.commands_issued()
         last_pending = controller.pending
         last_progress_cycle = 0
+        wait: Optional[int] = None
+        done = False
 
         while True:
-            if epochs is not None and epochs.next_boundary < self.now:
+            now = self.now
+            if epochs is not None and epochs.next_boundary < now:
                 # Epoch boundaries the clock jumped over: materialise
                 # them *before* this cycle's tick, with the counters the
                 # unskipped loop would have had at each boundary (dead
                 # cycles change none of the sampled counters).
-                epochs.observe_gap(self.now, controller.pending)
-            completed = controller.tick(self.now)
+                epochs.observe_gap(now, controller.pending)
+            completed = controller.tick(now)
             finished_reads = 0
             for req in completed:
                 if req.is_read:
                     finished_reads += 1
             if finished_reads:
                 cpu.on_read_completed(finished_reads)
-            cpu.tick(self.now)
-            if epochs is not None and self.now >= epochs.next_boundary:
+            # A waiting core's tick is a no-op until its head load can
+            # have completed (a known future cycle) or, when its fetch
+            # waits on an MSHR, until some read completes.
+            if (wait is None or not skip_idle
+                    or (wait <= now and (wait != ANY_READ or finished_reads))):
+                cpu.tick(now)
+                done = cpu.done()
+                wait = self._wait = None if done else cpu.waiting_on()
+                self._cpu_done = done
+            if epochs is not None and now >= epochs.next_boundary:
                 # A boundary landing on a simulated cycle samples after
                 # that cycle's tick, exactly like the unskipped loop.
-                epochs.observe(self.now, controller.pending)
+                epochs.observe(now, controller.pending)
             if (self._warmup_left
                     and stats.requests >= self._warmup_left):
                 # Warm-up complete: statistics restart here.
                 stats.reset()
                 self._warmup_left = 0
-                self._warmup_cycle = self.now
+                self._warmup_cycle = now
 
-            if cpu.done():
+            if done:
                 if not self._flush_started:
                     controller.begin_flush()
                     self._flush_started = True
@@ -150,12 +167,12 @@ class Simulator:
                 last_instructions = instructions
                 last_commands = commands
                 last_pending = pending
-                last_progress_cycle = self.now
-            elif self.now - last_progress_cycle > sim.deadlock_cycles:
+                last_progress_cycle = now
+            elif now - last_progress_cycle > sim.deadlock_cycles:
                 raise SimulationError(
                     f"no progress for {sim.deadlock_cycles} cycles at "
-                    f"cycle {self.now} (config {self.config.name}); "
-                    f"pending={controller.pending}"
+                    f"cycle {now} (config {self.config.name}); "
+                    f"pending={pending}"
                 )
 
             self.now = self._next_cycle()
@@ -170,6 +187,16 @@ class Simulator:
             self.probe.emit(Event(EV_RUN_END, self.stats.cycles,
                                   value=self.stats.instructions))
         return self._result()
+
+    def _idle_skips(self) -> bool:
+        """Whether :meth:`run` may skip the ticks of a waiting core.
+
+        Such a tick fetches and retires nothing, but two things still
+        happen once per visited cycle: an attached probe counts an
+        ``EV_CPU_STALL``, and a fractional retire budget advances its
+        carry.  Either one keeps every tick.
+        """
+        return not self.probe.enabled and self.cpu._budget_int is not None
 
     def _result(self) -> SimResult:
         """End-of-run aggregation: energy, IPC and the result record."""
@@ -203,13 +230,13 @@ class Simulator:
         any completion while it polls a full queue, the end of the run,
         or the next epoch boundary.  Any other completion is retired at
         the next visited cycle: until someone looks, retiring it later
-        changes nothing.
+        changes nothing.  The CPU's state is the answer :meth:`run`
+        kept from its last tick.
         """
         now = self.now
         naive = now + 1
-        cpu = self.cpu
-        done = cpu.done()
-        wait = None if done else cpu.waiting_on()
+        wait = self._wait
+        done = self._cpu_done
         if wait is None and not done:
             return naive  # next CPU event is the very next cycle
         controller = self.controller

@@ -23,7 +23,7 @@ REQUESTS = 500
 
 
 @pytest.fixture(scope="module")
-def cache():
+def engine():
     return ParallelExperimentEngine()
 
 
@@ -32,8 +32,8 @@ def parse(buffer):
 
 
 class TestFigureExports:
-    def test_figure4_csv_shape(self, cache):
-        result = run_figure4(BENCHES, REQUESTS, cache)
+    def test_figure4_csv_shape(self, engine):
+        result = run_figure4(BENCHES, REQUESTS, engine)
         buffer = io.StringIO()
         rows = figure4_csv(result, buffer)
         parsed = parse(buffer)
@@ -43,8 +43,8 @@ class TestFigureExports:
         assert parsed[1][0] == "sphinx3"
         assert float(parsed[1][1]) > 0
 
-    def test_figure5_csv_shape(self, cache):
-        result = run_figure5(BENCHES, REQUESTS, cache)
+    def test_figure5_csv_shape(self, engine):
+        result = run_figure5(BENCHES, REQUESTS, engine)
         buffer = io.StringIO()
         rows = figure5_csv(result, buffer)
         parsed = parse(buffer)
@@ -52,8 +52,8 @@ class TestFigureExports:
         assert rows == 2  # sphinx3 + average
         assert 0 < float(parsed[1][1]) < 1
 
-    def test_file_target(self, cache, tmp_path):
-        result = run_figure4(BENCHES, REQUESTS, cache)
+    def test_file_target(self, engine, tmp_path):
+        result = run_figure4(BENCHES, REQUESTS, engine)
         path = tmp_path / "fig4.csv"
         figure4_csv(result, path)
         assert path.read_text().startswith("benchmark,")

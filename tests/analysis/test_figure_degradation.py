@@ -24,13 +24,13 @@ REQUESTS = 1000
 
 
 @pytest.fixture(scope="module")
-def cache():
+def engine():
     return ParallelExperimentEngine()
 
 
 @pytest.fixture(scope="module")
-def fig(cache):
-    return run_figure_degradation(list(DEFAULT_BENCHMARKS), REQUESTS, cache)
+def fig(engine):
+    return run_figure_degradation(list(DEFAULT_BENCHMARKS), REQUESTS, engine)
 
 
 class TestFigureDegradation:
@@ -76,10 +76,10 @@ class TestFigureDegradation:
         for name, config in configs.items():
             assert config.name == name
 
-    def test_grid_is_fully_cached(self, cache, fig):
-        before = cache.stats.executed
+    def test_grid_is_fully_cached(self, engine, fig):
+        before = engine.stats.executed
         again = run_figure_degradation(list(DEFAULT_BENCHMARKS), REQUESTS,
-                                       cache)
-        assert cache.stats.executed == before
+                                       engine)
+        assert engine.stats.executed == before
         assert again.retention == fig.retention
         assert again.kill_retention == fig.kill_retention

@@ -22,13 +22,13 @@ REQUESTS = 800
 
 
 @pytest.fixture(scope="module")
-def cache():
+def engine():
     return ParallelExperimentEngine()
 
 
 @pytest.fixture(scope="module")
-def fig(cache):
-    return run_figure_policies(list(DEFAULT_BENCHMARKS), REQUESTS, cache)
+def fig(engine):
+    return run_figure_policies(list(DEFAULT_BENCHMARKS), REQUESTS, engine)
 
 
 class TestFigurePolicies:
@@ -62,12 +62,12 @@ class TestFigurePolicies:
         assert configs["palp"].controller.policy == "palp"
         assert configs["salp"].org.column_divisions == 1
 
-    def test_grid_is_fully_cached(self, cache, fig):
+    def test_grid_is_fully_cached(self, engine, fig):
         """One run() per (config, bench) cell — re-running the figure
         must hit the cache for every cell, not simulate."""
-        before = cache.stats.executed
+        before = engine.stats.executed
         again = run_figure_policies(list(DEFAULT_BENCHMARKS), REQUESTS,
-                                    cache)
-        assert cache.stats.executed == before
+                                    engine)
+        assert engine.stats.executed == before
         assert again.speedups == fig.speedups
         assert again.relative_energy == fig.relative_energy

@@ -25,18 +25,18 @@ REQUESTS = 1200
 
 
 @pytest.fixture(scope="module")
-def cache():
+def engine():
     return ParallelExperimentEngine()
 
 
 @pytest.fixture(scope="module")
-def fig4(cache):
-    return run_figure4(BENCHES, REQUESTS, cache)
+def fig4(engine):
+    return run_figure4(BENCHES, REQUESTS, engine)
 
 
 @pytest.fixture(scope="module")
-def fig5(cache):
-    return run_figure5(BENCHES, REQUESTS, cache)
+def fig5(engine):
+    return run_figure5(BENCHES, REQUESTS, engine)
 
 
 class TestFigure4:
@@ -82,8 +82,8 @@ class TestFigure5:
 
 
 class TestHeadline:
-    def test_headline_aggregates(self, cache):
-        result = run_headline(REQUESTS, BENCHES, cache)
+    def test_headline_aggregates(self, engine):
+        result = run_headline(REQUESTS, BENCHES, engine)
         assert result.combined_speedup > 1.2
         assert 0.4 < result.best_energy_reduction < 0.9
         best, worst = result.area_band

@@ -1,9 +1,13 @@
 """Reorder-buffer fill and in-order retirement."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cpu.rob import ReorderBuffer
-from repro.memsys.request import MemRequest, OpType
+from repro.memsys.request import MemRequest, OpType, RequestState
 
 
 def pending_load():
@@ -88,6 +92,19 @@ class TestRetire:
         assert rob.retire(100) == 3
         assert rob.head_request() is blocked
 
+    def test_retires_past_several_completed_loads_in_one_budget(self):
+        rob = ReorderBuffer(100)
+        for _ in range(3):
+            rob.push_instructions(2)
+            rob.push_load(done_load())
+        blocked = pending_load()
+        rob.push_load(blocked)
+        rob.push_instructions(5)
+        assert rob.retire(7) == 7  # 2 + load + 2 + load + 2 + ...
+        assert rob.retire(100) == 2  # ... the third load, then blocked
+        assert rob.blocking_load() is blocked
+        assert rob.occupancy == 6
+
 
 class TestQueries:
     def test_head_blocked_false_for_instructions(self):
@@ -96,8 +113,129 @@ class TestQueries:
         assert not rob.head_blocked()
         assert rob.head_request() is None
 
+    def test_head_request_only_when_the_head_is_a_load(self):
+        rob = ReorderBuffer(10)
+        rob.push_instructions(1)
+        load = done_load()
+        rob.push_load(load)
+        assert rob.head_request() is None
+        assert rob.retire(1) == 1
+        assert rob.head_request() is load
+        assert not rob.head_blocked()  # its data already returned
+        assert rob.retire(1) == 1
+        assert rob.head_request() is None
+
     def test_empty_rob(self):
         rob = ReorderBuffer(10)
         assert rob.is_empty
         assert not rob.head_blocked()
         assert rob.retire(10) == 0
+
+
+class ChunkDequeRob:
+    """The FIFO of instruction chunks and load markers this ROB replaced
+    (oracle for the two-counter representation)."""
+
+    def __init__(self, entries):
+        self.capacity = entries
+        self.fifo = deque()  # [count] chunks and (request,) markers
+        self.occupancy = 0
+
+    def push_instructions(self, count):
+        free = self.capacity - self.occupancy
+        accepted = count if count < free else free
+        if accepted <= 0:
+            return 0
+        if self.fifo and isinstance(self.fifo[-1], list):
+            self.fifo[-1][0] += accepted
+        else:
+            self.fifo.append([accepted])
+        self.occupancy += accepted
+        return accepted
+
+    def push_load(self, request):
+        if self.occupancy >= self.capacity:
+            return False
+        self.fifo.append((request,))
+        self.occupancy += 1
+        return True
+
+    def retire(self, budget):
+        retired = 0
+        while budget > 0 and self.fifo:
+            head = self.fifo[0]
+            if isinstance(head, list):
+                take = min(budget, head[0])
+                head[0] -= take
+                retired += take
+                budget -= take
+                if not head[0]:
+                    self.fifo.popleft()
+            else:
+                if head[0].state is not RequestState.COMPLETED:
+                    break
+                self.fifo.popleft()
+                retired += 1
+                budget -= 1
+        self.occupancy -= retired
+        return retired
+
+    def head_request(self):
+        if self.fifo and isinstance(self.fifo[0], tuple):
+            return self.fifo[0][0]
+        return None
+
+    def blocking_load(self):
+        head = self.head_request()
+        if head is not None and head.state is not RequestState.COMPLETED:
+            return head
+        return None
+
+
+def complete(request):
+    request.mark_queued(0)
+    request.mark_issued(0, 1, "row_hit")
+    request.mark_completed()
+
+
+class TestAgainstChunkDeque:
+    @given(
+        capacity=st.integers(1, 48),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("insts"), st.integers(0, 40)),
+                st.tuples(st.just("load"), st.booleans()),
+                st.tuples(st.just("retire"), st.integers(0, 60)),
+                st.tuples(st.just("complete"), st.integers(0, 10)),
+            ),
+            max_size=80,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_chunk_deque_rob(self, capacity, ops):
+        rob = ReorderBuffer(capacity)
+        oracle = ChunkDequeRob(capacity)
+        loads = []
+        for kind, value in ops:
+            if kind == "insts":
+                assert rob.push_instructions(value) == \
+                    oracle.push_instructions(value)
+            elif kind == "load":
+                request = MemRequest(OpType.READ, 0x40)
+                if value:
+                    complete(request)
+                loads.append(request)
+                assert rob.push_load(request) == oracle.push_load(request)
+            elif kind == "retire":
+                assert rob.retire(value) == oracle.retire(value)
+            else:
+                # Data returns out of order: complete the value-th
+                # still-pending load.
+                pending = [r for r in loads
+                           if r.state is not RequestState.COMPLETED]
+                if pending:
+                    complete(pending[value % len(pending)])
+            assert rob.occupancy == oracle.occupancy
+            assert rob.is_empty == (oracle.occupancy == 0)
+            assert rob.head_request() is oracle.head_request()
+            assert rob.blocking_load() is oracle.blocking_load()

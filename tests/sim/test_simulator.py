@@ -1,6 +1,7 @@
 """Simulation main loop: end-to-end runs, skipping, guards."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +180,98 @@ class TestEventSkipping:
         ])
         result = simulate(small(baseline_nvm()), trace)
         assert result.instructions == 100_002
+
+
+def _counted_run(sim, tick_always=False):
+    """Run ``sim``; return (result, visited cycles, CPU ticks)."""
+    counts = {"visits": 1, "ticks": 0}  # cycle 0 needs no clock advance
+    advance = sim._next_cycle
+    tick = sim.cpu.tick
+
+    def counting_advance():
+        counts["visits"] += 1
+        return advance()
+
+    def counting_tick(now):
+        counts["ticks"] += 1
+        tick(now)
+
+    sim._next_cycle = counting_advance
+    sim.cpu.tick = counting_tick
+    if tick_always:
+        sim._idle_skips = lambda: False
+    result = sim.run()
+    return result, counts["visits"], counts["ticks"]
+
+
+def assert_idle_skips_change_nothing(config, trace):
+    skipped, visits, ticks = _counted_run(Simulator(config, trace))
+    ticked, dense_visits, dense_ticks = _counted_run(
+        Simulator(config, trace), tick_always=True)
+    assert skipped.cycles == ticked.cycles
+    assert skipped.stats.as_dict() == ticked.stats.as_dict()
+    assert visits == dense_visits
+    assert dense_ticks == dense_visits
+    assert ticks <= visits
+    return visits, ticks
+
+
+class TestIdleTicks:
+    """A waiting core is ticked only when its wait can have ended; every
+    skipped tick provably fetches and retires nothing."""
+
+    @pytest.mark.parametrize("profile,policy", [("mcf", None),
+                                                ("lbm", "palp")])
+    def test_skipped_ticks_match_ticking_every_visit(self, profile, policy):
+        config = fgnvm(8, 2)
+        if policy is not None:
+            config = apply_policy(config, policy)
+        trace = generate_trace(get_profile(profile), 3000)
+        visits, ticks = assert_idle_skips_change_nothing(config, trace)
+        assert ticks < visits
+
+    @given(case=st.sampled_from(SKIP_CASES),
+           benchmark=st.sampled_from(["mcf", "lbm", "libquantum"]),
+           seed=st.integers(0, 2**16), requests=st.integers(20, 300),
+           epoch_cycles=st.just(0) | st.integers(50, 1000),
+           mshrs=st.sampled_from([None, 4]))
+    @settings(max_examples=40, deadline=None)
+    def test_skipped_ticks_match_on_every_case(self, case, benchmark, seed,
+                                               requests, epoch_cycles,
+                                               mshrs):
+        profile = dataclasses.replace(get_profile(benchmark), seed=seed)
+        trace = generate_trace(profile, requests)
+        assert_idle_skips_change_nothing(
+            _case_config(*case, epoch_cycles, mshrs), trace)
+
+    def test_probed_run_ticks_every_visit(self, monkeypatch):
+        """``EV_CPU_STALL`` is counted once per visited cycle, so a
+        probe keeps every tick; the per-kind counts are those recorded
+        before idle ticks were skipped, under the default scheduler."""
+        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+        probe = make_probe(ListSink())
+        sim = Simulator(fgnvm(8, 2), generate_trace(get_profile("mcf"), 3000),
+                        probe=probe)
+        result, visits, ticks = _counted_run(sim)
+        assert ticks == visits
+        assert result.cycles == 23015
+        kinds = Counter(
+            f"{e.kind}:{e.service}" if e.kind == EV_CPU_STALL else e.kind
+            for e in probe.sink.events)
+        assert kinds == {
+            "complete": 3000, "enqueue": 3000, "issue": 3000, "run_end": 1,
+            "sense": 2586, "write_pulse": 744, "cpu_stall:fetch": 2008,
+            "cpu_stall:retire": 2895,
+        }
+
+    def test_fractional_retire_budget_ticks_every_visit(self):
+        """The budget carry advances once per tick, so a fractional
+        CPU/memory clock ratio keeps every tick."""
+        config = small(fgnvm(8, 2))
+        config.cpu.clock_ghz = 0.71  # 7.1 instructions per memory cycle
+        sim = Simulator(config, generate_trace(get_profile("astar"), 300))
+        _, visits, ticks = _counted_run(sim)
+        assert ticks == visits
 
 
 class TestGuards:
