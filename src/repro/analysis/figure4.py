@@ -24,7 +24,7 @@ from ..sim.experiment import (
     DEFAULT_REQUESTS,
     default_engine,
     geometric_mean,
-    prefetch_jobs,
+    run_cells,
     speedup,
 )
 from ..sim.reporting import series_table
@@ -70,21 +70,16 @@ def run_figure4(
     (benchmark x architecture) grid across its worker pool before the
     speedup table is assembled.
     """
-    engine = default_engine(engine)
     names = benchmarks or benchmark_names()
     configs = figure4_configs()
-    prefetch_jobs(engine, [
-        (configs[label], bench, requests)
-        for bench in names
-        for label in ("baseline",) + SERIES
-    ], label="figure4")
+    runs = run_cells(default_engine(engine), configs, names, requests,
+                     label="figure4")
     result = Figure4Result(requests=requests)
     for bench in names:
-        base = engine.run(configs["baseline"], bench, requests)
+        base = runs[bench, "baseline"]
         result.baseline_ipc[bench] = base.ipc
         result.speedups[bench] = {
-            series: speedup(engine.run(configs[series], bench, requests), base)
-            for series in SERIES
+            series: speedup(runs[bench, series], base) for series in SERIES
         }
     return result
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..config.presets import figure5_configs
-from ..sim.experiment import DEFAULT_REQUESTS, default_engine, prefetch_jobs
+from ..sim.experiment import DEFAULT_REQUESTS, default_engine, run_cells
 from ..sim.reporting import series_table
 from ..workloads.spec_profiles import benchmark_names
 
@@ -57,22 +57,17 @@ def run_figure5(
     ``engine`` (default: a fresh serial engine) fans the whole grid
     across its worker pool before normalisation.
     """
-    engine = default_engine(engine)
     names = benchmarks or benchmark_names()
-    configs = figure5_configs()
-    prefetch_jobs(engine, [
-        (config, bench, requests)
-        for bench in names
-        for config in configs.values()
-    ], label="figure5")
+    runs = run_cells(default_engine(engine), figure5_configs(), names,
+                     requests, label="figure5")
     result = Figure5Result(requests=requests)
     for bench in names:
-        base = engine.run(configs["baseline"], bench, requests)
+        base = runs[bench, "baseline"]
         base_pj = base.energy.total_pj
         result.baseline_pj[bench] = base_pj
         row: Dict[str, float] = {}
         for label in ("8x2", "8x8", "8x32"):
-            run = engine.run(configs[label], bench, requests)
+            run = runs[bench, label]
             row[label] = run.energy.total_pj / base_pj
             if label == "8x32":
                 row["8x32-perfect"] = run.perfect_energy.total_pj / base_pj

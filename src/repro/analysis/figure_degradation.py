@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 from ..config.params import SystemConfig
 from ..config.presets import baseline_nvm, fgnvm, salp, with_reliability
 from ..memsys.reliability import DeviceFaultPlan
-from ..sim.experiment import DEFAULT_REQUESTS, default_engine, prefetch_jobs
+from ..sim.experiment import DEFAULT_REQUESTS, default_engine, run_grid
 from ..sim.reporting import series_table
 
 #: Organisation series, in degradation order (worst first).
@@ -167,33 +167,29 @@ def run_figure_degradation(
     ``engine`` (default: a fresh serial engine) fans the whole grid
     across its worker pool before the tables are assembled.
     """
-    engine = default_engine(engine)
     names = list(benchmarks) if benchmarks else list(DEFAULT_BENCHMARKS)
     healthy = _healthy_configs()
     max_rate = FAULT_RATES[-1]
     max_kills = KILL_COUNTS[-1]
-    grid = [
-        (_faulted(cfg, rate), bench, requests)
-        for bench in names
-        for cfg in healthy.values()
-        for rate in FAULT_RATES
+    rate_cells = [(bench, series, rate) for bench in names
+                  for series in healthy for rate in FAULT_RATES]
+    kill_cells = [(bench, kills) for bench in names for kills in KILL_COUNTS]
+    results = run_grid(default_engine(engine), [
+        (_faulted(healthy[series], rate), bench, requests)
+        for bench, series, rate in rate_cells
     ] + [
         (_killed(healthy["fgnvm"], kills), bench, requests)
-        for bench in names
-        for kills in KILL_COUNTS
-    ]
-    prefetch_jobs(engine, grid, label="figure-degradation")
+        for bench, kills in kill_cells
+    ], label="figure-degradation")
+    runs = dict(zip(rate_cells + kill_cells, results))
 
     result = FigureDegradationResult(requests=requests)
     for bench in names:
         result.ipc[bench] = {}
         result.retention[bench] = {}
         result.retries_at_max[bench] = {}
-        for series, cfg in healthy.items():
-            points = {
-                rate: engine.run(_faulted(cfg, rate), bench, requests)
-                for rate in FAULT_RATES
-            }
+        for series in healthy:
+            points = {rate: runs[bench, series, rate] for rate in FAULT_RATES}
             anchor = points[0.0].ipc
             result.ipc[bench][series] = {
                 rate: run.ipc for rate, run in points.items()
@@ -205,11 +201,7 @@ def run_figure_degradation(
             result.retries_at_max[bench][series] = (
                 points[max_rate].stats.write_retries
             )
-        kill_points = {
-            kills: engine.run(_killed(healthy["fgnvm"], kills),
-                             bench, requests)
-            for kills in KILL_COUNTS
-        }
+        kill_points = {kills: runs[bench, kills] for kills in KILL_COUNTS}
         kill_anchor = kill_points[0].ipc
         result.kill_retention[bench] = {
             kills: run.ipc / kill_anchor if kill_anchor > 0 else 0.0

@@ -31,7 +31,7 @@ from ..sim.experiment import (
     DEFAULT_REQUESTS,
     default_engine,
     geometric_mean,
-    prefetch_jobs,
+    run_cells,
     speedup,
 )
 from ..sim.reporting import series_table
@@ -106,24 +106,19 @@ def run_figure_policies(
     ``engine`` (default: a fresh serial engine) fans the whole grid
     across its worker pool before the tables are assembled.
     """
-    engine = default_engine(engine)
     names = list(benchmarks) if benchmarks else list(DEFAULT_BENCHMARKS)
-    configs = figure_policies_configs()
-    prefetch_jobs(engine, [
-        (config, bench, requests)
-        for bench in names
-        for config in configs.values()
-    ], label="figure-policies")
+    runs = run_cells(default_engine(engine), figure_policies_configs(),
+                     names, requests, label="figure-policies")
     result = FigurePoliciesResult(requests=requests)
     for bench in names:
-        base = engine.run(configs["baseline"], bench, requests)
+        base = runs[bench, "baseline"]
         base_pj = base.energy.total_pj
         result.baseline_ipc[bench] = base.ipc
         result.baseline_pj[bench] = base_pj
         result.speedups[bench] = {}
         result.relative_energy[bench] = {}
         for series in SERIES:
-            run = engine.run(configs[series], bench, requests)
+            run = runs[bench, series]
             result.speedups[bench][series] = speedup(run, base)
             result.relative_energy[bench][series] = (
                 run.energy.total_pj / base_pj

@@ -24,6 +24,24 @@ from typing import Dict, List, Optional
 MANIFEST_SCHEMA = "repro-run-manifest-v1"
 
 
+def platform_stamp() -> str:
+    """``platform.platform()`` without the subprocess it forks on Linux.
+
+    There it asks ``uname -p`` for the processor, which prints
+    ``unknown`` or the machine name, and ``platform.platform()`` drops
+    both; so the stamp is built from ``uname`` and the C library
+    version alone.  Elsewhere it is ``platform.platform()`` itself.
+    """
+    if not sys.platform.startswith("linux"):
+        return platform.platform()
+    uname = platform.uname()
+    libc, version = platform.libc_ver()
+    parts = (uname.system, uname.release, uname.machine, "with",
+             libc + version)
+    return "-".join(part.strip().replace(" ", "_") for part in parts
+                    if part)
+
+
 @dataclass
 class JobRecord:
     """Telemetry for one job the engine was asked for."""
@@ -50,7 +68,7 @@ class RunManifest:
     code_version: str
     schema: str = MANIFEST_SCHEMA
     host: str = field(default_factory=platform.node)
-    platform: str = field(default_factory=platform.platform)
+    platform: str = field(default_factory=platform_stamp)
     python: str = field(default_factory=lambda: sys.version.split()[0])
     created_utc: str = field(
         default_factory=lambda: time.strftime(

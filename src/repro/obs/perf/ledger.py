@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from ...errors import ExperimentError
-from ..manifest import RunManifest
+from ..manifest import RunManifest, platform_stamp
 
 #: Ledger schema identifier (bump on incompatible shape changes).
 PERF_SCHEMA = "repro-bench-perf-v1"
@@ -80,7 +80,7 @@ def host_info() -> Dict[str, object]:
     return {
         "fingerprint": host_fingerprint(),
         "hostname": platform.node(),
-        "platform": platform.platform(),
+        "platform": platform_stamp(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count() or 0,
         "python": sys.version.split()[0],

@@ -300,7 +300,7 @@ def streamed_simulate(channel: TelemetryChannel, job, trace):
 
     The simulated results are untouched — the epoch tap only *reads*
     counters the recorder snapshots anyway, and frame publishing never
-    blocks.  Returns the same :class:`~repro.sim.simulator.SimResult`
+    blocks.  Returns the same :class:`~repro.sim.result.SimResult`
     the plain path would.
     """
     # Imported lazily: this module must stay a leaf of repro.obs so the

@@ -10,17 +10,15 @@ delays — keeping chaos runs reproducible end to end.
 from __future__ import annotations
 
 import random
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from ..errors import ExperimentError, TransientJobError
 
-#: Exception types retrying can plausibly fix.  Everything else is
-#: deterministic — the identical inputs would fail identically — and is
-#: surfaced immediately as fatal.
+#: Exception types retrying can plausibly fix, besides a broken process
+#: pool.  Everything else is deterministic — the identical inputs would
+#: fail identically — and is surfaced immediately as fatal.
 _TRANSIENT_TYPES = (
     TransientJobError,
-    BrokenProcessPool,
     TimeoutError,
     ConnectionError,
     InterruptedError,
@@ -29,7 +27,11 @@ _TRANSIENT_TYPES = (
 
 def is_transient(exc: BaseException) -> bool:
     """True when a job failure is worth retrying."""
-    return isinstance(exc, _TRANSIENT_TYPES)
+    # Imported here, so a run in which nothing fails never loads the
+    # pool modules.
+    from concurrent.futures.process import BrokenProcessPool
+
+    return isinstance(exc, (BrokenProcessPool,) + _TRANSIENT_TYPES)
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,15 @@ from .._lazy import attach
 __getattr__, __dir__, __all__ = attach(__name__, {
     "experiment": (
         "DEFAULT_REQUESTS", "compare_architectures", "geometric_mean",
-        "prefetch_jobs", "run_benchmark", "run_trace", "speedup",
+        "run_benchmark", "run_grid", "run_trace", "speedup",
         "speedup_table", "sweep_benchmarks",
     ),
     "parallel": (
-        "BLOB_MAGIC", "CODE_VERSION", "QUARANTINE_DIR", "DiskResultCache",
-        "EngineStats", "ExperimentJob", "ParallelExperimentEngine",
-        "ProgressEvent", "ResilienceStats", "canonical_config",
-        "config_digest", "execute_job", "job_key", "result_digest",
+        "BLOB_MAGIC", "CODE_VERSION", "QUARANTINE_DIR", "RESULT_FORMAT",
+        "DiskResultCache", "EngineStats", "ExperimentJob",
+        "ParallelExperimentEngine", "ProgressEvent", "ResilienceStats",
+        "canonical_config", "config_digest", "execute_job", "job_key",
+        "result_digest",
     ),
     "reporting": (
         "ascii_table", "bar_chart", "dict_table", "format_duration",
@@ -28,7 +29,8 @@ __getattr__, __dir__, __all__ = attach(__name__, {
         "run_mix", "weighted_speedup_study",
     ),
     "report": ("full_report",),
-    "simulator": ("SimResult", "Simulator", "simulate"),
+    "result": ("SimResult",),
+    "simulator": ("Simulator", "simulate"),
     "sweeps": (
         "SweepResult", "parameter_sweep", "render_sweep", "swept_configs",
     ),

@@ -11,21 +11,22 @@ This is the layer the figures are generated from:
 Everything that runs more than one simulation goes through a
 :class:`repro.sim.parallel.ParallelExperimentEngine`, whose memo lets
 Figure 5 reuse Figure 4's runs.  The engine module is imported only
-when one is needed, so ``repro run --trace`` never loads it.
+when one is needed, so ``repro run --trace`` never loads it; the
+simulator is imported only when something is simulated here, so a
+figure served from a warm cache never loads it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config.params import SystemConfig
 from ..obs.events import Probe
 from ..workloads.packed import PackedTrace
 from ..workloads.spec_profiles import get_profile
-from ..workloads.tracegen import generate_trace
-from .simulator import SimResult, simulate
+from .result import SimResult
 
 #: Default trace length for figure-quality runs.  Long enough for queue
 #: and row-buffer behaviour to reach steady state on every profile,
@@ -36,6 +37,8 @@ DEFAULT_REQUESTS = 20_000
 def run_trace(config: SystemConfig, trace: PackedTrace,
               probe: "Probe | None" = None) -> SimResult:
     """Simulate an explicit trace on one configuration."""
+    from .simulator import simulate
+
     return simulate(config, trace, probe=probe)
 
 
@@ -52,6 +55,9 @@ def run_benchmark(
     (or an explicit ``seed`` override), so every architecture sees the
     identical access stream.
     """
+    from ..workloads.tracegen import generate_trace
+    from .simulator import simulate
+
     profile = get_profile(benchmark)
     if seed is not None:
         profile = dataclasses.replace(profile, seed=seed)
@@ -68,20 +74,38 @@ def default_engine(engine=None):
     return ParallelExperimentEngine()
 
 
-def prefetch_jobs(engine, jobs: "Sequence[tuple]",
-                  label: Optional[str] = None) -> None:
+def run_grid(engine, jobs: "Sequence[tuple]",
+             label: Optional[str] = None) -> List[SimResult]:
     """Run (config, benchmark, requests) tuples as one engine batch.
 
-    The whole batch fans out across the engine's pool in one go, so the
-    ``engine.run`` calls that follow are memory hits.  ``label`` tags
-    the batch's entries in the sweep journal.
+    The whole batch fans out across the engine's pool in one go; the
+    results come back in job order, so a grid runner reads its cells
+    from the list instead of asking the engine again per cell.
+    ``label`` tags the batch's entries in the sweep journal.
     """
     from .parallel import ExperimentJob
 
     if label is not None:
         engine.begin_batch(label)
-    engine.run_jobs([ExperimentJob(config, benchmark, requests)
-                     for config, benchmark, requests in jobs])
+    return engine.run_jobs([ExperimentJob(config, benchmark, requests)
+                            for config, benchmark, requests in jobs])
+
+
+def run_cells(
+    engine,
+    configs: Dict[str, SystemConfig],
+    benchmarks: Sequence[str],
+    requests: int,
+    label: str,
+) -> Dict[Tuple[str, str], SimResult]:
+    """Every (benchmark, config label) cell of a figure grid, one batch.
+
+    Jobs are submitted benchmark-major, configs in ``configs`` order.
+    """
+    cells = [(bench, name) for bench in benchmarks for name in configs]
+    results = run_grid(engine, [(configs[name], bench, requests)
+                                for bench, name in cells], label=label)
+    return dict(zip(cells, results))
 
 
 def speedup(result: SimResult, baseline: SimResult) -> float:
@@ -113,12 +137,11 @@ def compare_architectures(
     across its worker pool before the results are assembled in label
     order.
     """
-    cache = default_engine(cache)
-    prefetch_jobs(cache, [(config, benchmark, requests)
-                          for config in configs.values()],
-                  label=f"compare:{benchmark}")
-    return {label: cache.run(config, benchmark, requests)
-            for label, config in configs.items()}
+    results = run_grid(default_engine(cache),
+                       [(config, benchmark, requests)
+                        for config in configs.values()],
+                       label=f"compare:{benchmark}")
+    return dict(zip(configs, results))
 
 
 def sweep_benchmarks(
@@ -128,11 +151,11 @@ def sweep_benchmarks(
     cache=None,
 ) -> Dict[str, SimResult]:
     """Run one configuration across a benchmark list."""
-    cache = default_engine(cache)
     benchmarks = list(benchmarks)
-    prefetch_jobs(cache, [(config, name, requests) for name in benchmarks],
-                  label=f"benchmarks:{config.name}")
-    return {name: cache.run(config, name, requests) for name in benchmarks}
+    results = run_grid(default_engine(cache),
+                       [(config, name, requests) for name in benchmarks],
+                       label=f"benchmarks:{config.name}")
+    return dict(zip(benchmarks, results))
 
 
 def speedup_table(

@@ -22,6 +22,10 @@ second time performs zero new simulations:
   serial, the sweep journal behind ``--resume`` and seeded chaos hooks
   (:mod:`repro.resilience`).
 
+A batch served wholly from the caches calls none of the process pool,
+the telemetry stream or the simulator, so this module imports them on
+first use: a warm ``repro reproduce`` never loads them.
+
 The mirror with the paper is deliberate: FgNVM's Backgrounded Writes
 let reads proceed under a stalled long write; this engine lets a sweep
 proceed under a stalled worker.
@@ -38,11 +42,17 @@ import os
 import pickle
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..config.params import SystemConfig
 from ..errors import (
@@ -63,7 +73,6 @@ from ..obs.events import (
     Probe,
 )
 from ..obs.manifest import JobRecord, RunManifest
-from ..obs.stream import activate, active_channel, init_worker, streamed_simulate
 from ..resilience.faults import (
     CORRUPT,
     DISK_FULL,
@@ -88,12 +97,22 @@ from ..workloads.packed import (
 )
 from ..workloads.spec_profiles import get_profile
 from ..workloads.tracegen import generate_packed_trace
-from .simulator import SimResult, simulate
+from .result import SimResult
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Bumped whenever a change to the simulator/bank models alters results;
 #: part of every cache key so a stale cache can never satisfy a job that
 #: newer code would simulate differently.
 CODE_VERSION = "fgnvm-sim-2"
+
+#: Bumped whenever the bytes of a result blob change while what is
+#: simulated does not (e.g. :class:`SimResult` moved module, which
+#: changes the path its pickles name).  Part of every cache key, so old
+#: and new blobs never read each other: an old blob is a plain miss,
+#: not a corrupt blob.
+RESULT_FORMAT = 2
 
 #: Broken or hung pools an engine tolerates before it runs every later
 #: batch serially in-process.
@@ -177,14 +196,15 @@ def job_key(
     """Content-addressed cache key for one job.
 
     Stable across processes and Python versions (no ``hash()``
-    randomisation), and distinct whenever the config, trace parameters
-    or code version differ.  ``canonical`` is
+    randomisation), and distinct whenever the config, trace parameters,
+    code version or :data:`RESULT_FORMAT` differ.  ``canonical`` is
     ``canonical_config(job.config)`` when the caller already has it.
     """
     if canonical is None:
         canonical = canonical_config(job.config)
     payload = json.dumps(
         {
+            "blob": RESULT_FORMAT,
             "code": code_version,
             "config": canonical,
             "benchmark": job.benchmark,
@@ -214,6 +234,9 @@ def execute_job(job: ExperimentJob) -> SimResult:
     the (profile, seed) pair, all bit-identical — and the simulator
     itself is seed-free.
     """
+    from ..obs.stream import active_channel, streamed_simulate
+    from .simulator import simulate
+
     trace = resolve_trace(_job_profile(job), job.requests)
     channel = active_channel()
     if channel is not None:
@@ -254,7 +277,24 @@ def _pool_worker_init(
     """
     install_trace_sources(shared=trace_refs)
     if raw_queue is not None:
+        from ..obs.stream import init_worker
+
         init_worker(raw_queue, capacity)
+
+
+def _new_pool(**kwargs) -> ProcessPoolExecutor:
+    """A ``ProcessPoolExecutor`` (the one place the engine builds one).
+
+    The pool modules load with the first pool.  Workers are forked, so
+    what they run -- the simulator and the telemetry stream -- is loaded
+    here first: each worker inherits it instead of importing it anew.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    from ..obs import stream  # noqa: F401
+    from . import simulator  # noqa: F401
+
+    return ProcessPoolExecutor(**kwargs)
 
 
 # -- shared-memory segment lifetime ------------------------------------------
@@ -654,6 +694,8 @@ class ParallelExperimentEngine:
             # Activate the hub's channel in this process so serial and
             # degraded-to-serial execution stream exactly like pooled
             # workers; restored (to None, normally) in the finally.
+            from ..obs.stream import activate
+
             channel = self.telemetry.start(pooled=self.workers > 1)
             previous_channel = activate(channel)
 
@@ -778,21 +820,34 @@ class ParallelExperimentEngine:
             except Exception as exc:
                 self._retry_or_raise(idx, pending[idx], attempts, queue, exc)
 
-        pool: Optional[ProcessPoolExecutor] = None
         if pooled:
             pool = self._make_pool(n)
             if pool is None:
                 self._degrade("platform refused a process pool")
-        try:
-            inflight: "Dict[object, tuple[int, float]]" = {}
-            while queue or inflight:
-                if pool is None:
-                    # Degraded (or serial-by-construction): drain the
-                    # queue in-process, faults softened accordingly.
-                    while queue:
-                        run_one_serial(queue.popleft())
-                    break
+            else:
+                self._run_pooled(pool, pending, attempts, queue, on_success)
+        # Serial by construction, or degraded: drain what is left
+        # in-process, faults softened accordingly.
+        while queue:
+            run_one_serial(queue.popleft())
 
+    def _run_pooled(
+        self,
+        pool: ProcessPoolExecutor,
+        pending: List[ExperimentJob],
+        attempts: List[int],
+        queue: "deque[int]",
+        on_success: Callable[[int, SimResult, float], None],
+    ) -> None:
+        """Run the queue on ``pool`` until it is empty or the engine
+        degrades; a degraded engine leaves the rest of the queue for
+        the in-process drain."""
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
+        inflight: "Dict[object, tuple[int, float]]" = {}
+        try:
+            while pool is not None and (queue or inflight):
                 # Keep at most `workers` jobs in flight so a submitted
                 # job starts immediately and its wall clock is honest.
                 broken = False
@@ -1195,7 +1250,7 @@ class ParallelExperimentEngine:
             raw_queue = channel.queue
             capacity = channel.capacity
         try:
-            return ProcessPoolExecutor(
+            return _new_pool(
                 max_workers=min(self.workers, n_tasks),
                 initializer=_pool_worker_init,
                 initargs=(self._shared_refs, raw_queue, capacity),

@@ -20,51 +20,20 @@ is in flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..config.params import SystemConfig
 from ..config.validate import validate_config
-from ..core.energy import (
-    EnergyBreakdown,
-    measure_energy,
-    measure_perfect_energy,
-)
+from ..core.energy import measure_energy, measure_perfect_energy
 from ..cpu.trace_cpu import TraceCpu
 from ..errors import SimulationError
 from ..memsys.controller import ANY_READ
 from ..memsys.stats import StatsCollector
 from ..obs.events import EV_RUN_END, NULL_PROBE, Event, Probe
 from ..workloads.packed import PackedTrace
-from .epochs import EpochRecorder, EpochSample
+from .epochs import EpochRecorder
+from .result import SimResult
 from .system import MemorySystem
-
-
-@dataclass
-class SimResult:
-    """Everything one simulation produced."""
-
-    config: SystemConfig
-    stats: StatsCollector
-    energy: EnergyBreakdown
-    perfect_energy: EnergyBreakdown
-    ipc: float
-    cycles: int
-    instructions: int
-    #: Per-epoch counter deltas when sim.epoch_cycles is set.
-    epochs: "list[EpochSample] | None" = None
-
-    def summary(self) -> dict:
-        """Flat dict for reports (EXPERIMENTS.md rows)."""
-        data = {
-            "config": self.config.name,
-            "ipc": round(self.ipc, 4),
-        }
-        data.update(self.stats.as_dict())
-        data.update(
-            {f"energy_{k}": v for k, v in self.energy.as_dict().items()}
-        )
-        return data
 
 
 class Simulator:

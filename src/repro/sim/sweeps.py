@@ -25,9 +25,9 @@ from typing import Dict, List, Optional, Sequence
 from ..config.params import SystemConfig, override_nested
 from ..config.validate import validate_config
 from ..errors import ExperimentError
-from .experiment import default_engine, prefetch_jobs
+from .experiment import default_engine, run_grid
 from .reporting import series_table
-from .simulator import SimResult
+from .result import SimResult
 
 
 @dataclass
@@ -100,14 +100,13 @@ def parameter_sweep(
     default: a fresh serial one) routes the sweep points through its
     pool and result cache.
     """
-    engine = default_engine(engine)
-    sweep = SweepResult(path=path, benchmark=benchmark, values=list(values))
+    values = list(values)
     configs = swept_configs(base, path, values)
-    prefetch_jobs(engine, [(cfg, benchmark, requests) for cfg in configs],
-                  label=f"sweep:{path}")
-    sweep.results.extend(engine.run(cfg, benchmark, requests)
-                         for cfg in configs)
-    return sweep
+    results = run_grid(default_engine(engine),
+                       [(cfg, benchmark, requests) for cfg in configs],
+                       label=f"sweep:{path}")
+    return SweepResult(path=path, benchmark=benchmark, values=values,
+                       results=results)
 
 
 def render_sweep(sweep: SweepResult) -> str:

@@ -29,7 +29,7 @@ def test_warm_reproduction_forks_no_pool(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a warm reproduction forked a process pool")
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(parallel, "_new_pool", no_pool)
     engine = ParallelExperimentEngine(workers=2, cache_dir=cache)
     reproduce_all(tmp_path / "warm", REQUESTS, BENCHMARKS, engine=engine)
 

@@ -1,6 +1,9 @@
 """Run manifests: schema, serialization, and utilization math."""
 
 import json
+import platform
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +30,26 @@ class TestManifest:
         assert manifest.host
         assert manifest.python
         assert "T" in manifest.created_utc
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux")
+        or platform.libc_ver()[0] != "glibc",
+        reason="the stamp equals platform.platform() on Linux/glibc",
+    )
+    def test_platform_stamp_forks_nothing(self, monkeypatch):
+        """``platform.platform()`` forks ``uname -p`` on Linux; the
+        manifest's stamp says the same without a subprocess."""
+        def no_fork(*args, **kwargs):
+            raise AssertionError("the platform stamp started a subprocess")
+
+        with monkeypatch.context() as patch:
+            # Forget what platform() cached earlier in this process, so
+            # a stamp that calls it would fork here.
+            patch.setattr(platform, "_platform_cache", {}, raising=False)
+            patch.setattr(platform, "_uname_cache", None, raising=False)
+            patch.setattr(subprocess, "Popen", no_fork)
+            manifest = RunManifest(code_version="x")
+        assert manifest.platform == platform.platform()
 
     def test_worker_utilization(self):
         manifest = RunManifest(

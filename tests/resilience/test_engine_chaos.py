@@ -174,7 +174,7 @@ class TestPooledChaos:
         def no_pool(*args, **kwargs):
             raise AssertionError("a degraded engine built a process pool")
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(parallel, "_new_pool", no_pool)
         engine.plan = None
         later = jobs(4, first_seed=4)
         got = [r.summary() for r in engine.run_jobs(later)]

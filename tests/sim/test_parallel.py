@@ -1,5 +1,7 @@
 """Unit tests for the parallel experiment engine and its caches."""
 
+import hashlib
+import json
 import pickle
 
 import pytest
@@ -8,10 +10,12 @@ from repro.config import baseline_nvm, fgnvm
 from repro.errors import ExperimentError
 from repro.sim import parallel
 from repro.sim.experiment import run_benchmark
+from repro.sim.result import SimResult
 from repro.sim.parallel import (
     BLOB_MAGIC,
     CODE_VERSION,
     QUARANTINE_DIR,
+    RESULT_FORMAT,
     DiskResultCache,
     ExperimentJob,
     ParallelExperimentEngine,
@@ -38,6 +42,18 @@ def job(benchmark="sphinx3", requests=REQUESTS, seed=None, config=None):
         requests,
         seed,
     )
+
+
+def format_1_key(job):
+    """``job_key`` as it was before :data:`RESULT_FORMAT` joined the key,
+    when result blobs pickled ``repro.sim.simulator.SimResult``."""
+    payload = json.dumps(
+        {"code": CODE_VERSION, "config": canonical_config(job.config),
+         "benchmark": job.benchmark, "requests": job.requests,
+         "seed": job.seed},
+        sort_keys=True, separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class TestKeys:
@@ -69,13 +85,27 @@ class TestKeys:
         )
 
     def test_key_bytes_are_pinned(self):
-        """Existing caches stay valid: the key of a fixed job never moves."""
+        """Existing caches stay valid: the key of a fixed job moves only
+        with CODE_VERSION or RESULT_FORMAT (format 2: SimResult moved to
+        repro.sim.result)."""
         assert job_key(ExperimentJob(fgnvm(8, 2), "mcf", 2500)) == (
-            "72510da174b612a9babe6d64a1fa286cad449c1b3118333efd011e734f284f00"
+            "0e480ee5ad63cc691100758d5b90852d5e04711327206940a22c69fc3e9cdb8e"
         )
         assert config_digest(fgnvm(8, 2)) == (
             "5e0eadd19ae5665e2be0bc980fd886fb633446cdb50743cd438017f584536c0a"
         )
+
+    def test_format_1_key_is_the_previous_pin(self):
+        assert format_1_key(ExperimentJob(fgnvm(8, 2), "mcf", 2500)) == (
+            "72510da174b612a9babe6d64a1fa286cad449c1b3118333efd011e734f284f00"
+        )
+
+    def test_key_moves_with_result_format_alone(self, monkeypatch):
+        before = job_key(job())
+        monkeypatch.setattr(parallel, "RESULT_FORMAT", RESULT_FORMAT + 1)
+        assert parallel.CODE_VERSION == CODE_VERSION
+        assert job_key(job()) != before
+        assert job_key(job(), code_version=CODE_VERSION) != before
 
     def test_precomputed_canonical_gives_the_same_key(self):
         cfg = small(fgnvm(4, 4))
@@ -271,6 +301,30 @@ class TestEngineDisk:
         bumped.run(cfg, "sphinx3", REQUESTS)
         assert bumped.stats.executed == 1
         assert bumped.stats.disk_hits == 0
+
+    def test_format_1_blob_is_a_miss_not_a_corrupt_blob(self, tmp_path,
+                                                        monkeypatch):
+        """A blob from before the move of SimResult, at its old key and
+        naming ``repro.sim.simulator.SimResult``, is simply re-simulated."""
+        old = job()
+        with monkeypatch.context() as patch:
+            patch.setattr(SimResult, "__module__", "repro.sim.simulator")
+            DiskResultCache(tmp_path).put(format_1_key(old),
+                                          execute_job(old))
+        blob = next(tmp_path.glob("*/*.pkl"))
+        assert blob.stem == format_1_key(old)
+        assert b"repro.sim.simulator" in blob.read_bytes()
+
+        engine = ParallelExperimentEngine(workers=1, cache_dir=tmp_path)
+        result = engine.run_jobs([job()])[0]
+        assert type(result) is SimResult
+        assert engine.stats.executed == 1
+        assert engine.stats.disk_hits == 0
+        assert engine.stats.corrupt_blobs == 0
+        assert not (tmp_path / QUARANTINE_DIR).exists() or not any(
+            (tmp_path / QUARANTINE_DIR).iterdir()
+        )
+        assert blob.exists()
 
     def test_cached_result_pickle_round_trips_summary(self, tmp_path):
         result = execute_job(job())

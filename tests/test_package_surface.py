@@ -92,6 +92,44 @@ def test_trace_replay_path_loads_no_engine():
     assert engine == []
 
 
+#: Modules a warm ``repro reproduce`` must not load: the simulator, the
+#: CPU and controller models, the telemetry stream and the process pool.
+#: An all-hit run calls none of them.
+NOT_LOADED_BY_WARM_REPRODUCE = (
+    "repro.sim.simulator", "repro.sim.system", "repro.cpu",
+    "repro.memsys.controller", "repro.obs.stream",
+    "concurrent.futures", "multiprocessing.pool",
+)
+
+
+@pytest.mark.timeout(300)
+def test_warm_reproduce_loads_no_simulator_or_pool(tmp_path, capsys):
+    from repro import cli
+
+    argv = ["reproduce", "--requests", "300", "--benchmarks", "mcf",
+            "--cache-dir", str(tmp_path / "cache")]
+    assert cli.main(argv + ["--workers", "1",
+                            "--out", str(tmp_path / "cold")]) == 0
+    capsys.readouterr()
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    warm = argv + ["--workers", "2", "--out", str(tmp_path / "warm")]
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; code = repro.cli.main(sys.argv[1:]); "
+         "print(*sorted(sys.modules)); sys.exit(code)", *warm],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "engine: 0 simulation(s)" in run.stderr
+    loaded = run.stdout.splitlines()[-1].split()
+    assert "repro.sim.parallel" in loaded
+    unwanted = [m for m in loaded
+                if m.startswith(NOT_LOADED_BY_WARM_REPRODUCE)]
+    assert unwanted == []
+
+
 def test_top_level_all_resolves():
     for symbol in repro.__all__:
         assert hasattr(repro, symbol)
