@@ -9,6 +9,7 @@ underfetch rate climbs.
 """
 
 from repro.config import baseline_nvm, fgnvm
+from repro.sim.experiment import run_cells
 from repro.sim.reporting import series_table
 
 from conftest import publish
@@ -18,11 +19,15 @@ BENCHES = ("mcf", "libquantum")
 
 
 def run_sweep(requests, engine):
+    configs = {"baseline": baseline_nvm()}
+    configs.update({f"8x{cds}": fgnvm(8, cds) for cds in CD_COUNTS})
+    runs = run_cells(engine, configs, BENCHES, requests,
+                     label="ablation_cd_sweep")
     rows = {}
     for bench in BENCHES:
-        base = engine.run(baseline_nvm(), bench, requests)
+        base = runs[bench, "baseline"]
         for cds in CD_COUNTS:
-            run = engine.run(fgnvm(8, cds), bench, requests)
+            run = runs[bench, f"8x{cds}"]
             rows[f"{bench}-8x{cds}"] = {
                 "speedup": run.ipc / base.ipc,
                 "underfetch_rate": run.stats.underfetch_rate,

@@ -8,6 +8,7 @@ not the buses, are the binding resource past a few lanes).
 """
 
 from repro.config import baseline_nvm, fgnvm, fgnvm_multi_issue
+from repro.sim.experiment import run_cells
 from repro.sim.reporting import series_table
 
 from conftest import publish
@@ -25,11 +26,15 @@ def config_for(width):
 
 
 def run_sweep(requests, engine):
+    configs = {"baseline": baseline_nvm()}
+    configs.update({f"w{width}": config_for(width) for width in WIDTHS})
+    runs = run_cells(engine, configs, BENCHES, requests,
+                     label="ablation_multi_issue")
     rows = {}
     for bench in BENCHES:
-        base = engine.run(baseline_nvm(), bench, requests)
+        base = runs[bench, "baseline"]
         for width in WIDTHS:
-            run = engine.run(config_for(width), bench, requests)
+            run = runs[bench, f"w{width}"]
             rows[f"{bench}-w{width}"] = {
                 "speedup": run.ipc / base.ipc,
                 "avg_read_latency": run.stats.avg_read_latency,

@@ -25,8 +25,8 @@ __getattr__, __dir__, __all__ = attach(__name__, {
         "sparkline",
     ),
     "multicore": (
-        "MultiCoreResult", "MultiCoreSimulator", "isolate_address_spaces",
-        "run_mix", "weighted_speedup_study",
+        "MultiCoreResult", "isolate_address_spaces", "run_mix",
+        "weighted_speedup_study",
     ),
     "report": ("full_report",),
     "result": ("SimResult",),

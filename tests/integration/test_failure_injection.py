@@ -120,4 +120,4 @@ class TestSimulationGuards:
         cfg.org.rows_per_bank = 256
         simulator = Simulator(cfg, stream_kernel(5, gap=5))
         with pytest.raises(ValueError):
-            simulator.cpu.on_read_completed(3)
+            simulator.cpus[0].on_read_completed(3)

@@ -129,7 +129,7 @@ class TestOneInstrumentationSeam:
                            on_epoch=samples.append)
         sim = Simulator(cfg, generate_trace(get_profile("mcf"), 200),
                         probe=probe)
-        assert sim.probe is probe and sim.cpu.probe is probe
+        assert sim.probe is probe and sim.cpus[0].probe is probe
         assert len(sim.controller.controllers) == 2
         for controller in sim.controller.controllers:
             assert controller.probe is probe

@@ -181,7 +181,7 @@ class TestNoInSourceHooks:
             assert "profiler" not in inspect.signature(fn).parameters, fn
         sim = Simulator(small_fgnvm(),
                         generate_trace(get_profile("mcf"), 50))
-        parts = [sim, sim.controller, sim.cpu]
+        parts = [sim, sim.controller, *sim.cpus]
         for controller in sim.controller.controllers:
             parts.append(controller)
             parts.extend(controller.banks)

@@ -183,10 +183,12 @@ class TestEventSkipping:
 
 
 def _counted_run(sim, tick_always=False):
-    """Run ``sim``; return (result, visited cycles, CPU ticks)."""
-    counts = {"visits": 1, "ticks": 0}  # cycle 0 needs no clock advance
+    """Run ``sim``; return (result, visited cycles, CPU ticks, visits up
+    to the one whose tick finished the core)."""
+    counts = {"visits": 1, "ticks": 0, "live": 0}  # cycle 0: no advance
     advance = sim._next_cycle
-    tick = sim.cpu.tick
+    cpu = sim.cpus[0]
+    tick = cpu.tick
 
     def counting_advance():
         counts["visits"] += 1
@@ -195,23 +197,26 @@ def _counted_run(sim, tick_always=False):
     def counting_tick(now):
         counts["ticks"] += 1
         tick(now)
+        if cpu.done() and not counts["live"]:
+            counts["live"] = counts["visits"]
 
     sim._next_cycle = counting_advance
-    sim.cpu.tick = counting_tick
+    cpu.tick = counting_tick
     if tick_always:
         sim._idle_skips = lambda: False
     result = sim.run()
-    return result, counts["visits"], counts["ticks"]
+    return result, counts["visits"], counts["ticks"], counts["live"]
 
 
 def assert_idle_skips_change_nothing(config, trace):
-    skipped, visits, ticks = _counted_run(Simulator(config, trace))
-    ticked, dense_visits, dense_ticks = _counted_run(
+    skipped, visits, ticks, _ = _counted_run(Simulator(config, trace))
+    ticked, dense_visits, dense_ticks, live_visits = _counted_run(
         Simulator(config, trace), tick_always=True)
     assert skipped.cycles == ticked.cycles
     assert skipped.stats.as_dict() == ticked.stats.as_dict()
     assert visits == dense_visits
-    assert dense_ticks == dense_visits
+    # Every visit until the core is done; a done core is never ticked.
+    assert dense_ticks == live_visits
     assert ticks <= visits
     return visits, ticks
 
@@ -246,14 +251,15 @@ class TestIdleTicks:
 
     def test_probed_run_ticks_every_visit(self, monkeypatch):
         """``EV_CPU_STALL`` is counted once per visited cycle, so a
-        probe keeps every tick; the per-kind counts are those recorded
-        before idle ticks were skipped, under the default scheduler."""
+        probe keeps every tick until the core is done; the per-kind
+        counts are those recorded before idle ticks were skipped, under
+        the default scheduler."""
         monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
         probe = make_probe(ListSink())
         sim = Simulator(fgnvm(8, 2), generate_trace(get_profile("mcf"), 3000),
                         probe=probe)
-        result, visits, ticks = _counted_run(sim)
-        assert ticks == visits
+        result, _, ticks, live_visits = _counted_run(sim)
+        assert ticks == live_visits
         assert result.cycles == 23015
         kinds = Counter(
             f"{e.kind}:{e.service}" if e.kind == EV_CPU_STALL else e.kind
@@ -266,12 +272,12 @@ class TestIdleTicks:
 
     def test_fractional_retire_budget_ticks_every_visit(self):
         """The budget carry advances once per tick, so a fractional
-        CPU/memory clock ratio keeps every tick."""
+        CPU/memory clock ratio keeps every tick until the core is done."""
         config = small(fgnvm(8, 2))
         config.cpu.clock_ghz = 0.71  # 7.1 instructions per memory cycle
         sim = Simulator(config, generate_trace(get_profile("astar"), 300))
-        _, visits, ticks = _counted_run(sim)
-        assert ticks == visits
+        _, _, ticks, live_visits = _counted_run(sim)
+        assert ticks == live_visits
 
 
 class TestGuards:
