@@ -189,8 +189,11 @@ class FgNvmBank:
                 return SERVICE_WRITE
             return SERVICE_WRITE_MISS
         if len(cds) == 1:
-            # One CD (every preset but the finest grids): no generator.
-            if self._buffered(sag, cds[0], row):
+            # One CD (every preset but the finest grids): the tag test
+            # of :meth:`_buffered`, read inline.
+            cd = cds[0]
+            if (self._sag_buffer[sag][cd] == row if self.per_sag_buffers
+                    else self.buffer_tag[cd] == (sag, row)):
                 return SERVICE_ROW_HIT
         elif all(self._buffered(sag, c, row) for c in cds):
             return SERVICE_ROW_HIT
@@ -229,25 +232,27 @@ class FgNvmBank:
         return constraint if constraint > now else now
 
     def _constraint_at(self, kind: str, sag: int, cds: tuple) -> int:
-        """Now-independent earliest-start bound for a ``kind`` access."""
+        """Now-independent earliest-start bound for a ``kind`` access.
+
+        Reads the grid's release lists directly (``cd_free_at``,
+        ``sag_write_free_at`` and ``sag_free_at``, without the calls).
+        """
+        grid = self.grid
         start = self._last_column + self.timing.tccd
+        cd_until = grid._cd_until
         for cd in cds:
-            cd_free = self.grid.cd_free_at(cd)
-            if cd_free > start:
-                start = cd_free
+            if cd_until[cd] > start:
+                start = cd_until[cd]
         if kind == SERVICE_ROW_HIT:
             return start
+        sag_until = grid._sag_until[sag]
         if kind == SERVICE_UNDERFETCH:
-            write_free = self.grid.sag_write_free_at(sag)
-            if write_free > start:
-                start = write_free
+            if grid._sag_kind[sag] == KIND_WRITE and sag_until > start:
+                start = sag_until
             if self.row_ready[sag] > start:
                 start = self.row_ready[sag]
             return start
-        sag_free = self.grid.sag_free_at(sag)
-        if sag_free > start:
-            start = sag_free
-        return start
+        return sag_until if sag_until > start else start
 
     def stall_blame(self, req: MemRequest) -> Tuple[str, int, str]:
         """(service kind, earliest-start constraint, blame cause).
@@ -385,52 +390,38 @@ class FgNvmBank:
                 self.stats.count_read_under_write()
             bus_start = now + t.tcas_hit
             ready = bus_start + t.tburst
-            self._note(req, kind, now, ready, sag, cds,
-                       overlapping_reads, overlapping_writes)
+            if self.probe.enabled:
+                self._note(req, kind, now, ready, sag, cds,
+                           overlapping_reads, overlapping_writes)
             return IssueResult(kind, bus_start, ready, now)
 
-        if kind == SERVICE_UNDERFETCH:
-            until = now + t.tcas
-            for cd in cds:
-                self.grid.occupy_cd(cd, now, t.tcas, KIND_SENSE)
-                self._latch(sag, cd, dec.row)
-            self.grid.extend_sag(sag, until, KIND_SENSE)
-            self._note(req, kind, now, until, sag, cds,
-                       overlapping_reads, overlapping_writes)
-            self.stats.count_read_issue(kind)
-            self.stats.count_sense(
-                self.sense_bits * len(cds),
-                overlapping_reads,
-                overlapping_writes,
-            )
-            self._note_sense(req, kind, now, until, sag, cds[0],
-                             self.sense_bits * len(cds),
-                             overlapping_reads, overlapping_writes)
-            bus_start = now + t.tcas
-            return IssueResult(kind, bus_start, bus_start + t.tburst, until)
-
-        if kind == SERVICE_ROW_MISS:
-            duration = t.trcd + t.tcas
+        if kind == SERVICE_UNDERFETCH or kind == SERVICE_ROW_MISS:
+            # A sense: an underfetch joins its SAG's open wordline, a
+            # miss first raises a new one (exclusive SAG, tRCD).
+            duration = t.tcas
+            if kind == SERVICE_ROW_MISS:
+                duration += t.trcd
             until = now + duration
             for cd in cds:
                 self.grid.occupy_cd(cd, now, duration, KIND_SENSE)
                 self._latch(sag, cd, dec.row)
-            self.grid.occupy_sag_exclusive(sag, now, duration, KIND_SENSE)
-            self._note(req, kind, now, until, sag, cds,
-                       overlapping_reads, overlapping_writes)
-            self.open_row[sag] = dec.row
-            self.row_ready[sag] = now + t.trcd
+            if kind == SERVICE_UNDERFETCH:
+                self.grid.extend_sag(sag, until, KIND_SENSE)
+            else:
+                self.grid.occupy_sag_exclusive(sag, now, duration,
+                                               KIND_SENSE)
+                self.open_row[sag] = dec.row
+                self.row_ready[sag] = now + t.trcd
+            bits = self.sense_bits * len(cds)
             self.stats.count_read_issue(kind)
-            self.stats.count_sense(
-                self.sense_bits * len(cds),
-                overlapping_reads,
-                overlapping_writes,
-            )
-            self._note_sense(req, kind, now, until, sag, cds[0],
-                             self.sense_bits * len(cds),
-                             overlapping_reads, overlapping_writes)
-            bus_start = now + duration
-            return IssueResult(kind, bus_start, bus_start + t.tburst, until)
+            self.stats.count_sense(bits, overlapping_reads,
+                                   overlapping_writes)
+            if self.probe.enabled:
+                self._note(req, kind, now, until, sag, cds,
+                           overlapping_reads, overlapping_writes)
+                self._note_sense(req, kind, now, until, sag, cds[0], bits,
+                                 overlapping_reads, overlapping_writes)
+            return IssueResult(kind, until, until + t.tburst, until)
 
         # Writes: SERVICE_WRITE (wordline already up) or SERVICE_WRITE_MISS.
         rel = self.reliability
@@ -455,34 +446,33 @@ class FgNvmBank:
             # (write-allocate into the row buffer).
             self._latch(sag, cd, dec.row)
         self.grid.occupy_sag_exclusive(sag, now, duration, KIND_WRITE)
-        self._note(req, kind, now, until, sag, cds,
-                   overlapping_reads, overlapping_writes)
+        noted = self.probe.enabled
+        if noted:
+            self._note(req, kind, now, until, sag, cds,
+                       overlapping_reads, overlapping_writes)
         self.open_row[sag] = dec.row
         if kind == SERVICE_WRITE_MISS:
             self.row_ready[sag] = now + t.trcd
-            if self.sense_on_write_activate:
-                # DRAM-style ACT before the write: the full (unit) row is
-                # sensed even though the data is about to be overwritten.
-                self.stats.count_sense(
-                    self.sense_bits * self.column_divisions, 0, 0
-                )
+            # A DRAM-style ACT before the write senses the full (unit)
+            # row even though the data is about to be overwritten; the
+            # FgNVM activation senses only the CD slice(s) the CSL
+            # registers select for this write.
+            bits = self.sense_bits * (self.column_divisions
+                                      if self.sense_on_write_activate
+                                      else len(cds))
+            self.stats.count_sense(bits, 0, 0)
+            if noted:
                 self._note_sense(req, kind, now, until, sag, cds[0],
-                                 self.sense_bits * self.column_divisions,
-                                 0, 0)
+                                 bits, 0, 0)
+            if self.sense_on_write_activate:
                 for cd in range(self.column_divisions):
                     self._latch(sag, cd, dec.row)
-            else:
-                # FgNVM: the activation senses only the CD slice(s) the
-                # CSL registers select for this write.
-                self.stats.count_sense(self.sense_bits * len(cds), 0, 0)
-                self._note_sense(req, kind, now, until, sag, cds[0],
-                                 self.sense_bits * len(cds), 0, 0)
         # Retry pulses re-drive the full line, so they cost write energy.
         pulsed_bits = self.write_bits * (1 + retries)
         self.stats.count_write_issue(
             pulsed_bits, overlapping_reads + overlapping_writes
         )
-        if self.probe.enabled:
+        if noted:
             self.probe.emit(Event(
                 EV_WRITE_PULSE, now, end=until, req_id=req.req_id,
                 op=req.op.value, service=kind, channel=self.channel,
@@ -515,29 +505,28 @@ class FgNvmBank:
 
         One ``issue`` event per touched CD; ``value`` carries the CD
         offset within the access so consumers can count multi-CD
-        accesses once (offset 0 is the base tile).
+        accesses once (offset 0 is the base tile).  Called only while
+        the probe is enabled, like :meth:`_note_sense`.
         """
-        if self.probe.enabled:
-            for offset, cd in enumerate(cds):
-                self.probe.emit(Event(
-                    EV_ISSUE, start, end=end, req_id=req.req_id,
-                    op=req.op.value, service=kind, channel=self.channel,
-                    bank=self.bank_id, sag=sag, cd=cd,
-                    overlap_reads=overlapping_reads,
-                    overlap_writes=overlapping_writes, value=offset,
-                ))
+        for offset, cd in enumerate(cds):
+            self.probe.emit(Event(
+                EV_ISSUE, start, end=end, req_id=req.req_id,
+                op=req.op.value, service=kind, channel=self.channel,
+                bank=self.bank_id, sag=sag, cd=cd,
+                overlap_reads=overlapping_reads,
+                overlap_writes=overlapping_writes, value=offset,
+            ))
 
     def _note_sense(self, req: MemRequest, kind: str, start: int, end: int,
                     sag: int, cd: int, bits: int, overlapping_reads: int,
                     overlapping_writes: int) -> None:
-        if self.probe.enabled:
-            self.probe.emit(Event(
-                EV_SENSE, start, end=end, req_id=req.req_id,
-                op=req.op.value, service=kind, channel=self.channel,
-                bank=self.bank_id, sag=sag, cd=cd, bits=bits,
-                overlap_reads=overlapping_reads,
-                overlap_writes=overlapping_writes,
-            ))
+        self.probe.emit(Event(
+            EV_SENSE, start, end=end, req_id=req.req_id,
+            op=req.op.value, service=kind, channel=self.channel,
+            bank=self.bank_id, sag=sag, cd=cd, bits=bits,
+            overlap_reads=overlapping_reads,
+            overlap_writes=overlapping_writes,
+        ))
 
     # -- device reliability ----------------------------------------------------
 
@@ -613,12 +602,10 @@ class FgNvmBank:
         cached = self.sched_memo.get(cap)
         if cached is not None:
             return cached
-        grid = self.grid
-        releases = sorted(
-            (grid.cd_free_at(cd) for cd in range(self.column_divisions)
-             if grid.cd_kind(cd) == KIND_WRITE),
-            reverse=True,
-        )
+        releases = [until for until, kind
+                    in zip(self.grid._cd_until, self.grid._cd_kind)
+                    if kind == KIND_WRITE]
+        releases.sort(reverse=True)
         free_at = releases[cap - 1] if len(releases) >= cap else 0
         self.sched_memo[cap] = free_at
         return free_at

@@ -26,11 +26,18 @@ from ..memsys.controller import (  # noqa: F401 (MemoryController: doc type)
     ANY_READ,
     MemoryController,
 )
-from ..memsys.request import MemRequest, OpType
+from ..memsys.request import MemRequest, OpType, RequestState
 from ..memsys.stats import StatsCollector
 from ..obs.events import EV_CPU_STALL, NULL_PROBE, Event, Probe
 from ..workloads.packed import OP_READ, PackedTrace
 from .rob import ReorderBuffer
+
+_COMPLETED = RequestState.COMPLETED
+
+#: :meth:`TraceCpu.waiting_on` for a core that has fetched and retired
+#: its whole trace: it never acts again and, like a queued head's -1,
+#: gives the clock nothing to watch (memory may still drain).
+DONE = -4
 
 
 class TraceCpu:
@@ -71,7 +78,9 @@ class TraceCpu:
         self._cur_is_read = False
         self._cur_address = 0
         self._gap_left = 0
-        self._mshrs_in_use = 0
+        #: MSHRs held by reads in flight: taken at fetch, freed by the
+        #: simulator when the read's data returns.
+        self.mshrs_in_use = 0
         self._mshr_entries = params.mshr_entries
         self._trace_done = False
         self._per_mem_cycle = params.retire_width * params.cpu_cycles_per_mem_cycle(tck_ns)
@@ -106,11 +115,6 @@ class TraceCpu:
     @property
     def trace_done(self) -> bool:
         return self._trace_done
-
-    def done(self) -> bool:
-        """All instructions fetched and retired (memory may still drain)."""
-        rob = self.rob
-        return self._trace_done and rob.fetched == rob.retired
 
     # -- per-cycle operation -----------------------------------------------
 
@@ -168,14 +172,14 @@ class TraceCpu:
                 break
             address = self._cur_address
             if self._cur_is_read:
-                if (self._mshrs_in_use >= self._mshr_entries
+                if (self.mshrs_in_use >= self._mshr_entries
                         or not controller.can_accept(
                             OpType.READ, address, now)):
                     break
                 req = MemRequest(OpType.READ, address, owner=self.owner)
                 controller.enqueue(req, now)
                 rob.loads.append((seq, req))
-                self._mshrs_in_use += 1
+                self.mshrs_in_use += 1
                 self.loads_issued += 1
             else:
                 if not controller.can_accept(OpType.WRITE, address, now):
@@ -193,18 +197,13 @@ class TraceCpu:
         rob.fetched = seq
         return fetched
 
-    def on_read_completed(self, count: int = 1) -> None:
-        """Free MSHRs when read data returns (called by the simulator)."""
-        self._mshrs_in_use -= count
-        if self._mshrs_in_use < 0:
-            raise ValueError("MSHR underflow: completion without issue")
-
     # -- event-skipping support ----------------------------------------------
 
     def waiting_on(self) -> Optional[int]:
         """What must happen before this core can make progress.
 
-        ``None`` when it can act on the very next cycle.  Otherwise
+        ``None`` when it can act on the very next cycle, :data:`DONE`
+        once its whole trace is fetched and retired.  Otherwise
         retirement is blocked on the ROB head's load and the front end
         cannot fetch:
 
@@ -221,15 +220,22 @@ class TraceCpu:
           known from then on.
         """
         rob = self.rob
-        head = rob.blocking_load()
-        if head is None:
+        # The ROB head's load while its data has not returned
+        # (``ReorderBuffer.blocking_load``, read inline).
+        loads = rob.loads
+        if not loads or loads[0][0] != rob.retired:
+            if self._trace_done and rob.fetched == rob.retired:
+                return DONE
+            return None
+        head = loads[0][1]
+        if head.state is _COMPLETED:
             return None
         if (self._have_current
                 and rob.fetched - rob.retired < rob.capacity):
             if self._gap_left > 0:
                 return None  # can still fetch plain instructions
             if self._cur_is_read:
-                if self._mshrs_in_use >= self._mshr_entries:
+                if self.mshrs_in_use >= self._mshr_entries:
                     return ANY_READ
                 op = OpType.READ
             else:

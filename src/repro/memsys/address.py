@@ -90,11 +90,6 @@ class AddressMapper:
             for value in (field.shift, field.mask)
         )
         self._many_banks = org.architecture is BankArchitecture.MANY_BANKS
-        #: Decode memo keyed on the raw (pre-wrap) address.  Traces
-        #: rarely repeat a line, so on one channel it seldom hits (only
-        #: ``enqueue`` decodes); it serves the multi-channel routing
-        #: polls, which decode the same address until it is admitted.
-        self._decode_cache: "dict[int, DecodedAddress]" = {}
 
     @property
     def capacity_bytes(self) -> int:
@@ -107,12 +102,8 @@ class AddressMapper:
         Addresses beyond the configured capacity wrap (synthetic traces may
         roam a larger nominal footprint than the simulated device).
         """
-        cached = self._decode_cache.get(address)
-        if cached is not None:
-            return cached
         if address < 0:
             raise AddressError(f"negative address: {address}")
-        raw = address
         address &= self._wrap_mask
         (row_shift, row_mask, col_shift, col_mask, bank_shift, bank_mask,
          rank_shift, rank_mask, channel_shift, channel_mask) = self._layout
@@ -144,12 +135,10 @@ class AddressMapper:
                 + sag * self.org.column_divisions
                 + cd
             )
-        decoded = DecodedAddress(
+        return DecodedAddress(
             (address >> channel_shift) & channel_mask,
             rank, bank, row, col, sag, cd, flat_bank,
         )
-        self._decode_cache[raw] = decoded
-        return decoded
 
     def encode(
         self,

@@ -46,8 +46,11 @@ from .bus import CommandBus, DataBus
 from .policies import resolve_scheduler
 from .queues import TransactionQueue, WriteQueue
 from .request import MemRequest, OpType, memo_key
-from .scheduler import Candidate
+from .scheduler import Candidate, SchedulingPolicy
 from .stats import StatsCollector
+
+#: The feedback hook every policy but the stateful ones leaves a no-op.
+_NO_FEEDBACK = SchedulingPolicy.note_issued
 
 #: Quiet-cycle sentinel: "no issuable work until something enqueues".
 _FAR_FUTURE = 1 << 62
@@ -287,7 +290,8 @@ class MemoryController:
             _, _, req = heapq.heappop(completions)
             req.mark_completed()
             if req.is_read:
-                read_latencies.append(req.latency)
+                read_latencies.append(req.completion_cycle
+                                      - req.arrival_cycle)
                 # The popped read is the earliest one left.
                 heapq.heappop(self._read_completions)
             if self.probe.enabled:
@@ -454,8 +458,10 @@ class MemoryController:
         result = bank.issue(req, now)
         # Stateful policies (RBLA) learn from what actually issued; a
         # fast policy and its forced oracle receive the identical
-        # feedback stream.
-        self.scheduler.note_issued(req, bank, result.kind)
+        # feedback stream.  The live scheduler is asked (tests swap it).
+        scheduler = self.scheduler
+        if type(scheduler).note_issued is not _NO_FEEDBACK:
+            scheduler.note_issued(req, bank, result.kind)
         if req.is_read:
             bus_start = self.data_bus.reserve(result.bus_desired_start)
             completion = bus_start + self.timing.tburst
@@ -597,17 +603,19 @@ class MemoryController:
         """
         bank_raw = self._bank_raw
         bank_min = self._bank_min
-        reads = self.read_queue.by_bank()
-        writes = self.write_queue.by_bank()
+        reads = self.read_queue._by_bank
+        writes = self.write_queue._by_bank
         cap = self._write_cap
         for flat_bank in self._dirty_banks:
             bank = self.banks[flat_bank]
-            raw = held = _min_constraint(bank, writes.get(flat_bank, ()))
+            group = writes.get(flat_bank)
+            raw = held = _min_constraint(bank, group) if group else None
             if held is not None and cap is not None:
                 free_at = bank.write_cap_free_at(cap)
                 if free_at > held:
                     held = free_at
-            read_min = _min_constraint(bank, reads.get(flat_bank, ()))
+            group = reads.get(flat_bank)
+            read_min = _min_constraint(bank, group) if group else None
             if read_min is not None:
                 if raw is None or read_min < raw:
                     raw = read_min

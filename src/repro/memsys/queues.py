@@ -10,6 +10,7 @@ Read requests that match a queued write are served from the write queue
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional
 
 from ..errors import QueueFullError
@@ -58,7 +59,10 @@ class TransactionQueue:
             )
         req.mark_queued(cycle)
         self._entries.append(req)
-        bank = self._bank_key(req)
+        # Undecoded requests (unit tests pushing raw MemRequests) group
+        # under a sentinel bank; the controller always decodes first.
+        dec = req.decoded
+        bank = dec.flat_bank if dec is not None else -1
         group = self._by_bank.get(bank)
         if group is None:
             self._by_bank[bank] = [req]
@@ -67,7 +71,8 @@ class TransactionQueue:
 
     def remove(self, req: MemRequest) -> None:
         self._entries.remove(req)
-        bank = self._bank_key(req)
+        dec = req.decoded
+        bank = dec.flat_bank if dec is not None else -1
         group = self._by_bank[bank]
         group.remove(req)
         if not group:
@@ -80,12 +85,6 @@ class TransactionQueue:
         mutate it (and must not push/remove while iterating it).
         """
         return self._by_bank
-
-    @staticmethod
-    def _bank_key(req: MemRequest) -> int:
-        # Undecoded requests (unit tests pushing raw MemRequests) group
-        # under a sentinel bank; the controller always decodes first.
-        return req.decoded.flat_bank if req.decoded is not None else -1
 
     def oldest(self) -> Optional[MemRequest]:
         return self._entries[0] if self._entries else None
@@ -113,11 +112,13 @@ class WriteQueue(TransactionQueue):
 
     def push(self, req: MemRequest, cycle: int) -> None:
         super().push(req, cycle)
+        self.__dict__.pop("draining", None)
         self._by_address[req.address] = self._by_address.get(
             req.address, 0) + 1
 
     def remove(self, req: MemRequest) -> None:
         super().remove(req)
+        self.__dict__.pop("draining", None)
         left = self._by_address.pop(req.address) - 1
         if left:
             self._by_address[req.address] = left
@@ -126,13 +127,19 @@ class WriteQueue(TransactionQueue):
         """True when a queued write can service a read to ``address``."""
         return address in self._by_address
 
-    @property
+    @cached_property
     def draining(self) -> bool:
         """Whether the controller is currently in write-drain mode.
 
         Hysteresis: drain starts at/above the high watermark and stops
         once occupancy falls below the low watermark.  A forced drain
-        (:meth:`force_drain`) persists until the queue empties.
+        (:meth:`force_drain`) persists until the queue empties.  Between
+        two reads with no push, remove or forced drain in between the
+        hysteresis cannot move, so its answer is kept (a plain attribute
+        read) until one of those drops it.  It is not updated inside
+        them instead: the rule is evaluated where it is read, so a
+        remove below the low watermark and a push back before the next
+        read do not end a drain.
         """
         depth = len(self._entries)
         if self._forced:
@@ -150,6 +157,7 @@ class WriteQueue(TransactionQueue):
     def force_drain(self) -> None:
         """Enter drain mode regardless of occupancy (end-of-sim flush)."""
         self._forced = True
+        self.__dict__.pop("draining", None)
 
 
 def oldest_first(requests: Iterable[MemRequest]) -> List[MemRequest]:

@@ -26,7 +26,7 @@ from typing import List, Optional
 from ..config.params import SystemConfig
 from ..config.validate import validate_config
 from ..core.energy import measure_energy, measure_perfect_energy
-from ..cpu.trace_cpu import TraceCpu
+from ..cpu.trace_cpu import DONE, TraceCpu
 from ..errors import SimulationError
 from ..memsys.controller import ANY_COMPLETION, ANY_READ
 from ..memsys.stats import StatsCollector
@@ -35,10 +35,6 @@ from ..workloads.packed import PackedTrace
 from .epochs import EpochRecorder
 from .result import SimResult
 from .system import MemorySystem
-
-#: The wait kept for a done core: not ``None`` (it never acts again)
-#: and, like a queued head's -1, nothing for the clock to watch.
-_DONE = -4
 
 
 class Simulator:
@@ -67,7 +63,7 @@ class Simulator:
         ]
         self.now = 0
         #: Each core's ``waiting_on()`` answer by owner, asked after its
-        #: tick and kept across the visits that skip one (or ``_DONE``).
+        #: tick and kept across the visits that skip one (or ``DONE``).
         self._waits: List[Optional[int]] = [None] * len(traces)
         #: The cores not yet done; a done core is never ticked again.
         self._active = list(self.cpus)
@@ -105,8 +101,13 @@ class Simulator:
                 epochs.observe_gap(now, controller.pending)
             for req in controller.tick(now):
                 if req.is_read:
+                    # The read's data frees its core's MSHR.
                     owner = req.owner
-                    cpus[owner].on_read_completed(1)
+                    cpu = cpus[owner]
+                    cpu.mshrs_in_use -= 1
+                    if cpu.mshrs_in_use < 0:
+                        raise ValueError(
+                            "MSHR underflow: completion without issue")
                     if waits[owner] == ANY_READ:
                         waits[owner] = now  # an MSHR is free: tick it
             # A waiting core's tick is a no-op until its head load can
@@ -126,14 +127,12 @@ class Simulator:
                 finished = False
                 for cpu in active:
                     if waits[cpu.owner] is None:
-                        if cpu.done():
-                            waits[cpu.owner] = _DONE
+                        wait = waits[cpu.owner] = cpu.waiting_on()
+                        if wait == DONE:
                             finished = True
-                        else:
-                            waits[cpu.owner] = cpu.waiting_on()
                 if finished:
                     active = self._active = [
-                        cpu for cpu in active if waits[cpu.owner] != _DONE]
+                        cpu for cpu in active if waits[cpu.owner] != DONE]
             if epochs is not None and now >= epochs.next_boundary:
                 # A boundary landing on a simulated cycle samples after
                 # that cycle's tick, exactly like the unskipped loop.

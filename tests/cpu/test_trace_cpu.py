@@ -3,10 +3,11 @@
 import pytest
 
 from repro.config import baseline_nvm
-from repro.cpu.trace_cpu import TraceCpu
+from repro.cpu.trace_cpu import DONE, TraceCpu
 from repro.memsys.controller import ANY_COMPLETION, ANY_READ, MemoryController
-from repro.memsys.request import OpType
+from repro.memsys.request import MemRequest, OpType
 from repro.memsys.stats import StatsCollector
+from repro.sim.simulator import Simulator
 from repro.workloads.packed import PackedTrace
 from repro.workloads.record import TraceRecord
 
@@ -25,11 +26,10 @@ def run(cpu, controller, stats, max_cycles=100_000):
     """Simple coupled loop (the Simulator adds event skipping on top)."""
     for cycle in range(max_cycles):
         done = controller.tick(cycle)
-        reads = sum(1 for r in done if r.is_read)
-        if reads:
-            cpu.on_read_completed(reads)
+        # Each read's data frees an MSHR, as in the Simulator.
+        cpu.mshrs_in_use -= sum(1 for r in done if r.is_read)
         cpu.tick(cycle)
-        if cpu.done():
+        if cpu.waiting_on() == DONE:
             controller.begin_flush()
             if not controller.busy():
                 stats.cycles = cycle + 1
@@ -105,9 +105,9 @@ class TestProgressQueries:
     def test_done_lifecycle(self):
         trace = [TraceRecord(0, OpType.READ, 0x40)]
         cpu, controller, stats, _ = build(trace)
-        assert not cpu.done()
+        assert cpu.waiting_on() != DONE
         run(cpu, controller, stats)
-        assert cpu.done()
+        assert cpu.waiting_on() == DONE
         assert cpu.trace_done
 
     def test_fully_stalled_on_blocked_head(self):
@@ -155,10 +155,18 @@ class TestProgressQueries:
         assert cpu.waiting_on() == ANY_READ
 
     def test_mshr_underflow_detected(self):
-        trace = [TraceRecord(0, OpType.READ, 0x40)]
-        cpu, _, _, _ = build(trace)
-        with pytest.raises(ValueError):
-            cpu.on_read_completed(1)
+        # A read completion before the core issued any read frees an
+        # MSHR no read holds: the run loop refuses it.
+        cfg = baseline_nvm()
+        cfg.org.rows_per_bank = 256
+        sim = Simulator(cfg, PackedTrace.from_records(
+            [TraceRecord(0, OpType.READ, 0x40)]))
+        stray = MemRequest(OpType.READ, 0x80, owner=0)
+        tick = sim.controller.tick
+        sim.controller.tick = lambda now: [stray, *tick(now)]
+        with pytest.raises(ValueError, match="MSHR underflow"):
+            sim.run()
+        assert sim.now == 0
 
 
 class TestTraceType:

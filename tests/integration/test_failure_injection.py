@@ -119,5 +119,11 @@ class TestSimulationGuards:
         cfg = baseline_nvm()
         cfg.org.rows_per_bank = 256
         simulator = Simulator(cfg, stream_kernel(5, gap=5))
-        with pytest.raises(ValueError):
-            simulator.cpus[0].on_read_completed(3)
+        # The memory system reports every read completion twice: the
+        # second copy frees an MSHR that no read holds.
+        memory = simulator.controller
+        tick = memory.tick
+        memory.tick = lambda now: [req for req in tick(now) for _ in "12"]
+        with pytest.raises(ValueError, match="MSHR underflow"):
+            simulator.run()
+        assert simulator.cpus[0].loads_issued > 0

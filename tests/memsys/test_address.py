@@ -100,3 +100,24 @@ class TestManyBanksFolding:
         dec = mapper.decode(mapper.encode(row=70, col=6))
         assert mapper.local_row(dec) == 70 % org.rows_per_sag
         assert mapper.local_col(dec) == 6 % org.columns_per_cd
+
+
+class TestDecodeState:
+    """``decode`` is pure arithmetic: it keeps nothing between calls."""
+
+    def test_mapper_state_does_not_grow_with_the_trace(self):
+        from repro.sim.simulator import Simulator
+        from repro.workloads import generate_packed_trace, get_profile
+
+        def sizes(requests):
+            cfg = fgnvm(4, 4)
+            cfg.org.channels = 2
+            cfg.org.rows_per_bank = 256
+            sim = Simulator(cfg, generate_packed_trace(get_profile("mcf"),
+                                                       requests))
+            sim.run()
+            return {name: len(value) for name, value
+                    in vars(sim.controller.mapper).items()
+                    if isinstance(value, (dict, list, set, tuple))}
+
+        assert sizes(100) == sizes(1000)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.cli import CONFIG_BUILDERS
 from repro.config import baseline_nvm, fgnvm, with_reliability
+from repro.cpu.trace_cpu import DONE
 from repro.errors import ConfigError, SimulationError
 from repro.memsys.policies import apply_policy, policy_names
 from repro.memsys.request import OpType
@@ -197,7 +198,7 @@ def _counted_run(sim, tick_always=False):
     def counting_tick(now):
         counts["ticks"] += 1
         tick(now)
-        if cpu.done() and not counts["live"]:
+        if cpu.waiting_on() == DONE and not counts["live"]:
             counts["live"] = counts["visits"]
 
     sim._next_cycle = counting_advance
