@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..sim.experiment import DEFAULT_REQUESTS, default_engine
+from ..config.presets import figure4_configs, figure5_configs
+from ..sim.experiment import DEFAULT_REQUESTS, default_engine, run_cells
 from ..sim.reporting import ascii_table
-from .figure4 import Figure4Result, run_figure4
-from .figure5 import Figure5Result, run_figure5
+from ..workloads.spec_profiles import benchmark_names
+from .figure4 import Figure4Result, figure4_from_cells
+from .figure5 import Figure5Result, figure5_from_cells
 from .table1 import Table1Result, run_table1
 
 
@@ -75,14 +77,18 @@ def run_headline(
 ) -> HeadlineResult:
     """Run everything the Section 7 summary depends on.
 
-    ``engine`` routes both figures' simulation grids through one
-    :class:`repro.sim.parallel.ParallelExperimentEngine`, so Figure 5
-    reuses Figure 4's baseline runs from the engine's cache.
+    Figures 4 and 5 run as one batch labelled ``headline`` on
+    ``engine`` (a :class:`repro.sim.parallel.ParallelExperimentEngine`):
+    the union of their grids, in which the baseline and the 8x2 FgNVM
+    that both figures use are one job each per benchmark.
     """
-    engine = default_engine(engine)
+    names = benchmarks or benchmark_names()
+    runs = run_cells(default_engine(engine),
+                     {**figure4_configs(), **figure5_configs()},
+                     names, requests, label="headline")
     return HeadlineResult(
-        figure4=run_figure4(benchmarks, requests, engine),
-        figure5=run_figure5(benchmarks, requests, engine),
+        figure4=figure4_from_cells(runs, names, requests),
+        figure5=figure5_from_cells(runs, names, requests),
         table1=run_table1(),
     )
 

@@ -17,7 +17,7 @@ synthetic SPEC-like traces; :func:`render_figure4` prints the same rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..config.presets import figure4_configs
 from ..sim.experiment import (
@@ -28,6 +28,7 @@ from ..sim.experiment import (
     speedup,
 )
 from ..sim.reporting import series_table
+from ..sim.result import SimResult
 from ..workloads.spec_profiles import benchmark_names
 
 #: Series order as shown in the paper's legend.
@@ -71,11 +72,20 @@ def run_figure4(
     speedup table is assembled.
     """
     names = benchmarks or benchmark_names()
-    configs = figure4_configs()
-    runs = run_cells(default_engine(engine), configs, names, requests,
-                     label="figure4")
+    runs = run_cells(default_engine(engine), figure4_configs(), names,
+                     requests, label="figure4")
+    return figure4_from_cells(runs, names, requests)
+
+
+def figure4_from_cells(
+    runs: Dict[Tuple[str, str], SimResult],
+    benchmarks: List[str],
+    requests: int,
+) -> Figure4Result:
+    """Figure 4 from the (benchmark, config label) cells of
+    :func:`~repro.sim.experiment.run_cells`."""
     result = Figure4Result(requests=requests)
-    for bench in names:
+    for bench in benchmarks:
         base = runs[bench, "baseline"]
         result.baseline_ipc[bench] = base.ipc
         result.speedups[bench] = {

@@ -13,11 +13,12 @@ the savings saturate instead of halving with every doubling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..config.presets import figure5_configs
 from ..sim.experiment import DEFAULT_REQUESTS, default_engine, run_cells
 from ..sim.reporting import series_table
+from ..sim.result import SimResult
 from ..workloads.spec_profiles import benchmark_names
 
 #: Series order as shown in the paper's legend.
@@ -60,8 +61,18 @@ def run_figure5(
     names = benchmarks or benchmark_names()
     runs = run_cells(default_engine(engine), figure5_configs(), names,
                      requests, label="figure5")
+    return figure5_from_cells(runs, names, requests)
+
+
+def figure5_from_cells(
+    runs: Dict[Tuple[str, str], SimResult],
+    benchmarks: List[str],
+    requests: int,
+) -> Figure5Result:
+    """Figure 5 from the (benchmark, config label) cells of
+    :func:`~repro.sim.experiment.run_cells`."""
     result = Figure5Result(requests=requests)
-    for bench in names:
+    for bench in benchmarks:
         base = runs[bench, "baseline"]
         base_pj = base.energy.total_pj
         result.baseline_pj[bench] = base_pj

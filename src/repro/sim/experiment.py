@@ -101,11 +101,22 @@ def run_cells(
     """Every (benchmark, config label) cell of a figure grid, one batch.
 
     Jobs are submitted benchmark-major, configs in ``configs`` order.
+    Labels whose configs are equal share one job, so a grid merged from
+    several figures simulates each distinct system once per benchmark.
     """
-    cells = [(bench, name) for bench in benchmarks for name in configs]
-    results = run_grid(engine, [(configs[name], bench, requests)
-                                for bench, name in cells], label=label)
-    return dict(zip(cells, results))
+    distinct: List[SystemConfig] = []
+    for config in configs.values():
+        if config not in distinct:
+            distinct.append(config)
+    column = {name: distinct.index(config)
+              for name, config in configs.items()}
+    results = run_grid(engine, [(config, bench, requests)
+                                for bench in benchmarks
+                                for config in distinct], label=label)
+    return {
+        (bench, name): results[row * len(distinct) + column[name]]
+        for row, bench in enumerate(benchmarks) for name in configs
+    }
 
 
 def speedup(result: SimResult, baseline: SimResult) -> float:

@@ -14,9 +14,10 @@ second time performs zero new simulations:
   cache directory, keyed by :func:`job_key`,
 * :class:`ParallelExperimentEngine` — the one engine every figure,
   sweep and CLI command runs through: ``ProcessPoolExecutor`` fan-out
-  with at most ``workers`` jobs in flight, an in-memory layer above the
-  disk layer, a serial path when ``workers=1`` (or the platform cannot
-  fork a pool), progress/ETA callbacks wired to
+  with one job queued behind each running one, traces staged as the
+  jobs first need them, an in-memory layer above the disk layer, a
+  serial path when ``workers=1`` (or the platform cannot fork a pool),
+  progress/ETA callbacks wired to
   :mod:`repro.sim.reporting`, and the supervision a long sweep needs:
   per-job timeouts, retry with backoff, pool recovery, degradation to
   serial, the sweep journal behind ``--resume`` and seeded chaos hooks
@@ -43,6 +44,7 @@ import pickle
 import time
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -249,33 +251,34 @@ def execute_job(job: ExperimentJob) -> SimResult:
 
 
 def _timed_execute_job(
-    job: ExperimentJob, fault: Optional[FaultSpec]
+    job: ExperimentJob,
+    fault: Optional[FaultSpec],
+    trace_ref: Optional[SharedTraceRef] = None,
 ) -> "tuple[SimResult, float]":
     """Pool-worker entry point: optionally misbehave, then simulate.
 
-    Module-level so it pickles into worker processes.  Returns the
-    result and the simulation's wall time; with ``fault`` None it is the
-    plain timed execution path.
+    Module-level so it pickles into worker processes.  ``trace_ref``
+    locates the job's trace in shared memory (None: the trace resolves
+    from what this process already holds, or is regenerated).  Returns
+    the result and the simulation's wall time; with ``fault`` None it is
+    the plain timed execution path.
     """
     if fault is not None:
         apply_worker_fault(fault)
+    if trace_ref is not None:
+        install_trace_sources(shared=(trace_ref,))
     started = time.monotonic()
     result = execute_job(job)
     return result, time.monotonic() - started
 
 
-def _pool_worker_init(
-    trace_refs: "tuple[SharedTraceRef, ...]",
-    raw_queue=None,
-    capacity: int = 0,
-) -> None:
-    """Pool-worker bootstrap: trace sources plus optional telemetry.
+def _pool_worker_init(raw_queue=None, capacity: int = 0) -> None:
+    """Pool-worker bootstrap: bind the telemetry channel, if any.
 
-    Installs the parent's shared-memory trace references (workers attach
-    lazily on first resolve) and, when a telemetry queue rides along,
-    binds the worker's streaming channel exactly as before.
+    Trace references do not pass through here: each travels with the
+    job that needs it (see :func:`_timed_execute_job`), so a trace the
+    parent stages after the pool started reaches its workers too.
     """
-    install_trace_sources(shared=trace_refs)
     if raw_queue is not None:
         from ..obs.stream import init_worker
 
@@ -335,7 +338,10 @@ class TraceStats:
     set up, not per-worker observations (a worker whose attach fails
     regenerates silently and bit-identically — that degradation shows up
     in :func:`repro.workloads.packed.attach_failures` inside the worker,
-    not here).
+    not here).  Each executed job is counted once, by how it first
+    received its trace: ``shm_attached`` (a pool job carrying a segment
+    reference), ``regenerated_jobs`` (a pool job without one) or
+    ``inproc_jobs`` (run in the parent process).
     """
 
     unique_traces: int = 0
@@ -537,9 +543,10 @@ class ParallelExperimentEngine:
       :func:`repro.sim.reporting.progress_printer`).
     * ``retry`` — :class:`~repro.resilience.retry.RetryPolicy` for
       transient failures (default: 3 attempts, jittered backoff).
-    * ``job_timeout_s`` — per-job wall-clock budget; an overdue pooled
-      job is presumed hung, its pool is killed and rebuilt, and the job
-      retried.  ``None`` (default) disables the watchdog.
+    * ``job_timeout_s`` — per-job wall-clock budget, counted from when
+      a worker takes the job; an overdue pooled job is presumed hung,
+      its pool is killed and rebuilt, and the job retried.  ``None``
+      (default) disables the watchdog.
     * ``fault_plan`` — a :class:`~repro.resilience.faults.FaultPlan` of
       chaos to inject.
     * ``probe`` — :mod:`repro.obs` probe for fault/retry/quarantine
@@ -615,8 +622,11 @@ class ParallelExperimentEngine:
             if store is not None:
                 store.on_corrupt = self._on_corrupt
         self.trace_stats = TraceStats()
-        #: Segment locators handed to pool workers for the current batch.
-        self._shared_refs: "tuple[SharedTraceRef, ...]" = ()
+        #: The current batch's trace staging (see :meth:`_plan_traces`).
+        self._trace_of: List[str] = []
+        self._unstaged: Dict[str, ExperimentJob] = {}
+        self._staged: Dict[str, Optional[SharedTraceRef]] = {}
+        self._dispatched: "set[int]" = set()
         #: Segments this engine created and must unlink at teardown.
         self._segments: List = []
         self._memory: Dict[str, SimResult] = {}
@@ -727,11 +737,9 @@ class ParallelExperimentEngine:
                 pending_keys.append(key)
 
         self._report(len(jobs) - len(pending), len(jobs), started)
-        # Pooled or in-process is decided once per batch: the trace
-        # transport and the supervisor follow the same decision.
         pooled = self.workers > 1 and len(pending) > 1 and not self._degraded
-        self._prepare_traces(pending, pooled)
         try:
+            self._plan_traces(pending)
             self._supervise(pending, pending_keys, results, pooled,
                             len(jobs), started)
         finally:
@@ -808,6 +816,7 @@ class ParallelExperimentEngine:
             self._maybe_interrupt(idx)
 
         def run_one_serial(idx: int) -> None:
+            self._dispatch(idx, export=False)
             fault = (self.plan.worker_fault(idx, attempts[idx])
                      if self.plan is not None else None)
             try:
@@ -827,7 +836,8 @@ class ParallelExperimentEngine:
             else:
                 self._run_pooled(pool, pending, attempts, queue, on_success)
         # Serial by construction, or degraded: drain what is left
-        # in-process, faults softened accordingly.
+        # in-process, faults softened accordingly, staging any trace
+        # the pool had not needed yet.
         while queue:
             run_one_serial(queue.popleft())
 
@@ -841,45 +851,82 @@ class ParallelExperimentEngine:
     ) -> None:
         """Run the queue on ``pool`` until it is empty or the engine
         degrades; a degraded engine leaves the rest of the queue for
-        the in-process drain."""
+        the in-process drain.
+
+        Two jobs per worker are in flight: one running, one queued
+        behind it, so a freed worker starts its next job while the
+        parent persists and journals the finished one.  Each in-flight
+        entry is ``[job index, timeout clock start]``; a queued job's
+        clock is None until a completion frees a worker for it.
+        """
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        inflight: "Dict[object, tuple[int, float]]" = {}
+        def pool_broke(future) -> bool:
+            return isinstance(future.exception(), BrokenProcessPool)
+
+        depth = 2 * self.workers
+        inflight: "Dict[object, list]" = {}
         try:
             while pool is not None and (queue or inflight):
-                # Keep at most `workers` jobs in flight so a submitted
-                # job starts immediately and its wall clock is honest.
                 broken = False
-                while queue and len(inflight) < self.workers:
+                while queue and len(inflight) < depth:
                     idx = queue.popleft()
+                    trace_ref = self._dispatch(idx, export=True)
                     fault = (self.plan.worker_fault(idx, attempts[idx])
                              if self.plan is not None else None)
                     if fault is not None:
                         self._note_fault(fault)
                     try:
                         future = pool.submit(
-                            _timed_execute_job, pending[idx], fault
+                            _timed_execute_job, pending[idx], fault,
+                            trace_ref,
                         )
                     except (BrokenProcessPool, RuntimeError):
                         queue.appendleft(idx)
-                        broken = True
+                        # The pool broke under the jobs in flight: the
+                        # wait below collects and charges them.
+                        broken = not inflight
                         break
-                    inflight[future] = (idx, time.monotonic())
+                    inflight[future] = [idx, None]
                 if broken:
                     pool = self._recover_pool(pool, inflight, queue)
                     continue
+                self._start_clocks(inflight)
+                if self._unstaged:
+                    # The workers are busy: stage the next trace now
+                    # rather than when a job first needs it.
+                    self._stage(next(iter(self._unstaged)), export=True)
 
                 timeout = (None if self.job_timeout_s is None
                            else SUPERVISOR_TICK_S)
                 done, _ = wait(set(inflight), timeout=timeout,
                                return_when=FIRST_COMPLETED)
-                for future in done:
-                    idx, _t0 = inflight.pop(future)
+                if any(map(pool_broke, done)):
+                    # A dead worker fails every future in flight: take
+                    # them all, so the jobs that ran can be told apart
+                    # from those still queued.
+                    done, _ = wait(set(inflight))
+                # Workers take jobs in submission order, one more for
+                # each job that ended without killing its worker: a job
+                # further back than that never ran.
+                ran = self.workers + sum(
+                    not pool_broke(future) for future in done
+                )
+                finished = [(future, n < ran, inflight.pop(future)[0])
+                            for n, future in enumerate(list(inflight))
+                            if future in done]
+                self._start_clocks(inflight)
+                for future, started, idx in finished:
                     try:
                         result, wall_s = future.result()
                     except BrokenProcessPool as exc:
                         broken = True
+                        if not started:
+                            # A broken pool fails every future; this job
+                            # was still queued, so it is not charged.
+                            queue.append(idx)
+                            continue
                         self.rstats.worker_crashes += 1
                         self._retry_or_raise(
                             idx, pending[idx], attempts, queue,
@@ -906,7 +953,7 @@ class ParallelExperimentEngine:
                     hung = [
                         (future, idx) for future, (idx, t0)
                         in inflight.items()
-                        if now - t0 > self.job_timeout_s
+                        if t0 is not None and now - t0 > self.job_timeout_s
                     ]
                     if hung:
                         for future, idx in hung:
@@ -927,6 +974,17 @@ class ParallelExperimentEngine:
         finally:
             if pool is not None:
                 self._shutdown_pool(pool, brutal=False)
+
+    def _start_clocks(self, inflight: "Dict[object, list]") -> None:
+        """Start the timeout clock of every job a worker has taken.
+
+        Workers take jobs in submission order, so the first ``workers``
+        entries in flight are running and the rest are queued.
+        """
+        now = time.monotonic()
+        for entry in islice(inflight.values(), self.workers):
+            if entry[1] is None:
+                entry[1] = now
 
     def _persist(self, key: str, result: SimResult) -> Optional[str]:
         """Write one blob to disk; returns its digest.
@@ -981,7 +1039,7 @@ class ParallelExperimentEngine:
     def _recover_pool(
         self,
         pool: ProcessPoolExecutor,
-        inflight: "Dict[object, tuple[int, float]]",
+        inflight: "Dict[object, list]",
         queue: "deque[int]",
     ) -> Optional[ProcessPoolExecutor]:
         """Replace a broken/hung pool; degrade to serial past the limit."""
@@ -1078,88 +1136,97 @@ class ParallelExperimentEngine:
 
     # -- trace fan-out -------------------------------------------------------
 
-    def _prepare_traces(self, pending: Sequence[ExperimentJob],
-                        pooled: bool) -> None:
-        """Materialise each distinct trace once and stage its transport.
+    def _plan_traces(self, pending: Sequence[ExperimentJob]) -> None:
+        """Note the trace each pending job replays; materialise none yet.
 
-        Every pending job's trace is served from the content-addressed
-        trace cache or generated exactly once here in the parent, then
-        installed in the process-global registry (the in-process path
-        reads it directly) and — when the batch is ``pooled`` —
-        exported into shared-memory segments that workers map
-        zero-copy.  Any shared-memory failure records a fallback reason
-        and leaves workers on the bit-identical regeneration path.
+        ``_unstaged`` holds each distinct trace key once, with the first
+        job that needs it, in the order the batch first needs them.
         """
-        if not pending:
-            return
-        stats = self.trace_stats
-        local: Dict[str, PackedTrace] = {}
+        self._trace_of = []
         for job in pending:
-            profile = _job_profile(job)
-            key = trace_key(profile, job.requests)
-            if key in local:
-                continue
-            packed = self.traces.get(key) if self.traces is not None else None
-            if packed is not None:
-                stats.cache_hits += 1
+            key = trace_key(_job_profile(job), job.requests)
+            self._trace_of.append(key)
+            self._unstaged.setdefault(key, job)
+
+    def _dispatch(self, idx: int, export: bool) -> Optional[SharedTraceRef]:
+        """Stage job ``idx``'s trace; count how the job first receives it.
+
+        ``export`` is set for a pool job and clear for one run in this
+        process.  Returns the segment reference the pool job carries.
+        """
+        trace_ref = self._stage(self._trace_of[idx], export)
+        if idx not in self._dispatched:
+            self._dispatched.add(idx)
+            stats = self.trace_stats
+            if not export:
+                stats.inproc_jobs += 1
+            elif trace_ref is not None:
+                stats.shm_attached += 1
             else:
-                if self.traces is not None:
-                    stats.cache_misses += 1
-                packed = generate_packed_trace(profile, job.requests)
-                stats.generated += 1
-                if self.traces is not None:
-                    self.traces.put(key, packed)
-            local[key] = packed
-        stats.unique_traces += len(local)
-        stats.packed_bytes += sum(p.column_bytes for p in local.values())
-        install_trace_sources(local=local)
-        self._shared_refs = ()
-        if pooled:
-            self._shared_refs = self._export_segments(local)
-            if self._shared_refs:
-                stats.shm_attached += len(pending)
-            else:
-                stats.regenerated_jobs += len(pending)
+                stats.regenerated_jobs += 1
+        return trace_ref
+
+    def _stage(self, key: str, export: bool) -> Optional[SharedTraceRef]:
+        """Materialise one trace of the batch, once.
+
+        The trace is served from the content-addressed trace cache or
+        generated exactly once here in the parent, then installed in
+        the process-global registry (the in-process paths read it
+        there) and, with ``export``, written into a shared-memory
+        segment that pool workers map zero-copy.  Returns the segment's
+        reference, or None when the trace has no segment: pool workers
+        then regenerate it bit-identically.
+        """
+        if key in self._staged:
+            return self._staged[key]
+        job = self._unstaged.pop(key)
+        stats = self.trace_stats
+        packed = self.traces.get(key) if self.traces is not None else None
+        if packed is not None:
+            stats.cache_hits += 1
         else:
-            stats.inproc_jobs += len(pending)
+            if self.traces is not None:
+                stats.cache_misses += 1
+            packed = generate_packed_trace(_job_profile(job), job.requests)
+            stats.generated += 1
+            if self.traces is not None:
+                self.traces.put(key, packed)
+        stats.unique_traces += 1
+        stats.packed_bytes += packed.column_bytes
+        install_trace_sources(local={key: packed})
+        trace_ref = self._export_segments(key, packed) if export else None
+        self._staged[key] = trace_ref
+        return trace_ref
 
     def _export_segments(
-        self, local: Dict[str, PackedTrace]
-    ) -> "tuple[SharedTraceRef, ...]":
-        """Write each packed blob into its own shared-memory segment.
+        self, key: str, packed: PackedTrace
+    ) -> Optional[SharedTraceRef]:
+        """Write one packed blob into its own shared-memory segment.
 
-        Returns the locator tuple for the pool initializer, or ``()``
-        after releasing anything partially created — all-or-nothing, so
-        workers either map every trace or regenerate every trace.
+        Returns the segment's reference, or None (the reason recorded
+        in ``trace_stats.fallback``) when shared memory is unavailable
+        or the segment cannot be created.
         """
         try:
             from multiprocessing import shared_memory
         except ImportError as exc:
             self.trace_stats.fallback = f"shared memory unavailable: {exc}"
-            return ()
-        refs: List[SharedTraceRef] = []
-        created: List = []
-        for n, (key, packed) in enumerate(local.items()):
-            blob = packed.to_bytes()
-            name = f"repro-trace-{os.getpid()}-{key[:8]}-{n}"
-            try:
-                shm = shared_memory.SharedMemory(
-                    name=name, create=True, size=len(blob)
-                )
-                shm.buf[: len(blob)] = blob
-            except (OSError, ValueError) as exc:
-                for segment in created:
-                    _release_segment(segment)
-                self.trace_stats.fallback = f"segment create failed: {exc}"
-                return ()
-            created.append(shm)
-            _LIVE_SEGMENTS[shm.name] = shm
-            refs.append(SharedTraceRef(key=key, name=shm.name,
-                                       nbytes=len(blob)))
-        self._segments.extend(created)
-        self.trace_stats.shm_segments += len(created)
-        self.trace_stats.shm_bytes += sum(ref.nbytes for ref in refs)
-        return tuple(refs)
+            return None
+        blob = packed.to_bytes()
+        name = f"repro-trace-{os.getpid()}-{key[:8]}-{len(self._segments)}"
+        try:
+            shm = shared_memory.SharedMemory(
+                name=name, create=True, size=len(blob)
+            )
+            shm.buf[: len(blob)] = blob
+        except (OSError, ValueError) as exc:
+            self.trace_stats.fallback = f"segment create failed: {exc}"
+            return None
+        _LIVE_SEGMENTS[shm.name] = shm
+        self._segments.append(shm)
+        self.trace_stats.shm_segments += 1
+        self.trace_stats.shm_bytes += len(blob)
+        return SharedTraceRef(key=key, name=shm.name, nbytes=len(blob))
 
     def _teardown_traces(self) -> None:
         """Drop installed sources and unlink this batch's segments.
@@ -1169,7 +1236,10 @@ class ParallelExperimentEngine:
         :func:`_cleanup_live_segments` backstops anything that escapes.
         """
         clear_trace_sources()
-        self._shared_refs = ()
+        self._trace_of = []
+        self._unstaged.clear()
+        self._staged.clear()
+        self._dispatched.clear()
         segments, self._segments = self._segments, []
         for shm in segments:
             _release_segment(shm)
@@ -1253,7 +1323,7 @@ class ParallelExperimentEngine:
             return _new_pool(
                 max_workers=min(self.workers, n_tasks),
                 initializer=_pool_worker_init,
-                initargs=(self._shared_refs, raw_queue, capacity),
+                initargs=(raw_queue, capacity),
             )
         except (OSError, ValueError, NotImplementedError):
             return None

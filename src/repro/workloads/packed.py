@@ -19,7 +19,8 @@ synthetic kernel or a transform — lives in one container:
   :func:`trace_key` (profile fields, length, line size, format version),
   so a sweep generates each distinct trace exactly once,
 * a process-global **trace source registry** — the parent engine
-  installs in-process traces and/or shared-memory references;
+  installs in-process traces, pool workers the shared-memory reference
+  each job carries;
   :func:`resolve_trace` serves workers from those sources and falls back
   to deterministic regeneration, so every transport failure degrades to
   the bit-identical slow path.
@@ -429,7 +430,7 @@ class SharedTraceRef:
 
 #: Traces resolvable without regeneration in *this* process.
 _IN_PROCESS: Dict[str, PackedTrace] = {}
-#: Shared-memory locators installed by the pool initializer.
+#: Shared-memory locators that arrived with pool jobs.
 _SHARED_REFS: Dict[str, SharedTraceRef] = {}
 #: Per-process cache of attached segments (attach once per worker).
 _ATTACHED: Dict[str, PackedTrace] = {}
@@ -441,13 +442,13 @@ def install_trace_sources(
     local: Optional[Dict[str, PackedTrace]] = None,
     shared: Optional[Iterable[SharedTraceRef]] = None,
 ) -> None:
-    """Install this process's trace sources (replacing any previous).
+    """Add trace sources to this process (keeping those installed).
 
-    The parent engine installs ``local`` before running serially (and as
-    the degraded-pool fallback); the pool initializer installs
-    ``shared`` inside each worker.
+    The parent engine installs each trace in ``local`` as it stages it
+    (the serial and degraded-pool paths read them there); a pool worker
+    installs the ``shared`` reference each job carries.
+    :func:`clear_trace_sources` drops them all.
     """
-    clear_trace_sources()
     if local:
         _IN_PROCESS.update(local)
     if shared:

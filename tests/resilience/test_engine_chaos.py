@@ -138,6 +138,47 @@ class TestPooledChaos:
         assert engine.rstats.timeouts >= 1
         assert engine.rstats.pool_rebuilds >= 1
 
+    def test_queued_job_clock_starts_when_a_worker_frees(self):
+        """Jobs 0 and 1 hang 0.85 s of a 1 s budget while jobs 2 and 3
+        wait queued behind them.  A queued job's clock starts when a
+        completion frees a worker for it; started at submit, it would
+        expire while jobs 2 and 3 run (about 0.4 s each)."""
+        batch = jobs(2) + [
+            ExperimentJob(small(fgnvm(4, 4)), "sphinx3", 6000, seed)
+            for seed in range(2, 6)
+        ]
+        plan = FaultPlan(faults=(
+            FaultSpec(kind=HANG, job_index=0, seconds=0.85),
+            FaultSpec(kind=HANG, job_index=1, seconds=0.85),
+        ))
+        engine = ParallelExperimentEngine(
+            workers=2,
+            fault_plan=plan,
+            retry=FAST_RETRY,
+            job_timeout_s=1.0,
+        )
+        got = [r.summary() for r in engine.run_jobs(batch)]
+        assert engine.rstats.timeouts == 0
+        assert got == clean_summaries(batch)
+
+    def test_broken_pool_charges_only_running_jobs(self):
+        """A dead worker fails every future in flight.  The jobs still
+        queued behind the running ones never ran: they count as no
+        crash and are charged no retry attempt.  The crashing job is
+        charged, also when the pool breaks while the parent is still
+        submitting, so its one-shot fault fires once."""
+        batch = jobs(6)
+        plan = FaultPlan(faults=(FaultSpec(kind=CRASH, job_index=0),))
+        engine = ParallelExperimentEngine(
+            workers=2, fault_plan=plan, retry=FAST_RETRY
+        )
+        got = [r.summary() for r in engine.run_jobs(batch)]
+        assert got == clean_summaries(batch)
+        assert engine.rstats.faults_injected == 1
+        assert engine.rstats.pool_rebuilds == 1
+        assert 1 <= engine.rstats.worker_crashes <= 2
+        assert engine.rstats.retries == engine.rstats.worker_crashes
+
     def test_degrades_to_serial_past_rebuild_limit(self, tmp_path,
                                                    monkeypatch):
         batch = jobs(3)
@@ -168,8 +209,12 @@ class TestPooledChaos:
         )
         engine.run_jobs(jobs(4))
         assert engine.rstats.degraded_to_serial == 1
-        assert engine.trace_stats.shm_attached == 4
-        segments = engine.trace_stats.shm_segments
+        stats = engine.trace_stats
+        # Each job is counted once, by how it first received its trace;
+        # a job not yet sent when the pool broke ran in-process.
+        assert stats.shm_attached + stats.inproc_jobs == 4
+        attached, inproc = stats.shm_attached, stats.inproc_jobs
+        segments = stats.shm_segments
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a degraded engine built a process pool")
@@ -179,9 +224,9 @@ class TestPooledChaos:
         later = jobs(4, first_seed=4)
         got = [r.summary() for r in engine.run_jobs(later)]
         assert got == clean_summaries(later)
-        assert engine.trace_stats.shm_attached == 4
-        assert engine.trace_stats.shm_segments == segments
-        assert engine.trace_stats.inproc_jobs == 4
+        assert stats.shm_attached == attached
+        assert stats.shm_segments == segments
+        assert stats.inproc_jobs == inproc + 4
 
     def test_manifest_carries_resilience_counters(self, tmp_path):
         from repro.obs.manifest import read_manifest
