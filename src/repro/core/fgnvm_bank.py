@@ -61,6 +61,7 @@ from ..obs.trace import BLAME_MAINT, BLAME_MULTI_ACT, BLAME_RUW, BLAME_TILE
 from ..units import BITS_PER_BYTE
 from .tile import KIND_MAINT, KIND_SENSE, KIND_WRITE, TileGrid
 
+
 class IssueResult(NamedTuple):
     """Outcome of issuing one request to a bank.
 
@@ -71,7 +72,9 @@ class IssueResult(NamedTuple):
     re-pulsing a write whose verify failed (0 for reads and for
     first-pulse-clean writes) — the tracer attributes them to the
     ``write_retry`` blame cause.  A named tuple: one per issued
-    request, built without a per-field ``object.__setattr__``.
+    request, built without a per-field ``object.__setattr__``.  The
+    bank builds it with ``tuple.__new__`` and every field given, which
+    skips the named tuple's generated Python ``__new__``.
     """
 
     kind: str
@@ -175,31 +178,88 @@ class FgNvmBank:
             self._sag_buffer[sag][cd] = row
         self.buffer_tag[cd] = (sag, row)
 
-    # -- classification ----------------------------------------------------
+    # -- assessment ----------------------------------------------------------
 
-    def classify(self, req: MemRequest) -> str:
-        """Service kind this request would get if issued now."""
-        return self._classify_at(req, *self._coords(req.decoded))
+    def _assess(self, req: MemRequest
+                ) -> Tuple[int, Tuple[int, ...], str, int]:
+        """(sag, cds, service kind, earliest-start constraint) for ``req``.
 
-    def _classify_at(self, req: MemRequest, sag: int, cds: tuple) -> str:
-        """:meth:`classify` for already-resolved tile coordinates."""
-        row = req.decoded.row
+        The one place a request is held against bank state: it resolves
+        the tile, classifies the access and bounds its first command,
+        for every caller — the memo miss in :meth:`kind_and_constraint`,
+        the legality check in :meth:`issue`, and the uncached
+        :meth:`classify` / :meth:`earliest_start` / :meth:`stall_blame`.
+
+        *Tile.*  ``cds`` is the tuple of column divisions the access
+        touches — one for normal grids, ``cd_span`` adjacent ones when
+        the grid is finer than a cache line.  For MANY_BANKS units the
+        decoder already folded SAG/CD into the flat bank index, and the
+        unit itself is 1x1 — modulo keeps the same code path working for
+        every architecture.  When the fault model has retired tiles, the
+        (SAG, base CD) pair is remapped onto its surviving target first —
+        the mechanism that shrinks effective parallelism gracefully
+        instead of crashing on a dead tile.
+
+        *Kind.*  A write is ``write`` when its SAG's wordline already
+        holds the row, ``write_miss`` otherwise.  A read is a buffered
+        ``row_hit`` when every touched CD slice latches (sag, row), an
+        ``underfetch`` when only the wordline is up, a ``row_miss``
+        otherwise.
+
+        *Constraint* (plus the tCCD column gate for every kind):
+
+        * buffered hit — CD I/O free (data comes from the row buffer,
+          but the paper prohibits touching a CD that is being driven),
+        * same-row sense ("underfetch") — CD free, no write in the SAG,
+          and the wordline stable (``row_ready``),
+        * row change (miss) and writes — CD free and SAG exclusively
+          free: one wordline per SAG, and a write parks the whole SAG.
+
+        Every answer is a property of bank state alone, so the
+        constraint is now-independent.  The grid's release lists are
+        read directly (``cd_free_at``, ``sag_write_free_at`` and
+        ``sag_free_at``, without the calls).
+        """
+        dec = req.decoded
+        sag = dec.sag % self.subarray_groups
+        base = dec.cd % self.column_divisions
+        rel = self.reliability
+        if rel is not None and rel.remap:
+            sag, base = rel.resolve(sag, base)
+        cds = self._cd_table[base]
+        grid = self.grid
+        start = self._last_column + self.timing.tccd
+        cd_until = grid._cd_until
+        for cd in cds:
+            if cd_until[cd] > start:
+                start = cd_until[cd]
+        sag_until = grid._sag_until[sag]
+        row = dec.row
         if req.is_write:
-            if self.open_row[sag] == row:
-                return SERVICE_WRITE
-            return SERVICE_WRITE_MISS
+            kind = (SERVICE_WRITE if self.open_row[sag] == row
+                    else SERVICE_WRITE_MISS)
+            return sag, cds, kind, sag_until if sag_until > start else start
         if len(cds) == 1:
             # One CD (every preset but the finest grids): the tag test
             # of :meth:`_buffered`, read inline.
             cd = cds[0]
             if (self._sag_buffer[sag][cd] == row if self.per_sag_buffers
                     else self.buffer_tag[cd] == (sag, row)):
-                return SERVICE_ROW_HIT
+                return sag, cds, SERVICE_ROW_HIT, start
         elif all(self._buffered(sag, c, row) for c in cds):
-            return SERVICE_ROW_HIT
+            return sag, cds, SERVICE_ROW_HIT, start
         if self.open_row[sag] == row:
-            return SERVICE_UNDERFETCH
-        return SERVICE_ROW_MISS
+            if grid._sag_kind[sag] == KIND_WRITE and sag_until > start:
+                start = sag_until
+            if self.row_ready[sag] > start:
+                start = self.row_ready[sag]
+            return sag, cds, SERVICE_UNDERFETCH, start
+        return (sag, cds, SERVICE_ROW_MISS,
+                sag_until if sag_until > start else start)
+
+    def classify(self, req: MemRequest) -> str:
+        """Service kind this request would get if issued now."""
+        return self._assess(req)[2]
 
     def is_row_hit(self, req: MemRequest) -> bool:
         """FRFCFS "first-ready" test: can this request skip sensing?"""
@@ -211,55 +271,20 @@ class FgNvmBank:
     def earliest_start(self, req: MemRequest, now: int) -> int:
         """Earliest cycle this request's first command could issue.
 
-        Constraint sets per service kind (plus the tCCD column gate for
-        every kind):
-
-        * buffered hit — CD I/O free (data comes from the row buffer,
-          but the paper prohibits touching a CD that is being driven),
-        * same-row sense ("underfetch") — CD free, no write in the SAG,
-          and the wordline stable (``row_ready``),
-        * row change (miss) and writes — CD free and SAG exclusively
-          free: one wordline per SAG, and a write parks the whole SAG.
-
-        Every constraint above is a property of bank state alone, so
-        ``earliest_start(req, now) == max(now, constraint)`` for every
-        ``now`` — the incremental scheduler relies on this through
-        :meth:`kind_and_constraint`.
+        The constraint of :meth:`_assess`, which depends on bank state
+        alone, so ``earliest_start(req, now) == max(now, constraint)``
+        for every ``now`` — the incremental scheduler relies on this
+        through :meth:`kind_and_constraint`.
         """
-        sag, cds = self._coords(req.decoded)
-        constraint = self._constraint_at(
-            self._classify_at(req, sag, cds), sag, cds)
+        constraint = self._assess(req)[3]
         return constraint if constraint > now else now
-
-    def _constraint_at(self, kind: str, sag: int, cds: tuple) -> int:
-        """Now-independent earliest-start bound for a ``kind`` access.
-
-        Reads the grid's release lists directly (``cd_free_at``,
-        ``sag_write_free_at`` and ``sag_free_at``, without the calls).
-        """
-        grid = self.grid
-        start = self._last_column + self.timing.tccd
-        cd_until = grid._cd_until
-        for cd in cds:
-            if cd_until[cd] > start:
-                start = cd_until[cd]
-        if kind == SERVICE_ROW_HIT:
-            return start
-        sag_until = grid._sag_until[sag]
-        if kind == SERVICE_UNDERFETCH:
-            if grid._sag_kind[sag] == KIND_WRITE and sag_until > start:
-                start = sag_until
-            if self.row_ready[sag] > start:
-                start = self.row_ready[sag]
-            return start
-        return sag_until if sag_until > start else start
 
     def stall_blame(self, req: MemRequest) -> Tuple[str, int, str]:
         """(service kind, earliest-start constraint, blame cause).
 
-        Re-walks :meth:`_constraint_at` but remembers *which* resource set
-        the binding bound, mapping it onto the blame taxonomy of
-        :mod:`repro.obs.trace`:
+        Re-walks the constraint of :meth:`_assess` but remembers *which*
+        resource set the binding bound, mapping it onto the blame
+        taxonomy of :mod:`repro.obs.trace`:
 
         * a CD held by a write (reads only) or a SAG parked by a write
           pulse → ``read_under_write``,
@@ -276,8 +301,7 @@ class FgNvmBank:
         Only called for sampled requests, so it is kept simple rather
         than memoized.
         """
-        sag, cds = self._coords(req.decoded)
-        kind = self._classify_at(req, sag, cds)
+        sag, cds, kind, _ = self._assess(req)
         start = self._last_column + self.timing.tccd
         cause = BLAME_TILE
         for cd in cds:
@@ -321,25 +345,23 @@ class FgNvmBank:
 
         The fast-path query behind every fast scheduling policy's
         single-pass scan (:class:`~repro.memsys.scheduler.MinScanPolicy`)
-        and the controller's event horizon: ``classify`` and the scheduling
-        constraint are pure functions of bank state, which only mutates
-        inside :meth:`issue` (where the memo is dropped), so repeated
-        queue scans between issues collapse to one dict lookup per
-        distinct (op, row, sag, cd) target.  The uncached
-        :meth:`classify`/:meth:`earliest_start` pair is kept pristine as
-        the reference oracle the differential tests compare against.
+        and the controller's event horizon: both halves of
+        :meth:`_assess` are pure functions of bank state, which only
+        mutates inside :meth:`issue` (where the memo is dropped), so
+        repeated queue scans between issues collapse to one dict lookup
+        per distinct (op, row, sag, cd) target, and a miss costs one
+        :meth:`_assess` call.  The uncached :meth:`classify` /
+        :meth:`earliest_start` pair is the reference oracle the
+        differential tests compare against.
         """
-        dec = req.decoded
         key = req.sched_key
         if key is None:
-            key = memo_key(req.is_write, dec)
+            key = memo_key(req.is_write, req.decoded)
         cached = self.sched_memo.get(key)
         if cached is not None:
             return cached
-        sag, cds = self._coords(dec)
-        kind = self._classify_at(req, sag, cds)
-        entry = (kind, self._constraint_at(kind, sag, cds))
-        self.sched_memo[key] = entry
+        _, _, kind, constraint = self._assess(req)
+        entry = self.sched_memo[key] = (kind, constraint)
         return entry
 
     # -- issue ---------------------------------------------------------------
@@ -349,11 +371,18 @@ class FgNvmBank:
 
         Raises :class:`ProtocolError` if the request is not actually
         issuable at ``now`` — the controller must respect
-        :meth:`earliest_start`.  Close-page closes the tile resolved
-        before issue, even if the write retired it.
+        :meth:`earliest_start`.  Legality is recomputed from bank state
+        by :meth:`_assess`, never read from the scheduling memo, so a
+        stale memo entry cannot slip through.  Close-page closes the
+        tile resolved before issue, even if the write retired it.
         """
-        sag, cds = self._coords(req.decoded)
-        result = self._issue(req, now, sag, cds)
+        sag, cds, kind, earliest = self._assess(req)
+        if earliest > now:
+            raise ProtocolError(
+                f"bank {self.bank_id}: request {req.req_id} issued at {now} "
+                f"but earliest start is {earliest}"
+            )
+        result = self._issue(req, now, sag, cds, kind)
         if self.close_page:
             self.open_row[sag] = None
             for cd in cds:
@@ -367,16 +396,7 @@ class FgNvmBank:
         return result
 
     def _issue(self, req: MemRequest, now: int, sag: int,
-               cds: Tuple[int, ...]) -> IssueResult:
-        # Legality is recomputed from bank state, never read from the
-        # scheduling memo, so a stale memo entry cannot slip through.
-        kind = self._classify_at(req, sag, cds)
-        earliest = self._constraint_at(kind, sag, cds)
-        if earliest > now:
-            raise ProtocolError(
-                f"bank {self.bank_id}: request {req.req_id} issued at {now} "
-                f"but earliest start is {earliest}"
-            )
+               cds: Tuple[int, ...], kind: str) -> IssueResult:
         dec = req.decoded
         t = self.timing
         self._last_column = now
@@ -393,7 +413,8 @@ class FgNvmBank:
             if self.probe.enabled:
                 self._note(req, kind, now, ready, sag, cds,
                            overlapping_reads, overlapping_writes)
-            return IssueResult(kind, bus_start, ready, now)
+            return tuple.__new__(IssueResult,
+                                 (kind, bus_start, ready, now, 0))
 
         if kind == SERVICE_UNDERFETCH or kind == SERVICE_ROW_MISS:
             # A sense: an underfetch joins its SAG's open wordline, a
@@ -421,7 +442,8 @@ class FgNvmBank:
                            overlapping_reads, overlapping_writes)
                 self._note_sense(req, kind, now, until, sag, cds[0], bits,
                                  overlapping_reads, overlapping_writes)
-            return IssueResult(kind, until, until + t.tburst, until)
+            return tuple.__new__(IssueResult,
+                                 (kind, until, until + t.tburst, until, 0))
 
         # Writes: SERVICE_WRITE (wordline already up) or SERVICE_WRITE_MISS.
         rel = self.reliability
@@ -494,7 +516,8 @@ class FgNvmBank:
             if rel.maintenance_due():
                 self._run_maintenance(rel, now)
         bus_start = now + activation + t.tcwd
-        return IssueResult(kind, bus_start, until, until, retry_cycles)
+        return tuple.__new__(IssueResult,
+                             (kind, bus_start, until, until, retry_cycles))
 
     # -- instrumentation -------------------------------------------------------
 
@@ -623,28 +646,6 @@ class FgNvmBank:
         return release
 
     # -- helpers --------------------------------------------------------------
-
-    def _coords(self, dec) -> Tuple[int, Tuple[int, ...]]:
-        """(sag, cds) for a decoded address, bounded to this bank's grid.
-
-        ``cds`` is the tuple of column divisions the access touches —
-        one for normal grids, ``cd_span`` adjacent ones when the grid is
-        finer than a cache line.  For MANY_BANKS units the decoder
-        already folded SAG/CD into the flat bank index, and the unit
-        itself is 1x1 — modulo keeps the same code path working for
-        every architecture.
-
-        When the fault model has retired tiles, the (SAG, base CD) pair
-        is remapped onto its surviving target first — the mechanism
-        that shrinks effective parallelism gracefully instead of
-        crashing on a dead tile.
-        """
-        sag = dec.sag % self.subarray_groups
-        base = dec.cd % self.column_divisions
-        rel = self.reliability
-        if rel is not None and rel.remap:
-            sag, base = rel.resolve(sag, base)
-        return sag, self._cd_table[base]
 
     def open_rows(self) -> List[Optional[int]]:
         """Snapshot of per-SAG open rows (tests and debugging)."""

@@ -135,10 +135,12 @@ class AddressMapper:
                 + sag * self.org.column_divisions
                 + cd
             )
-        return DecodedAddress(
+        # ``tuple.__new__`` skips the named tuple's generated Python
+        # ``__new__``: one call fewer per decoded request.
+        return tuple.__new__(DecodedAddress, (
             (address >> channel_shift) & channel_mask,
             rank, bank, row, col, sag, cd, flat_bank,
-        )
+        ))
 
     def encode(
         self,

@@ -598,7 +598,8 @@ class MemoryController:
 
         A write cannot issue before its bank's
         :meth:`~repro.core.fgnvm_bank.FgNvmBank.write_cap_free_at`, a
-        memoised bank-state value, and ``min_i max(c_i, k)`` is
+        memoised bank-state value read from the bank's ``sched_memo``
+        like the fast scan does, and ``min_i max(c_i, k)`` is
         ``max(min_i c_i, k)``: the held minimum costs no extra scan.
         """
         bank_raw = self._bank_raw
@@ -611,7 +612,9 @@ class MemoryController:
             group = writes.get(flat_bank)
             raw = held = _min_constraint(bank, group) if group else None
             if held is not None and cap is not None:
-                free_at = bank.write_cap_free_at(cap)
+                free_at = bank.sched_memo.get(cap)
+                if free_at is None:
+                    free_at = bank.write_cap_free_at(cap)
                 if free_at > held:
                     held = free_at
             group = reads.get(flat_bank)

@@ -10,11 +10,31 @@ Read requests that match a queued write are served from the write queue
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Dict, Iterable, List, Optional
 
 from ..errors import QueueFullError
 from .request import MemRequest
+
+
+class _kept:
+    """Non-data descriptor: the first read stores the getter's answer in
+    the instance ``__dict__`` under the same name, which later reads find
+    first; ``__dict__.pop(name)`` drops it.
+
+    ``functools.cached_property`` without its per-miss ``RLock``
+    (CPython up to 3.11 takes one on every miss).
+    """
+
+    def __init__(self, getter):
+        self.getter = getter
+        self.name = getter.__name__
+        self.__doc__ = getter.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.getter(obj)
+        return value
 
 
 class TransactionQueue:
@@ -127,7 +147,7 @@ class WriteQueue(TransactionQueue):
         """True when a queued write can service a read to ``address``."""
         return address in self._by_address
 
-    @cached_property
+    @_kept
     def draining(self) -> bool:
         """Whether the controller is currently in write-drain mode.
 

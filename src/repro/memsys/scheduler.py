@@ -259,26 +259,41 @@ class PalpRanking:
     (SAG/CD tile) of a bank already serving a background write turns
     otherwise-serialised write latency into overlapped work, so among
     equally-ready candidates those reads issue first.  Every bank model
-    answers ``active_writes`` — baseline banks included, since
-    ``BaselineNvmBank`` subclasses ``FgNvmBank`` — and the registry's
-    capability check keeps PALP off organisations that forbid reads
-    under writes.
+    answers ``active_writes`` and ``write_cap_free_at`` — baseline banks
+    included, since ``BaselineNvmBank`` subclasses ``FgNvmBank`` — and
+    the registry's capability check keeps PALP off organisations that
+    forbid reads under writes.  Fast and oracle share this one key; the
+    oracle counts the bank's in-flight writes through ``active_writes``,
+    so the differential suites check the memoized read against it.
     """
 
     def scan_key(self, req: MemRequest, bank: BankLike, hit: bool,
                  now: int) -> tuple:
-        overlap = req.is_read and bank.active_writes(now) > 0
+        overlap = False
+        if req.is_read:
+            if self.incremental:
+                # The fast scan reads the bank's memoized write release:
+                # ``active_writes(now) > 0`` exactly when
+                # ``now < write_cap_free_at(1)``, a function of bank
+                # state alone, so one CD count per bank between issues.
+                free_at = bank.sched_memo.get(1)
+                if free_at is None:
+                    free_at = bank.write_cap_free_at(1)
+                overlap = now < free_at
+            else:
+                overlap = bank.active_writes(now) > 0
         return (not hit, not overlap, req.arrival_cycle, req.req_id)
 
 
 class PalpReference(PalpRanking, KeyedReference):
-    """Sort-based PALP oracle."""
+    """Sort-based PALP oracle: counts the bank's in-flight writes."""
 
     name = "palp-reference"
 
 
 class IncrementalPalp(PalpRanking, MinScanPolicy):
-    """Single-pass PALP; oracle: :class:`PalpReference`."""
+    """Single-pass PALP, reading the memoized write release; oracle:
+    :class:`PalpReference`."""
 
     name = "palp"
 

@@ -174,6 +174,10 @@ class ScriptableBank:
     def active_writes(self, now):
         return self.writes_in_flight
 
+    def write_cap_free_at(self, cap):
+        """The now-independent form: scripted writes never release."""
+        return 10**9 if self.writes_in_flight >= cap else 0
+
 
 def request(arrival, op=OpType.READ):
     req = MemRequest(op, arrival * 64)

@@ -22,6 +22,10 @@ from repro.memsys.reliability import make_bank_reliability
 from repro.memsys.address import AddressMapper
 from repro.memsys.request import (
     SERVICE_ROW_HIT,
+    SERVICE_ROW_MISS,
+    SERVICE_UNDERFETCH,
+    SERVICE_WRITE,
+    SERVICE_WRITE_MISS,
     MemRequest,
     OpType,
 )
@@ -220,6 +224,13 @@ def occupied_banks(draw):
     return bank
 
 
+def probe_request(sag, cd, row=0, is_write=False):
+    """The request fields :meth:`FgNvmBank._assess` and its callers read."""
+    return SimpleNamespace(
+        decoded=SimpleNamespace(sag=sag, cd=cd, row=row),
+        is_write=is_write, is_read=not is_write, sched_key=None)
+
+
 @given(bank=occupied_banks(), now=st.integers(0, 130), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_tile_tables_match_direct_formulas(bank, now, data):
@@ -234,7 +245,7 @@ def test_tile_tables_match_direct_formulas(bank, now, data):
                 base_sag, base = rel.resolve(base_sag, base)
             expected = (base_sag,
                         tuple((base + o) % cds for o in range(span)))
-            assert bank._coords(SimpleNamespace(sag=sag, cd=cd)) == expected
+            assert bank._assess(probe_request(sag, cd))[:2] == expected
     grid = bank.grid
     exclude = tuple(data.draw(st.sets(st.integers(0, cds - 1))))
     active = [grid.cd_kind(cd) for cd in range(cds)
@@ -246,3 +257,96 @@ def test_tile_tables_match_direct_formulas(bank, now, data):
     assert bank.active_writes(now) == sum(
         1 for cd in range(cds)
         if grid.cd_free_at(cd) > now and grid.cd_kind(cd) == KIND_WRITE)
+
+
+def reference_assessment(bank, req):
+    """(sag, cds, kind, constraint) derived in three separate steps —
+    resolve the tile, classify the access, bound its first command —
+    through the bank's public state and the grid's query methods."""
+    dec = req.decoded
+    sag = dec.sag % bank.subarray_groups
+    base = dec.cd % bank.column_divisions
+    rel = bank.reliability
+    if rel is not None and rel.remap:
+        sag, base = rel.resolve(sag, base)
+    cds = tuple((base + offset) % bank.column_divisions
+                for offset in range(bank.cd_span))
+
+    row = dec.row
+    if req.is_write:
+        kind = (SERVICE_WRITE if bank.open_row[sag] == row
+                else SERVICE_WRITE_MISS)
+    elif all(bank._buffered(sag, cd, row) for cd in cds):
+        kind = SERVICE_ROW_HIT
+    elif bank.open_row[sag] == row:
+        kind = SERVICE_UNDERFETCH
+    else:
+        kind = SERVICE_ROW_MISS
+
+    grid = bank.grid
+    start = bank._last_column + bank.timing.tccd
+    for cd in cds:
+        start = max(start, grid.cd_free_at(cd))
+    if kind == SERVICE_UNDERFETCH:
+        start = max(start, grid.sag_write_free_at(sag), bank.row_ready[sag])
+    elif kind != SERVICE_ROW_HIT:
+        start = max(start, grid.sag_free_at(sag))
+    return sag, cds, kind, start
+
+
+@st.composite
+def bank_states(draw):
+    """A bank of any grid from 1x1 to 8x8 with a line spanning any
+    number of its CDs, shared or per-SAG buffers, retired tiles
+    remapped or not, and random wordlines, buffer tags, column gate
+    and SAG/CD occupancy."""
+    sags = draw(st.integers(1, 8))
+    cds = draw(st.integers(1, 8))
+    rel = None
+    if draw(st.booleans()):
+        rel = make_bank_reliability(
+            ReliabilityParams(enabled=True), 0, sags, cds)
+        tiles = st.tuples(st.integers(0, sags - 1), st.integers(0, cds - 1))
+        rel.remap.update(draw(st.dictionaries(tiles, tiles, max_size=6)))
+    bank = FgNvmBank(0, sags, cds, fgnvm().timing.cycles(), 1, 1,
+                     StatsCollector(), cd_span=draw(st.integers(1, cds)),
+                     per_sag_buffers=draw(st.booleans()), reliability=rel)
+    kinds = st.sampled_from([KIND_SENSE, KIND_WRITE, KIND_MAINT])
+    rows = st.one_of(st.none(), st.integers(0, 3))
+    for cd in range(cds):
+        if draw(st.booleans()):
+            bank.grid.occupy_cd(cd, draw(st.integers(0, 40)),
+                                draw(st.integers(1, 80)), draw(kinds))
+        tag = draw(st.one_of(st.none(), st.tuples(
+            st.integers(0, sags - 1), st.integers(0, 3))))
+        bank.buffer_tag[cd] = tag
+        for sag in range(sags):
+            bank._sag_buffer[sag][cd] = draw(rows)
+    for sag in range(sags):
+        if draw(st.booleans()):
+            bank.grid.occupy_sag_exclusive(sag, draw(st.integers(0, 40)),
+                                           draw(st.integers(1, 80)),
+                                           draw(kinds))
+        bank.open_row[sag] = draw(rows)
+        bank.row_ready[sag] = draw(st.integers(0, 100))
+    bank._last_column = draw(st.integers(-(10**9), 100))
+    return bank
+
+
+@given(bank=bank_states(), now=st.integers(0, 130), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_assessment_matches_three_step_derivation(bank, now, data):
+    """One ``_assess`` call answers what resolving, classifying and
+    bounding separately do, and every caller reads that one answer:
+    the memo, ``classify``, ``earliest_start`` and ``stall_blame``."""
+    req = probe_request(
+        data.draw(st.integers(0, 2 * bank.subarray_groups)),
+        data.draw(st.integers(0, 2 * bank.column_divisions)),
+        row=data.draw(st.integers(0, 3)), is_write=data.draw(st.booleans()))
+    expected = reference_assessment(bank, req)
+    assert bank._assess(req) == expected
+    _, _, kind, constraint = expected
+    assert bank.kind_and_constraint(req) == (kind, constraint)
+    assert bank.classify(req) == kind
+    assert bank.earliest_start(req, now) == max(now, constraint)
+    assert bank.stall_blame(req)[:2] == (kind, constraint)

@@ -110,6 +110,10 @@ class WritingScriptedBank(ScriptedBank):
     def active_writes(self, now):
         return self._writes_in_flight
 
+    def write_cap_free_at(self, cap):
+        """The now-independent form: scripted writes never release."""
+        return 10**9 if self._writes_in_flight >= cap else 0
+
 
 def matrix_candidates(spec):
     """(req, bank) candidates over one idle and one writing bank."""

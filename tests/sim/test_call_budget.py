@@ -11,7 +11,10 @@ stand-in for its speed.  Two 2 000-request replays are counted with
 * every method the phase profiler (``repro.obs.perf.profiler``) or the
   end-to-end benchmark's span table wraps is still entered exactly as
   often, so those tools keep seeing every layer.  A change that skips a
-  boundary (say, by bypassing the ``MemorySystem`` facade) fails here.
+  boundary (say, by bypassing the ``MemorySystem`` facade) fails here;
+* the bank's CD census (``TileGrid.overlap_counts``) runs once per
+  issue, for the overlap statistics, and never per scheduling
+  candidate.
 """
 
 import sys
@@ -21,6 +24,7 @@ import pytest
 
 from repro.cli import CONFIG_BUILDERS
 from repro.core.fgnvm_bank import FgNvmBank
+from repro.core.tile import TileGrid
 from repro.cpu.trace_cpu import TraceCpu
 from repro.memsys.controller import MemoryController
 from repro.memsys.policies import apply_policy
@@ -49,12 +53,14 @@ BOUNDARIES = {
     "MinScanPolicy.pick_with_horizon": MinScanPolicy.pick_with_horizon,
 }
 
-#: (profile, policy) -> (calls per request measured on Python 3.10 and
-#: 3.11; 3.12 counts 57.16 and 67.09; exact boundary calls).  The
-#: boundary counts are those of the code before the per-request calls
-#: were cut (80.65 and 93.53 calls per request then, on all three).
+#: (profile, policy) -> (calls per request on Python 3.10 and 3.11,
+#: measured on CPython 3.11.7; exact boundary calls).  Python 3.12 runs
+#: the one comprehension on this path (in ``write_cap_free_at``) inline,
+#: 968 and 2 000 calls fewer: 49.55 and 55.25.  The boundary counts are
+#: those of the code before the per-request calls were cut (80.65 and
+#: 93.53 calls per request then, on all three).
 REPLAYS = {
-    ("mcf", None): (57.65, {
+    ("mcf", None): (50.03, {
         "Simulator.run": 1,
         "Simulator._next_cycle": 3244,
         "TraceCpu.tick": 2008,
@@ -70,7 +76,7 @@ REPLAYS = {
         "FgNvmBank.kind_and_constraint": 3470,
         "MinScanPolicy.pick_with_horizon": 3323,
     }),
-    ("lbm", "palp"): (67.94, {
+    ("lbm", "palp"): (56.25, {
         "Simulator.run": 1,
         "Simulator._next_cycle": 3391,
         "TraceCpu.tick": 2186,
@@ -137,3 +143,12 @@ def test_every_boundary_is_called_as_often_as_pinned(replay):
     _, pins = REPLAYS[key]
     seen = {name: counts[fn.__code__] for name, fn in BOUNDARIES.items()}
     assert seen == pins
+
+
+def test_cd_census_runs_once_per_issue(replay):
+    """PALP reads its overlap term from the bank's memoized write
+    release, so the lbm/PALP replay counts CDs 2 000 times, not once
+    more per PALP candidate (3 501 times)."""
+    _, counts = replay
+    assert counts[TileGrid.overlap_counts.__code__] == REQUESTS
+    assert counts[FgNvmBank._issue.__code__] == REQUESTS
