@@ -113,6 +113,9 @@ class FgNvmBank:
             (base + offset) % column_divisions for offset in range(cd_span)
         ) for base in range(column_divisions)]
         self.timing = timing
+        #: Cycles a write pulse holds its tile (``timing.write_occupancy``,
+        #: a derived property, read once).
+        self._write_occupancy = timing.write_occupancy
         #: Bits latched by one sense: one CD slice of one row.
         self.sense_bits = sense_bits
         #: Bits driven by one cache-line write (64 write drivers x bursts).
@@ -282,9 +285,11 @@ class FgNvmBank:
     def stall_blame(self, req: MemRequest) -> Tuple[str, int, str]:
         """(service kind, earliest-start constraint, blame cause).
 
-        Re-walks the constraint of :meth:`_assess` but remembers *which*
-        resource set the binding bound, mapping it onto the blame
-        taxonomy of :mod:`repro.obs.trace`:
+        The constraint is :meth:`_assess`'s; the cause names the
+        resource that releases at exactly that cycle, asked in the
+        order the constraint takes its bounds — the tCCD column gate
+        (which wins ties), the CDs, then the SAG — and mapped onto the
+        blame taxonomy of :mod:`repro.obs.trace`:
 
         * a CD held by a write (reads only) or a SAG parked by a write
           pulse → ``read_under_write``,
@@ -301,44 +306,32 @@ class FgNvmBank:
         Only called for sampled requests, so it is kept simple rather
         than memoized.
         """
-        sag, cds, kind, _ = self._assess(req)
-        start = self._last_column + self.timing.tccd
-        cause = BLAME_TILE
+        sag, cds, kind, constraint = self._assess(req)
+        grid = self.grid
+        if self._last_column + self.timing.tccd == constraint:
+            return kind, constraint, BLAME_TILE
         for cd in cds:
-            cd_free = self.grid.cd_free_at(cd)
-            if cd_free > start:
-                start = cd_free
-                cd_kind = self.grid.cd_kind(cd)
+            if grid.cd_free_at(cd) == constraint:
+                cd_kind = grid.cd_kind(cd)
                 if cd_kind == KIND_WRITE and req.is_read:
-                    cause = BLAME_RUW
-                elif cd_kind == KIND_SENSE:
-                    cause = BLAME_MULTI_ACT
-                elif cd_kind == KIND_MAINT:
-                    cause = BLAME_MAINT
-                else:
-                    cause = BLAME_TILE
-        if kind == SERVICE_ROW_HIT:
-            return kind, start, cause
+                    return kind, constraint, BLAME_RUW
+                if cd_kind == KIND_SENSE:
+                    return kind, constraint, BLAME_MULTI_ACT
+                if cd_kind == KIND_MAINT:
+                    return kind, constraint, BLAME_MAINT
+                return kind, constraint, BLAME_TILE
         if kind == SERVICE_UNDERFETCH:
-            write_free = self.grid.sag_write_free_at(sag)
-            if write_free > start:
-                start = write_free
-                cause = BLAME_RUW
-            if self.row_ready[sag] > start:
-                start = self.row_ready[sag]
-                cause = BLAME_TILE
-            return kind, start, cause
-        sag_free = self.grid.sag_free_at(sag)
-        if sag_free > start:
-            start = sag_free
-            sag_kind = self.grid.sag_kind(sag)
-            if sag_kind == KIND_WRITE and req.is_read:
-                cause = BLAME_RUW
-            elif sag_kind == KIND_MAINT:
-                cause = BLAME_MAINT
-            else:
-                cause = BLAME_TILE
-        return kind, start, cause
+            # The SAG bounds a same-row sense only through a write pulse;
+            # otherwise the wordline was still settling.
+            if grid.sag_write_free_at(sag) == constraint:
+                return kind, constraint, BLAME_RUW
+            return kind, constraint, BLAME_TILE
+        sag_kind = grid.sag_kind(sag)
+        if sag_kind == KIND_WRITE and req.is_read:
+            return kind, constraint, BLAME_RUW
+        if sag_kind == KIND_MAINT:
+            return kind, constraint, BLAME_MAINT
+        return kind, constraint, BLAME_TILE
 
     def kind_and_constraint(self, req: MemRequest) -> Tuple[str, int]:
         """Memoized (service kind, earliest-start constraint) for ``req``.
@@ -401,13 +394,20 @@ class FgNvmBank:
         t = self.timing
         self._last_column = now
 
-        overlapping_reads, overlapping_writes = self.grid.overlap_counts(
-            now, cds)
+        # The census needs no exclusion: the legality check left every
+        # CD of this access free at ``now``.
+        overlapping_reads, overlapping_writes = self.grid.overlap_counts(now)
+        # The issue counters are written here, not through a method
+        # call per counter: this is the hottest place they change.
+        stats = self.stats
 
         if kind == SERVICE_ROW_HIT:
-            self.stats.count_read_issue(kind)
+            # A buffered hit senses nothing; under a write it still
+            # counts as a read under write.
+            stats.reads += 1
+            stats.row_hits += 1
             if overlapping_writes:
-                self.stats.count_read_under_write()
+                stats.reads_under_write += 1
             bus_start = now + t.tcas_hit
             ready = bus_start + t.tburst
             if self.probe.enabled:
@@ -434,9 +434,17 @@ class FgNvmBank:
                 self.open_row[sag] = dec.row
                 self.row_ready[sag] = now + t.trcd
             bits = self.sense_bits * len(cds)
-            self.stats.count_read_issue(kind)
-            self.stats.count_sense(bits, overlapping_reads,
-                                   overlapping_writes)
+            stats.reads += 1
+            if kind == SERVICE_UNDERFETCH:
+                stats.underfetches += 1
+            else:
+                stats.row_misses += 1
+            stats.senses += 1
+            stats.sense_bits += bits
+            if overlapping_reads:
+                stats.multi_activation_senses += 1
+            if overlapping_writes:
+                stats.reads_under_write += 1
             if self.probe.enabled:
                 self._note(req, kind, now, until, sag, cds,
                            overlapping_reads, overlapping_writes)
@@ -457,9 +465,9 @@ class FgNvmBank:
             retries, exhausted = rel.draw_retries(sag, cds[0])
             if retries:
                 retry_cycles = retries * (t.twp + t.twr)
-                self.stats.count_write_retry(retries, exhausted)
+                stats.count_write_retry(retries, exhausted)
         activation = t.trcd if kind == SERVICE_WRITE_MISS else 0
-        duration = activation + t.write_occupancy + retry_cycles
+        duration = activation + self._write_occupancy + retry_cycles
         until = now + duration
         for cd in cds:
             self.grid.occupy_cd(cd, now, duration, KIND_WRITE)
@@ -482,7 +490,8 @@ class FgNvmBank:
             bits = self.sense_bits * (self.column_divisions
                                       if self.sense_on_write_activate
                                       else len(cds))
-            self.stats.count_sense(bits, 0, 0)
+            stats.senses += 1
+            stats.sense_bits += bits
             if noted:
                 self._note_sense(req, kind, now, until, sag, cds[0],
                                  bits, 0, 0)
@@ -491,9 +500,10 @@ class FgNvmBank:
                     self._latch(sag, cd, dec.row)
         # Retry pulses re-drive the full line, so they cost write energy.
         pulsed_bits = self.write_bits * (1 + retries)
-        self.stats.count_write_issue(
-            pulsed_bits, overlapping_reads + overlapping_writes
-        )
+        stats.writes += 1
+        stats.write_bits += pulsed_bits
+        if overlapping_reads or overlapping_writes:
+            stats.writes_overlapped += 1
         if noted:
             self.probe.emit(Event(
                 EV_WRITE_PULSE, now, end=until, req_id=req.req_id,
@@ -512,7 +522,7 @@ class FgNvmBank:
         if rel is not None:
             self._account_wear(rel.record_write(sag, cds, retries), now)
             worn = max(rel.wear.get((sag, cd), 0) for cd in cds)
-            self.stats.note_tile_wear(worn)
+            stats.note_tile_wear(worn)
             if rel.maintenance_due():
                 self._run_maintenance(rel, now)
         bus_start = now + activation + t.tcwd
@@ -608,9 +618,17 @@ class FgNvmBank:
             ))
 
     def active_writes(self, now: int) -> int:
-        """Writes currently driving cells in this bank (the write-cap
-        throttle and PALP's overlap term)."""
-        return self.grid.overlap_counts(now)[1]
+        """Writes driving cells in this bank at ``now`` (the reference
+        scheduler's write-cap throttle and PALP's overlap term).
+
+        Counted from the grid's write releases, so unlike the issue-time
+        census it may be asked at any cycle, earlier ones included.
+        """
+        active = 0
+        for until in self.grid.write_releases.values():
+            if until > now:
+                active += 1
+        return active
 
     def write_cap_free_at(self, cap: int) -> int:
         """First cycle at which fewer than ``cap`` writes hold CDs.
@@ -618,18 +636,20 @@ class FgNvmBank:
         The now-independent form of the controller's write throttle:
         ``active_writes(now) >= cap`` exactly when
         ``now < write_cap_free_at(cap)``.  It is the ``cap``-th latest
-        release among the CDs a write holds (0 when fewer than ``cap``
-        do), a function of bank state alone, so it shares the
+        of the grid's write releases (0 when there are fewer than
+        ``cap``), a function of bank state alone, so it shares the
         scheduling memo that :meth:`issue` drops.
         """
         cached = self.sched_memo.get(cap)
         if cached is not None:
             return cached
-        releases = [until for until, kind
-                    in zip(self.grid._cd_until, self.grid._cd_kind)
-                    if kind == KIND_WRITE]
-        releases.sort(reverse=True)
-        free_at = releases[cap - 1] if len(releases) >= cap else 0
+        releases = self.grid.write_releases
+        if len(releases) < cap:
+            free_at = 0
+        elif cap == 1:
+            free_at = max(releases.values())
+        else:
+            free_at = sorted(releases.values(), reverse=True)[cap - 1]
         self.sched_memo[cap] = free_at
         return free_at
 

@@ -20,12 +20,16 @@ classification logic on top.
 The busy state lives as parallel ``until``/``kind`` lists per resource
 family (struct-of-arrays) rather than per-resource occupancy objects:
 the grid is interrogated every scheduling decision of every cycle, and
-flat list indexing keeps that hot path free of attribute chasing.
+flat list indexing keeps that hot path free of attribute chasing.  Two
+small maps beside the CD lists spare the per-issue queries a walk over
+every CD, which on a fine grid (32 CDs) is most of their cost: the
+CDs whose latest occupancy may still be in flight, and the release of
+every CD whose latest occupancy is a write.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Occupancy kinds recorded per resource (for overlap statistics).
 KIND_IDLE = ""
@@ -49,6 +53,13 @@ class TileGrid:
         self._sag_kind: List[str] = [KIND_IDLE] * subarray_groups
         self._cd_until: List[int] = [0] * column_divisions
         self._cd_kind: List[str] = [KIND_IDLE] * column_divisions
+        #: CD -> release of its latest occupancy, for every CD that may
+        #: still be in flight; :meth:`overlap_counts` drops the released.
+        self._in_flight: Dict[int, int] = {}
+        #: CD -> release, for every CD whose latest occupancy is a write
+        #: (released ones included: the bank's write-cap query is
+        #: answered from these, exactly as from a walk over all CDs).
+        self.write_releases: Dict[int, int] = {}
         #: Cycle-weighted busy integrals (for utilisation reporting).
         self.sag_busy_cycles = 0
         self.cd_busy_cycles = 0
@@ -86,22 +97,27 @@ class TileGrid:
         sag, cd = tile
         return self._sag_until[sag] <= now and self._cd_until[cd] <= now
 
-    def overlap_counts(self, now: int, exclude_cds: tuple = ()
-                       ) -> Tuple[int, int]:
-        """(senses, writes) currently holding CDs (overlap stats).
+    def overlap_counts(self, now: int) -> Tuple[int, int]:
+        """(senses, writes) holding CDs at ``now`` (overlap stats).
 
         Every array operation holds at least one CD, so CD occupancy is
-        the census of in-flight operations; ``exclude_cds`` removes the
-        caller's own columns from the count.
+        the census of in-flight operations, counted by each CD's latest
+        occupancy.  Queries must come at the clock's non-decreasing
+        ``now`` (the bank asks once per issue): a CD released by ``now``
+        leaves the in-flight map, so only in-flight tiles are visited,
+        and an earlier ``now`` asked afterwards would miss it.
         """
         reads = writes = 0
-        for cd, until in enumerate(self._cd_until):
-            if until > now and cd not in exclude_cds:
+        in_flight = self._in_flight
+        for cd, until in list(in_flight.items()):
+            if until > now:
                 kind = self._cd_kind[cd]
                 if kind == KIND_SENSE:
                     reads += 1
                 elif kind == KIND_WRITE:
                     writes += 1
+            else:
+                del in_flight[cd]
         return reads, writes
 
     # -- updates ---------------------------------------------------------
@@ -120,6 +136,11 @@ class TileGrid:
         until = start + duration
         self._cd_until[cd] = until
         self._cd_kind[cd] = kind
+        self._in_flight[cd] = until
+        if kind == KIND_WRITE:
+            self.write_releases[cd] = until
+        elif cd in self.write_releases:
+            del self.write_releases[cd]
         self.cd_busy_cycles += duration
         return until
 

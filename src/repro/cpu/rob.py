@@ -16,11 +16,9 @@ this captures.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Tuple
 
-from ..memsys.request import MemRequest, RequestState
-
-_COMPLETED = RequestState.COMPLETED
+from ..memsys.request import MemRequest
 
 
 class ReorderBuffer:
@@ -89,27 +87,9 @@ class ReorderBuffer:
             seq, request = loads[0]
             if seq >= limit:
                 break
-            if request.state is not _COMPLETED:
+            if not request.completed:
                 limit = seq
                 break
             loads.popleft()
         self.retired = limit
         return limit - start
-
-    def head_blocked(self) -> bool:
-        """True when the head is a load still waiting for data."""
-        return self.blocking_load() is not None
-
-    def blocking_load(self) -> Optional[MemRequest]:
-        """The head load while its data has not returned, else None."""
-        request = self.head_request()
-        if request is not None and request.state is not _COMPLETED:
-            return request
-        return None
-
-    def head_request(self) -> Optional[MemRequest]:
-        """The head's request when the head is a load (for diagnostics)."""
-        loads = self.loads
-        if loads and loads[0][0] == self.retired:
-            return loads[0][1]
-        return None

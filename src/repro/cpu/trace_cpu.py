@@ -26,13 +26,11 @@ from ..memsys.controller import (  # noqa: F401 (MemoryController: doc type)
     ANY_READ,
     MemoryController,
 )
-from ..memsys.request import MemRequest, OpType, RequestState
+from ..memsys.request import MemRequest, OpType
 from ..memsys.stats import StatsCollector
 from ..obs.events import EV_CPU_STALL, NULL_PROBE, Event, Probe
 from ..workloads.packed import OP_READ, PackedTrace
 from .rob import ReorderBuffer
-
-_COMPLETED = RequestState.COMPLETED
 
 #: :meth:`TraceCpu.waiting_on` for a core that has fetched and retired
 #: its whole trace: it never acts again and, like a queued head's -1,
@@ -134,7 +132,10 @@ class TraceCpu:
         self.stats.instructions += retired
         if self.probe.enabled:
             # Once per visited cycle: counts depend on event skipping.
-            if retired == 0 and rob.head_blocked():
+            # With a retire slot, retiring nothing from a non-empty ROB
+            # means retirement stopped at the head: a load whose data
+            # has not returned (see :meth:`waiting_on`).
+            if retired == 0 and budget and rob.fetched != rob.retired:
                 self.probe.emit(Event(EV_CPU_STALL, now, service="retire",
                                       value=self.owner))
             if (fetched == 0 and not self._trace_done
@@ -220,15 +221,15 @@ class TraceCpu:
           known from then on.
         """
         rob = self.rob
-        # The ROB head's load while its data has not returned
-        # (``ReorderBuffer.blocking_load``, read inline).
+        # The ROB-head rule: retirement is blocked while the head is a
+        # load whose data has not returned.
         loads = rob.loads
         if not loads or loads[0][0] != rob.retired:
             if self._trace_done and rob.fetched == rob.retired:
                 return DONE
             return None
         head = loads[0][1]
-        if head.state is _COMPLETED:
+        if head.completed:
             return None
         if (self._have_current
                 and rob.fetched - rob.retired < rob.capacity):

@@ -16,7 +16,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "request": (
         "SERVICE_ROW_HIT", "SERVICE_ROW_MISS", "SERVICE_UNDERFETCH",
         "SERVICE_WRITE", "SERVICE_WRITE_MISS", "DecodedAddress",
-        "MemRequest", "OpType", "RequestState",
+        "MemRequest", "OpType",
     ),
     "policies": (
         "ORGANISATION_CAPS", "OrganisationCaps", "PolicySpec",

@@ -230,9 +230,10 @@ class MemoryController:
             ))
         if req.is_read:
             if self.write_queue.forwards(req.address):
-                req.mark_queued(now)
                 done = now + self.timing.tcas_hit + self.timing.tburst
-                req.mark_issued(now, done, "forwarded")
+                req.arrival_cycle = req.issue_cycle = now
+                req.completion_cycle = done
+                req.service_kind = "forwarded"
                 self.forwarded_reads += 1
                 self.stats.reads += 1
                 self.stats.row_hits += 1
@@ -288,7 +289,7 @@ class MemoryController:
         read_latencies: List[int] = []
         while completions and completions[0][0] <= now:
             _, _, req = heapq.heappop(completions)
-            req.mark_completed()
+            req.completed = True
             if req.is_read:
                 read_latencies.append(req.completion_cycle
                                       - req.arrival_cycle)
@@ -456,6 +457,8 @@ class MemoryController:
         self._quiet_until = 0
         self._dirty_banks.add(req.decoded.flat_bank)
         result = bank.issue(req, now)
+        req.issue_cycle = now
+        req.service_kind = result.kind
         # Stateful policies (RBLA) learn from what actually issued; a
         # fast policy and its forced oracle receive the identical
         # feedback stream.  The live scheduler is asked (tests swap it).
@@ -465,7 +468,7 @@ class MemoryController:
         if req.is_read:
             bus_start = self.data_bus.reserve(result.bus_desired_start)
             completion = bus_start + self.timing.tburst
-            req.mark_issued(now, completion, result.kind)
+            req.completion_cycle = completion
             self.read_queue.remove(req)
             heapq.heappush(
                 self._completions, (completion, req.req_id, req)
@@ -482,7 +485,7 @@ class MemoryController:
             # proceeds inside the bank.  The request is done (from the
             # system's view) when the write pulse finishes.
             self.data_bus.reserve(result.bus_desired_start)
-            req.mark_issued(now, result.data_ready, result.kind)
+            req.completion_cycle = result.data_ready
             if self.write_queue.draining:
                 self.stats.write_drain_entries += 1
             self.write_queue.remove(req)

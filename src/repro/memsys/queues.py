@@ -72,12 +72,13 @@ class TransactionQueue:
         return self.capacity - len(self._entries)
 
     def push(self, req: MemRequest, cycle: int) -> None:
-        """Append a request; raises :class:`QueueFullError` when full."""
+        """Append a request arriving at ``cycle`` (its ``arrival_cycle``);
+        raises :class:`QueueFullError` when full."""
         if len(self._entries) >= self.capacity:
             raise QueueFullError(
                 f"queue full ({self.capacity} entries) at cycle {cycle}"
             )
-        req.mark_queued(cycle)
+        req.arrival_cycle = cycle
         self._entries.append(req)
         # Undecoded requests (unit tests pushing raw MemRequests) group
         # under a sentinel bank; the controller always decodes first.

@@ -4,7 +4,10 @@ A :class:`MemRequest` is one cache-line transaction as seen by the memory
 controller.  Requests are created by the CPU model (or a trace reader),
 decoded once by the :class:`~repro.memsys.address.AddressMapper`, queued in
 the controller, issued to a bank and finally completed when their data
-crosses the bus.
+crosses the bus.  Each lifecycle field is written by the one component
+that owns that step: the queue stamps ``arrival_cycle``, the controller's
+issue and forward paths ``issue_cycle``, ``completion_cycle`` and
+``service_kind``, and its completion drain ``completed``.
 """
 
 from __future__ import annotations
@@ -28,15 +31,6 @@ class OpType(enum.Enum):
             if op.value == normalized:
                 return op
         raise ValueError(f"unknown operation token: {token!r}")
-
-
-class RequestState(enum.Enum):
-    """Lifecycle states of a request inside the memory system."""
-
-    CREATED = enum.auto()
-    QUEUED = enum.auto()
-    ISSUED = enum.auto()
-    COMPLETED = enum.auto()
 
 
 class DecodedAddress(NamedTuple):
@@ -78,7 +72,7 @@ class MemRequest:
 
     __slots__ = (
         "op", "address", "decoded", "arrival_cycle", "issue_cycle",
-        "completion_cycle", "state", "service_kind", "owner", "req_id",
+        "completion_cycle", "completed", "service_kind", "owner", "req_id",
         "is_read", "is_write", "sched_key",
     )
 
@@ -90,7 +84,9 @@ class MemRequest:
         self.arrival_cycle = 0
         self.issue_cycle = -1
         self.completion_cycle = -1
-        self.state = RequestState.CREATED
+        #: Set when the controller retires the request: its data has
+        #: returned (a read) or its write pulse has ended.
+        self.completed = False
         #: Set at issue time: whether the access hit buffered data (row
         #: hit), re-sensed an open row ("underfetch") or was a full row
         #: miss.
@@ -113,23 +109,11 @@ class MemRequest:
             raise ValueError(f"request {self.req_id} not completed")
         return self.completion_cycle - self.arrival_cycle
 
-    def mark_queued(self, cycle: int) -> None:
-        self.arrival_cycle = cycle
-        self.state = RequestState.QUEUED
-
-    def mark_issued(self, cycle: int, completion: int, kind: str) -> None:
-        self.issue_cycle = cycle
-        self.completion_cycle = completion
-        self.service_kind = kind
-        self.state = RequestState.ISSUED
-
-    def mark_completed(self) -> None:
-        self.state = RequestState.COMPLETED
-
     def __repr__(self) -> str:  # keep queue dumps readable
+        done = " completed" if self.completed else ""
         return (
-            f"MemRequest(#{self.req_id} {self.op.value} 0x{self.address:x} "
-            f"{self.state.name})"
+            f"MemRequest(#{self.req_id} {self.op.value} "
+            f"0x{self.address:x}{done})"
         )
 
 

@@ -50,7 +50,12 @@ def histogram_percentile(histogram: "List[int]", percent: float,
 
 @dataclass
 class StatsCollector:
-    """Mutable counters updated on the simulator's hot path."""
+    """Mutable counters updated on the simulator's hot path.
+
+    The per-issue counters (request mix, senses, parallelism events)
+    are plain fields the bank model increments where it issues; the
+    methods below cover the rarer events and the latency histogram.
+    """
 
     # Request mix.
     reads: int = 0
@@ -101,35 +106,7 @@ class StatsCollector:
         for name, value in vars(fresh).items():
             setattr(self, name, value)
 
-    # -- hot-path updates --------------------------------------------------
-
-    def count_read_issue(self, kind: str) -> None:
-        self.reads += 1
-        if kind == "row_hit":
-            self.row_hits += 1
-        elif kind == "underfetch":
-            self.underfetches += 1
-        else:
-            self.row_misses += 1
-
-    def count_sense(self, bits: int, overlapping_reads: int,
-                    overlapping_writes: int) -> None:
-        self.senses += 1
-        self.sense_bits += bits
-        if overlapping_reads:
-            self.multi_activation_senses += 1
-        if overlapping_writes:
-            self.reads_under_write += 1
-
-    def count_read_under_write(self) -> None:
-        """A buffered hit issued while a write was active in its bank."""
-        self.reads_under_write += 1
-
-    def count_write_issue(self, bits: int, overlapping: int) -> None:
-        self.writes += 1
-        self.write_bits += bits
-        if overlapping:
-            self.writes_overlapped += 1
+    # -- updates ------------------------------------------------------------
 
     def count_write_retry(self, retries: int, exhausted: bool) -> None:
         """Verify-retry pulses for one write (device fault model)."""

@@ -61,12 +61,18 @@ class TestQueries:
         assert not grid.is_tile_free((0, 2), 5)   # CD busy
         assert grid.is_tile_free((1, 0), 48)
 
-    def test_overlap_counts_with_exclusion(self, grid):
+    def test_overlap_counts_follow_each_cds_latest_occupancy(self, grid):
         grid.occupy_cd(0, 0, 66, KIND_WRITE)
         grid.occupy_cd(1, 0, 38, KIND_SENSE)
         assert grid.overlap_counts(5) == (1, 1)
-        assert grid.overlap_counts(5, exclude_cds=(0,)) == (1, 0)
         assert grid.overlap_counts(50) == (0, 1)
+        # The released sense's CD is re-occupied by a write.
+        grid.occupy_cd(1, 50, 66, KIND_WRITE)
+        assert grid.overlap_counts(60) == (0, 2)
+        assert grid.write_releases == {0: 66, 1: 116}
+        grid.occupy_cd(0, 70, 10, KIND_SENSE)
+        assert grid.overlap_counts(70) == (1, 1)
+        assert grid.write_releases == {1: 116}
 
     def test_overlap_counts_writes(self, grid):
         assert grid.overlap_counts(0)[1] == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.rob import ReorderBuffer
-from repro.memsys.request import MemRequest, OpType, RequestState
+from repro.memsys.request import MemRequest, OpType
 
 
 def pending_load():
@@ -16,10 +16,15 @@ def pending_load():
 
 def done_load():
     req = pending_load()
-    req.mark_queued(0)
-    req.mark_issued(0, 10, "row_miss")
-    req.mark_completed()
+    req.completed = True
     return req
+
+
+def head_load(rob):
+    """The head's request when the head is a load, else None."""
+    if rob.loads and rob.loads[0][0] == rob.retired:
+        return rob.loads[0][1]
+    return None
 
 
 class TestFill:
@@ -59,7 +64,7 @@ class TestRetire:
         rob.push_load(pending_load())
         rob.push_instructions(5)
         assert rob.retire(100) == 5
-        assert rob.head_blocked()
+        assert not head_load(rob).completed
         assert rob.occupancy == 6
 
     def test_completed_load_retires(self):
@@ -75,9 +80,7 @@ class TestRetire:
         load = pending_load()
         rob.push_load(load)
         assert rob.retire(10) == 0
-        load.mark_queued(0)
-        load.mark_issued(0, 5, "row_hit")
-        load.mark_completed()
+        load.completed = True
         assert rob.retire(10) == 1
 
     def test_in_order_across_mixed_entries(self):
@@ -90,7 +93,7 @@ class TestRetire:
         rob.push_instructions(4)
         # 2 instructions + completed load retire; blocked load stops us.
         assert rob.retire(100) == 3
-        assert rob.head_request() is blocked
+        assert head_load(rob) is blocked
 
     def test_retires_past_several_completed_loads_in_one_budget(self):
         rob = ReorderBuffer(100)
@@ -102,33 +105,15 @@ class TestRetire:
         rob.push_instructions(5)
         assert rob.retire(7) == 7  # 2 + load + 2 + load + 2 + ...
         assert rob.retire(100) == 2  # ... the third load, then blocked
-        assert rob.blocking_load() is blocked
+        assert head_load(rob) is blocked
         assert rob.occupancy == 6
 
 
 class TestQueries:
-    def test_head_blocked_false_for_instructions(self):
-        rob = ReorderBuffer(10)
-        rob.push_instructions(3)
-        assert not rob.head_blocked()
-        assert rob.head_request() is None
-
-    def test_head_request_only_when_the_head_is_a_load(self):
-        rob = ReorderBuffer(10)
-        rob.push_instructions(1)
-        load = done_load()
-        rob.push_load(load)
-        assert rob.head_request() is None
-        assert rob.retire(1) == 1
-        assert rob.head_request() is load
-        assert not rob.head_blocked()  # its data already returned
-        assert rob.retire(1) == 1
-        assert rob.head_request() is None
-
     def test_empty_rob(self):
         rob = ReorderBuffer(10)
         assert rob.is_empty
-        assert not rob.head_blocked()
+        assert head_load(rob) is None
         assert rob.retire(10) == 0
 
 
@@ -172,7 +157,7 @@ class ChunkDequeRob:
                 if not head[0]:
                     self.fifo.popleft()
             else:
-                if head[0].state is not RequestState.COMPLETED:
+                if not head[0].completed:
                     break
                 self.fifo.popleft()
                 retired += 1
@@ -185,17 +170,9 @@ class ChunkDequeRob:
             return self.fifo[0][0]
         return None
 
-    def blocking_load(self):
-        head = self.head_request()
-        if head is not None and head.state is not RequestState.COMPLETED:
-            return head
-        return None
-
 
 def complete(request):
-    request.mark_queued(0)
-    request.mark_issued(0, 1, "row_hit")
-    request.mark_completed()
+    request.completed = True
 
 
 class TestAgainstChunkDeque:
@@ -231,11 +208,9 @@ class TestAgainstChunkDeque:
             else:
                 # Data returns out of order: complete the value-th
                 # still-pending load.
-                pending = [r for r in loads
-                           if r.state is not RequestState.COMPLETED]
+                pending = [r for r in loads if not r.completed]
                 if pending:
                     complete(pending[value % len(pending)])
             assert rob.occupancy == oracle.occupancy
             assert rob.is_empty == (oracle.occupancy == 0)
-            assert rob.head_request() is oracle.head_request()
-            assert rob.blocking_load() is oracle.blocking_load()
+            assert head_load(rob) is oracle.head_request()

@@ -118,9 +118,30 @@ class TestProgressQueries:
         # while it is still queued its completion cycle is unknown.
         assert cpu.waiting_on() == -1
         controller.tick(1)  # the load issues
-        head = cpu.rob.blocking_load()
+        head = cpu.rob.loads[0][1]
         assert head.completion_cycle > 1
         assert cpu.waiting_on() == head.completion_cycle
+
+    def test_plain_instruction_head_never_waits(self):
+        # The ROB-head rule: only a load can block retirement.  A full
+        # ROB headed by plain instructions still retires next cycle.
+        cfg = baseline_nvm()
+        cfg.cpu.rob_entries = 2
+        cpu, _, _, _ = build([TraceRecord(0, OpType.READ, 0x40)], cfg)
+        cpu.rob.push_instructions(2)
+        assert cpu.waiting_on() is None
+
+    def test_returned_head_load_never_waits(self):
+        # ... and only while its data has not returned.
+        trace = [TraceRecord(0, OpType.READ, 0x40)]
+        cpu, controller, _, _ = build(trace)
+        cpu.tick(0)
+        controller.tick(1)
+        head = cpu.rob.loads[0][1]
+        assert cpu.waiting_on() == head.completion_cycle
+        assert list(controller.tick(head.completion_cycle)) == [head]
+        assert head.completed
+        assert cpu.waiting_on() is None
 
     def test_not_stalled_while_instructions_available(self):
         trace = [TraceRecord(0, OpType.READ, 0x40),

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import baseline_nvm, fgnvm
 from repro.memsys.controller import ANY_COMPLETION, ANY_READ, MemoryController
-from repro.memsys.request import MemRequest, OpType, RequestState
+from repro.memsys.request import MemRequest, OpType
 from repro.memsys.stats import StatsCollector
 from repro.obs import make_probe
 from repro.obs.trace import RequestTracer
@@ -64,7 +64,7 @@ class TestReadService:
         req = MemRequest(OpType.READ, 0x40)
         ctrl.enqueue(req, 0)
         run_until(ctrl, req)
-        assert req.state is RequestState.COMPLETED
+        assert req.completed
         # tRCD + tCAS + tBURST for a cold miss.
         assert req.latency == 10 + 38 + 4
 
@@ -99,14 +99,14 @@ class TestWritePhases:
         ctrl.enqueue(read, 0)
         ctrl.tick(0)
         # The read got the slot; below watermark, the write waits.
-        assert read.state is RequestState.ISSUED
-        assert write.state is RequestState.QUEUED
+        assert read.issue_cycle >= 0 and not read.completed
+        assert write.issue_cycle == -1
 
     def test_writes_issue_when_no_reads(self, ctrl):
         write = MemRequest(OpType.WRITE, 0x40)
         ctrl.enqueue(write, 0)
         ctrl.tick(0)
-        assert write.state is RequestState.ISSUED
+        assert write.issue_cycle >= 0 and not write.completed
 
     def test_watermark_drain_prioritises_writes(self, ctrl):
         high = ctrl.config.controller.write_high_watermark
@@ -115,7 +115,7 @@ class TestWritePhases:
         read = MemRequest(OpType.READ, 0x100000)
         ctrl.enqueue(read, 0)
         ctrl.tick(0)
-        assert read.state is RequestState.QUEUED  # a write went first
+        assert read.issue_cycle == -1  # a write went first
 
     def test_eager_writes_fill_idle_slots(self, fg_ctrl):
         fg_ctrl.config.controller.eager_writes = True
@@ -125,7 +125,7 @@ class TestWritePhases:
         fg_ctrl.enqueue(read, 0)
         fg_ctrl.tick(0)   # read wins the first slot
         fg_ctrl.tick(1)   # write sneaks into the next idle slot
-        assert write.state is RequestState.ISSUED
+        assert write.issue_cycle >= 0 and not write.completed
         assert write.issue_cycle == 1
 
     @staticmethod
@@ -153,7 +153,7 @@ class TestWritePhases:
     def _tick_until_issued(ctrl, req, limit=1_000):
         for cycle in range(limit):
             ctrl.tick(cycle)
-            if req.state is not RequestState.QUEUED:
+            if req.issue_cycle >= 0:
                 return
         raise AssertionError(f"request {req} never issued")
 
@@ -181,7 +181,7 @@ class TestWritePhases:
         # At cycle 10 the bank itself would accept the second write.
         assert bank.earliest_start(second, 10) == 10
         ctrl.tick(10)
-        assert second.state is RequestState.QUEUED
+        assert second.issue_cycle == -1
         assert bank.write_cap_free_at(1) == first.completion_cycle
         assert ctrl._quiet_until == bank.write_cap_free_at(1)
         ctrl.tick(ctrl._quiet_until)
@@ -193,7 +193,7 @@ class TestWritePhases:
         )
         ctrl.tick(0)
         ctrl.tick(10)
-        assert second.state is RequestState.QUEUED
+        assert second.issue_cycle == -1
         # The blame pass must run on every cycle the cap holds a traced
         # write back, so no quiet memo may skip those cycles.
         assert ctrl._quiet_until == 0
@@ -226,7 +226,7 @@ class TestWritePhases:
             ctrl.enqueue(req, 0)
         ctrl.tick(0)
         ctrl.tick(1)
-        assert conflict.state is write.state is RequestState.QUEUED
+        assert conflict.issue_cycle == write.issue_cycle == -1
         assert 2 < ctrl._quiet_until < first.completion_cycle
         assert ctrl.next_event_after(1) == ctrl._quiet_until
 

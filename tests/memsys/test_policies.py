@@ -181,7 +181,7 @@ class ScriptableBank:
 
 def request(arrival, op=OpType.READ):
     req = MemRequest(op, arrival * 64)
-    req.mark_queued(arrival)
+    req.arrival_cycle = arrival
     return req
 
 

@@ -153,7 +153,5 @@ def test_remove_matches_identity_not_equal_fields(make_queue):
 
 def test_oldest_first_sorts_by_arrival_then_id():
     a, b, c = req(0x40), req(0x80), req(0xc0)
-    a.mark_queued(5)
-    b.mark_queued(3)
-    c.mark_queued(5)
+    a.arrival_cycle, b.arrival_cycle, c.arrival_cycle = 5, 3, 5
     assert oldest_first([a, b, c]) == [b, a, c]

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.memsys.request import MemRequest, OpType, RequestState
+from repro.config import baseline_nvm
+from repro.memsys.controller import MemoryController
+from repro.memsys.request import MemRequest, OpType
+from repro.memsys.stats import StatsCollector
 
 
 class TestOpType:
@@ -21,7 +24,8 @@ class TestOpType:
 class TestLifecycle:
     def test_fresh_request_state(self):
         req = MemRequest(OpType.READ, 0x1000)
-        assert req.state is RequestState.CREATED
+        assert (req.arrival_cycle, req.issue_cycle, req.completion_cycle,
+                req.service_kind, req.completed) == (0, -1, -1, "", False)
         assert req.is_read and not req.is_write
 
     def test_ids_are_unique_and_increasing(self):
@@ -30,15 +34,20 @@ class TestLifecycle:
         assert second.req_id > first.req_id
 
     def test_full_lifecycle_and_latency(self):
+        """Each step's fields are written by the step's owner: the
+        queue's push, the controller's issue and its completion drain."""
+        cfg = baseline_nvm()
+        ctrl = MemoryController(cfg, StatsCollector())
         req = MemRequest(OpType.READ, 0x40)
-        req.mark_queued(100)
-        assert req.state is RequestState.QUEUED
-        req.mark_issued(110, 160, "row_miss")
-        assert req.state is RequestState.ISSUED
+        ctrl.enqueue(req, 100)
+        assert (req.arrival_cycle, req.issue_cycle) == (100, -1)
+        ctrl.tick(110)
+        assert req.issue_cycle == 110
         assert req.service_kind == "row_miss"
-        req.mark_completed()
-        assert req.state is RequestState.COMPLETED
-        assert req.latency == 60
+        assert req.completion_cycle > 110 and not req.completed
+        done = ctrl.tick(req.completion_cycle)
+        assert list(done) == [req] and req.completed
+        assert req.latency == req.completion_cycle - 100
 
     def test_latency_before_completion_is_an_error(self):
         req = MemRequest(OpType.READ, 0x40)

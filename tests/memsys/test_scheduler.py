@@ -28,7 +28,7 @@ class FakeBank:
 
 def make_request(arrival):
     req = MemRequest(OpType.READ, arrival * 64)
-    req.mark_queued(arrival)
+    req.arrival_cycle = arrival
     return req
 
 

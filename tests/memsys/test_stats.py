@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.config import fgnvm
+from repro.core.fgnvm_bank import make_fgnvm_bank
+from repro.memsys.address import AddressMapper
+from repro.memsys.request import MemRequest, OpType
 from repro.memsys.stats import (
     LATENCY_BUCKETS,
     LATENCY_PERCENTILES,
@@ -10,13 +14,40 @@ from repro.memsys.stats import (
 )
 
 
+def tile_request(mapper, op, sag=0, cd=0, row_in_sag=0, col_in_cd=0):
+    """A request to explicit (SAG, CD) coordinates of a 4x4 bank."""
+    req = MemRequest(op, mapper.encode(row=sag * 64 + row_in_sag,
+                                       col=cd * 4 + col_in_cd))
+    req.decoded = mapper.decode(req.address)
+    assert (req.decoded.sag, req.decoded.cd) == (sag, cd)
+    return req
+
+
+def issue_plan(plan):
+    """Issue ``(cycle, op, tile kwargs)`` steps on one 4x4 FgNVM bank,
+    each at exactly its cycle; the bank counts into fresh stats."""
+    cfg = fgnvm(4, 4)
+    cfg.org.rows_per_bank = 256
+    stats = StatsCollector()
+    bank = make_fgnvm_bank(0, cfg.org, cfg.timing.cycles(), stats)
+    mapper = AddressMapper(cfg.org)
+    for cycle, op, where in plan:
+        req = tile_request(mapper, op, **where)
+        assert bank.earliest_start(req, cycle) == cycle
+        bank.issue(req, cycle)
+    return stats, bank.sense_bits, bank.write_bits
+
+
 class TestCounting:
+    """The bank writes the per-issue counters as it issues."""
+
     def test_read_kinds(self):
-        stats = StatsCollector()
-        stats.count_read_issue("row_hit")
-        stats.count_read_issue("underfetch")
-        stats.count_read_issue("row_miss")
-        stats.count_read_issue("row_miss")
+        stats, _, _ = issue_plan([
+            (0, OpType.READ, {}),                      # miss
+            (48, OpType.READ, {"col_in_cd": 1}),       # same CD slice: hit
+            (52, OpType.READ, {"cd": 1}),              # same row: underfetch
+            (100, OpType.READ, {"row_in_sag": 1}),     # other row: miss
+        ])
         assert stats.reads == 4
         assert stats.row_hits == 1
         assert stats.underfetches == 1
@@ -25,22 +56,31 @@ class TestCounting:
         assert stats.underfetch_rate == pytest.approx(0.25)
 
     def test_sense_and_overlap_counting(self):
-        stats = StatsCollector()
-        stats.count_sense(4096, overlapping_reads=0, overlapping_writes=0)
-        stats.count_sense(4096, overlapping_reads=2, overlapping_writes=0)
-        stats.count_sense(4096, overlapping_reads=0, overlapping_writes=1)
-        assert stats.senses == 3
-        assert stats.sense_bits == 3 * 4096
-        assert stats.multi_activation_senses == 1
-        assert stats.reads_under_write == 1
+        stats, slice_bits, _ = issue_plan([
+            (0, OpType.READ, {}),                       # alone
+            (4, OpType.READ, {"sag": 1, "cd": 1}),      # over one sense
+            (8, OpType.WRITE, {"sag": 2, "cd": 2}),     # activation senses
+            (12, OpType.READ, {"sag": 3, "cd": 3}),     # over senses + write
+            # A buffered hit senses nothing; under the write it is a
+            # read under write, never a Multi-Activation.
+            (48, OpType.READ, {"col_in_cd": 1}),
+        ])
+        assert stats.senses == 4
+        assert stats.sense_bits == 4 * slice_bits
+        assert stats.multi_activation_senses == 2
+        assert stats.reads_under_write == 2
+        assert stats.writes_overlapped == 1
 
     def test_write_counting(self):
-        stats = StatsCollector()
-        stats.count_write_issue(512, overlapping=0)
-        stats.count_write_issue(512, overlapping=3)
+        stats, slice_bits, write_bits = issue_plan([
+            (0, OpType.WRITE, {}),
+            (4, OpType.WRITE, {"sag": 1, "cd": 1}),     # over the first
+        ])
         assert stats.writes == 2
-        assert stats.write_bits == 1024
+        assert stats.write_bits == 2 * write_bits
         assert stats.writes_overlapped == 1
+        assert stats.senses == 2  # both activations sensed one slice
+        assert stats.sense_bits == 2 * slice_bits
         assert stats.requests == 2
 
 
@@ -120,7 +160,7 @@ class TestDerived:
 
     def test_as_dict_is_flat_and_complete(self):
         stats = StatsCollector()
-        stats.count_read_issue("row_hit")
+        stats.reads = stats.row_hits = 1
         data = stats.as_dict()
         for key in ("reads", "row_hit_rate", "sense_bits", "cycles"):
             assert key in data

@@ -30,6 +30,7 @@ from repro.memsys.request import (
     OpType,
 )
 from repro.memsys.stats import StatsCollector
+from repro.obs.trace import BLAME_MAINT, BLAME_MULTI_ACT, BLAME_RUW, BLAME_TILE
 
 
 def build_bank(sags=4, cds=4):
@@ -231,9 +232,9 @@ def probe_request(sag, cd, row=0, is_write=False):
         is_write=is_write, is_read=not is_write, sched_key=None)
 
 
-@given(bank=occupied_banks(), now=st.integers(0, 130), data=st.data())
+@given(bank=occupied_banks(), now=st.integers(0, 130))
 @settings(max_examples=200, deadline=None)
-def test_tile_tables_match_direct_formulas(bank, now, data):
+def test_tile_tables_match_direct_formulas(bank, now):
     """The per-base-CD table and the counting census answer exactly
     what the generator-built tuple and the kind-list census did."""
     sags, cds, span = bank.subarray_groups, bank.column_divisions, bank.cd_span
@@ -247,16 +248,74 @@ def test_tile_tables_match_direct_formulas(bank, now, data):
                         tuple((base + o) % cds for o in range(span)))
             assert bank._assess(probe_request(sag, cd))[:2] == expected
     grid = bank.grid
-    exclude = tuple(data.draw(st.sets(st.integers(0, cds - 1))))
     active = [grid.cd_kind(cd) for cd in range(cds)
-              if grid.cd_free_at(cd) > now and cd not in exclude]
-    assert grid.overlap_counts(now, exclude) == (
+              if grid.cd_free_at(cd) > now]
+    assert grid.overlap_counts(now) == (
         sum(1 for k in active if k == KIND_SENSE),
         sum(1 for k in active if k == KIND_WRITE),
     )
     assert bank.active_writes(now) == sum(
         1 for cd in range(cds)
         if grid.cd_free_at(cd) > now and grid.cd_kind(cd) == KIND_WRITE)
+
+
+census_steps = st.lists(
+    st.tuples(
+        st.integers(0, 7),      # CD (modulo the grid's)
+        st.sampled_from([KIND_SENSE, KIND_WRITE, KIND_MAINT]),
+        st.integers(0, 30),     # clock advance before the step
+        st.integers(0, 20),     # a migration's extra start delay
+        st.integers(1, 80),     # duration
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def census_walk(grid, now):
+    """(senses, writes) by a walk over every CD: the reference."""
+    active = [grid.cd_kind(cd) for cd in range(grid.column_divisions)
+              if grid.cd_free_at(cd) > now]
+    return active.count(KIND_SENSE), active.count(KIND_WRITE)
+
+
+def write_cap_walk(grid, cap):
+    """The ``cap``-th latest release among the CDs whose latest
+    occupancy is a write (0 with fewer), by a walk over every CD."""
+    releases = sorted((grid.cd_free_at(cd)
+                       for cd in range(grid.column_divisions)
+                       if grid.cd_kind(cd) == KIND_WRITE), reverse=True)
+    return releases[cap - 1] if len(releases) >= cap else 0
+
+
+@given(cds=st.integers(1, 8), steps=census_steps)
+@settings(max_examples=300, deadline=None)
+def test_census_matches_per_cd_walk(cds, steps):
+    """The in-flight census and the write-cap release answer what a
+    walk over every CD does, with queries at a non-decreasing clock.
+
+    Senses and writes start at the clock on a free CD, as an issue
+    does; a wear-leveling migration starts when its CD frees, or later,
+    so it can re-occupy a CD that is still in flight at the clock.
+    """
+    bank = FgNvmBank(0, 1, cds, fgnvm().timing.cycles(), 1, 1,
+                     StatsCollector())
+    grid = bank.grid
+    now = 0
+    for cd, kind, advance, delay, duration in steps:
+        now += advance
+        cd %= cds
+        free_at = grid.cd_free_at(cd)
+        if kind == KIND_MAINT:
+            grid.occupy_cd(cd, max(now, free_at) + delay, duration, kind)
+        elif free_at <= now:
+            grid.occupy_cd(cd, now, duration, kind)
+        # Occupancy changed outside ``issue``, which owns the memo.
+        bank.sched_memo.clear()
+        assert grid.overlap_counts(now) == census_walk(grid, now)
+        assert bank.active_writes(now) == census_walk(grid, now)[1]
+        for cap in range(1, 5):
+            assert bank.write_cap_free_at(cap) == write_cap_walk(grid, cap)
 
 
 def reference_assessment(bank, req):
@@ -292,6 +351,38 @@ def reference_assessment(bank, req):
     elif kind != SERVICE_ROW_HIT:
         start = max(start, grid.sag_free_at(sag))
     return sag, cds, kind, start
+
+
+def reference_blame(bank, req, kind):
+    """The blame cause by a walk over the constraint's bounds in order,
+    raising the bound only on a strictly later release (so the tCCD
+    gate wins ties), remembering which resource raised it last."""
+    sag, cds, _, _ = reference_assessment(bank, req)
+    grid = bank.grid
+    start = bank._last_column + bank.timing.tccd
+    cause = BLAME_TILE
+    for cd in cds:
+        if grid.cd_free_at(cd) > start:
+            start = grid.cd_free_at(cd)
+            held = grid.cd_kind(cd)
+            cause = (BLAME_RUW if held == KIND_WRITE and not req.is_write
+                     else BLAME_MULTI_ACT if held == KIND_SENSE
+                     else BLAME_MAINT if held == KIND_MAINT
+                     else BLAME_TILE)
+    if kind == SERVICE_ROW_HIT:
+        return cause
+    if kind == SERVICE_UNDERFETCH:
+        if grid.sag_write_free_at(sag) > start:
+            start = grid.sag_write_free_at(sag)
+            cause = BLAME_RUW
+        if bank.row_ready[sag] > start:
+            cause = BLAME_TILE
+        return cause
+    if grid.sag_free_at(sag) > start:
+        held = grid.sag_kind(sag)
+        cause = (BLAME_RUW if held == KIND_WRITE and not req.is_write
+                 else BLAME_MAINT if held == KIND_MAINT else BLAME_TILE)
+    return cause
 
 
 @st.composite
@@ -338,7 +429,8 @@ def bank_states(draw):
 def test_assessment_matches_three_step_derivation(bank, now, data):
     """One ``_assess`` call answers what resolving, classifying and
     bounding separately do, and every caller reads that one answer:
-    the memo, ``classify``, ``earliest_start`` and ``stall_blame``."""
+    the memo, ``classify``, ``earliest_start`` and ``stall_blame``,
+    whose cause is the one the walk over the bounds names."""
     req = probe_request(
         data.draw(st.integers(0, 2 * bank.subarray_groups)),
         data.draw(st.integers(0, 2 * bank.column_divisions)),
@@ -349,4 +441,5 @@ def test_assessment_matches_three_step_derivation(bank, now, data):
     assert bank.kind_and_constraint(req) == (kind, constraint)
     assert bank.classify(req) == kind
     assert bank.earliest_start(req, now) == max(now, constraint)
-    assert bank.stall_blame(req)[:2] == (kind, constraint)
+    assert bank.stall_blame(req) == (kind, constraint,
+                                     reference_blame(bank, req, kind))

@@ -30,9 +30,7 @@ class TestRobProperties:
             elif kind == "load":
                 req = MemRequest(OpType.READ, 0x40)
                 if value:  # completed load
-                    req.mark_queued(0)
-                    req.mark_issued(0, 1, "row_hit")
-                    req.mark_completed()
+                    req.completed = True
                 if rob.push_load(req):
                     expected += 1
             else:

@@ -122,7 +122,7 @@ def matrix_candidates(spec):
     for arrival, hit, delay, bank_idx, is_write in spec:
         req = MemRequest(OpType.WRITE if is_write else OpType.READ,
                          address=0)
-        req.mark_queued(arrival)
+        req.arrival_cycle = arrival
         bank = banks[bank_idx]
         bank.hits[req.req_id] = hit
         bank.ready[req.req_id] = NOW + delay
@@ -197,7 +197,7 @@ class TestPolicyMatrixLiveReplay:
             address = mapper.encode(row=row, col=col)
             req = MemRequest(OpType.WRITE if is_write else OpType.READ,
                              address, decoded=mapper.decode(address))
-            req.mark_queued(index // 2)
+            req.arrival_cycle = index // 2
             pending.append(req)
 
         fast = entry.fast()
