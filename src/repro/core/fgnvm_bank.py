@@ -653,18 +653,6 @@ class FgNvmBank:
         self.sched_memo[cap] = free_at
         return free_at
 
-    # -- event-skipping support ----------------------------------------------
-
-    def next_release(self, now: int) -> Optional[int]:
-        """Earliest future cycle at which any bank resource frees."""
-        release = self.grid.next_release(now)
-        column_gate = self._last_column + self.timing.tccd
-        if column_gate > now:
-            release = (
-                column_gate if release is None else min(release, column_gate)
-            )
-        return release
-
     # -- helpers --------------------------------------------------------------
 
     def open_rows(self) -> List[Optional[int]]:

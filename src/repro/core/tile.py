@@ -29,7 +29,7 @@ every CD whose latest occupancy is a write.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: Occupancy kinds recorded per resource (for overlap statistics).
 KIND_IDLE = ""
@@ -169,19 +169,6 @@ class TileGrid:
             self.sag_busy_cycles += until - max(held, 0)
             self._sag_until[sag] = until
             self._sag_kind[sag] = kind
-
-    # -- event-skipping support ----------------------------------------------
-
-    def next_release(self, now: int) -> Optional[int]:
-        """Earliest future release cycle across all resources, if any."""
-        best: Optional[int] = None
-        for until in self._sag_until:
-            if until > now and (best is None or until < best):
-                best = until
-        for until in self._cd_until:
-            if until > now and (best is None or until < best):
-                best = until
-        return best
 
     def utilisation(self, elapsed_cycles: int) -> Tuple[float, float]:
         """(SAG, CD) busy fractions over ``elapsed_cycles``."""

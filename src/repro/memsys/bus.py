@@ -14,7 +14,7 @@ design stays ahead of plain FgNVM.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 
 class CommandBus:
@@ -92,7 +92,3 @@ class DataBus:
     def next_free(self) -> int:
         """Earliest cycle any lane frees (event-skipping support)."""
         return min(self._lane_free)
-
-    def all_free_at(self) -> Optional[int]:
-        """Cycle by which every lane is free."""
-        return max(self._lane_free)

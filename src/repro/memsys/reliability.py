@@ -397,17 +397,6 @@ class BankReliability:
                 return tile
         return None
 
-    # -- reporting ----------------------------------------------------------
-
-    def wear_summary(self) -> Dict[str, int]:
-        """Scalar wear facts for stats folding."""
-        return {
-            "max_wear": max(self.wear.values(), default=0),
-            "worn_tiles": len(self.wear),
-            "retired": len(self.retired),
-            "spares_left": self.spares_left,
-        }
-
 
 def make_bank_reliability(params, bank_id: int, subarray_groups: int,
                           column_divisions: int) -> Optional[BankReliability]:

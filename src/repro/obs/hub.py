@@ -129,9 +129,7 @@ class FleetView:
     #: Trace-pipeline counters (note_trace; zero for pre-packed runs).
     trace_cache_hits: int = 0
     trace_packed_bytes: int = 0
-    shm_segments: int = 0
-    shm_attached: int = 0
-    trace_fallback: Optional[str] = None
+    pooled_jobs: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -149,9 +147,7 @@ class FleetView:
             "degraded": self.degraded,
             "trace_cache_hits": self.trace_cache_hits,
             "trace_packed_bytes": self.trace_packed_bytes,
-            "shm_segments": self.shm_segments,
-            "shm_attached": self.shm_attached,
-            "trace_fallback": self.trace_fallback,
+            "pooled_jobs": self.pooled_jobs,
         }
 
 
@@ -367,9 +363,7 @@ class TelemetryHub:
         fleet = self.fleet
         fleet.trace_cache_hits = int(block.get("trace_cache_hits", 0))
         fleet.trace_packed_bytes = int(block.get("packed_bytes", 0))
-        fleet.shm_segments = int(block.get("shm_segments", 0))
-        fleet.shm_attached = int(block.get("shm_attached", 0))
-        fleet.trace_fallback = block.get("fallback") or None
+        fleet.pooled_jobs = int(block.get("pooled_jobs", 0))
 
     def _engine_frame(self, payload: Dict[str, object]) -> None:
         self._seq += 1
@@ -545,15 +539,12 @@ def render_dashboard(hub: TelemetryHub, width: int = 72) -> str:
             f"pool rebuilds {fleet.pool_rebuilds}"
             + ("  DEGRADED-TO-SERIAL" if fleet.degraded else "")
         )
-    if (fleet.trace_packed_bytes or fleet.shm_segments
-            or fleet.trace_cache_hits or fleet.trace_fallback):
+    if (fleet.trace_packed_bytes or fleet.pooled_jobs
+            or fleet.trace_cache_hits):
         lines.append(
             f"traces {fleet.trace_packed_bytes} packed bytes  "
             f"cache hits {fleet.trace_cache_hits}  "
-            f"shm {fleet.shm_segments} segment(s) / "
-            f"{fleet.shm_attached} job(s)"
-            + (f"  FALLBACK: {fleet.trace_fallback}"
-               if fleet.trace_fallback else "")
+            f"pooled {fleet.pooled_jobs} job(s)"
         )
     if hub.jobs:
         lines.append("")

@@ -337,10 +337,8 @@ def render_engine_report(summary: Dict[str, object]) -> str:
             f"({trace.get('packed_bytes', 0)} packed bytes), "
             f"{trace.get('trace_cache_hits', 0)} cache hit(s), "
             f"{trace.get('traces_generated', 0)} generated, "
-            f"{trace.get('shm_segments', 0)} shm segment(s) "
-            f"({trace.get('shm_attached', 0)} job(s) mapped)"
-            + (f", fallback: {trace['fallback']}"
-               if trace.get("fallback") else "")
+            f"{trace.get('pooled_jobs', 0)} pooled / "
+            f"{trace.get('inproc_jobs', 0)} in-process job(s)"
         )
     resilience: Dict[str, int] = summary.get("resilience", {})
     if any(resilience.values()):

@@ -80,10 +80,9 @@ class RunManifest:
     wall_s: float = 0.0
     busy_s: float = 0.0
     engine: Dict[str, int] = field(default_factory=dict)
-    #: Trace-pipeline counters (packed bytes, trace-cache hits,
-    #: shared-memory segments, transport fallback reason;
-    #: :class:`repro.sim.parallel.TraceStats`).  Empty when the producer
-    #: predates the packed pipeline.
+    #: Trace-pipeline counters (packed bytes, trace-cache hits, pooled
+    #: and in-process jobs; :class:`repro.sim.parallel.TraceStats`).
+    #: Empty when the producer predates the packed pipeline.
     trace: Dict[str, object] = field(default_factory=dict)
     #: Fault-tolerance counters (retries, injected faults, quarantined
     #: blobs, pool rebuilds, ...) — how dirty the run was

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..memsys.stats import (
     LATENCY_BUCKETS,
@@ -311,13 +311,6 @@ class MetricRegistry:
 
     def as_dict(self) -> Dict[str, float]:
         return self.current.as_dict()
-
-    def tile_table(self) -> List[Tuple[str, Dict[str, int]]]:
-        """(label, metrics dict) rows for every tile, sorted."""
-        return [
-            (tile_label(key), tile.as_dict())
-            for key, tile in sorted(self.current.tiles.items())
-        ]
 
     def summary(self) -> Dict[str, object]:
         """Nested registry dump (metrics files, ``--emit-metrics``)."""

@@ -34,7 +34,6 @@ proceed under a stalled worker.
 
 from __future__ import annotations
 
-import atexit
 import dataclasses
 import enum
 import hashlib
@@ -88,15 +87,7 @@ from ..resilience.faults import (
 from ..resilience.journal import JOURNAL_NAME, SweepJournal
 from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy, is_transient
 from ..store import QUARANTINE_DIR, BlobStore
-from ..workloads.packed import (
-    PackedTrace,
-    SharedTraceRef,
-    TraceCache,
-    clear_trace_sources,
-    install_trace_sources,
-    resolve_trace,
-    trace_key,
-)
+from ..workloads.packed import PackedTrace, TraceCache, trace_key
 from ..workloads.spec_profiles import get_profile
 from ..workloads.tracegen import generate_packed_trace
 from .result import SimResult
@@ -227,19 +218,21 @@ def _job_profile(job: ExperimentJob):
     return profile
 
 
-def execute_job(job: ExperimentJob) -> SimResult:
-    """Run one job to completion (the worker-process entry point).
+def execute_job(job: ExperimentJob,
+                trace: Optional[PackedTrace] = None) -> SimResult:
+    """Run one job to completion on ``trace``.
 
-    Module-level so it pickles into pool workers; deterministic because
-    the trace resolves through the packed-source registry — a mapped
-    shared-memory segment, an in-process install, or regeneration from
-    the (profile, seed) pair, all bit-identical — and the simulator
-    itself is seed-free.
+    The engine passes the trace it staged (a pool worker decodes the
+    blob its job carried); with no trace, the job's trace is generated
+    from its (profile, seed) pair.  Either way the columns are
+    bit-identical and the simulator itself is seed-free, so the result
+    is deterministic.
     """
     from ..obs.stream import active_channel, streamed_simulate
     from .simulator import simulate
 
-    trace = resolve_trace(_job_profile(job), job.requests)
+    if trace is None:
+        trace = generate_packed_trace(_job_profile(job), job.requests)
     channel = active_channel()
     if channel is not None:
         # Live telemetry: identical simulation, plus lifecycle/epoch
@@ -253,30 +246,29 @@ def execute_job(job: ExperimentJob) -> SimResult:
 def _timed_execute_job(
     job: ExperimentJob,
     fault: Optional[FaultSpec],
-    trace_ref: Optional[SharedTraceRef] = None,
+    trace: "PackedTrace | bytes | None" = None,
 ) -> "tuple[SimResult, float]":
     """Pool-worker entry point: optionally misbehave, then simulate.
 
-    Module-level so it pickles into worker processes.  ``trace_ref``
-    locates the job's trace in shared memory (None: the trace resolves
-    from what this process already holds, or is regenerated).  Returns
-    the result and the simulation's wall time; with ``fault`` None it is
-    the plain timed execution path.
+    Module-level so it pickles into worker processes.  ``trace`` is the
+    job's staged trace, or its framed blob when the job crossed into a
+    pool worker (decoded here).  Returns the result and the simulation's
+    wall time; with ``fault`` None it is the plain timed execution path.
     """
     if fault is not None:
         apply_worker_fault(fault)
-    if trace_ref is not None:
-        install_trace_sources(shared=(trace_ref,))
+    if isinstance(trace, bytes):
+        trace = PackedTrace.from_bytes(trace)
     started = time.monotonic()
-    result = execute_job(job)
+    result = execute_job(job, trace)
     return result, time.monotonic() - started
 
 
 def _pool_worker_init(raw_queue=None, capacity: int = 0) -> None:
     """Pool-worker bootstrap: bind the telemetry channel, if any.
 
-    Trace references do not pass through here: each travels with the
-    job that needs it (see :func:`_timed_execute_job`), so a trace the
+    Traces do not pass through here: each travels by value with the job
+    that replays it (see :func:`_timed_execute_job`), so a trace the
     parent stages after the pool started reaches its workers too.
     """
     if raw_queue is not None:
@@ -300,48 +292,14 @@ def _new_pool(**kwargs) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(**kwargs)
 
 
-# -- shared-memory segment lifetime ------------------------------------------
-
-#: Segments created by engines in this process and not yet unlinked.
-#: Teardown normally empties this per batch; the atexit hook is the
-#: safety net for interrupted runs (the chaos harness's crash paths), so
-#: no ``/dev/shm`` segment can outlive the parent process.
-_LIVE_SEGMENTS: Dict[str, object] = {}
-
-
-def _release_segment(shm) -> None:
-    """Close and unlink one owned segment (idempotent, best-effort)."""
-    _LIVE_SEGMENTS.pop(shm.name, None)
-    try:
-        shm.close()
-    except (OSError, BufferError):
-        pass
-    try:
-        shm.unlink()
-    except OSError:
-        pass
-
-
-def _cleanup_live_segments() -> None:
-    for shm in list(_LIVE_SEGMENTS.values()):
-        _release_segment(shm)
-
-
-atexit.register(_cleanup_live_segments)
-
-
 @dataclass
 class TraceStats:
     """Where each batch's traces came from and how they travelled.
 
-    Parent-authoritative: the counters describe the transport the engine
-    set up, not per-worker observations (a worker whose attach fails
-    regenerates silently and bit-identically — that degradation shows up
-    in :func:`repro.workloads.packed.attach_failures` inside the worker,
-    not here).  Each executed job is counted once, by how it first
-    received its trace: ``shm_attached`` (a pool job carrying a segment
-    reference), ``regenerated_jobs`` (a pool job without one) or
-    ``inproc_jobs`` (run in the parent process).
+    Each trace is staged once in the parent, from the trace cache or by
+    one generation.  Each executed job is counted once, by how it first
+    received its trace: ``pooled_jobs`` (a pool job carrying the framed
+    blob) or ``inproc_jobs`` (run in the parent process).
     """
 
     unique_traces: int = 0
@@ -349,12 +307,8 @@ class TraceStats:
     cache_hits: int = 0
     cache_misses: int = 0
     generated: int = 0
-    shm_segments: int = 0
-    shm_bytes: int = 0
-    shm_attached: int = 0
+    pooled_jobs: int = 0
     inproc_jobs: int = 0
-    regenerated_jobs: int = 0
-    fallback: Optional[str] = None
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -363,12 +317,8 @@ class TraceStats:
             "trace_cache_hits": self.cache_hits,
             "trace_cache_misses": self.cache_misses,
             "traces_generated": self.generated,
-            "shm_segments": self.shm_segments,
-            "shm_bytes": self.shm_bytes,
-            "shm_attached": self.shm_attached,
+            "pooled_jobs": self.pooled_jobs,
             "inproc_jobs": self.inproc_jobs,
-            "regenerated_jobs": self.regenerated_jobs,
-            "fallback": self.fallback,
         }
 
 
@@ -625,10 +575,10 @@ class ParallelExperimentEngine:
         #: The current batch's trace staging (see :meth:`_plan_traces`).
         self._trace_of: List[str] = []
         self._unstaged: Dict[str, ExperimentJob] = {}
-        self._staged: Dict[str, Optional[SharedTraceRef]] = {}
+        #: Each staged trace, and its framed blob once a pool job needs it.
+        self._staged: Dict[str, PackedTrace] = {}
+        self._blobs: Dict[str, bytes] = {}
         self._dispatched: "set[int]" = set()
-        #: Segments this engine created and must unlink at teardown.
-        self._segments: List = []
         self._memory: Dict[str, SimResult] = {}
         #: ``config_digest`` of each job key's config, for the records.
         self._config_digests: Dict[str, str] = {}
@@ -816,14 +766,15 @@ class ParallelExperimentEngine:
             self._maybe_interrupt(idx)
 
         def run_one_serial(idx: int) -> None:
-            self._dispatch(idx, export=False)
+            trace = self._dispatch(idx, export=False)
             fault = (self.plan.worker_fault(idx, attempts[idx])
                      if self.plan is not None else None)
             try:
                 if fault is not None:
                     self._note_fault(fault)
                     apply_worker_fault(fault, in_process=True)
-                on_success(idx, *_timed_execute_job(pending[idx], None))
+                on_success(idx, *_timed_execute_job(pending[idx], None,
+                                                    trace))
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
@@ -872,15 +823,14 @@ class ParallelExperimentEngine:
                 broken = False
                 while queue and len(inflight) < depth:
                     idx = queue.popleft()
-                    trace_ref = self._dispatch(idx, export=True)
+                    blob = self._dispatch(idx, export=True)
                     fault = (self.plan.worker_fault(idx, attempts[idx])
                              if self.plan is not None else None)
                     if fault is not None:
                         self._note_fault(fault)
                     try:
                         future = pool.submit(
-                            _timed_execute_job, pending[idx], fault,
-                            trace_ref,
+                            _timed_execute_job, pending[idx], fault, blob,
                         )
                     except (BrokenProcessPool, RuntimeError):
                         queue.appendleft(idx)
@@ -1148,101 +1098,73 @@ class ParallelExperimentEngine:
             self._trace_of.append(key)
             self._unstaged.setdefault(key, job)
 
-    def _dispatch(self, idx: int, export: bool) -> Optional[SharedTraceRef]:
+    def _dispatch(self, idx: int, export: bool) -> "PackedTrace | bytes":
         """Stage job ``idx``'s trace; count how the job first receives it.
 
-        ``export`` is set for a pool job and clear for one run in this
-        process.  Returns the segment reference the pool job carries.
+        ``export`` is set for a pool job, which carries the trace's
+        framed blob, and clear for one run in this process, which gets
+        the staged trace itself.
         """
-        trace_ref = self._stage(self._trace_of[idx], export)
+        trace = self._stage(self._trace_of[idx], export)
         if idx not in self._dispatched:
             self._dispatched.add(idx)
-            stats = self.trace_stats
-            if not export:
-                stats.inproc_jobs += 1
-            elif trace_ref is not None:
-                stats.shm_attached += 1
+            if export:
+                self.trace_stats.pooled_jobs += 1
             else:
-                stats.regenerated_jobs += 1
-        return trace_ref
+                self.trace_stats.inproc_jobs += 1
+        return trace
 
-    def _stage(self, key: str, export: bool) -> Optional[SharedTraceRef]:
+    def _stage(self, key: str, export: bool) -> "PackedTrace | bytes":
         """Materialise one trace of the batch, once.
 
         The trace is served from the content-addressed trace cache or
-        generated exactly once here in the parent, then installed in
-        the process-global registry (the in-process paths read it
-        there) and, with ``export``, written into a shared-memory
-        segment that pool workers map zero-copy.  Returns the segment's
-        reference, or None when the trace has no segment: pool workers
-        then regenerate it bit-identically.
+        generated exactly once here in the parent.  Returns the staged
+        trace, or with ``export`` its framed blob, made once per trace
+        and carried by every pool job that replays it.
         """
-        if key in self._staged:
-            return self._staged[key]
-        job = self._unstaged.pop(key)
-        stats = self.trace_stats
-        packed = self.traces.get(key) if self.traces is not None else None
-        if packed is not None:
-            stats.cache_hits += 1
-        else:
-            if self.traces is not None:
-                stats.cache_misses += 1
-            packed = generate_packed_trace(_job_profile(job), job.requests)
-            stats.generated += 1
-            if self.traces is not None:
-                self.traces.put(key, packed)
-        stats.unique_traces += 1
-        stats.packed_bytes += packed.column_bytes
-        install_trace_sources(local={key: packed})
-        trace_ref = self._export_segments(key, packed) if export else None
-        self._staged[key] = trace_ref
-        return trace_ref
+        packed = self._staged.get(key)
+        if packed is None:
+            job = self._unstaged.pop(key)
+            stats = self.trace_stats
+            packed = (self.traces.get(key) if self.traces is not None
+                      else None)
+            if packed is not None:
+                stats.cache_hits += 1
+            else:
+                if self.traces is not None:
+                    stats.cache_misses += 1
+                packed = generate_packed_trace(_job_profile(job),
+                                               job.requests)
+                stats.generated += 1
+                if self.traces is not None:
+                    self.traces.put(key, packed)
+            stats.unique_traces += 1
+            stats.packed_bytes += packed.column_bytes
+            self._staged[key] = packed
+        if not export:
+            return packed
+        blob = self._blobs.get(key)
+        if blob is None:
+            blob = self._blobs[key] = self._export_segments(key, packed)
+        return blob
 
-    def _export_segments(
-        self, key: str, packed: PackedTrace
-    ) -> Optional[SharedTraceRef]:
-        """Write one packed blob into its own shared-memory segment.
+    def _export_segments(self, key: str, packed: PackedTrace) -> bytes:
+        """Frame one staged trace for the pool jobs that replay it.
 
-        Returns the segment's reference, or None (the reason recorded
-        in ``trace_stats.fallback``) when shared memory is unavailable
-        or the segment cannot be created.
+        Called once per trace a pool job needs; every such job carries
+        the same ``bytes`` object.  The name predates the by-value
+        hand-off and is kept because the end-to-end benchmark's span
+        table wraps this method as its ``workloads.shm_export`` layer.
         """
-        try:
-            from multiprocessing import shared_memory
-        except ImportError as exc:
-            self.trace_stats.fallback = f"shared memory unavailable: {exc}"
-            return None
-        blob = packed.to_bytes()
-        name = f"repro-trace-{os.getpid()}-{key[:8]}-{len(self._segments)}"
-        try:
-            shm = shared_memory.SharedMemory(
-                name=name, create=True, size=len(blob)
-            )
-            shm.buf[: len(blob)] = blob
-        except (OSError, ValueError) as exc:
-            self.trace_stats.fallback = f"segment create failed: {exc}"
-            return None
-        _LIVE_SEGMENTS[shm.name] = shm
-        self._segments.append(shm)
-        self.trace_stats.shm_segments += 1
-        self.trace_stats.shm_bytes += len(blob)
-        return SharedTraceRef(key=key, name=shm.name, nbytes=len(blob))
+        return packed.to_bytes()
 
     def _teardown_traces(self) -> None:
-        """Drop installed sources and unlink this batch's segments.
-
-        Runs in the batch's finally, so interrupts (the
-        KeyboardInterrupt manifest path included) release every segment;
-        :func:`_cleanup_live_segments` backstops anything that escapes.
-        """
-        clear_trace_sources()
+        """Drop this batch's staged traces (runs in the batch's finally)."""
         self._trace_of = []
         self._unstaged.clear()
         self._staged.clear()
+        self._blobs.clear()
         self._dispatched.clear()
-        segments, self._segments = self._segments, []
-        for shm in segments:
-            _release_segment(shm)
 
     # -- records and telemetry ----------------------------------------------
 

@@ -11,9 +11,8 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "characterize": ("TraceCharacter", "characterize", "fidelity_report"),
     "packed": (
         "OP_READ", "OP_WRITE", "PACKED_FORMAT_VERSION", "PackedTrace",
-        "SharedTraceRef", "TraceCache", "clear_trace_sources",
-        "install_trace_sources", "read_fraction", "resolve_trace",
-        "total_instructions", "trace_key", "trace_mpki",
+        "TraceCache", "read_fraction", "total_instructions", "trace_key",
+        "trace_mpki",
     ),
     "record": ("TraceRecord",),
     "spec_profiles": (

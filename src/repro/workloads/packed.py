@@ -1,4 +1,4 @@
-"""Packed struct-of-arrays traces and their zero-copy transport.
+"""Packed struct-of-arrays traces and their binary blob format.
 
 Every trace — read from a file, generated from a profile, built by a
 synthetic kernel or a transform — lives in one container:
@@ -11,23 +11,16 @@ synthetic kernel or a transform — lives in one container:
   :func:`trace_mpki` — the whole-trace reductions, over the columns,
 * a versioned binary **blob format** (:data:`PACKED_MAGIC` + embedded
   SHA-256, the :mod:`repro.store` framing shared with the result-cache
-  blobs) so a trace serialises to one contiguous byte string,
-* :func:`PackedTrace.from_buffer` — a **zero-copy** loader that maps the
-  columns straight out of any buffer (a ``multiprocessing``
-  shared-memory segment, an mmap) via ``memoryview.cast``,
+  blobs) so a trace serialises to one contiguous byte string: the trace
+  cache stores it, and the experiment engine hands it by value to the
+  pool workers, which decode it with :meth:`PackedTrace.from_bytes`,
 * :class:`TraceCache` — a :class:`~repro.store.BlobStore` codec keyed by
   :func:`trace_key` (profile fields, length, line size, format version),
-  so a sweep generates each distinct trace exactly once,
-* a process-global **trace source registry** — the parent engine
-  installs in-process traces, pool workers the shared-memory reference
-  each job carries;
-  :func:`resolve_trace` serves workers from those sources and falls back
-  to deterministic regeneration, so every transport failure degrades to
-  the bit-identical slow path.
+  so a sweep generates each distinct trace exactly once.
 
-Bit-identity contract: the blob round-trips byte-for-byte, and every
-transport (in-process, shared memory, cache, regeneration) hands the
-simulator identical columns.
+Bit-identity contract: the blob round-trips byte-for-byte, so a trace
+handed over in memory, as a blob or from the cache gives the simulator
+identical columns.
 """
 
 from __future__ import annotations
@@ -38,7 +31,7 @@ import json
 import operator
 import sys
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from ..errors import TraceFormatError
 from ..memsys.request import OpType
@@ -69,18 +62,12 @@ def _op_of(code: int) -> OpType:
 
 
 class PackedTrace:
-    """A trace as three parallel int64 columns.
+    """A trace as three parallel int64 columns (stdlib ``array('q')``)."""
 
-    Columns are stdlib ``array('q')`` when built locally and appendable;
-    traces loaded by :meth:`from_buffer` hold ``memoryview`` columns
-    cast straight over the source buffer (zero copies, read-only use).
-    Both index, iterate and compare identically.
-    """
-
-    __slots__ = ("gaps", "ops", "addresses", "_owner", "_views")
+    __slots__ = ("gaps", "ops", "addresses")
     __hash__ = None
 
-    def __init__(self, gaps=None, ops=None, addresses=None, owner=None):
+    def __init__(self, gaps=None, ops=None, addresses=None):
         self.gaps = gaps if gaps is not None else array(_TYPECODE)
         self.ops = ops if ops is not None else array(_TYPECODE)
         self.addresses = (
@@ -91,11 +78,6 @@ class PackedTrace:
                 "packed columns disagree on length: "
                 f"{len(self.gaps)}/{len(self.ops)}/{len(self.addresses)}"
             )
-        #: Object keeping the column buffers alive (e.g. a SharedMemory);
-        #: closed by :meth:`close`, never unlinked here — the segment's
-        #: creator owns its lifetime.
-        self._owner = owner
-        self._views: List[memoryview] = []
 
     # -- construction -------------------------------------------------------
 
@@ -190,11 +172,7 @@ class PackedTrace:
         """Header line plus raw column bytes: what the frame digests."""
         parts = [self._header()]
         for name in COLUMNS:
-            column = getattr(self, name)
-            parts.append(
-                column.tobytes() if isinstance(column, array)
-                else bytes(column)
-            )
+            parts.append(getattr(self, name).tobytes())
         return b"".join(parts)
 
     def to_bytes(self) -> bytes:
@@ -207,8 +185,8 @@ class PackedTrace:
     def _parse_header(data, start: int) -> "tuple[dict, int, int]":
         """(header, column offset, payload end) of the payload at ``start``.
 
-        The header line bounds the payload; its newline is found first
-        so oversized carriers (page-rounded shm segments) parse exactly.
+        The header line gives the payload's length, so a blob shorter
+        than that is rejected and bytes past it are never read.
         """
         probe = bytes(data[start:start + 512])
         line_end = probe.find(b"\n")
@@ -237,11 +215,7 @@ class PackedTrace:
 
     @classmethod
     def _parse_frame(cls, data) -> "tuple[dict, int]":
-        """(header, column offset) of a framed blob; verifies the digest.
-
-        Accepts bytes or a memoryview; hashing reads the buffer but
-        copies nothing.
-        """
+        """(header, column offset) of a framed blob; verifies the digest."""
         digest, start = unframe(data, PACKED_MAGIC, TraceFormatError)
         header, offset, end = cls._parse_header(data, start)
         if hashlib.sha256(data[start:end]).hexdigest() != digest:
@@ -267,53 +241,6 @@ class PackedTrace:
                 column.byteswap()
             columns.append(column)
         return cls(*columns)
-
-    @classmethod
-    def from_buffer(cls, buffer: memoryview,
-                    owner=None) -> "PackedTrace":
-        """Map a framed blob's columns zero-copy out of ``buffer``.
-
-        ``owner`` (e.g. a ``SharedMemory``) is retained and closed by
-        :meth:`close` once the column views are released.  Foreign-endian
-        blobs fall back to the copying :meth:`from_bytes` decode.
-        """
-        views: List[memoryview] = [buffer]
-        try:
-            header, offset = cls._parse_frame(buffer)
-        except TraceFormatError:
-            buffer.release()
-            raise
-        if header["byteorder"] != sys.byteorder:
-            packed = cls.from_bytes(bytes(buffer))
-            buffer.release()
-            packed._owner = owner
-            return packed
-        length = header["length"]
-        nbytes = length * _ITEMSIZE
-        columns = []
-        for i in range(3):
-            start = offset + i * nbytes
-            view = buffer[start:start + nbytes].cast(_TYPECODE)
-            views.append(view)
-            columns.append(view)
-        packed = cls(*columns, owner=owner)
-        packed._views = views
-        return packed
-
-    def close(self) -> None:
-        """Release mapped column views and close the owning segment."""
-        for view in self._views:
-            try:
-                view.release()
-            except BufferError:
-                pass
-        self._views = []
-        owner, self._owner = self._owner, None
-        if owner is not None:
-            try:
-                owner.close()
-            except (OSError, BufferError):
-                pass
 
 
 # -- whole-trace reductions ---------------------------------------------------
@@ -414,130 +341,3 @@ class TraceCache(BlobStore):
             return self.write(key, packed._payload())
         except OSError:
             return None
-
-
-# -- the process-global trace source registry --------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class SharedTraceRef:
-    """Locator for one packed trace living in a shared-memory segment."""
-
-    key: str        #: :func:`trace_key` of the trace inside
-    name: str       #: shared-memory segment name
-    nbytes: int     #: exact blob length (segments may be page-rounded)
-
-
-#: Traces resolvable without regeneration in *this* process.
-_IN_PROCESS: Dict[str, PackedTrace] = {}
-#: Shared-memory locators that arrived with pool jobs.
-_SHARED_REFS: Dict[str, SharedTraceRef] = {}
-#: Per-process cache of attached segments (attach once per worker).
-_ATTACHED: Dict[str, PackedTrace] = {}
-#: Shared-memory attaches that failed and fell back to regeneration.
-_ATTACH_FAILURES = 0
-
-
-def install_trace_sources(
-    local: Optional[Dict[str, PackedTrace]] = None,
-    shared: Optional[Iterable[SharedTraceRef]] = None,
-) -> None:
-    """Add trace sources to this process (keeping those installed).
-
-    The parent engine installs each trace in ``local`` as it stages it
-    (the serial and degraded-pool paths read them there); a pool worker
-    installs the ``shared`` reference each job carries.
-    :func:`clear_trace_sources` drops them all.
-    """
-    if local:
-        _IN_PROCESS.update(local)
-    if shared:
-        _SHARED_REFS.update({ref.key: ref for ref in shared})
-
-
-def clear_trace_sources() -> None:
-    """Drop every installed source and close attached segments."""
-    _IN_PROCESS.clear()
-    _SHARED_REFS.clear()
-    for packed in _ATTACHED.values():
-        packed.close()
-    _ATTACHED.clear()
-
-
-def attach_failures() -> int:
-    """Shared-memory attaches that degraded to regeneration (telemetry)."""
-    return _ATTACH_FAILURES
-
-
-def _open_untracked(name: str):
-    """Attach a segment without registering it with the resource tracker.
-
-    Workers only *attach*; the creating process owns unlink.  Left
-    registered, a worker's resource tracker would unlink segments the
-    parent is still serving to its siblings (bpo-39959) — and under the
-    fork start method the tracker is *shared*, so a worker-side
-    unregister would instead erase the parent's registration.  Plugging
-    ``register`` for the duration of the attach sidesteps both.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    original = resource_tracker.register
-
-    def register(name, rtype):
-        if rtype != "shared_memory":
-            original(name, rtype)
-
-    resource_tracker.register = register
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-def _attach(ref: SharedTraceRef) -> Optional[PackedTrace]:
-    global _ATTACH_FAILURES
-    try:
-        shm = _open_untracked(ref.name)
-    except (OSError, ValueError, ImportError):
-        _ATTACH_FAILURES += 1
-        return None
-    try:
-        return PackedTrace.from_buffer(
-            memoryview(shm.buf)[:ref.nbytes], owner=shm
-        )
-    except TraceFormatError:
-        _ATTACH_FAILURES += 1
-        try:
-            shm.close()
-        except (OSError, BufferError):
-            pass
-        return None
-
-
-def resolve_trace(profile: BenchmarkProfile, count: int,
-                  line_bytes: Optional[int] = None) -> PackedTrace:
-    """The packed trace for (profile, count) via the cheapest source.
-
-    Resolution order: in-process installs, already-attached segments,
-    attachable shared-memory references, then deterministic
-    regeneration.  Every step yields the bit-identical trace, so a
-    transport failure can only cost time, never correctness.
-    """
-    from .tracegen import LINE_BYTES, generate_packed_trace
-
-    if line_bytes is None:
-        line_bytes = LINE_BYTES
-    key = trace_key(profile, count, line_bytes)
-    packed = _IN_PROCESS.get(key)
-    if packed is not None:
-        return packed
-    packed = _ATTACHED.get(key)
-    if packed is not None:
-        return packed
-    ref = _SHARED_REFS.get(key)
-    if ref is not None:
-        packed = _attach(ref)
-        if packed is not None:
-            _ATTACHED[key] = packed
-            return packed
-    return generate_packed_trace(profile, count, line_bytes)

@@ -239,14 +239,6 @@ class TestProtocolEnforcement:
         with pytest.raises(ProtocolError):
             bank.issue(conflicting, TCCD)
 
-    def test_next_release_reports_busy_resources(self, setup):
-        bank, mapper, _ = setup
-        assert bank.next_release(0) is None
-        bank.issue(read_at(mapper), 0)
-        assert bank.next_release(0) == TCCD  # column gate frees first
-        assert bank.next_release(TCCD) == MISS_BUSY
-
-
 class TestEnergyAccounting:
     def test_sense_bits_per_cd_slice(self, setup):
         bank, mapper, stats = setup

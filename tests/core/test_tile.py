@@ -80,15 +80,6 @@ class TestQueries:
         assert grid.overlap_counts(10)[1] == 1
         assert grid.overlap_counts(66)[1] == 0
 
-    def test_next_release(self, grid):
-        assert grid.next_release(0) is None
-        grid.occupy_cd(0, 0, 38, KIND_SENSE)
-        grid.occupy_sag_exclusive(2, 0, 48, KIND_SENSE)
-        assert grid.next_release(0) == 38
-        assert grid.next_release(38) == 48
-        assert grid.next_release(48) is None
-
-
 class TestAccounting:
     def test_utilisation_integrals(self, grid):
         grid.occupy_cd(0, 0, 40, KIND_SENSE)

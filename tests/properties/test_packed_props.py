@@ -3,8 +3,8 @@
 The contracts pinned here are the ones every transport relies on:
 
 * the generator emits the stream its per-access draw order defines,
-* the framed blob round-trips byte-for-byte (shared-memory segments
-  carry exactly these bytes),
+* the framed blob round-trips byte-for-byte (pool jobs carry exactly
+  these bytes),
 * trace file I/O round-trips through the streaming packed readers,
 * the whole-column reductions agree with a per-row count.
 """
@@ -81,18 +81,6 @@ def test_blob_round_trip_byte_identical(row_list):
     assert list(decoded.ops) == list(trace.ops)
     assert list(decoded.addresses) == list(trace.addresses)
     assert decoded.to_bytes() == blob
-
-
-@given(row_list=rows)
-@settings(max_examples=50, deadline=None)
-def test_from_buffer_matches_from_bytes(row_list):
-    trace = packed_from(row_list)
-    carrier = bytearray(trace.to_bytes()) + bytes(512)  # page-rounded
-    mapped = PackedTrace.from_buffer(memoryview(carrier))
-    try:
-        assert mapped == trace
-    finally:
-        mapped.close()
 
 
 @given(row_list=rows)

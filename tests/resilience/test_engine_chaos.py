@@ -201,7 +201,7 @@ class TestPooledChaos:
 
     def test_degraded_engine_stays_in_process(self, monkeypatch):
         """Degradation lasts for the engine's lifetime: a later batch
-        builds no pool and stages no shared memory."""
+        builds no pool and sends no job to one."""
         monkeypatch.setattr(parallel, "MAX_POOL_REBUILDS", 0)
         plan = FaultPlan(faults=(FaultSpec(kind=CRASH, job_index=0),))
         engine = ParallelExperimentEngine(
@@ -212,9 +212,8 @@ class TestPooledChaos:
         stats = engine.trace_stats
         # Each job is counted once, by how it first received its trace;
         # a job not yet sent when the pool broke ran in-process.
-        assert stats.shm_attached + stats.inproc_jobs == 4
-        attached, inproc = stats.shm_attached, stats.inproc_jobs
-        segments = stats.shm_segments
+        assert stats.pooled_jobs + stats.inproc_jobs == 4
+        pooled, inproc = stats.pooled_jobs, stats.inproc_jobs
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a degraded engine built a process pool")
@@ -224,8 +223,7 @@ class TestPooledChaos:
         later = jobs(4, first_seed=4)
         got = [r.summary() for r in engine.run_jobs(later)]
         assert got == clean_summaries(later)
-        assert stats.shm_attached == attached
-        assert stats.shm_segments == segments
+        assert stats.pooled_jobs == pooled
         assert stats.inproc_jobs == inproc + 4
 
     def test_manifest_carries_resilience_counters(self, tmp_path):

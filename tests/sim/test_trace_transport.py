@@ -1,14 +1,13 @@
-"""Integration tests: the zero-copy trace transport end to end.
+"""Integration tests: the by-value trace hand-off end to end.
 
-Every engine path — serial, pooled over shared memory, disk-cached,
-degraded-to-regeneration — must produce bit-identical results, and no
-shared-memory segment may outlive its engine (crash paths included).
+Every engine path — serial, pooled, disk-cached, degraded to the
+in-process drain — must produce bit-identical results from traces the
+parent staged once; a pool job carries its trace's blob, so no worker
+generates a trace.
 """
 
 import glob
-import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -22,21 +21,10 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.sim import parallel
-from repro.sim.parallel import (
-    ExperimentJob,
-    ParallelExperimentEngine,
-    _pool_worker_init,
-)
-from repro.workloads import tracegen
-from repro.workloads.packed import SharedTraceRef, attach_failures, trace_key
-from repro.workloads.spec_profiles import get_profile
+from repro.sim.parallel import ExperimentJob, ParallelExperimentEngine
 from repro.workloads.tracegen import generate_packed_trace
 
 REQUESTS = 300
-
-shm_only = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform"
-)
 
 
 def small(cfg):
@@ -67,25 +55,23 @@ def leftover_segments():
     return glob.glob("/dev/shm/repro-trace-*")
 
 
-def _worker_digest(args):
-    """Run one job in a pool worker with its trace's segment reference;
-    report the mapped trace's blob digest and the job's summary.
+@pytest.fixture
+def parent_generations(monkeypatch):
+    """Trace generations made by this (the parent) process.
 
-    Trace generation is disabled in the worker, so a job that did not
-    map its segment fails instead of regenerating."""
-    job, trace_ref = args
-    from repro.sim.parallel import _timed_execute_job
-    from repro.workloads import packed
+    A generation in any other process -- a pool worker -- raises, which
+    fails its job fatally instead of regenerating a trace silently."""
+    parent = os.getpid()
+    made = []
 
-    def no_generation(*args, **kwargs):
-        raise AssertionError("the worker regenerated a shared trace")
+    def generate(*args, **kwargs):
+        if os.getpid() != parent:
+            raise AssertionError("a pool worker generated a trace")
+        made.append(args)
+        return generate_packed_trace(*args, **kwargs)
 
-    tracegen.generate_packed_trace = no_generation
-    result, _wall_s = _timed_execute_job(job, None, trace_ref)
-    mapped = packed._ATTACHED.get(trace_ref.key)
-    digest = (hashlib.sha256(mapped.to_bytes()).hexdigest()
-              if mapped is not None else None)
-    return digest, result.summary()
+    monkeypatch.setattr(parallel, "generate_packed_trace", generate)
+    return made
 
 
 class TestTransportIdentity:
@@ -103,103 +89,50 @@ class TestTransportIdentity:
             workers=2, cache_dir=tmp_path / "cache")
         warm = summaries(warm_engine.run_jobs(batch))
         assert serial == pooled == cached == warm
-        assert pooled_engine.trace_stats.shm_segments == len(batch)
+        assert pooled_engine.trace_stats.pooled_jobs == len(batch)
         assert cached_engine.trace_stats.generated == len(batch)
         assert warm_engine.trace_stats.cache_hits == len(batch)
         assert warm_engine.trace_stats.generated == 0
-
-    def test_shm_failure_degrades_bit_identically(self, tmp_path,
-                                                  monkeypatch):
-        batch = jobs(3)
-        expected = summaries(
-            ParallelExperimentEngine(workers=1).run_jobs(batch))
-
-        def refuse(*args, **kwargs):
-            raise OSError("no shared memory for you")
-
-        monkeypatch.setattr(
-            "multiprocessing.shared_memory.SharedMemory", refuse
-        )
-        engine = ParallelExperimentEngine(workers=2)
-        got = summaries(engine.run_jobs(batch))
-        assert got == expected
-        stats = engine.trace_stats
-        assert stats.fallback is not None
-        assert "segment create failed" in stats.fallback
-        assert stats.shm_segments == 0
-        assert stats.regenerated_jobs == len(batch)
-
-    @shm_only
-    def test_workers_map_byte_identical_blobs(self):
-        """A reference sent with the job is enough: the pool initializer
-        carries no trace, and the worker maps the segment."""
-        from multiprocessing import shared_memory
-
-        profile = get_profile("mcf")
-        packed = generate_packed_trace(profile, REQUESTS)
-        blob = packed.to_bytes()
-        parent_digest = hashlib.sha256(blob).hexdigest()
-        job = ExperimentJob(small(fgnvm(4, 4)), "mcf", REQUESTS)
-        expected = ParallelExperimentEngine(workers=1).run(
-            job.config, "mcf", REQUESTS).summary()
-        shm = shared_memory.SharedMemory(create=True, size=len(blob))
-        try:
-            shm.buf[: len(blob)] = blob
-            ref = SharedTraceRef(
-                key=trace_key(profile, REQUESTS),
-                name=shm.name, nbytes=len(blob),
-            )
-            with ProcessPoolExecutor(
-                max_workers=2,
-                initializer=_pool_worker_init,
-                initargs=(None, 0),
-            ) as pool:
-                reports = list(pool.map(_worker_digest, [(job, ref)] * 4))
-        finally:
-            shm.close()
-            shm.unlink()
-        for digest, summary in reports:
-            # Served from the mapped segment, not regenerated.
-            assert digest == parent_digest
-            assert summary == expected
 
 
 class TestTraceStaging:
     """Each distinct trace is staged once, when a job first needs it."""
 
-    @shm_only
-    def test_each_trace_exported_once_and_mapped_by_every_job(self):
+    def test_each_trace_exported_once_and_mapped_by_every_job(
+            self, monkeypatch, parent_generations):
+        """The parent makes and frames each trace once; every pool job
+        carries the blob, and no worker generates a trace."""
         batch = grid()
         expected = summaries(
             ParallelExperimentEngine(workers=1).run_jobs(batch))
-        failures = attach_failures()
+        del parent_generations[:]
+        exported = []
+        export = ParallelExperimentEngine._export_segments
+
+        def counted(engine, key, packed):
+            exported.append(key)
+            return export(engine, key, packed)
+
+        monkeypatch.setattr(ParallelExperimentEngine, "_export_segments",
+                            counted)
         engine = ParallelExperimentEngine(workers=2)
         assert summaries(engine.run_jobs(batch)) == expected
         stats = engine.trace_stats
-        assert stats.shm_segments == stats.unique_traces == len(PROFILES)
-        assert stats.generated == len(PROFILES)
-        assert stats.shm_attached == len(batch)
-        assert stats.regenerated_jobs == 0
+        assert stats.unique_traces == stats.generated == len(PROFILES)
+        assert len(parent_generations) == len(PROFILES)
+        assert len(set(exported)) == len(exported) == len(PROFILES)
+        assert stats.pooled_jobs == len(batch)
         assert stats.inproc_jobs == 0
-        assert attach_failures() == failures
-        assert leftover_segments() == []
 
-    def test_degraded_drain_stages_without_regenerating(self, monkeypatch):
+    def test_degraded_drain_stages_without_regenerating(
+            self, monkeypatch, parent_generations):
         """A crash past the rebuild limit moves the rest of the batch
-        in-process: every trace is made once, by the engine, and
-        ``resolve_trace`` regenerates none."""
+        in-process: every trace is made once, by the engine."""
         batch = grid()
         expected = summaries(
             ParallelExperimentEngine(workers=1).run_jobs(batch))
+        del parent_generations[:]
         monkeypatch.setattr(parallel, "MAX_POOL_REBUILDS", 0)
-        regenerated = []
-
-        def counted(*args, **kwargs):
-            regenerated.append(args)
-            return generate_packed_trace(*args, **kwargs)
-
-        # resolve_trace imports the generator from tracegen on each call.
-        monkeypatch.setattr(tracegen, "generate_packed_trace", counted)
         engine = ParallelExperimentEngine(
             workers=2,
             fault_plan=FaultPlan(
@@ -211,7 +144,7 @@ class TestTraceStaging:
         assert engine.rstats.degraded_to_serial == 1
         assert engine.trace_stats.generated == len(PROFILES)
         assert engine.trace_stats.unique_traces == len(PROFILES)
-        assert regenerated == []
+        assert len(parent_generations) == len(PROFILES)
 
     def test_refused_pool_stages_every_trace_in_the_drain(self, monkeypatch):
         """No pool at all: the drain stages all three traces itself."""
@@ -227,12 +160,15 @@ class TestTraceStaging:
         assert summaries(engine.run_jobs(batch)) == expected
         stats = engine.trace_stats
         assert stats.generated == stats.unique_traces == len(PROFILES)
-        assert stats.shm_segments == 0
+        assert stats.pooled_jobs == 0
         assert stats.inproc_jobs == len(batch)
 
 
-@shm_only
 class TestSegmentLifetime:
+    """No engine path leaves a trace segment in ``/dev/shm``: the guard
+    against a shared-memory transport coming back, beside each crash
+    and interrupt path's results."""
+
     def test_no_segment_survives_run_jobs(self, tmp_path):
         engine = ParallelExperimentEngine(
             workers=2, cache_dir=tmp_path / "cache")
@@ -271,7 +207,7 @@ class TestSegmentLifetime:
         )
         assert summaries(engine.run_jobs(batch)) == expected
         assert engine.rstats.worker_crashes >= 1
-        assert engine.trace_stats.shm_segments == len(PROFILES)
+        assert engine.trace_stats.unique_traces == len(PROFILES)
         assert leftover_segments() == []
 
     def test_no_segment_survives_interrupt(self, tmp_path):
@@ -284,7 +220,7 @@ class TestSegmentLifetime:
         )
         with pytest.raises(KeyboardInterrupt):
             engine.run_jobs(grid())
-        assert engine.trace_stats.shm_segments >= 1
+        assert engine.trace_stats.pooled_jobs >= 1
         assert leftover_segments() == []
 
 
@@ -301,11 +237,12 @@ class TestTraceTelemetry:
         assert trace["unique_traces"] == len(batch)
         assert trace["packed_bytes"] > 0
         assert trace["traces_generated"] == len(batch)
-        assert trace["regenerated_jobs"] == 0
-        if os.path.isdir("/dev/shm"):
-            assert trace["shm_segments"] == len(batch)
-            assert trace["shm_attached"] == len(batch)
-            assert trace["fallback"] is None
+        assert trace["pooled_jobs"] == len(batch)
+        assert trace["inproc_jobs"] == 0
+        assert sorted(trace) == [
+            "inproc_jobs", "packed_bytes", "pooled_jobs", "trace_cache_hits",
+            "trace_cache_misses", "traces_generated", "unique_traces",
+        ]
 
     def test_warm_trace_cache_reports_hits(self, tmp_path):
         engine = ParallelExperimentEngine(
@@ -339,7 +276,6 @@ class TestTraceTelemetry:
         engine.run_jobs(jobs(2))
         fleet = hub.fleet.as_dict()
         assert fleet["trace_packed_bytes"] > 0
-        if os.path.isdir("/dev/shm"):
-            assert fleet["shm_segments"] == 2
+        assert fleet["pooled_jobs"] == 2
         assert "traces" in render_dashboard(hub)
         hub.close()

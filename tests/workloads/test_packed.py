@@ -12,13 +12,8 @@ from repro.workloads.packed import (
     OP_WRITE,
     PACKED_MAGIC,
     PackedTrace,
-    SharedTraceRef,
     TraceCache,
-    attach_failures,
-    clear_trace_sources,
-    install_trace_sources,
     read_fraction,
-    resolve_trace,
     total_instructions,
     trace_key,
 )
@@ -91,12 +86,8 @@ class TestPackedTrace:
         assert sample_trace() != PackedTrace()
         # Not a list: compare rows explicitly.
         assert sample_trace() != sample_records()
-        carrier = bytearray(sample_trace().to_bytes())
-        mapped = PackedTrace.from_buffer(memoryview(carrier))
-        try:
-            assert mapped == sample_trace()
-        finally:
-            mapped.close()
+        assert PackedTrace.from_bytes(sample_trace().to_bytes()) == (
+            sample_trace())
 
     def test_unhashable(self):
         with pytest.raises(TypeError):
@@ -136,23 +127,6 @@ class TestBlobFormat:
         blob[-1] ^= 0xFF
         with pytest.raises(TraceFormatError, match="checksum"):
             PackedTrace.from_bytes(bytes(blob))
-
-    def test_from_buffer_zero_copy_with_oversized_carrier(self):
-        # Shared-memory segments are page-rounded: the carrier is
-        # larger than the blob and the header must bound the payload.
-        trace = sample_trace()
-        blob = trace.to_bytes()
-        carrier = bytearray(blob) + bytearray(4096 - len(blob) % 4096)
-        mapped = PackedTrace.from_buffer(memoryview(carrier))
-        assert mapped == trace
-        mapped.close()
-
-    def test_close_releases_views(self):
-        carrier = bytearray(sample_trace().to_bytes())
-        mapped = PackedTrace.from_buffer(memoryview(carrier))
-        mapped.close()
-        del mapped
-        carrier += b"x"  # raises BufferError if a view is still held
 
 
 class TestTraceKey:
@@ -211,45 +185,6 @@ class TestTraceCache:
         assert len(quarantined) == 2
         assert sorted(q.read_bytes() for q in quarantined) == sorted(corrupted)
         assert cache.corrupt_blobs == 2
-
-
-class TestTraceSourceRegistry:
-    @pytest.fixture(autouse=True)
-    def clean_registry(self):
-        clear_trace_sources()
-        yield
-        clear_trace_sources()
-
-    def test_in_process_install_served_without_regeneration(self):
-        profile = get_profile("mcf")
-        trace = generate_packed_trace(profile, 100)
-        install_trace_sources(local={trace_key(profile, 100): trace})
-        assert resolve_trace(profile, 100) is trace
-
-    def test_resolution_falls_back_to_generation(self):
-        profile = get_profile("milc")
-        resolved = resolve_trace(profile, 80)
-        expected = generate_packed_trace(profile, 80)
-        assert resolved == expected
-
-    def test_dead_shared_ref_degrades_bit_identically(self):
-        profile = get_profile("mcf")
-        key = trace_key(profile, 60)
-        before = attach_failures()
-        install_trace_sources(shared=[
-            SharedTraceRef(key=key, name="repro-test-no-such-segment",
-                           nbytes=64)
-        ])
-        resolved = resolve_trace(profile, 60)
-        assert attach_failures() == before + 1
-        assert resolved == generate_packed_trace(profile, 60)
-
-    def test_clear_drops_installed_sources(self):
-        profile = get_profile("mcf")
-        trace = generate_packed_trace(profile, 40)
-        install_trace_sources(local={trace_key(profile, 40): trace})
-        clear_trace_sources()
-        assert resolve_trace(profile, 40) is not trace
 
 
 class TestReaderAllocation:
