@@ -177,7 +177,7 @@ def _make_engine(args):
     """The experiment engine every simulating command routes through."""
     from .resilience.retry import RetryPolicy
     from .sim.parallel import ParallelExperimentEngine
-    from .sim.reporting import hub_progress_printer, progress_printer
+    from .sim.reporting import progress_printer
 
     if args.workers < 0:
         raise ExperimentError(
@@ -195,23 +195,17 @@ def _make_engine(args):
             f"--job-timeout must be positive seconds, got {job_timeout}"
         )
     workers = None if args.workers == 0 else args.workers
-    hub = _make_hub(args)
-    if args.progress:
-        # With streaming on, the progress line renders from the hub's
-        # fleet view — the same counters `repro watch` reads — so the
-        # two can never disagree about job counts.
-        progress = (hub_progress_printer(hub) if hub is not None
-                    else progress_printer())
-    else:
-        progress = None
     return ParallelExperimentEngine(
         workers=workers,
         cache_dir=args.cache_dir,
-        progress=progress,
+        # With streaming on, the engine folds each snapshot into the
+        # hub before this hook prints it, so a --progress line and
+        # `repro watch` read the same engine frame.
+        progress=progress_printer() if args.progress else None,
         retry=RetryPolicy(max_attempts=retries),
         job_timeout_s=job_timeout,
         resume=getattr(args, "resume", False),
-        telemetry=hub,
+        telemetry=_make_hub(args),
     )
 
 

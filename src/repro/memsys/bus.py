@@ -88,7 +88,3 @@ class DataBus:
         if elapsed_cycles <= 0:
             return 0.0
         return self.busy_cycles / (elapsed_cycles * self.width)
-
-    def next_free(self) -> int:
-        """Earliest cycle any lane frees (event-skipping support)."""
-        return min(self._lane_free)

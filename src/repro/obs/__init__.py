@@ -45,9 +45,8 @@ __getattr__, __dir__, __all__ = attach(__name__, {
         "read_events_jsonl", "write_chrome_trace", "write_events_jsonl",
     ),
     "inspect": (
-        "inspect_engine", "inspect_trace", "load_events",
-        "render_engine_report", "render_inspection", "summarize_events",
-        "summarize_manifest",
+        "inspect_trace", "load_events", "render_engine_report",
+        "render_inspection", "summarize_events", "summarize_manifest",
     ),
     "manifest": (
         "MANIFEST_SCHEMA", "JobRecord", "RunManifest", "read_manifest",

@@ -15,14 +15,20 @@ live observers see:
   ``telemetry.jsonl``, replayable by ``repro watch --replay`` and
   ``repro inspect``,
 * **drift** — epoch frames are checked against a committed golden
-  envelope (:mod:`repro.obs.drift`); anomalies become ``drift`` frames,
-  :data:`~repro.obs.events.EV_DRIFT` probe events and manifest entries,
-  and ``drift`` frames replayed from a spool become findings again.
+  envelope (:mod:`repro.obs.drift`) and engine frames against the
+  retry-storm threshold, live and on replay; anomalies become
+  ``drift`` frames, :data:`~repro.obs.events.EV_DRIFT` probe events and
+  manifest entries, and ``drift`` frames replayed from a spool become
+  findings again.
 
-The hub also *publishes*: engine progress snapshots arrive through
-:meth:`note_progress` (the progress hook the engines call), which keeps
-``--progress`` lines and ``repro watch`` reading the same counters —
-they cannot disagree about job counts.
+The engine's counters reach the hub one way only: the ``engine`` frame
+the experiment engine publishes through :meth:`note_progress` at every
+progress report and once at the end of each batch.  It carries the
+progress snapshot, ``busy_s``/``wall_s`` and the run manifest's
+``engine``/``resilience``/``trace`` blocks, so the live hub, a replayed
+spool, ``--progress`` and ``run-manifest.json`` read the same numbers,
+and worker utilization has one definition
+(:func:`repro.obs.manifest.worker_utilization`).
 """
 
 from __future__ import annotations
@@ -38,17 +44,8 @@ from typing import Dict, Optional
 
 from ..errors import ReproError
 from .drift import DriftDetector, DriftFinding
-from .events import (
-    EV_DEGRADED,
-    EV_DRIFT,
-    EV_FAULT,
-    EV_POOL_REBUILD,
-    EV_QUARANTINE,
-    EV_RETRY,
-    NULL_PROBE,
-    Event,
-    make_probe,
-)
+from .events import EV_DRIFT, NULL_PROBE, Event
+from .manifest import worker_utilization
 from .stream import (
     FR_DRIFT,
     FR_ENGINE,
@@ -70,6 +67,19 @@ SPOOL_NAME = "telemetry.jsonl"
 #: Ring-buffer length per job series: enough for a sparkline and recent
 #: history, fixed memory however many epochs a job produces.
 RING = 120
+
+#: Fleet counters an ``engine`` frame carries in its manifest blocks:
+#: (fleet field, payload block, block key).
+ENGINE_COUNTERS = (
+    ("retries", "resilience", "retries"),
+    ("faults", "resilience", "faults_injected"),
+    ("pool_rebuilds", "resilience", "pool_rebuilds"),
+    ("degraded", "resilience", "degraded_to_serial"),
+    ("quarantines", "engine", "corrupt_blobs"),
+    ("trace_cache_hits", "trace", "trace_cache_hits"),
+    ("trace_packed_bytes", "trace", "packed_bytes"),
+    ("pooled_jobs", "trace", "pooled_jobs"),
+)
 
 
 @dataclass
@@ -126,10 +136,13 @@ class FleetView:
     quarantines: int = 0
     pool_rebuilds: int = 0
     degraded: int = 0
-    #: Trace-pipeline counters (note_trace; zero for pre-packed runs).
     trace_cache_hits: int = 0
     trace_packed_bytes: int = 0
     pooled_jobs: int = 0
+    #: The engine's cumulative busy and wall seconds: the inputs of
+    #: ``worker_utilization``, reported beside the fleet, not in it.
+    busy_s: float = 0.0
+    wall_s: float = 0.0
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -157,11 +170,12 @@ class TelemetryHub:
     * ``spool_path`` — append folded frames to this ``telemetry.jsonl``
       (None keeps telemetry in-memory only),
     * ``drift`` — optional :class:`~repro.obs.drift.DriftDetector`
-      checked on every epoch frame.
+      checked on every epoch frame (IPC envelopes) and every engine
+      frame (retry storms).
 
-    The hub is also an :class:`~repro.obs.events.EventSink`: adopt an
-    engine's probe with :meth:`adopt_probe` and harness events (retries,
-    faults, quarantines, pool rebuilds) fold into the fleet counters.
+    Drift findings are published as ``drift`` frames and, when
+    :attr:`probe` is set (the engine hands over its caller's probe), as
+    :data:`~repro.obs.events.EV_DRIFT` events.
     """
 
     def __init__(
@@ -174,7 +188,7 @@ class TelemetryHub:
         self.drift = drift
         self.frames_seen = 0
         self.channel: Optional[TelemetryChannel] = None
-        #: Probe drift events are emitted on (set by :meth:`adopt_probe`).
+        #: Probe drift events are emitted on.
         self.probe = NULL_PROBE
         #: Cumulative dropped-frame count per publisher PID, as reported
         #: in ``job_end`` payloads (and the hub's own channel at close).
@@ -182,11 +196,6 @@ class TelemetryHub:
         self._spool_path = Path(spool_path) if spool_path else None
         self._spool = None
         self._seq = 0
-        # Frame-timestamp span: engines report elapsed_s per *batch*,
-        # but jobs accumulate across batches (figure commands run
-        # several), so utilization needs the whole-run wall span.
-        self._t_first: Optional[float] = None
-        self._t_last = 0.0
         # Reentrant: folding an epoch frame can raise a drift finding,
         # which folds a drift frame from inside the same fold call.
         self._lock = threading.RLock()
@@ -247,10 +256,6 @@ class TelemetryHub:
         """Fold one frame into the hub state (and the spool)."""
         with self._lock:
             self.frames_seen += 1
-            if frame.t:
-                if self._t_first is None:
-                    self._t_first = frame.t
-                self._t_last = max(self._t_last, frame.t)
             handler = {
                 FR_JOB_START: self._fold_job_start,
                 FR_EPOCH: self._fold_epoch,
@@ -320,6 +325,16 @@ class TelemetryHub:
         eta = payload.get("eta_s", fleet.eta_s)
         fleet.eta_s = float(eta) if eta is not None else None
         fleet.workers = int(payload.get("workers", fleet.workers))
+        fleet.busy_s = float(payload.get("busy_s", fleet.busy_s))
+        fleet.wall_s = float(payload.get("wall_s", fleet.wall_s))
+        for name, block, key in ENGINE_COUNTERS:
+            value = payload.get(block, {}).get(key)
+            if value is not None:
+                setattr(fleet, name, int(value))
+        if self.drift is not None:
+            finding = self.drift.check_retries(fleet.retries)
+            if finding is not None:
+                self._publish_drift(finding)
 
     def _fold_drift(self, frame: TelemetryFrame) -> None:
         # A replayed spool rebuilds the findings, with or without an
@@ -332,45 +347,19 @@ class TelemetryHub:
 
     # -- publishing ----------------------------------------------------------
 
-    def note_progress(self, event) -> None:
-        """Fold one engine progress snapshot (the engines' hook).
+    def note_progress(self, payload: Dict[str, object]) -> None:
+        """Fold one ``engine`` frame payload, then drain worker frames.
 
-        Accepts a :class:`~repro.sim.parallel.ProgressEvent` (anything
-        with ``done``/``total``/``elapsed_s``/``eta_s``/``cache_hits``).
-        Supervisor-side state folds directly — it never rides the
-        worker queue, so a full queue cannot lose progress truth.
+        The experiment engine calls this with its progress snapshot and
+        counter blocks.  Supervisor-side state folds directly: it never
+        rides the worker queue, so a full queue cannot lose it.
         """
-        self._engine_frame({
-            "jobs_total": event.total,
-            "jobs_done": event.done,
-            "cache_hits": getattr(event, "cache_hits", 0),
-            "elapsed_s": round(event.elapsed_s, 6),
-            "eta_s": getattr(event, "eta_s", None),
-            "workers": self.fleet.workers,
-        })
-        self.pump()
-
-    def note_workers(self, workers: int) -> None:
-        self.fleet.workers = max(1, workers)
-
-    def note_trace(self, block: Dict[str, object]) -> None:
-        """Fold one engine's trace-pipeline counters into the fleet view.
-
-        ``block`` is :meth:`repro.sim.parallel.TraceStats.as_dict`; the
-        counters are cumulative per engine, so the fleet keeps the
-        latest report (engines call this once per batch).
-        """
-        fleet = self.fleet
-        fleet.trace_cache_hits = int(block.get("trace_cache_hits", 0))
-        fleet.trace_packed_bytes = int(block.get("packed_bytes", 0))
-        fleet.pooled_jobs = int(block.get("pooled_jobs", 0))
-
-    def _engine_frame(self, payload: Dict[str, object]) -> None:
         self._seq += 1
         self.fold(TelemetryFrame(
             kind=FR_ENGINE, seq=self._seq, worker=os.getpid(),
             t=time.time(), payload=payload,
         ))
+        self.pump()
 
     def _publish_drift(self, finding) -> None:
         self._seq += 1
@@ -386,38 +375,6 @@ class TelemetryHub:
                 value=int(finding.observed * 1e6),
             ))
 
-    # -- probe adoption (harness events → fleet counters) --------------------
-
-    def adopt_probe(self, probe):
-        """Tee an engine probe through the hub; returns the new probe.
-
-        The original sink (if any) still sees every event, and its
-        tracer and epoch tap ride along; the hub additionally folds
-        harness kinds into the fleet counters.  Drift events the hub
-        itself raises go to the *original* probe.
-        """
-        self.probe = probe = probe if probe is not None else NULL_PROBE
-        return make_probe(probe.sink, self, tracer=probe.tracer,
-                          on_epoch=probe.on_epoch)
-
-    def on_event(self, event: Event) -> None:
-        """EventSink: count harness events into the fleet view."""
-        fleet = self.fleet
-        if event.kind == EV_RETRY:
-            fleet.retries += 1
-            if self.drift is not None:
-                finding = self.drift.check_retries(fleet.retries)
-                if finding is not None:
-                    self._publish_drift(finding)
-        elif event.kind == EV_FAULT:
-            fleet.faults += 1
-        elif event.kind == EV_QUARANTINE:
-            fleet.quarantines += 1
-        elif event.kind == EV_POOL_REBUILD:
-            fleet.pool_rebuilds += 1
-        elif event.kind == EV_DEGRADED:
-            fleet.degraded = 1
-
     # -- derived state -------------------------------------------------------
 
     @property
@@ -432,18 +389,9 @@ class TelemetryHub:
 
     @property
     def utilization(self) -> float:
-        """Busy fraction of the fleet's wall capacity so far.
-
-        Capacity spans the whole run: ``elapsed_s`` only covers the
-        current engine batch, so the frame-timestamp span wins when a
-        command ran several batches.
-        """
-        span = ((self._t_last - self._t_first)
-                if self._t_first is not None else 0.0)
-        elapsed = max(self.fleet.elapsed_s, span)
-        capacity = elapsed * max(1, self.fleet.workers)
-        busy = sum(v.wall_s for v in self.jobs.values())
-        return busy / capacity if capacity > 0 else 0.0
+        """The run manifest's ``worker_utilization``, from engine frames."""
+        fleet = self.fleet
+        return worker_utilization(fleet.busy_s, fleet.wall_s, fleet.workers)
 
     def snapshot(self) -> Dict[str, object]:
         """The whole hub state as schema-versioned JSON (``--json``)."""

@@ -386,11 +386,3 @@ def render_engine_report(summary: Dict[str, object]) -> str:
                 f"  {float(job['wall_s']):.2f}s"
             )
     return "\n".join(lines)
-
-
-def inspect_engine(path: "str | os.PathLike[str]") -> str:
-    """Load, summarize and render a run manifest in one call."""
-    # Imported lazily to keep module import light (leaf rule above).
-    from .manifest import read_manifest
-
-    return render_engine_report(summarize_manifest(read_manifest(path)))

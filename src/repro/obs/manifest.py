@@ -42,6 +42,16 @@ def platform_stamp() -> str:
                     if part)
 
 
+def worker_utilization(busy_s: float, wall_s: float, workers: int) -> float:
+    """Fraction of the worker pool's wall capacity spent simulating.
+
+    The one definition: the run manifest and the telemetry hub both
+    apply it to the engine's cumulative ``busy_s`` and ``wall_s``.
+    """
+    capacity = wall_s * max(1, workers)
+    return busy_s / capacity if capacity > 0 else 0.0
+
+
 @dataclass
 class JobRecord:
     """Telemetry for one job the engine was asked for."""
@@ -108,9 +118,7 @@ class RunManifest:
 
     @property
     def worker_utilization(self) -> float:
-        """Fraction of the worker-pool's wall capacity spent simulating."""
-        capacity = self.wall_s * max(1, self.workers)
-        return self.busy_s / capacity if capacity > 0 else 0.0
+        return worker_utilization(self.busy_s, self.wall_s, self.workers)
 
     def as_dict(self) -> Dict[str, object]:
         data = asdict(self)

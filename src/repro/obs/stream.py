@@ -7,8 +7,10 @@ counters visible *while* a sweep is in flight:
 
 * :class:`TelemetryFrame` — the schema-versioned wire format: one JSON
   object per frame, kinds for job lifecycle (``job_start`` /
-  ``job_end``), per-epoch metric samples (``epoch``), supervisor
-  counter snapshots (``engine``) and drift anomalies (``drift``),
+  ``job_end``), per-epoch metric samples (``epoch``), the engine's
+  progress and counter snapshot (``engine``: the only way the hub
+  learns the counters the run manifest writes) and drift anomalies
+  (``drift``),
 * :class:`TelemetryChannel` — a bounded, *drop-counting* frame
   transport.  Publishing never blocks: a full queue increments
   ``dropped`` and the frame is lost, so telemetry can never stall a
@@ -49,7 +51,7 @@ FRAME_SCHEMA = "repro-telemetry-frame-v1"
 FR_JOB_START = "job_start"  #: a worker began simulating one job
 FR_EPOCH = "epoch"          #: one epoch sample, streamed as it happens
 FR_JOB_END = "job_end"      #: job finished (payload carries run totals)
-FR_ENGINE = "engine"        #: supervisor-side engine counter snapshot
+FR_ENGINE = "engine"        #: engine progress + manifest counter blocks
 FR_DRIFT = "drift"          #: drift detector anomaly (hub-published)
 
 FRAME_KINDS = (FR_JOB_START, FR_EPOCH, FR_JOB_END, FR_ENGINE, FR_DRIFT)

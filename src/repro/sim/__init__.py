@@ -17,8 +17,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     ),
     "reporting": (
         "ascii_table", "bar_chart", "dict_table", "format_duration",
-        "hub_progress_printer", "progress_line", "progress_printer",
-        "series_table",
+        "progress_line", "progress_printer", "series_table",
     ),
     "epochs": (
         "EpochRecorder", "EpochSample", "epoch_table", "phase_summary",

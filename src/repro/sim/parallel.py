@@ -506,10 +506,12 @@ class ParallelExperimentEngine:
       dir).
     * ``telemetry`` — optional :class:`~repro.obs.hub.TelemetryHub`;
       when set, every simulation (serial or pooled) streams lifecycle
-      and epoch frames into the hub, and progress snapshots route
-      through it so ``--progress`` and ``repro watch`` read identical
-      counters.  ``None`` (the default) leaves the execution path
-      byte-for-byte unchanged.
+      and epoch frames into the hub, and every progress report (plus
+      one at the end of each batch) publishes an ``engine`` frame
+      carrying the manifest's counter blocks, so ``--progress``,
+      ``repro watch`` and ``run-manifest.json`` read the same numbers.
+      ``None`` (the default) leaves the execution path byte-for-byte
+      unchanged.
 
     Lookup order per job: in-memory dict, then disk, then simulate.
     Results are returned in job order regardless of completion order,
@@ -548,11 +550,9 @@ class ParallelExperimentEngine:
         self.probe = probe if probe is not None else NULL_PROBE
         self.telemetry = telemetry
         if telemetry is not None:
-            telemetry.note_workers(self.workers)
-            # Tee harness events (retries, faults, quarantines, pool
-            # rebuilds) into the hub's fleet counters; the caller's
-            # sink, if any, still sees the unmodified stream.
-            self.probe = telemetry.adopt_probe(self.probe)
+            # The hub raises EV_DRIFT on the caller's probe; it learns
+            # every other count from the engine frames.
+            telemetry.probe = self.probe
         self.disk = DiskResultCache(cache_dir) if cache_dir else None
         self.stats = EngineStats()
         self.rstats = ResilienceStats()
@@ -590,6 +590,8 @@ class ParallelExperimentEngine:
         self.reliability_totals: Dict[str, int] = {}
         self._wall_s = 0.0
         self._busy_s = 0.0
+        #: The latest progress snapshot, republished at the batch's end.
+        self._progress: Optional[ProgressEvent] = None
         self._degraded = False
         self._fired_cache_faults: "set[int]" = set()
         self._fired_interrupts: "set[int]" = set()
@@ -695,16 +697,15 @@ class ParallelExperimentEngine:
         finally:
             self._teardown_traces()
             self._wall_s += time.monotonic() - started
-            self.stats.corrupt_blobs = sum(
-                store.corrupt_blobs for store in (self.disk, self.traces)
-                if store is not None
-            )
+            self.stats.corrupt_blobs = self._corrupt_blobs()
             if self.telemetry is not None:
-                self.telemetry.note_trace(self.trace_stats.as_dict())
                 activate(previous_channel)
                 # The pool (if any) has shut down by now, so worker
-                # feeder threads have flushed: one drain gets the tail.
-                self.telemetry.pump()
+                # feeder threads have flushed: the frame's drain gets
+                # the tail, and the hub ends the batch on the counters
+                # the manifest writes.
+                self.telemetry.note_progress(
+                    self._engine_payload(self._progress, self._wall_s))
         return [results[key] for key in keys]
 
     def _keys(self, jobs: List[ExperimentJob]) -> List[str]:
@@ -1253,16 +1254,39 @@ class ParallelExperimentEngine:
     def _report(self, done: int, total: int, started: float) -> None:
         if self.progress is None and self.telemetry is None:
             return
-        event = ProgressEvent(
+        event = self._progress = ProgressEvent(
             done=done,
             total=total,
             elapsed_s=time.monotonic() - started,
             cache_hits=self.stats.cache_hits,
         )
         if self.telemetry is not None:
-            # The hub is the single source of truth for progress: fold
-            # the snapshot there first (and drain worker frames), so a
-            # --progress line and `repro watch` read the same counters.
-            self.telemetry.note_progress(event)
+            # Fold the engine frame first, so the --progress line below
+            # prints the snapshot `repro watch` has just read.
+            self.telemetry.note_progress(self._engine_payload(
+                event, self._wall_s + event.elapsed_s))
         if self.progress is not None:
             self.progress(event)
+
+    def _engine_payload(self, event: ProgressEvent,
+                        wall_s: float) -> Dict[str, object]:
+        """One ``engine`` frame: progress, busy/wall seconds and the
+        counter blocks :meth:`manifest` writes, rounded as it does."""
+        self.stats.corrupt_blobs = self._corrupt_blobs()
+        return {
+            "jobs_total": event.total,
+            "jobs_done": event.done,
+            "cache_hits": event.cache_hits,
+            "elapsed_s": round(event.elapsed_s, 6),
+            "eta_s": event.eta_s,
+            "workers": self.workers,
+            "busy_s": round(self._busy_s, 6),
+            "wall_s": round(wall_s, 6),
+            "engine": self.stats.as_dict(),
+            "resilience": self.rstats.as_dict(),
+            "trace": self.trace_stats.as_dict(),
+        }
+
+    def _corrupt_blobs(self) -> int:
+        return sum(store.corrupt_blobs for store in (self.disk, self.traces)
+                   if store is not None)

@@ -164,32 +164,3 @@ def progress_printer(stream: Optional[TextIO] = None) -> Callable:
         out.flush()
 
     return hook
-
-
-def hub_progress_printer(hub, stream: Optional[TextIO] = None) -> Callable:
-    """A progress hook that renders from a telemetry hub's fleet view.
-
-    When streaming is active the hub is the single source of truth for
-    progress: the engine folds every snapshot into the hub *before*
-    calling its progress hook, so this printer and ``repro watch`` read
-    the identical counters — they cannot disagree about job counts.
-    ``hub`` is duck-typed (anything with a ``fleet`` carrying
-    ``jobs_done``/``jobs_total``/``elapsed_s``/``eta_s``).
-    """
-    out = stream if stream is not None else sys.stderr
-
-    def hook(_event) -> None:
-        fleet = hub.fleet
-        total = max(fleet.jobs_total, fleet.jobs_done)
-        line = progress_line(
-            fleet.jobs_done, total, fleet.elapsed_s, fleet.eta_s,
-            label="jobs",
-        )
-        if out.isatty():
-            end = "\n" if fleet.jobs_done >= total else "\r"
-            out.write("\x1b[2K" + line + end)
-        else:
-            out.write(line + "\n")
-        out.flush()
-
-    return hook

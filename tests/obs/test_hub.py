@@ -9,10 +9,8 @@ from repro.obs.drift import DriftDetector, DriftEnvelope
 from repro.obs.events import (
     EV_DRIFT,
     EV_FAULT,
-    EV_POOL_REBUILD,
-    EV_QUARANTINE,
     EV_RETRY,
-    Event,
+    NULL_PROBE,
     ListSink,
     make_probe,
 )
@@ -30,8 +28,12 @@ from repro.obs.stream import (
     activate,
     streamed_simulate,
 )
-from repro.sim.parallel import ExperimentJob, ProgressEvent
+from repro.obs.manifest import RunManifest, worker_utilization
+from repro.resilience import TRANSIENT, FaultPlan, FaultSpec, RetryPolicy
+from repro.sim.parallel import ExperimentJob, ParallelExperimentEngine
 from repro.workloads.synthetic import multi_stream_kernel
+
+FAST_RETRY = RetryPolicy(base_delay_s=0.0, jitter=0.0)
 
 
 def small(cfg, epoch_cycles=500):
@@ -44,6 +46,19 @@ def trace():
     return multi_stream_kernel(
         300, streams=4, gap=6, write_fraction=0.25, seed=5,
     )
+
+
+def engine_payload(done=1, total=1, elapsed_s=1.0, **blocks):
+    """An ``engine`` frame payload as the experiment engine builds it."""
+    payload = {"jobs_total": total, "jobs_done": done, "cache_hits": 0,
+               "elapsed_s": elapsed_s, "eta_s": None, "workers": 1}
+    payload.update(blocks)
+    return payload
+
+
+def engine_jobs(n):
+    return [ExperimentJob(small(fgnvm(4, 4)), "sphinx3", 300, seed)
+            for seed in range(n)]
 
 
 def run_one_job(hub, epoch_cycles=500):
@@ -84,20 +99,29 @@ class TestFolding:
         hub.fold(TelemetryFrame(
             kind=FR_ENGINE, seq=0, worker=1, t=0.0,
             payload={"jobs_total": 8, "jobs_done": 3, "cache_hits": 2,
-                     "elapsed_s": 4.0, "eta_s": 6.5, "workers": 2},
+                     "elapsed_s": 4.0, "eta_s": 6.5, "workers": 2,
+                     "engine": {"corrupt_blobs": 1},
+                     "resilience": {"retries": 3, "faults_injected": 2,
+                                    "pool_rebuilds": 1,
+                                    "degraded_to_serial": 0},
+                     "trace": {"trace_cache_hits": 4, "packed_bytes": 900,
+                               "pooled_jobs": 5}},
         ))
-        assert hub.fleet.jobs_total == 8
-        assert hub.fleet.jobs_done == 3
-        assert hub.fleet.cache_hits == 2
-        assert hub.fleet.eta_s == 6.5
-        assert hub.fleet.workers == 2
+        fleet = hub.fleet.as_dict()
+        assert fleet["jobs_total"] == 8
+        assert fleet["jobs_done"] == 3
+        assert fleet["cache_hits"] == 2
+        assert fleet["eta_s"] == 6.5
+        assert fleet["workers"] == 2
+        assert (fleet["retries"], fleet["faults"], fleet["pool_rebuilds"],
+                fleet["quarantines"], fleet["degraded"]) == (3, 2, 1, 1, 0)
+        assert (fleet["trace_cache_hits"], fleet["trace_packed_bytes"],
+                fleet["pooled_jobs"]) == (4, 900, 5)
 
     def test_note_progress_is_an_engine_frame(self):
         hub = TelemetryHub()
-        hub.note_workers(4)
-        hub.note_progress(ProgressEvent(
-            done=2, total=10, elapsed_s=3.0, cache_hits=1,
-        ))
+        hub.note_progress(dict(engine_payload(done=2, total=10),
+                               cache_hits=1, workers=4))
         assert hub.fleet.jobs_done == 2
         assert hub.fleet.jobs_total == 10
         assert hub.fleet.cache_hits == 1
@@ -157,49 +181,117 @@ class TestDroppedAccounting:
 
 
 class TestProbeAdoption:
+    """The engine keeps its caller's probe; the hub counts harness
+    events from the engine frames and uses the probe only for drift."""
+
     def test_harness_events_fold_into_fleet(self):
         hub = TelemetryHub()
-        probe = hub.adopt_probe(make_probe(ListSink()))
-        for kind in (EV_RETRY, EV_RETRY, EV_FAULT, EV_QUARANTINE,
-                     EV_POOL_REBUILD):
-            probe.emit(Event(kind=kind, cycle=0))
-        assert hub.fleet.retries == 2
-        assert hub.fleet.faults == 1
-        assert hub.fleet.quarantines == 1
-        assert hub.fleet.pool_rebuilds == 1
+        plan = FaultPlan(faults=(FaultSpec(kind=TRANSIENT, job_index=1),))
+        engine = ParallelExperimentEngine(
+            workers=1, fault_plan=plan, retry=FAST_RETRY, telemetry=hub)
+        engine.run_jobs(engine_jobs(2))
+        assert hub.fleet.retries == engine.rstats.retries == 1
+        assert hub.fleet.faults == engine.rstats.faults_injected == 1
+        assert hub.fleet.jobs_done == hub.fleet.jobs_total == 2
+        hub.close()
 
     def test_original_sink_still_sees_events(self):
         hub = TelemetryHub()
         sink = ListSink()
-        probe = hub.adopt_probe(make_probe(sink))
-        probe.emit(Event(kind=EV_RETRY, cycle=0))
-        assert [e.kind for e in sink.events] == [EV_RETRY]
+        plan = FaultPlan(faults=(FaultSpec(kind=TRANSIENT, job_index=0),))
+        engine = ParallelExperimentEngine(
+            workers=1, fault_plan=plan, retry=FAST_RETRY,
+            probe=make_probe(sink), telemetry=hub)
+        engine.run_jobs(engine_jobs(1))
+        assert engine.probe is hub.probe
+        assert [e.kind for e in sink.events] == [EV_FAULT, EV_RETRY]
+        hub.close()
 
-    def test_retry_storm_emits_drift_event(self):
+    def storm_spool(self, tmp_path, sink):
+        spool = tmp_path / "telemetry.jsonl"
+        hub = TelemetryHub(spool_path=spool,
+                           drift=DriftDetector(retry_storm_threshold=3))
+        hub.probe = make_probe(sink)
+        for retries in (1, 4, 5):
+            hub.note_progress(engine_payload(
+                resilience={"retries": retries}))
+        hub.close()
+        return spool, hub
+
+    def test_retry_storm_emits_drift_event(self, tmp_path):
         sink = ListSink()
-        hub = TelemetryHub(drift=DriftDetector(retry_storm_threshold=3))
-        probe = hub.adopt_probe(make_probe(sink))
-        for _ in range(4):
-            probe.emit(Event(kind=EV_RETRY, cycle=0))
+        _, hub = self.storm_spool(tmp_path, sink)
         drift_events = [e for e in sink.events if e.kind == EV_DRIFT]
         assert len(drift_events) == 1
         assert drift_events[0].service == "retry_storm"
         assert len(hub.drift.findings) == 1
 
+    def test_replay_redetects_retry_storm_once(self, tmp_path):
+        spool, hub = self.storm_spool(tmp_path, ListSink())
+        replayed = TelemetryHub.replay(
+            spool, drift=DriftDetector(retry_storm_threshold=3))
+        assert [f.kind for f in replayed.drift.findings] == ["retry_storm"]
+        # Without the spooled drift frame the engine frames alone
+        # re-detect it.
+        lines = spool.read_text(encoding="utf-8").splitlines()
+        bare = tmp_path / "bare.jsonl"
+        bare.write_text("".join(
+            line + "\n" for line in lines
+            if json.loads(line)["kind"] != FR_DRIFT), encoding="utf-8")
+        replayed = TelemetryHub.replay(
+            bare, drift=DriftDetector(retry_storm_threshold=3))
+        assert [f.kind for f in replayed.drift.findings] == ["retry_storm"]
+        assert replayed.fleet.retries == hub.fleet.retries == 5
+
     def test_adopting_null_probe_still_counts(self):
         hub = TelemetryHub()
-        probe = hub.adopt_probe(None)
-        probe.emit(Event(kind=EV_FAULT, cycle=0))
+        plan = FaultPlan(faults=(FaultSpec(kind=TRANSIENT, job_index=0),))
+        engine = ParallelExperimentEngine(
+            workers=1, fault_plan=plan, retry=FAST_RETRY, telemetry=hub)
+        engine.run_jobs(engine_jobs(1))
+        assert hub.probe is NULL_PROBE
         assert hub.fleet.faults == 1
+        hub.close()
+
+
+@pytest.mark.timeout(120)
+class TestOneCounterPath:
+    def test_live_replay_and_manifest_agree(self, tmp_path):
+        """Pooled batch under faults: the live hub, a replay of its
+        spool and the run manifest read the same counters."""
+        spool = tmp_path / "telemetry.jsonl"
+        hub = TelemetryHub(spool_path=spool)
+        engine = ParallelExperimentEngine(
+            workers=2, cache_dir=tmp_path / "cache", retry=FAST_RETRY,
+            fault_plan=FaultPlan.seeded(0, 4, transients=1, corrupt=1),
+            telemetry=hub)
+        engine.run_jobs(engine_jobs(4))
+        hub.close()
+        manifest = engine.manifest().as_dict()
+        expected = {
+            "retries": manifest["resilience"]["retries"],
+            "faults": manifest["resilience"]["faults_injected"],
+            "pool_rebuilds": manifest["resilience"]["pool_rebuilds"],
+            "quarantines": manifest["engine"]["corrupt_blobs"],
+            "pooled_jobs": manifest["trace"]["pooled_jobs"],
+            "trace_packed_bytes": manifest["trace"]["packed_bytes"],
+        }
+        assert expected["retries"] >= 1
+        assert expected["faults"] >= 2
+        assert expected["pooled_jobs"] == 4
+        assert expected["trace_packed_bytes"] > 0
+        for snap in (hub.snapshot(), TelemetryHub.replay(spool).snapshot()):
+            fleet = snap["fleet"]
+            assert {k: fleet[k] for k in expected} == expected
+            assert snap["worker_utilization"] == (
+                manifest["worker_utilization"])
 
 
 class TestSnapshotAndDashboard:
     def test_snapshot_schema(self):
         hub = TelemetryHub()
         run_one_job(hub)
-        hub.note_progress(ProgressEvent(
-            done=1, total=1, elapsed_s=1.0, cache_hits=0,
-        ))
+        hub.note_progress(engine_payload())
         hub.close()
         snap = hub.snapshot()
         assert snap["schema"] == SNAPSHOT_SCHEMA
@@ -219,9 +311,7 @@ class TestSnapshotAndDashboard:
     def test_dashboard_renders(self):
         hub = TelemetryHub()
         run_one_job(hub)
-        hub.note_progress(ProgressEvent(
-            done=1, total=1, elapsed_s=1.0, cache_hits=0,
-        ))
+        hub.note_progress(engine_payload())
         text = render_dashboard(hub)
         assert "jobs" in text
         assert "dropped frames 0" in text
@@ -248,9 +338,7 @@ class TestSpoolAndReplay:
         spool = tmp_path / "telemetry.jsonl"
         hub = TelemetryHub(spool_path=spool)
         _, result = run_one_job(hub)
-        hub.note_progress(ProgressEvent(
-            done=1, total=1, elapsed_s=1.0, cache_hits=0,
-        ))
+        hub.note_progress(engine_payload())
         hub.close()
         assert spool.exists()
         replayed = TelemetryHub.replay(spool)
@@ -308,19 +396,19 @@ class TestSpoolAndReplay:
 class TestUtilization:
     def test_utilization_from_wall_and_elapsed(self):
         hub = TelemetryHub()
-        hub.note_workers(2)
+        hub.note_progress(dict(engine_payload(done=2, total=2),
+                               workers=2, busy_s=14.0, wall_s=10.0))
+        # Job wall times do not feed it: the engine's busy_s does.
         hub.fold(TelemetryFrame(
-            kind=FR_ENGINE, seq=0, worker=1, t=0.0,
-            payload={"jobs_total": 2, "jobs_done": 2, "elapsed_s": 10.0,
-                     "workers": 2},
+            kind="job_end", seq=0, job="j0", worker=1, t=0.0,
+            payload={"wall_s": 99.0, "cycles": 1, "instructions": 1,
+                     "ipc": 1.0, "dropped_frames": 0},
         ))
-        for seq, wall in enumerate((6.0, 8.0)):
-            hub.fold(TelemetryFrame(
-                kind="job_end", seq=seq, job=f"j{seq}", worker=1, t=0.0,
-                payload={"wall_s": wall, "cycles": 1, "instructions": 1,
-                         "ipc": 1.0, "dropped_frames": 0},
-            ))
         assert hub.utilization == pytest.approx(14.0 / 20.0)
+        assert hub.utilization == worker_utilization(14.0, 10.0, 2)
+        assert hub.utilization == RunManifest(
+            code_version="v", workers=2, busy_s=14.0, wall_s=10.0,
+        ).worker_utilization
 
     def test_starved_workers_fires_at_close(self):
         hub = TelemetryHub(drift=DriftDetector(utilization_floor=0.9))

@@ -866,5 +866,14 @@ class TestTelemetryCli:
         assert main(self.RUN + ["--cache-dir", str(cache), "--telemetry",
                                 "--progress"]) == 0
         err = capsys.readouterr().err
-        # The hub-sourced progress line uses the fleet's "jobs" label.
-        assert "] jobs" in err
+        # The last --progress line prints the engine frame the hub
+        # folded last, so its done/total are what `repro watch` reads.
+        import json
+        import re
+
+        last = re.findall(r"\[\s*(\d+)/(\d+)\s", err)[-1]
+        assert main(["watch", str(cache), "--once", "--json"]) == 0
+        fleet = json.loads(capsys.readouterr().out)["fleet"]
+        assert fleet["jobs_total"] > 0
+        assert tuple(map(int, last)) == (fleet["jobs_done"],
+                                         fleet["jobs_total"])
